@@ -35,11 +35,6 @@ answering one cross-run question over a
     counts, op/redirect/migration/byte totals from the ``shard_*``
     PVAR series, and the hottest shards from the monitor's per-shard
     ``shard_ops`` series.
-``kernel``
-    Parallel-kernel execution summary of one ``kind="parallel"`` run:
-    window/boundary-event totals and per-round statistics from the
-    kernel's self-observability series, per-LP event loads and
-    imbalance, plus the recorded (non-deterministic) wall timing.
 
 The three critical-path ops prefer the ``breakdowns`` table written at
 record time and fall back to re-running the engine over the archived
@@ -568,78 +563,6 @@ def q_shards(store, params: dict) -> dict:
     }
 
 
-def q_kernel(store, params: dict) -> dict:
-    """Parallel-kernel execution summary of one ``kind="parallel"`` run.
-
-    Reduces the kernel's per-round self-observability series
-    (``kernel_boundary_events``, ``kernel_lp_imbalance``, and the
-    per-LP ``kernel_window_events``) recorded by
-    :func:`~repro.store.record_parallel_run`: how many windows ran, how
-    much crossed LP boundaries, and how evenly the work spread.  The
-    ``timing`` block is the run's recorded wall-clock measurement --
-    real, machine-dependent, and deliberately outside every
-    deterministic surface.
-    """
-    run = store.run(params["run"])
-    if run["kind"] != "parallel":
-        raise ValueError(
-            f"run {run['run_id']} has kind {run['kind']!r}, not 'parallel'"
-        )
-    run_id = run["run_id"]
-    config = run["config"]
-    extra = run.get("extra") or {}
-
-    boundary = store.samples(run_id, "kernel_boundary_events")
-    imbalance = store.samples(run_id, "kernel_lp_imbalance")
-    lps = []
-    for name, labels_text in store.series_keys(run_id):
-        if name != "kernel_window_events":
-            continue
-        samples = store.samples(run_id, name, labels_text)
-        values = [v for _, v in samples]
-        lps.append(
-            {
-                "lp": _parse_labels(labels_text).get("lp", ""),
-                "events": round9(sum(values)),
-                "peak_window": round9(max(values, default=0.0)),
-            }
-        )
-    lps.sort(key=lambda r: r["lp"])
-
-    boundary_values = [v for _, v in boundary]
-    imbalance_values = [v for _, v in imbalance]
-    timing = extra.get("timing", {})
-    return {
-        "run_id": run_id,
-        "name": run["name"],
-        "plan": config.get("plan"),
-        "n_lps": config.get("n_lps"),
-        "workers_requested": config.get("workers_requested"),
-        "workers_used": config.get("workers_used"),
-        "lookahead": round9(config.get("lookahead", 0.0)),
-        "windows": len(boundary),
-        "boundary_events": {
-            "total": round9(sum(boundary_values)),
-            "per_window_mean": round9(mean(boundary_values))
-            if boundary_values else 0.0,
-            "per_window_max": round9(max(boundary_values, default=0.0)),
-        },
-        "imbalance": {
-            "mean": round9(mean(imbalance_values))
-            if imbalance_values else 0.0,
-            "max": round9(max(imbalance_values, default=0.0)),
-        },
-        "lps": lps,
-        "timing": {
-            "wall_time": round9(timing.get("wall_time", 0.0)),
-            "barrier_wait_frac": round9(
-                timing.get("barrier_wait_frac", 0.0)
-            ),
-            "workers_used": timing.get("workers_used"),
-        },
-    }
-
-
 def q_bench_history(store, params: dict) -> dict:
     suite = params["suite"]
     return {"suite": suite, "history": store.bench_history(suite)}
@@ -657,7 +580,6 @@ QUERY_OPS: dict[str, Callable] = {
     "blame": q_blame,
     "bench_history": q_bench_history,
     "shards": q_shards,
-    "kernel": q_kernel,
 }
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import socket
 import socketserver
 import threading
+import time
 from typing import Optional, Union
 
 from .protocol import (
@@ -24,7 +25,15 @@ from .protocol import (
 )
 from .queries import run_query
 
-__all__ = ["AnalysisService", "remote_query", "serve"]
+__all__ = ["AnalysisService", "MAX_LINE_BYTES", "remote_query", "serve"]
+
+#: Longest request line the server reads, newline included.  Queries are
+#: a few hundred bytes; the cap keeps a client that never sends a newline
+#: from growing server memory without limit.
+MAX_LINE_BYTES = 1 << 20
+
+#: How long a rejected connection is drained before it is closed.
+_DRAIN_S = 1.0
 
 
 class AnalysisService:
@@ -60,14 +69,42 @@ class AnalysisService:
 
 
 class _Handler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - exercised via serve()
-        for raw in self.rfile:
+    def handle(self) -> None:
+        while True:
+            raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if not raw:
+                return
+            if len(raw) > MAX_LINE_BYTES:
+                self._reject(
+                    f"request line exceeds {MAX_LINE_BYTES} bytes"
+                )
+                return
             line = raw.decode("utf-8", errors="replace").strip()
             if not line:
                 continue
             reply = self.server.service.handle_line(line)  # type: ignore[attr-defined]
-            self.wfile.write(reply.encode() + b"\n")
-            self.wfile.flush()
+            self._send(reply)
+
+    def _send(self, reply: str) -> None:
+        self.wfile.write(reply.encode() + b"\n")
+        self.wfile.flush()
+
+    def _reject(self, error: str) -> None:
+        """Answer with one error reply, then end the connection."""
+        self._send(encode_reply(Reply(op="?", ok=False, error=error)))
+        # Closing a socket with unread input makes the kernel reset the
+        # connection, which can discard the reply still in flight; so
+        # half-close first and discard what the client still sends, for
+        # a bounded time.
+        conn = self.connection
+        conn.shutdown(socket.SHUT_WR)
+        conn.settimeout(_DRAIN_S)
+        deadline = time.monotonic() + _DRAIN_S
+        try:
+            while time.monotonic() < deadline and conn.recv(65536):
+                pass
+        except OSError:
+            pass
 
 
 class AnalysisServer(socketserver.ThreadingTCPServer):

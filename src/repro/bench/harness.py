@@ -40,8 +40,8 @@ _CALIBRATION_N = 2_000_000
 
 #: Memoized spin-loop results: a machine constant, so one measurement
 #: per process suffices -- and processes forked after the first call
-#: (``map_cells`` workers, parallel-kernel LPs) inherit it
-#: copy-on-write instead of re-calibrating.
+#: (``map_cells`` workers) inherit it copy-on-write instead of
+#: re-calibrating.
 _calibration_cache: dict = {}
 
 

@@ -12,16 +12,6 @@ Each benchmark isolates one kernel mechanism the stack leans on:
   pool-wait / shutdown-race pattern).
 * ``rpc_round_trip`` -- a full Margo echo RPC through fabric, Mercury,
   and Argobots; the whole-stack per-RPC wall cost.
-* ``parallel_window_sync`` -- the same echo RPC split across two
-  logical processes of the conservative parallel kernel
-  (:mod:`repro.sim.parallel`), one window per lookahead interval; the
-  per-window cost of the coordinator loop, boundary-event routing, and
-  pickle transport that every parallel run pays.
-* ``boundary_batch`` -- the boundary channels' wire format in
-  isolation: seq-stamped events grouped into columnar
-  :class:`~repro.sim.parallel.BoundaryBatch` objects, round-tripped
-  through pickle, and expanded back into canonical injection order --
-  the per-message cost every cross-LP byte pays at the barrier.
 
 Every benchmark builds a fresh world per repeat and returns the number
 of processed work units, so results read as events/sec or RPCs/sec.
@@ -124,94 +114,6 @@ def bench_rpc_round_trip(n_rpcs: int) -> tuple[int, str]:
     return n_rpcs, "rpcs"
 
 
-def _window_server(ctx) -> None:
-    mi = ctx.process("wsvr", "wnodeS", n_handler_es=1)
-    mi.register("echo", _echo_handler)
-    ctx.register_remote("wcli", "wnodeC")
-
-
-def _window_client(ctx, n_rpcs: int) -> None:
-    mi = ctx.process("wcli", "wnodeC")
-    mi.register("echo")
-    ctx.register_remote("wsvr", "wnodeS")
-    done = ctx.cluster.sim.event("window-bench-done")
-
-    def body():
-        for i in range(n_rpcs):
-            yield from mi.forward("wsvr", "echo", {"n": i})
-        done.succeed(ctx.cluster.sim.now)
-
-    mi.client_ult(body(), name="bench-window")
-    ctx.set_done(done)
-
-
-def bench_parallel_window_sync(n_rpcs: int) -> tuple[int, str]:
-    """Sequential cross-LP echo RPCs: every round trip spans several
-    lookahead windows, so the wall cost is dominated by the kernel's
-    window loop rather than the RPC work itself.  Reported in windows
-    executed per second."""
-    from functools import partial
-
-    from ..sim.parallel import LPSpec, PartitionPlan, run_partitioned
-
-    plan = PartitionPlan(
-        lps=[
-            LPSpec("server", _window_server),
-            LPSpec("client", partial(_window_client, n_rpcs=n_rpcs)),
-        ],
-        cluster_kw={"stage": None},
-        collect=False,
-        name="bench_window_sync",
-    )
-    result = run_partitioned(plan, workers=1)
-    if not result.done:
-        raise RuntimeError("window-sync benchmark did not finish")
-    return result.windows_executed, "windows"
-
-
-def bench_boundary_batch(n_events: int, n_channels: int) -> tuple[int, str]:
-    """The batched boundary-channel transport, no kernel attached:
-    group ``n_events`` seq-stamped events into per-channel columnar
-    batches, pickle the batch list across a process boundary (in
-    memory), and expand the result back into the canonical ``(recv_ts,
-    src_lp, seq)`` injection order."""
-    from ..net import Message
-    from ..sim.parallel.channel import (
-        BoundaryBatch,
-        BoundaryEvent,
-        inbound_order,
-        pickle_roundtrip,
-    )
-
-    lookahead = 1.5e-6
-    per_channel: list[list] = [[] for _ in range(n_channels)]
-    for seq in range(n_events):
-        src = seq % n_channels
-        send_ts = 1e-7 * seq
-        per_channel[src].append(
-            BoundaryEvent(
-                src_lp=src,
-                dst_lp=n_channels,
-                seq=seq,
-                send_ts=send_ts,
-                recv_ts=send_ts + lookahead,
-                msg=Message(
-                    src=f"p{src}",
-                    dst="sink",
-                    size_bytes=128,
-                    payload={"seq": seq},
-                    kind="bench",
-                ),
-            )
-        )
-    batches = [BoundaryBatch.from_events(evs) for evs in per_channel if evs]
-    wire = pickle_roundtrip(batches)
-    ordered = inbound_order(wire)
-    if len(ordered) != n_events:
-        raise RuntimeError("boundary batch expansion lost events")
-    return n_events, "events"
-
-
 def _wait(cluster, event, limit: float) -> bool:
     """Event-driven wait, falling back to the predicate API on kernels
     that predate ``run_until_event`` (keeps the suite runnable against
@@ -243,14 +145,6 @@ KERNEL_BENCHMARKS: dict[str, tuple[Callable, Callable]] = {
     "rpc_round_trip": (
         lambda: bench_rpc_round_trip(2_000),
         lambda: bench_rpc_round_trip(200),
-    ),
-    "parallel_window_sync": (
-        lambda: bench_parallel_window_sync(400),
-        lambda: bench_parallel_window_sync(50),
-    ),
-    "boundary_batch": (
-        lambda: bench_boundary_batch(100_000, 8),
-        lambda: bench_boundary_batch(10_000, 8),
     ),
     # The instrumentation hot paths ride along in this suite so their
     # results land in BENCH_kernel.json and the same --check gate.

@@ -6,18 +6,6 @@ run (Figure 7's harness), the HEPnOS data loader on a Table IV shape
 (Figures 9-12's harness), and the same loader with the online monitor
 attached -- so a telemetry-layer regression shows up as the gap between
 the last two.
-
-``parallel_scale_w1`` / ``parallel_scale_w4`` run the identical
-32-server partitioned sharded workload through the parallel kernel at
-one and four worker processes; their same-run median ratio is the
-kernel's speedup claim, gated in CI with
-``--max-ratio parallel_scale_w4/parallel_scale_w1=...`` on runners with
-enough cores (on a single-core machine the w4 arm measures pure
-synchronization overhead -- still worth tracking, never worth gating).
-``parallel_scale_n1024_w1`` / ``parallel_scale_n1024_w4`` repeat the
-pair on the thousand-node capacity cell (1024 server nodes, single-ES
-handler pools, hot-key timeout storms) -- the shape the batched
-boundary channels and the flattened O(nodes) hot paths exist for.
 """
 
 from __future__ import annotations
@@ -58,44 +46,6 @@ def bench_hepnos_monitor(events_per_client: int) -> tuple[int, str]:
     return _hepnos(events_per_client, monitored=True)
 
 
-def bench_parallel_scale(workers: int, smoke: bool) -> tuple[int, str]:
-    """The 32-server partitioned sharded workload through the parallel
-    kernel.  Both worker counts execute the same simulation (digests are
-    byte-identical), so the w4/w1 wall-clock ratio isolates what the
-    extra processes buy."""
-    from ..experiments.parallel_scale import (
-        ParallelScaleCell,
-        run_parallel_scale,
-        smoke_parallel_cell,
-    )
-
-    cell = (
-        smoke_parallel_cell()
-        if smoke
-        else ParallelScaleCell(
-            n_servers=32, server_lps=4, n_clients=8, keys_per_client=100
-        )
-    )
-    run = run_parallel_scale(cell, workers=workers, collect=False)
-    run.check_invariants()
-    return run.result.events_processed, "events"
-
-
-def bench_parallel_scale_n1024(workers: int, smoke: bool) -> tuple[int, str]:
-    """The 1024-server capacity cell (handler-pool saturation + hot-key
-    timeout storms) through the parallel kernel; ``smoke`` shrinks the
-    per-ULT op counts, never the fleet."""
-    from ..experiments.parallel_scale import (
-        n1024_parallel_cell,
-        run_parallel_scale,
-    )
-
-    cell = n1024_parallel_cell(smoke=smoke)
-    run = run_parallel_scale(cell, workers=workers, collect=False)
-    run.check_invariants()
-    return run.result.events_processed, "events"
-
-
 #: name -> (full-scale thunk, smoke-scale thunk)
 MACRO_BENCHMARKS: dict[str, tuple[Callable, Callable]] = {
     "sonata": (
@@ -109,22 +59,6 @@ MACRO_BENCHMARKS: dict[str, tuple[Callable, Callable]] = {
     "hepnos_monitor": (
         lambda: bench_hepnos_monitor(192),
         lambda: bench_hepnos_monitor(32),
-    ),
-    "parallel_scale_w1": (
-        lambda: bench_parallel_scale(1, smoke=False),
-        lambda: bench_parallel_scale(1, smoke=True),
-    ),
-    "parallel_scale_w4": (
-        lambda: bench_parallel_scale(4, smoke=False),
-        lambda: bench_parallel_scale(4, smoke=True),
-    ),
-    "parallel_scale_n1024_w1": (
-        lambda: bench_parallel_scale_n1024(1, smoke=False),
-        lambda: bench_parallel_scale_n1024(1, smoke=True),
-    ),
-    "parallel_scale_n1024_w4": (
-        lambda: bench_parallel_scale_n1024(4, smoke=False),
-        lambda: bench_parallel_scale_n1024(4, smoke=True),
     ),
 }
 

@@ -78,21 +78,7 @@ class Cluster:
         store: Union[None, str, Any] = None,
         run_name: Optional[str] = None,
         run_tags: Optional[dict] = None,
-        workers: int = 1,
     ):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        #: Requested parallel-kernel worker count.  A monolithic
-        #: ``Cluster`` is one event queue and always executes serially;
-        #: deploy-time drivers (``repro.experiments.parallel_scale``,
-        #: the ``scale --workers`` CLI) consume this hint via
-        #: :meth:`PartitionPlan.from_topology
-        #: <repro.sim.parallel.PartitionPlan.from_topology>`, which
-        #: bin-packs the deployed node groups into LPs (each owning a
-        #: private Cluster) without hand-written LP declarations.
-        #: Recorded in the run tags so stored runs keep their
-        #: execution shape.
-        self.workers = workers
         self.sim = Simulator()
         self.rng = RngRegistry(seed)
         #: Seed of the cluster's RNG registry (recorded by the store).
@@ -105,8 +91,6 @@ class Cluster:
         self.store = store
         self.run_name = run_name
         self.run_tags = dict(run_tags) if run_tags else {}
-        if workers > 1:
-            self.run_tags.setdefault("workers", str(workers))
         self.run_id: Optional[int] = None
 
         if fabric_config is None and preset is not None:

@@ -167,15 +167,6 @@ def _faults(args) -> None:
 def _monitor(args) -> None:
     # The smoke shape still spans the fault window (crash at 0.8 ms), so
     # both the starvation and timeout-burst detectors get exercised.
-    if args.workers is not None and args.workers > 1:
-        # The monitored campaign injects crashes and drives migrations
-        # -- cross-LP churn is a parallel-kernel non-goal (see
-        # docs/performance.md section 7), so this stays serial.
-        print(
-            "[monitor: fault/churn campaign is single-cluster; "
-            f"--workers {args.workers} falls back to the serial kernel]",
-            file=sys.stderr,
-        )
     kw = {"n_records": 600, "batch_size": 50} if args.smoke else {}
     result = run_monitor_experiment(
         seed=args.seed, out_dir=args.out, store=args.store, **kw
@@ -208,9 +199,6 @@ def _breakdown(args) -> None:
 
 
 def _scale(args) -> None:
-    if args.workers is not None:
-        _scale_parallel(args)
-        return
     # Sharded services at cluster scale: consistent-hash placement,
     # membership churn, and monitor-triggered migration, swept over the
     # mubench-style topology x scale x load matrix (--smoke: one
@@ -227,62 +215,6 @@ def _scale(args) -> None:
         print(f"artifacts written to {args.out}/")
     if args.store:
         print(f"[runs recorded into {args.store}]", file=sys.stderr)
-    result.check_invariants()
-
-
-def _scale_parallel(args) -> None:
-    # The static counterpart of the churn sweep, partitioned across
-    # LPs and executed by the conservative parallel kernel.  stdout is
-    # deterministic across runs AND across --workers values (the CI
-    # parallel-smoke job diffs both); wall-clock goes to stderr.
-    import dataclasses
-
-    from .parallel_scale import (
-        ParallelScaleCell,
-        n1024_parallel_cell,
-        run_parallel_scale,
-        smoke_parallel_cell,
-    )
-
-    if args.nodes >= 1024:
-        # The thousand-node capacity cell: handler-pool saturation and
-        # timeout storms at fleet scale (--smoke shrinks the per-ULT op
-        # counts, never the fleet).
-        cell = n1024_parallel_cell(smoke=args.smoke)
-    elif args.smoke:
-        cell = smoke_parallel_cell()
-    else:
-        cell = ParallelScaleCell(
-            n_servers=64, server_lps=8, n_clients=8, keys_per_client=50
-        )
-    if args.jitter_sigma:
-        # Bounded-jitter fabric: partitioned runs need the truncation
-        # floor declared up front (FabricConfig validates the pair).
-        cell = dataclasses.replace(
-            cell,
-            jitter_sigma=args.jitter_sigma,
-            jitter_bound=args.jitter_bound,
-        )
-    result = run_parallel_scale(
-        cell,
-        seed=args.seed,
-        workers=args.workers,
-        verify=args.verify,
-        store=args.store,
-    )
-    print("Sharded services at cluster scale (parallel kernel)")
-    print(result.report())
-    if args.verify:
-        print("verify: parallel digests match the serial reference")
-    if args.store:
-        print(f"[run recorded into {args.store}]", file=sys.stderr)
-    timing = result.timing()
-    print(
-        f"[parallel kernel: {timing['wall_time']:.2f}s wall, "
-        f"barrier wait {timing['barrier_wait_frac']:.0%}, "
-        f"{int(timing['workers_used'])} worker(s)]",
-        file=sys.stderr,
-    )
     result.check_invariants()
 
 
@@ -338,28 +270,6 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for fannable targets "
                              "(overhead, fig13, faults)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="parallel-kernel LP workers for the scale "
-                             "target (selects the partitioned static "
-                             "fleet; single-cluster targets fall back "
-                             "to serial with a note on stderr)")
-    parser.add_argument("--verify", action="store_true",
-                        help="with --workers: also run the serial "
-                             "reference and require byte-identical "
-                             "digests")
-    parser.add_argument("--nodes", type=int, default=0,
-                        help="with --workers: fleet size for the scale "
-                             "target; >= 1024 selects the thousand-node "
-                             "capacity cell (handler-pool saturation + "
-                             "timeout storms)")
-    parser.add_argument("--jitter-sigma", type=float, default=0.0,
-                        help="with --workers: lognormal wire-time jitter "
-                             "sigma for the scale target (requires "
-                             "--jitter-bound)")
-    parser.add_argument("--jitter-bound", type=float, default=0.0,
-                        help="with --workers: truncation bound; jittered "
-                             "wire times are clamped at latency - bound, "
-                             "which becomes the conservative lookahead")
     parser.add_argument("--smoke", action="store_true",
                         help="reduced workload for CI smoke runs")
     parser.add_argument("--out", default=None,

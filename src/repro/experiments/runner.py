@@ -18,8 +18,7 @@ Two properties of the pool matter beyond ordering:
   forking so children inherit the constant copy-on-write instead of
   re-spinning the loop.
 * **Workers are non-daemonic** (``ProcessPoolExecutor``, fork
-  context), so a cell may itself fan out -- ``--jobs`` composes with
-  the parallel kernel's ``--workers`` LP processes; daemonic
+  context), so a cell may itself start processes; daemonic
   ``multiprocessing.Pool`` workers cannot have children.
 
 Cell workers are module-level functions taking one picklable dict, as

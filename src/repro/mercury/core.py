@@ -49,9 +49,9 @@ __all__ = [
 # module-global counter: a cookie only ever routes within its origin
 # (``_posted`` lives on the origin core), so per-instance uniqueness
 # suffices -- and instance-local allocation keeps cookie sequences
-# identical whether logical processes share one interpreter or run in
-# separate OS processes (the parallel kernel's workers=1 vs workers=N
-# byte-identity depends on this).
+# identical whether clusters share one interpreter or run in separate
+# OS processes (``--jobs 1`` vs ``--jobs N`` output identity depends on
+# this).
 
 #: The degraded-mode gauges of the resilience layer, in report order.
 RESILIENCE_PVARS = (

@@ -23,32 +23,7 @@ from ..sim import Simulator
 from .endpoint import Endpoint
 from .message import CQEntry, CQKind, Message
 
-__all__ = ["Fabric", "FabricConfig", "RemotePeer", "WireFault"]
-
-
-class RemotePeer:
-    """Registry entry for an endpoint living in another logical process.
-
-    Quacks like an :class:`~repro.net.endpoint.Endpoint` for the two
-    attributes the fault hooks inspect (``addr``, ``node``) plus the
-    liveness flag the send/RDMA paths check.  The conservative kernel
-    (:mod:`repro.sim.parallel`) installs one per cross-LP address; the
-    fabric then ships matching transfers through the boundary outbox
-    instead of a local delivery event.
-    """
-
-    __slots__ = ("addr", "node", "closed")
-
-    def __init__(self, addr: str, node: str):
-        self.addr = addr
-        self.node = node
-        #: Remote liveness as last communicated by the kernel.  Static
-        #: partitioned deployments never flip this; cross-LP crash
-        #: propagation is an explicit non-goal (see docs/performance.md).
-        self.closed = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RemotePeer({self.addr!r}, node={self.node!r})"
+__all__ = ["Fabric", "FabricConfig", "WireFault"]
 
 
 @dataclass
@@ -64,16 +39,15 @@ class WireFault:
     extra_delay: float = 0.0
 
     def __post_init__(self) -> None:
-        # A negative spike would let a wire time undercut the configured
-        # latency floor -- the lookahead the conservative parallel kernel
-        # derives from :meth:`FabricConfig.min_cross_node_latency` -- so
-        # it is rejected at construction, not discovered as a causality
-        # violation mid-run.
+        # A spike only ever slows a transfer down: a negative one would
+        # deliver a message sooner than the configured latency allows, so
+        # a bad fault plan is rejected here rather than silently skewing
+        # the wire-time model.
         if self.extra_delay < 0:
             raise ValueError(
                 f"WireFault.extra_delay must be non-negative, got "
-                f"{self.extra_delay!r} (a negative spike would undercut "
-                f"the fabric's cross-node latency floor)"
+                f"{self.extra_delay!r} (a negative spike would put a wire "
+                f"time below the configured latency)"
             )
         if self.copies < 0:
             raise ValueError("WireFault.copies must be non-negative")
@@ -94,14 +68,6 @@ class FabricConfig(Replaceable):
     #: Lognormal jitter applied multiplicatively to the latency term;
     #: 0 disables jitter (fully deterministic wire times).
     jitter_sigma: float = 0.0
-    #: Bounded-jitter floor: with ``jitter_bound > 0`` the sampled
-    #: jitter can never shave more than this many seconds off a
-    #: latency term (truncated sampling, ``max(lat - bound, lat * m)``),
-    #: which restores a positive cross-node wire-time lower bound
-    #: ``latency - jitter_bound`` -- the lookahead the conservative
-    #: parallel kernel needs.  0 leaves the jitter unbounded below
-    #: (the classic lognormal model), which partitioned runs reject.
-    jitter_bound: float = 0.0
     #: Probability that a two-sided message is silently dropped (failure
     #: injection; requires an RNG).  RDMA operations are not dropped --
     #: hardware reliable transport.
@@ -114,54 +80,8 @@ class FabricConfig(Replaceable):
             raise ValueError("bandwidth must be positive")
         if self.jitter_sigma < 0:
             raise ValueError("jitter_sigma must be non-negative")
-        if self.jitter_bound < 0:
-            raise ValueError("jitter_bound must be non-negative")
-        if self.jitter_bound > 0 and self.jitter_bound >= self.latency:
-            raise ValueError(
-                f"jitter_bound={self.jitter_bound} must stay below the "
-                f"cross-node latency ({self.latency}); the truncated floor "
-                "latency - jitter_bound must remain positive"
-            )
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError("drop_rate must be in [0, 1)")
-
-    def min_cross_node_latency(self) -> float:
-        """The guaranteed lower bound on any *cross-node* wire time.
-
-        This is the lookahead of the conservative parallel kernel
-        (:mod:`repro.sim.parallel`): a message sent at ``t`` between
-        nodes in different logical processes cannot arrive before
-        ``t + min_cross_node_latency()``, so every LP may safely
-        execute the window ``[T, T + lookahead)`` without hearing from
-        its peers.
-
-        With ``jitter_sigma > 0`` a floor only exists when a
-        ``jitter_bound`` is declared: the lognormal multiplier alone has
-        no positive lower bound, but truncated sampling clamps every
-        jittered latency at ``latency - jitter_bound``, so that
-        difference is the lookahead.  Raises :class:`ValueError` for a
-        jittered config without a bound, or when the floor would be
-        zero, which would make conservative windows unable to advance
-        time at all.
-        """
-        if self.jitter_sigma > 0:
-            if self.jitter_bound <= 0:
-                raise ValueError(
-                    f"jitter_sigma={self.jitter_sigma} admits wire times "
-                    "below the latency floor (the lognormal multiplier has "
-                    "no positive lower bound); declare a jitter_bound > 0 "
-                    "(truncated sampling) or disable jitter for "
-                    "partitioned runs"
-                )
-            # __post_init__ guarantees jitter_bound < latency, so the
-            # truncated floor is positive by construction.
-            return self.latency - self.jitter_bound
-        if self.latency <= 0:
-            raise ValueError(
-                "latency must be positive to derive a conservative "
-                "lookahead (a zero floor cannot advance a bounded window)"
-            )
-        return self.latency
 
 
 class Fabric:
@@ -198,27 +118,8 @@ class Fabric:
         #: Bytes delivered to a closed (crashed) endpoint and lost there.
         self.discarded_bytes = 0
         self.duplicated_bytes = 0
-        #: Retained for backward compatibility: in-flight accounting used
-        #: to be opt-in (it needed an extra event per delivery); it now
-        #: rides the delivery callback and is always on.
-        self.track_inflight = False
         #: Bytes currently on the wire (sent but not yet delivered).
         self.inflight_bytes = 0
-        #: Cross-LP extension of the ledger (zero for monolithic runs):
-        #: bytes handed to another logical process through the boundary
-        #: outbox, and bytes injected here on behalf of a remote sender.
-        #: The per-fabric identity becomes ``total + duplicated +
-        #: imported == delivered + dropped + discarded + inflight +
-        #: exported``.
-        self.exported_bytes = 0
-        self.imported_bytes = 0
-        #: Addresses owned by other logical processes: addr ->
-        #: :class:`RemotePeer`.  Empty for monolithic simulations.
-        self.remote_peers: dict[str, RemotePeer] = {}
-        #: Outbound boundary transfers of the current window, appended in
-        #: send order as ``(send_ts, recv_ts, msg)`` and drained by the
-        #: LP runtime at the window barrier.
-        self.boundary_outbox: list[tuple[float, float, Message]] = []
 
     # -- endpoint registry --------------------------------------------------
 
@@ -238,20 +139,6 @@ class Fabric:
         self.register(ep)
         return ep
 
-    def register_remote(self, addr: str, node: str) -> RemotePeer:
-        """Declare ``addr`` as living in another logical process on
-        ``node``.  Sends to it are routed through the boundary outbox;
-        RDMA reads against it are computed locally (the simulated
-        transfer is timing-only -- the initiator already holds the
-        payload object)."""
-        if addr in self._endpoints:
-            raise ValueError(f"{addr!r} is a local endpoint, not remote")
-        if addr in self.remote_peers:
-            raise ValueError(f"duplicate remote peer {addr!r}")
-        peer = RemotePeer(addr, node)
-        self.remote_peers[addr] = peer
-        return peer
-
     # -- timing model ---------------------------------------------------------
 
     def wire_time(self, src_node: str, dst_node: str, size_bytes: int) -> float:
@@ -260,17 +147,7 @@ class Fabric:
         lat = self.config.intra_node_latency if same else self.config.latency
         bw = self.config.intra_node_bandwidth if same else self.config.bandwidth
         if self.config.jitter_sigma > 0 and self._rng is not None:
-            jittered = lat * float(
-                np.exp(self._rng.normal(0.0, self.config.jitter_sigma))
-            )
-            if self.config.jitter_bound > 0:
-                # Truncated sampling: the fast tail is clamped at
-                # lat - jitter_bound (the conservative lookahead floor);
-                # the slow tail stays unbounded.  The RNG draw happens
-                # either way, so jitter_bound only changes wire times it
-                # actually clips.
-                jittered = max(lat - self.config.jitter_bound, jittered)
-            lat = jittered
+            lat *= float(np.exp(self._rng.normal(0.0, self.config.jitter_sigma)))
         return lat + size_bytes / bw
 
     # -- two-sided send ---------------------------------------------------------
@@ -290,10 +167,7 @@ class Fabric:
         src_ep = self.endpoint(msg.src)
         dst_ep = self._endpoints.get(msg.dst)
         if dst_ep is None:
-            peer = self.remote_peers.get(msg.dst)
-            if peer is None:
-                self.endpoint(msg.dst)  # raises the canonical KeyError
-            return self._send_remote(msg, src_ep, peer, on_local_complete)
+            self.endpoint(msg.dst)  # raises the canonical KeyError
         self.total_messages += 1
         self.total_bytes += msg.size_bytes
 
@@ -356,92 +230,6 @@ class Fabric:
             deliver_at = min(deliver_at, at)
         return deliver_at
 
-    def _send_remote(
-        self,
-        msg: Message,
-        src_ep: Endpoint,
-        peer: RemotePeer,
-        on_local_complete: Optional[Callable[[], None]] = None,
-    ) -> float:
-        """Ship ``msg`` toward an endpoint owned by another LP.
-
-        The wire time is computed *here*, on the sender's fabric RNG
-        (deterministic given the LP's event schedule, which the kernel
-        pins across worker counts), and the message rides the boundary
-        outbox with its precomputed arrival instant; the receiving LP
-        injects it with :meth:`inject_remote`.  Cross-LP links are
-        always inter-node (the partitioner never splits a node), so the
-        inter-node latency -- truncated at ``latency - jitter_bound``
-        under bounded jitter, i.e. the kernel's lookahead -- bounds
-        ``recv_ts - send_ts`` from below even under fault-rule delay
-        spikes (validated non-negative).
-        """
-        self.total_messages += 1
-        self.total_bytes += msg.size_bytes
-        if src_ep.closed:
-            self.total_dropped += 1
-            self.dropped_bytes += msg.size_bytes
-            return float("inf")
-
-        fault: Optional[WireFault] = None
-        if self.fault_hook is not None:
-            fault = self.fault_hook.on_message(msg, src_ep, peer)
-
-        dropped = (fault is not None and fault.drop) or peer.closed
-        if (
-            not dropped
-            and self.config.drop_rate > 0
-            and self._rng is not None
-            and self._rng.random() < self.config.drop_rate
-        ):
-            dropped = True
-        if dropped:
-            self.total_dropped += 1
-            self.dropped_bytes += msg.size_bytes
-            if on_local_complete is not None:
-                inject = msg.size_bytes / self.config.bandwidth
-                self.sim.call_after(inject, on_local_complete)
-            return float("inf")
-
-        inject_time = msg.size_bytes / self.config.bandwidth
-        if on_local_complete is not None:
-            self.sim.call_after(inject_time, on_local_complete)
-
-        extra_delay = fault.extra_delay if fault is not None else 0.0
-        copies = 1 + (fault.copies if fault is not None else 0)
-        self.total_duplicated += copies - 1
-        self.duplicated_bytes += (copies - 1) * msg.size_bytes
-        now = self.sim.now
-        delay = (
-            self.wire_time(src_ep.node, peer.node, msg.size_bytes)
-            + extra_delay
-        )
-        recv_at = now + delay
-        for _ in range(copies):
-            self.exported_bytes += msg.size_bytes
-            self.boundary_outbox.append((now, recv_at, msg))
-        return recv_at
-
-    def inject_remote(self, msg: Message, recv_ts: float) -> None:
-        """Land one boundary transfer shipped by a peer LP's
-        :meth:`_send_remote`.
-
-        Called by the LP runtime at a window barrier, before the window
-        containing ``recv_ts`` executes; the imported and in-flight
-        credits move together so the extended conservation identity
-        holds at every observable instant.
-        """
-        dst_ep = self.endpoint(msg.dst)
-        self.imported_bytes += msg.size_bytes
-        self.inflight_bytes += msg.size_bytes
-        self.sim.call_at(
-            recv_ts,
-            self._deliver,
-            dst_ep,
-            CQEntry(kind=CQKind.RECV, payload=msg, enqueued_at=recv_ts),
-            msg.size_bytes,
-        )
-
     def _deliver(self, dst_ep: Endpoint, entry: CQEntry, nbytes: int) -> None:
         """Land one wire transfer.
 
@@ -478,14 +266,7 @@ class Fabric:
         ini_ep = self.endpoint(initiator)
         rem_ep = self._endpoints.get(remote)
         if rem_ep is None:
-            # A cross-LP read is timing-only: the initiator already holds
-            # the payload object, so the transfer completes locally using
-            # the peer's node for the inter-node cost model.  No boundary
-            # event is generated -- nothing arrives at the remote LP --
-            # which also means RDMA never constrains the lookahead.
-            rem_ep = self.remote_peers.get(remote)
-            if rem_ep is None:
-                self.endpoint(remote)  # raises the canonical KeyError
+            self.endpoint(remote)  # raises the canonical KeyError
         self.total_messages += 1
         self.total_bytes += size_bytes
 
@@ -507,15 +288,7 @@ class Fabric:
         # Request travels one way, data comes back: 2x latency + payload.
         delay = 2 * lat + size_bytes / bw
         if self.config.jitter_sigma > 0 and self._rng is not None:
-            jittered = delay * float(
-                np.exp(self._rng.normal(0.0, self.config.jitter_sigma))
-            )
-            if self.config.jitter_bound > 0:
-                # Same truncated model as wire_time (RDMA never
-                # constrains the lookahead -- no boundary event -- but
-                # the sampling model stays uniform across paths).
-                jittered = max(delay - self.config.jitter_bound, jittered)
-            delay = jittered
+            delay *= float(np.exp(self._rng.normal(0.0, self.config.jitter_sigma)))
         done_at = self.sim.now + delay
         self.inflight_bytes += size_bytes
         if on_complete is not None:

@@ -97,7 +97,7 @@ class HashRing:
         :meth:`add_node` (same sort key, same tie-break) but O(NV log
         NV) instead of the O((NV)^2) element moves of per-token list
         inserts, which dominated ring construction at thousand-node
-        fleets (every router and LP builds its own ring).
+        fleets (every router builds its own ring).
         """
         self._nodes = {}
         pairs: list[tuple[int, str]] = []

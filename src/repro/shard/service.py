@@ -22,7 +22,6 @@ into REMI-style migration ULTs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, Optional
 
 from ..argobots import Compute
@@ -35,7 +34,7 @@ from ..ssg import MembershipService, SSGGroup, ViewPropagator
 from .placement import ShardMap
 from .ring import HashRing
 
-__all__ = ["PartitionedShardLP", "ShardKvProvider", "ShardedKVService"]
+__all__ = ["ShardKvProvider", "ShardedKVService"]
 
 RPC_PUT = "shard_put"
 RPC_GET = "shard_get"
@@ -427,199 +426,6 @@ class ShardedKVService:
             bake_provider_id=self.PID_BAKE,
         )
 
-    # -- partition-aware deployment (repro.sim.parallel) -------------------
-
-    @staticmethod
-    def partition_servers(
-        n_servers: int, n_lps: int, *, servers_per_node: int = 1
-    ) -> list[list[int]]:
-        """Node-aligned contiguous split of server indices across LPs.
-
-        A simulated node must live in exactly one LP (intra-node
-        traffic cannot cross an LP boundary), so the unit of
-        partitioning is the node, not the server.  Deterministic and
-        balanced: node ``n`` goes to LP ``n * n_lps // n_nodes``.
-        """
-        if n_lps < 1:
-            raise ValueError("n_lps must be >= 1")
-        spn = max(1, servers_per_node)
-        n_nodes = (n_servers + spn - 1) // spn
-        if n_lps > n_nodes:
-            raise ValueError(
-                f"cannot split {n_nodes} node(s) across {n_lps} LPs"
-            )
-        parts: list[list[int]] = [[] for _ in range(n_lps)]
-        for i in range(n_servers):
-            parts[(i // spn) * n_lps // n_nodes].append(i)
-        return parts
-
-    @classmethod
-    def topology_groups(
-        cls,
-        n_servers: int,
-        *,
-        seed: int = 0,
-        n_shards: Optional[int] = None,
-        vnodes: int = 32,
-        servers_per_node: int = 1,
-    ) -> list:
-        """Traffic-weighted node groups for automatic partitioning.
-
-        One :class:`~repro.sim.parallel.NodeGroup` per server node,
-        weighted by the number of shards the consistent-hash placement
-        puts on that node at ``seed`` -- the shard map is the best
-        static proxy for the traffic the node will carry, so
-        :meth:`PartitionPlan.from_topology
-        <repro.sim.parallel.PartitionPlan.from_topology>` balances
-        LPs by expected load instead of node count.
-        """
-        from ..sim.parallel.topology import NodeGroup
-
-        if n_shards is None:
-            n_shards = 2 * n_servers
-        spn = max(1, servers_per_node)
-        servers = [f"kv{i:03d}" for i in range(n_servers)]
-        ring = HashRing(seed=seed, vnodes=vnodes)
-        ring.replace(servers)
-        shard_map = ShardMap.build(ring, n_shards)
-        shards_per_node: dict[str, int] = {
-            f"snode{i // spn:03d}": 0 for i in range(n_servers)
-        }
-        for owner in shard_map.owners:
-            shards_per_node[f"snode{int(owner[2:]) // spn:03d}"] += 1
-        return [
-            NodeGroup(name, weight=float(w))
-            for name, w in sorted(shards_per_node.items())
-        ]
-
-    @staticmethod
-    def servers_on_nodes(
-        n_servers: int,
-        node_names: list[str],
-        *,
-        servers_per_node: int = 1,
-    ) -> list[int]:
-        """Server indices hosted on the named ``snodeNNN`` nodes --
-        the bridge from a topology builder's local group names to
-        :meth:`deploy_partition`'s index slice."""
-        spn = max(1, servers_per_node)
-        wanted = set(node_names)
-        return [
-            i for i in range(n_servers) if f"snode{i // spn:03d}" in wanted
-        ]
-
-    @classmethod
-    def deploy_partition(
-        cls,
-        ctx,
-        n_servers: int,
-        local_indices: list[int],
-        *,
-        n_shards: Optional[int] = None,
-        vnodes: int = 32,
-        backend: str = "map",
-        servers_per_node: int = 1,
-        group_name: str = "shard-kv",
-        with_bake: bool = True,
-        **process_kw,
-    ) -> "PartitionedShardLP":
-        """One LP's slice of a static sharded fleet.
-
-        Creates only the servers in ``local_indices`` inside the LP's
-        cluster (via an :class:`~repro.sim.parallel.LPContext`) and
-        declares every other server as a remote peer.  Placement is
-        the same consistent-hash map :meth:`deploy` computes -- the
-        full ring is built locally from the shared seed, and only the
-        locally owned shards are adopted.
-
-        Static by design: no :class:`~repro.ssg.MembershipService`,
-        no :class:`~repro.shard.migration.ShardManager` -- membership
-        churn and shard migration across LP boundaries are explicit
-        non-goals of the parallel kernel (see docs/performance.md
-        section 7).  Views are frozen full-fleet replicas.
-        """
-        if n_shards is None:
-            n_shards = 2 * n_servers
-        spn = max(1, servers_per_node)
-        servers = [f"kv{i:03d}" for i in range(n_servers)]
-        nodes = [f"snode{i // spn:03d}" for i in range(n_servers)]
-        local = sorted(set(local_indices))
-        local_set = set(local)
-        providers: dict[str, ShardKvProvider] = {}
-        bake_providers: dict[str, BakeProvider] = {}
-        group = SSGGroup(group_name, servers)
-        for i in range(n_servers):
-            if i in local_set:
-                mi = ctx.process(servers[i], nodes[i], **process_kw)
-                provider = ShardKvProvider(mi, cls.PID_KV, backend=backend)
-                replica = SSGGroup(group_name, servers)
-                replica.epoch = group.epoch
-                provider.replica = replica
-                providers[servers[i]] = provider
-                if with_bake:
-                    bake_providers[servers[i]] = BakeProvider(mi, cls.PID_BAKE)
-            else:
-                ctx.register_remote(servers[i], nodes[i])
-
-        ring = HashRing(seed=ctx.cluster.seed, vnodes=vnodes)
-        ring.replace(servers)
-        shard_map = ShardMap.build(ring, n_shards, version=group.epoch)
-        for shard, owner in enumerate(shard_map.owners):
-            if owner in providers:
-                providers[owner].adopt_shard(shard)
-
-        return PartitionedShardLP(
-            servers=servers,
-            local=[servers[i] for i in local],
-            providers=providers,
-            bake_providers=bake_providers,
-            group=group,
-            shard_map=shard_map,
-            n_shards=n_shards,
-        )
-
-    @classmethod
-    def make_partition_router(
-        cls,
-        ctx,
-        mi: MargoInstance,
-        n_servers: int,
-        *,
-        n_shards: Optional[int] = None,
-        vnodes: int = 32,
-        servers_per_node: int = 1,
-        group_name: str = "shard-kv",
-        rpc_timeout: float = 2e-3,
-    ):
-        """Client-side router for an LP holding clients: registers
-        every *non-local* server as a remote peer and builds the
-        placement map from the shared seed alone -- no server object
-        ever crosses the LP boundary.  Servers the LP itself deployed
-        (an auto-partitioned LP may colocate clients with a server
-        slice) are skipped: they are already local endpoints."""
-        from .router import ShardRouter
-
-        if n_shards is None:
-            n_shards = 2 * n_servers
-        spn = max(1, servers_per_node)
-        local_addrs = ctx.local_addrs
-        for i in range(n_servers):
-            addr = f"kv{i:03d}"
-            if addr in local_addrs:
-                continue
-            ctx.register_remote(addr, f"snode{i // spn:03d}")
-        replica = SSGGroup(group_name, [f"kv{i:03d}" for i in range(n_servers)])
-        return ShardRouter(
-            mi,
-            replica=replica,
-            n_shards=n_shards,
-            placement_seed=ctx.cluster.seed,
-            vnodes=vnodes,
-            provider_id=cls.PID_KV,
-            bake_provider_id=cls.PID_BAKE,
-            rpc_timeout=rpc_timeout,
-        )
-
     # -- fleet-wide accounting (audits / reports) --------------------------
 
     def total_items(self) -> int:
@@ -635,30 +441,3 @@ class ShardedKVService:
             if shard in self.providers[addr].shards:
                 return addr
         return None
-
-
-@dataclass
-class PartitionedShardLP:
-    """One LP's view of a statically partitioned sharded fleet:
-    the full server roster plus the locally hosted slice."""
-
-    servers: list[str]
-    local: list[str]
-    providers: dict[str, ShardKvProvider]
-    bake_providers: dict[str, BakeProvider]
-    group: SSGGroup
-    shard_map: ShardMap
-    n_shards: int
-
-    def total_items(self) -> int:
-        return sum(p.total_items for p in self.providers.values())
-
-    def bytes_stored(self) -> int:
-        return sum(p.bytes_stored for p in self.providers.values())
-
-    def owned_shards(self) -> list[int]:
-        return sorted(
-            shard
-            for p in self.providers.values()
-            for shard in p.owned_shards
-        )

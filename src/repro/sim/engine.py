@@ -551,32 +551,6 @@ class Simulator:
             self.now = limit
         return predicate()
 
-    def run_window(self, end: float) -> int:
-        """Process every event strictly before ``end`` and stop.
-
-        The window-bounded hook of the conservative parallel kernel
-        (:mod:`repro.sim.parallel`): a logical process executes the
-        half-open window ``[now, end)``, so an event at exactly ``end``
-        belongs to the *next* window and is left queued.  ``now`` is
-        left at the last processed instant (never advanced to ``end``),
-        which keeps a later ``call_at(end, ...)`` -- the injection path
-        for boundary events arriving exactly on a window edge -- on the
-        heap, ordered by sequence number with the events already there,
-        instead of jumping the queue through the same-instant lane.
-
-        Returns the number of callbacks processed.  Same-instant
-        cascades at a timestamp below ``end`` drain fully (the fast
-        lane empties before time advances), so the window boundary can
-        never split the events of one instant.
-        """
-        before = self.events_processed
-        while True:
-            nxt = self.peek()
-            if nxt is None or nxt >= end:
-                break
-            self.run(until=nxt)
-        return self.events_processed - before
-
     def peek(self) -> Optional[float]:
         """Timestamp of the next queued event, or None if the queue is empty."""
         if self._ready:

@@ -41,7 +41,6 @@ from .writer import (
     record_bench_suite,
     record_cluster_run,
     record_overhead_study,
-    record_parallel_run,
 )
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "record_bench_suite",
     "record_cluster_run",
     "record_overhead_study",
-    "record_parallel_run",
     "schema_version",
 ]
 

@@ -35,7 +35,6 @@ __all__ = [
     "record_bench_suite",
     "record_cluster_run",
     "record_overhead_study",
-    "record_parallel_run",
 ]
 
 
@@ -503,68 +502,6 @@ def record_cluster_run(
         if cluster.collector is not None:
             writer.record_collector(run_id, cluster.collector)
             writer.record_breakdowns(run_id, report)
-        writer.flush()
-        return run_id
-    finally:
-        if own:
-            writer.store.close()
-
-
-def record_parallel_run(
-    store: Union[str, "PerfStore", "StoreWriter"],
-    result,
-    *,
-    name: str = "parallel",
-    tags: Optional[dict] = None,
-    config: Optional[dict] = None,
-    created: str = "",
-) -> int:
-    """Persist one parallel-kernel run
-    (:class:`~repro.sim.parallel.ParallelRunResult`): the kernel's
-    self-observability series (windows, boundary events, imbalance)
-    plus per-LP summaries and the deterministic digests.  Wall-clock
-    timing lands in ``extra`` -- a real measurement, never part of a
-    deterministic surface."""
-    writer, own = _open_writer(store)
-    try:
-        run_config = {
-            "plan": result.plan_name,
-            "n_lps": result.n_lps,
-            "workers_requested": result.workers_requested,
-            "workers_used": result.workers_used,
-            "lookahead": result.lookahead,
-        }
-        if config:
-            run_config.update(config)
-        extra = {
-            "kernel_report": result.report(),
-            "digests": result.digests(),
-            "timing": result.timing(),
-            "lp_summaries": [
-                {
-                    "lp_id": r["lp_id"],
-                    "name": r["name"],
-                    "events_processed": r["events_processed"],
-                    "exported_bytes": r["exported_bytes"],
-                    "imported_bytes": r["imported_bytes"],
-                    "stranded_boundary": r["stranded_boundary"],
-                    "leaked_events": r["leaked_events"],
-                    "violations": r["violations"],
-                    "makespan": r["makespan"],
-                }
-                for r in result.lp_reports
-            ],
-        }
-        run_id = writer.begin_run(
-            name,
-            kind="parallel",
-            seed=result.seed,
-            config=run_config,
-            tags=tags,
-            extra=extra,
-            created=created,
-        )
-        writer.record_series_store(run_id, result.store, result.registry)
         writer.flush()
         return run_id
     finally:

@@ -1,9 +1,7 @@
 """The unified export surface for collected performance data.
 
-Historically this repo had two modules -- ``repro.symbiosys.export``
-(profile CSV, trace JSON) and ``repro.symbiosys.exporters``
-(Prometheus text, series CSV).  They are now one package behind a
-common :class:`~repro.symbiosys.export.registry.Exporter` protocol:
+Every format sits behind a common
+:class:`~repro.symbiosys.export.registry.Exporter` protocol:
 
 * :mod:`~repro.symbiosys.export.text` -- Prometheus exposition and
   time-series CSV,
@@ -16,9 +14,8 @@ common :class:`~repro.symbiosys.export.registry.Exporter` protocol:
 * :mod:`~repro.symbiosys.export.store` -- the exporter that archives a
   run into a :mod:`repro.store` database.
 
-Every historical name still imports from here unchanged
-(``from repro.symbiosys.export import events_to_json`` etc.); the old
-``repro.symbiosys.exporters`` module remains as a deprecation shim.
+The format functions re-export from here
+(``from repro.symbiosys.export import events_to_json`` etc.).
 """
 
 from .profile import (

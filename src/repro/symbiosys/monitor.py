@@ -526,8 +526,6 @@ class Monitor:
         self.sim = sim
         self.config = config or MonitorConfig()
         self.fabric = fabric
-        if fabric is not None:
-            fabric.track_inflight = True
         self.registry = MetricsRegistry()
         self.store = SeriesStore(self.config.ring_capacity)
         self.sched = SchedRecorder(self.config.sched_slice_capacity)

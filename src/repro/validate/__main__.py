@@ -77,16 +77,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _cmd_churn(args: argparse.Namespace) -> int:
     from .churn import ChurnConfig, check_churn_config, churn_sweep
 
-    if getattr(args, "workers", None) is not None and args.workers > 1:
-        # Kill/revive sequences rewrite membership fleet-wide --
-        # cross-LP churn is a parallel-kernel non-goal (see
-        # docs/performance.md section 7).
-        print(
-            f"[churn: --workers {args.workers} falls back to the "
-            "serial kernel (membership churn cannot cross LPs)]",
-            file=sys.stderr,
-        )
-
     if args.replay is not None:
         try:
             with open(args.replay) as f:
@@ -198,14 +188,6 @@ def main(argv=None) -> int:
     )
     p_churn.add_argument(
         "--replay", default=None, help="replay a previously written repro file"
-    )
-    p_churn.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="accepted for CLI symmetry; churn campaigns mutate "
-        "membership across the whole fleet, a parallel-kernel "
-        "non-goal, so they always run on the serial kernel",
     )
     p_churn.set_defaults(func=_cmd_churn)
 

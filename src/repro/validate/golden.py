@@ -245,26 +245,12 @@ def _run_sharded() -> RunArtifacts:
     return _artifacts(cluster, "sharded", done["at"], count["ok"])
 
 
-def _run_parallel(service: str) -> RunArtifacts:
-    """Partitioned variant of a golden service, executed through the
-    conservative parallel kernel with the serial executor -- the same
-    window schedule any ``--workers N`` run must reproduce
-    byte-for-byte (see :mod:`repro.validate.parallel`)."""
-    from .parallel import parallel_golden_run
-
-    return parallel_golden_run(service)
-
-
 _GOLDEN_RUNS = {
     "sdskv": _run_sdskv,
     "bake": _run_bake,
     "sonata": _run_sonata,
     "hepnos": _run_hepnos,
     "sharded": _run_sharded,
-    "parallel_sdskv": lambda: _run_parallel("sdskv"),
-    "parallel_bake": lambda: _run_parallel("bake"),
-    "parallel_hepnos": lambda: _run_parallel("hepnos"),
-    "parallel_sharded": lambda: _run_parallel("sharded"),
 }
 
 

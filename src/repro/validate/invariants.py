@@ -16,10 +16,8 @@ hooks -- and asserts, *while the run unfolds*:
   non-decreasing on each side of the wire (origin: t1 <= t14; target:
   t3 <= t4 <= t5 <= t8 <= t13),
 * **byte conservation** -- every byte injected into the fabric is
-  eventually delivered, dropped, discarded, or handed to a peer logical
-  process: ``total + duplicated + imported == delivered + dropped +
-  discarded + inflight + exported`` (the exported/imported terms are
-  zero outside partitioned parallel runs),
+  eventually delivered, dropped, or discarded: ``total + duplicated ==
+  delivered + dropped + discarded + inflight``,
 * **drain on exit** -- after the teardown drain no live process holds
   completion-queue backlog or posted-but-unanswered handles (relaxed
   under fault injection, where late responses are legitimate).
@@ -339,22 +337,19 @@ class InvariantMonitor:
         f = self.fabric
         if f is None:
             return
-        exported = getattr(f, "exported_bytes", 0)
-        imported = getattr(f, "imported_bytes", 0)
-        injected = f.total_bytes + f.duplicated_bytes + imported
+        injected = f.total_bytes + f.duplicated_bytes
         accounted = (
             f.delivered_bytes
             + f.dropped_bytes
             + f.discarded_bytes
             + f.inflight_bytes
-            + exported
         )
         if injected != accounted:
             self.record(
                 "byte_conservation",
                 f"injected {injected} B != delivered {f.delivered_bytes} + "
                 f"dropped {f.dropped_bytes} + discarded {f.discarded_bytes} "
-                f"+ inflight {f.inflight_bytes} + exported {exported}",
+                f"+ inflight {f.inflight_bytes}",
             )
         if f.inflight_bytes < 0:
             self.record(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import CQKind, Fabric, FabricConfig, Message
+from repro.net import CQKind, Fabric, FabricConfig, Message, WireFault
 from repro.sim import RngRegistry, Simulator
 
 
@@ -85,6 +85,25 @@ def test_unknown_endpoint_rejected():
     sim, fabric, a, b = make_fabric()
     with pytest.raises(KeyError):
         fabric.send(Message(src="a", dst="nope", size_bytes=0, payload=None))
+
+
+def test_send_to_unknown_address_still_raises():
+    sim, fabric, a, b = make_fabric()
+    with pytest.raises(KeyError):
+        fabric.send(Message(src="a", dst="nowhere", size_bytes=8,
+                            payload=None))
+    with pytest.raises(KeyError):
+        fabric.rdma_get("a", "nowhere", size_bytes=8)
+    # Nothing was counted on the wire for a transfer that never started.
+    assert fabric.total_messages == 0
+    assert fabric.total_bytes == 0
+
+
+def test_negative_fault_delay_rejected_at_construction():
+    with pytest.raises(ValueError, match="extra_delay"):
+        WireFault(extra_delay=-1e-6)
+    with pytest.raises(ValueError, match="copies"):
+        WireFault(copies=-1)
 
 
 def test_negative_message_size_rejected():

@@ -176,10 +176,11 @@ class TestOtherOps:
 
 
 class TestServer:
-    def test_serve_and_remote_query(self, tmp_path):
+    @staticmethod
+    def _start(tmp_path):
         import threading
 
-        from repro.analysis import remote_query, serve
+        from repro.analysis import serve
 
         db = tmp_path / "perf.db"
         record_echo_run(db)
@@ -198,7 +199,40 @@ class TestServer:
         )
         thread.start()
         assert ready_evt.wait(10.0), "server did not come up"
-        host, port = bound["addr"]
+        return bound["addr"]
+
+    def test_serve_and_remote_query(self, tmp_path):
+        from repro.analysis import remote_query
+
+        host, port = self._start(tmp_path)
+        reply = remote_query(host, port, Query("runs", {}))
+        assert reply.ok
+        assert reply.result["count"] == 1
+
+    def test_oversized_line_gets_one_error_reply(self, tmp_path):
+        import socket
+
+        from repro.analysis import remote_query
+        from repro.analysis.protocol import decode_reply
+        from repro.analysis.service import MAX_LINE_BYTES
+
+        host, port = self._start(tmp_path)
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            # No newline anywhere: the server must stop reading at the cap.
+            sock.sendall(b"x" * (MAX_LINE_BYTES + 1))
+            buf = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break  # the server closed the connection
+                buf += chunk
+        lines = buf.decode().splitlines()
+        assert len(lines) == 1
+        reply = decode_reply(lines[0])
+        assert not reply.ok
+        assert str(MAX_LINE_BYTES) in reply.error
+
+        # The server is still healthy for a fresh connection.
         reply = remote_query(host, port, Query("runs", {}))
         assert reply.ok
         assert reply.result["count"] == 1

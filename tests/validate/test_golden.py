@@ -25,10 +25,6 @@ def test_corpus_is_checked_in_and_complete():
         "sonata",
         "hepnos",
         "sharded",
-        "parallel_sdskv",
-        "parallel_bake",
-        "parallel_hepnos",
-        "parallel_sharded",
     ]
     for service, entry in corpus.items():
         assert set(entry) == {"digests", "summary"}
