@@ -365,8 +365,7 @@ class ShardedKVService:
             cluster.sim, base_delay=view_delay, stagger=view_stagger
         )
         for addr in servers:
-            replica = SSGGroup(group_name, servers)
-            replica.epoch = group.epoch
+            replica = group.replica()
             providers[addr].replica = replica
             propagator.register(replica)
         membership = MembershipService(
@@ -410,16 +409,18 @@ class ShardedKVService:
         )
 
     def make_router(self, mi: MargoInstance):
-        """Client-side router bound to ``mi`` with its own view replica."""
+        """Client-side router bound to ``mi`` with its own view replica,
+        seeded with the manager's current placement map (the router only
+        builds a ring of its own once the replica's epoch moves)."""
         from .router import ShardRouter
 
-        replica = SSGGroup(self.group.name, self.group.members)
-        replica.epoch = self.group.epoch
+        replica = self.group.replica()
         self.propagator.register(replica)
         return ShardRouter(
             mi,
             replica=replica,
             n_shards=self.n_shards,
+            shard_map=self.manager.map,
             placement_seed=self.cluster.seed,
             vnodes=self.manager.ring.vnodes,
             provider_id=self.PID_KV,

@@ -105,7 +105,9 @@ class MembershipService:
     def scan(self) -> bool:
         """One heartbeat round; returns True if membership changed."""
         changed = False
-        for addr in self.group.members:
+        # The view's member tuple is immutable (``leave`` replaces it),
+        # so iterating it while members leave needs no copy.
+        for addr in self.group.view().members:
             mi = self.processes.get(addr)
             if mi is not None and getattr(mi, "crashed", False):
                 self.group.leave(addr)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.ssg import SSGError, SSGGroup
+from repro.ssg import SSGError, SSGGroup, SSGView
 
 
 def test_create_with_members_assigns_ranks_in_order():
@@ -114,3 +114,59 @@ def test_property_leave_preserves_relative_order(addrs, data):
     g.leave(victim)
     expected = [a for a in addrs if a != victim]
     assert g.members == expected
+
+
+def test_duplicate_member_at_construction_rejected():
+    with pytest.raises(SSGError, match="'a'"):
+        SSGGroup("g", ["a", "b", "a"])
+
+
+def test_epoch_after_construction_counts_members():
+    assert SSGGroup("g").epoch == 0
+    assert SSGGroup("g", ["a", "b", "c"]).epoch == 3
+
+
+def test_replica_shares_storage_with_its_group():
+    g = SSGGroup("g", ["a", "b", "c"])
+    r = g.replica()
+    assert r.epoch == g.epoch
+    assert r.name == g.name and r.group_id == g.group_id
+    assert r.view().members is g.view().members
+    assert r.members == g.members
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda r: r.join("d"),
+        lambda r: r.leave("b"),
+        lambda r: r.apply_view(
+            SSGView(name="g", epoch=r.epoch + 1, members=("a", "c"))
+        ),
+    ],
+    ids=["join", "leave", "apply_view"],
+)
+def test_replica_change_leaves_group_and_siblings_alone(change):
+    g = SSGGroup("g", ["a", "b", "c"])
+    seen = []
+    g.observe(lambda *args: seen.append(args))
+    r, sibling = g.replica(), g.replica()
+    change(r)
+    assert r.epoch == g.epoch + 1
+    assert r.members != ["a", "b", "c"]
+    for other in (g, sibling):
+        assert other.members == ["a", "b", "c"]
+        assert other.epoch == 3
+        assert "b" in other and "d" not in other
+    assert seen == []  # the group's observers are not the replica's
+
+
+def test_replicas_applying_one_view_share_its_members():
+    g = SSGGroup("g", ["a", "b", "c"])
+    replicas = [g.replica() for _ in range(3)]
+    g.leave("b")
+    view = g.view()
+    for r in replicas:
+        assert r.apply_view(view)
+    assert all(r.view().members is view.members for r in replicas)
+    assert all("b" not in r and "c" in r for r in replicas)

@@ -139,3 +139,10 @@ def test_propagator_staggers_replicas_deterministically():
         )
     sim.run()
     assert arrival[0] < arrival[1] < arrival[2]
+
+
+def test_view_member_set_survives_a_dict_roundtrip():
+    v = SSGGroup("svc", ["a", "b", "c"]).view()
+    assert v.member_set == frozenset({"a", "b", "c"})
+    assert v.member_set is v.member_set  # built once per view
+    assert SSGView.from_dict(v.to_dict()).member_set == v.member_set

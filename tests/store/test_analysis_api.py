@@ -236,3 +236,22 @@ class TestServer:
         reply = remote_query(host, port, Query("runs", {}))
         assert reply.ok
         assert reply.result["count"] == 1
+
+    def test_invalid_utf8_line_gets_error_and_connection_survives(
+        self, tmp_path
+    ):
+        import socket
+
+        from repro.analysis.protocol import decode_reply, encode_query
+
+        host, port = self._start(tmp_path)
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            replies = sock.makefile("rb")
+            sock.sendall(b'{"op": "\xff\xfe runs"}\n')
+            bad = decode_reply(replies.readline().decode())
+            assert not bad.ok
+            # The same connection still answers a valid query.
+            sock.sendall(encode_query(Query("runs", {})).encode() + b"\n")
+            good = decode_reply(replies.readline().decode())
+            assert good.ok
+            assert good.result["count"] == 1
