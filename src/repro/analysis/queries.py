@@ -36,10 +36,8 @@ answering one cross-run question over a
     PVAR series, and the hottest shards from the monitor's per-shard
     ``shard_ops`` series.
 
-The three critical-path ops prefer the ``breakdowns`` table written at
-record time and fall back to re-running the engine over the archived
-trace events (pre-v2 stores), so they work on any store that has the
-raw traces.
+The three critical-path ops read the ``breakdowns`` table that
+:func:`~repro.store.record_cluster_run` writes at record time.
 
 All floats in results pass through :func:`~repro.analysis.stats.round9`
 and all iteration orders are sorted, so a serialized reply is
@@ -293,38 +291,17 @@ def q_profile(store, params: dict) -> dict:
 
 
 def _breakdown_dicts(store, run_id: int) -> list[dict]:
-    """The run's per-request breakdowns as plain dicts: the stored rows
-    when the run was recorded under schema v2, else recomputed from the
-    archived trace events through the critical-path engine (identical
-    shape -- the writer serializes the same fields)."""
+    """The run's stored per-request breakdowns.  A run with trace events
+    but no breakdowns was archived without the critical-path engine, so
+    an empty answer would be wrong: it is refused instead."""
     rows = store.breakdown_rows(run_id)
-    if rows:
-        return rows
-    if not store.trace_event_rows(run_id):
-        return []
-    from ..store.archive import ArchivedRun
-    from ..symbiosys.critical import analyze_run
-
-    report = analyze_run(ArchivedRun(store, run_id))
-    return [
-        {
-            "request_id": bd.request_id,
-            "span_id": bd.span_id,
-            "rpc_name": bd.rpc_name,
-            "origin": bd.origin,
-            "target": bd.target,
-            "start_ps": bd.start_ps,
-            "total_ps": bd.total_ps,
-            "start_true": bd.start_true,
-            "end_true": bd.end_true,
-            "n_faults": bd.n_faults,
-            "categories": dict(bd.categories),
-            "segments": [list(seg) for seg in bd.segments],
-            "blame": [[b.category, b.occupant, b.overlap_ps]
-                      for b in bd.blame],
-        }
-        for bd in report.breakdowns
-    ]
+    if not rows and store.trace_event_rows(run_id):
+        raise ValueError(
+            f"run {store.run(run_id)['name']!r} (id {run_id}) has trace "
+            "events but no stored breakdowns; record it with "
+            "record_cluster_run"
+        )
+    return rows
 
 
 def _retry_by_op(store, run_id: int) -> dict:

@@ -1,11 +1,9 @@
 """Mochi microservices built on the simulated stack (DESIGN.md §2):
 BAKE, SDSKV, Sonata, REMI, Mobject (single-node and SSG-sharded
-cluster), HEPnOS, GekkoFS, and FlameStore."""
+cluster), and HEPnOS."""
 
 from . import (
     bake,
-    flamestore,
-    gekkofs,
     hepnos,
     mobject,
     mobject_cluster,
@@ -16,8 +14,6 @@ from . import (
 
 __all__ = [
     "bake",
-    "flamestore",
-    "gekkofs",
     "hepnos",
     "mobject",
     "mobject_cluster",

@@ -74,7 +74,11 @@ class PerfStore:
         # lock, so the connection is never used concurrently.
         self.conn = sqlite3.connect(path, check_same_thread=False)
         self.conn.row_factory = sqlite3.Row
-        ensure_schema(self.conn)
+        try:
+            ensure_schema(self.conn)
+        except Exception:
+            self.conn.close()
+            raise
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -280,8 +284,7 @@ class PerfStore:
 
     def breakdown_rows(self, run: Union[int, str]) -> list[dict]:
         """Stored per-request critical-path decompositions (JSON fields
-        decoded), in recording order -- empty for pre-v2 runs, which the
-        analysis ops fall back to recomputing via the engine."""
+        decoded), in recording order."""
         run_id = self.resolve_run(run)
         return [
             {

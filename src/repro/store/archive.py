@@ -130,7 +130,7 @@ class ArchivedRun:
 
     def all_retries(self) -> list[RetryRecord]:
         """The run's retry/timeout records, restored in the collector's
-        merged order (empty for pre-v2 stores)."""
+        merged order."""
         return [
             RetryRecord(
                 process=r["process"],

@@ -7,7 +7,7 @@ columnar tables below.  The layout follows the SOS/LDMS shape the
 by run, with metric samples separated from metric identity so a
 time-series scan never touches label strings.
 
-Tables (schema version 1):
+Tables (schema version 2):
 
 ``meta``
     Key/value store metadata; carries ``schema_version``.
@@ -28,13 +28,13 @@ Tables (schema version 1):
 ``sched_slices``
     ULT scheduler run/block slices from the monitor's recorder.
 ``findings``
-    Timestamped anomaly-detector findings (v2 adds ``wait_state``: the
-    dominant wait-state category from the critical-path engine).
+    Timestamped anomaly-detector findings, each with ``wait_state``: the
+    dominant wait-state category from the critical-path engine.
 ``retry_records``
     Retry/timeout episodes from the instrumentation's forward hooks
-    (v2) -- the raw material of the ``retry_backoff`` category.
+    -- the raw material of the ``retry_backoff`` category.
 ``breakdowns``
-    Per-request critical-path decompositions (v2): integer-picosecond
+    Per-request critical-path decompositions: integer-picosecond
     category durations, ordered segments, and blame entries as JSON,
     one row per complete root span.
 ``profiles``
@@ -232,52 +232,41 @@ CREATE TABLE IF NOT EXISTS bench_history (
 
 
 def ensure_schema(conn: sqlite3.Connection) -> None:
-    """Create all tables (idempotent), migrate, and stamp the version.
+    """Create all tables (idempotent) and stamp the version.
 
-    Opening a store written by a *newer* schema raises rather than
-    silently misreading it; older stores are migrated in place:
-
-    * v1 -> v2: ``findings`` gains ``wait_state`` (backfilled to the
-      empty string); the ``retry_records`` and ``breakdowns`` tables
-      come for free from ``CREATE TABLE IF NOT EXISTS``.
+    The stored version is read before any DDL runs, and a store written
+    by any other schema version is refused untouched: a newer one would
+    be misread, and an older one lacks the critical-path tables the
+    analysis ops read.
     """
-    conn.executescript(_DDL)
-    _migrate(conn)
-    row = conn.execute(
-        "SELECT value FROM meta WHERE key = 'schema_version'"
-    ).fetchone()
-    if row is None:
-        conn.execute(
-            "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-            (str(SCHEMA_VERSION),),
-        )
-        conn.commit()
-        return
-    found = int(row[0])
+    found = schema_version(conn)
     if found > SCHEMA_VERSION:
         raise RuntimeError(
             f"store schema version {found} is newer than supported "
             f"version {SCHEMA_VERSION}; upgrade this checkout"
         )
-    if found < SCHEMA_VERSION:
+    if 0 < found < SCHEMA_VERSION:
+        raise RuntimeError(
+            f"store schema version {found} is older than supported "
+            f"version {SCHEMA_VERSION}; rebuild the store by recording "
+            "the runs again"
+        )
+    conn.executescript(_DDL)
+    if found == 0:
         conn.execute(
-            "UPDATE meta SET value = ? WHERE key = 'schema_version'",
+            "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
             (str(SCHEMA_VERSION),),
         )
         conn.commit()
 
 
-def _migrate(conn: sqlite3.Connection) -> None:
-    """Bring a pre-v2 layout up to date (no-op on fresh stores)."""
-    cols = {r[1] for r in conn.execute("PRAGMA table_info(findings)")}
-    if cols and "wait_state" not in cols:
-        conn.execute(
-            "ALTER TABLE findings "
-            "ADD COLUMN wait_state TEXT NOT NULL DEFAULT ''"
-        )
-
-
 def schema_version(conn: sqlite3.Connection) -> int:
+    """The stored ``meta.schema_version``; 0 for a fresh store."""
+    has_meta = conn.execute(
+        "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'meta'"
+    ).fetchone()
+    if has_meta is None:
+        return 0
     row = conn.execute(
         "SELECT value FROM meta WHERE key = 'schema_version'"
     ).fetchone()

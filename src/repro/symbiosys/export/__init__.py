@@ -10,9 +10,7 @@ Every format sits behind a common
 * :mod:`~repro.symbiosys.export.registry` -- the :class:`ExportBundle`
   / :class:`Exporter` protocol and the name registry
   (``prometheus``, ``csv``, ``profile``, ``json``, ``perfetto``,
-  ``store``),
-* :mod:`~repro.symbiosys.export.store` -- the exporter that archives a
-  run into a :mod:`repro.store` database.
+  ``critical``).
 
 The format functions re-export from here
 (``from repro.symbiosys.export import events_to_json`` etc.).
@@ -31,13 +29,11 @@ from .registry import (
     get_exporter,
     register_exporter,
 )
-from .store import StoreExporter
 from .text import series_to_csv, to_prometheus, write_text
 
 __all__ = [
     "ExportBundle",
     "Exporter",
-    "StoreExporter",
     "events_to_json",
     "exporter_names",
     "get_exporter",

@@ -1,9 +1,8 @@
 """The common exporter surface: one bundle in, one artifact out.
 
-Every export format the repo knows -- Prometheus text, series CSV,
-profile CSV, trace JSON, Perfetto/Chrome trace, the persistent
-performance store -- is an :class:`Exporter` registered here under a
-short name.  Callers build an :class:`ExportBundle` from whatever they
+Every text export format the repo knows -- Prometheus text, series
+CSV, profile CSV, trace JSON, Perfetto/Chrome trace -- is an
+:class:`Exporter` registered here under a short name.  Callers build an :class:`ExportBundle` from whatever they
 have (a live :class:`~repro.symbiosys.monitor.Monitor`, a
 :class:`~repro.symbiosys.instrument.SymbiosysCollector`, or both) and
 ask an exporter to render or write it::
@@ -20,7 +19,7 @@ friends), so consolidating behind this registry changed no output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Type
 
 from .profile import events_to_json, write_profile_csv
@@ -46,12 +45,7 @@ class ExportBundle:
     monitor: Optional[object] = None
     collector: Optional[object] = None
     fault_events: Sequence[object] = ()
-    #: Run identity, recorded by the store exporter.
-    name: Optional[str] = None
-    kind: str = "run"
     seed: Optional[int] = None
-    config: dict = field(default_factory=dict)
-    tags: dict = field(default_factory=dict)
 
     @classmethod
     def from_monitor(cls, monitor, *, collector=None, **kwargs) -> "ExportBundle":

@@ -22,12 +22,9 @@ from typing import Optional
 
 from ..cluster import Cluster
 from ..symbiosys import Stage
-from ..symbiosys.analysis import profile_summary
-from ..symbiosys.export import series_to_csv, to_prometheus
 from ..symbiosys.monitor import MonitorConfig
-from ..symbiosys.perfetto import chrome_trace_json
 from .invariants import ValidationConfig
-from .workloads import RunArtifacts, legacy_settle_until, run_workload
+from .workloads import RunArtifacts, collect_artifacts, run_workload
 
 __all__ = [
     "GOLDEN_SEED",
@@ -76,23 +73,15 @@ def _service_cluster() -> Cluster:
 
 
 def _artifacts(cluster: Cluster, service: str, makespan: float, ok: int) -> RunArtifacts:
-    monitor = cluster.monitor
-    return RunArtifacts(
-        workload=service,
+    return collect_artifacts(
+        cluster,
+        service,
         seed=GOLDEN_SEED,
         preset="fast",
         scale=1,
         makespan=makespan,
         rpcs_ok=ok,
         rpcs_failed=0,
-        leaked_events=cluster.leaked_events,
-        violations=list(cluster.validator.violations),
-        prometheus_text=to_prometheus(monitor.registry),
-        series_csv=series_to_csv(monitor.store),
-        perfetto_json=chrome_trace_json(
-            monitor=monitor, collector=cluster.collector, fault_events=[]
-        ),
-        profile_text=profile_summary(cluster.collector).render(),
     )
 
 
@@ -118,9 +107,7 @@ def _run_sdskv() -> RunArtifacts:
             done["at"] = cluster.sim.now
 
         client_mi.client_ult(body(), name="golden-sdskv")
-        if not legacy_settle_until(
-            cluster.sim, lambda: "at" in done, limit=5.0
-        ):
+        if not cluster.sim.run_until(lambda: "at" in done, 5.0):
             raise RuntimeError("golden sdskv run did not finish")
     return _artifacts(cluster, "sdskv", done["at"], count["ok"])
 
@@ -151,9 +138,7 @@ def _run_bake() -> RunArtifacts:
             done["at"] = cluster.sim.now
 
         client_mi.client_ult(body(), name="golden-bake")
-        if not legacy_settle_until(
-            cluster.sim, lambda: "at" in done, limit=5.0
-        ):
+        if not cluster.sim.run_until(lambda: "at" in done, 5.0):
             raise RuntimeError("golden bake run did not finish")
     return _artifacts(cluster, "bake", done["at"], count["ok"])
 
@@ -199,9 +184,7 @@ def _run_hepnos() -> RunArtifacts:
             done["at"] = cluster.sim.now
 
         client_mi.client_ult(body(), name="golden-hepnos")
-        if not legacy_settle_until(
-            cluster.sim, lambda: "at" in done, limit=5.0
-        ):
+        if not cluster.sim.run_until(lambda: "at" in done, 5.0):
             raise RuntimeError("golden hepnos run did not finish")
     return _artifacts(cluster, "hepnos", done["at"], count["ok"])
 
@@ -238,9 +221,7 @@ def _run_sharded() -> RunArtifacts:
             done["at"] = cluster.sim.now
 
         client_mi.client_ult(body(), name="golden-sharded")
-        if not legacy_settle_until(
-            cluster.sim, lambda: "at" in done, limit=5.0
-        ):
+        if not cluster.sim.run_until(lambda: "at" in done, 5.0):
             raise RuntimeError("golden sharded run did not finish")
     return _artifacts(cluster, "sharded", done["at"], count["ok"])
 

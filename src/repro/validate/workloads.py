@@ -30,25 +30,9 @@ __all__ = [
     "WORKLOAD_SERVERS",
     "WORKLOADS",
     "WorkloadHang",
-    "legacy_settle_until",
+    "collect_artifacts",
     "run_workload",
 ]
-
-
-def legacy_settle_until(sim, predicate, limit: float, step: float = 5e-3) -> bool:
-    """The pre-event-driven observation window, reproduced exactly.
-
-    The golden corpus was recorded when ``run_until`` advanced in fixed
-    5 ms windows: after the workload finished, the simulation kept
-    running to the next window boundary, and the monitor's 50 us sampler
-    kept recording through that tail -- those tail samples are baked
-    into the committed digests.  The corpus-feeding paths therefore keep
-    this loop (including its float boundary accumulation) verbatim;
-    everything else uses the event-driven waits.
-    """
-    while not predicate() and sim.now < limit:
-        sim.run(until=min(limit, sim.now + step))
-    return predicate()
 
 #: Server addresses each workload deploys -- the fuzzer aims process
 #: faults at these.
@@ -110,6 +94,41 @@ class RunArtifacts:
         for name, digest in sorted(self.digests().items()):
             lines.append(f"  {name:<12} {digest}")
         return "\n".join(lines)
+
+
+def collect_artifacts(
+    cluster: Cluster,
+    workload: str,
+    *,
+    seed: int,
+    preset: str,
+    scale: int,
+    makespan: float,
+    rpcs_ok: int,
+    rpcs_failed: int,
+) -> RunArtifacts:
+    """Render a finished, monitored cluster's exports into a
+    :class:`RunArtifacts`."""
+    monitor = cluster.monitor
+    return RunArtifacts(
+        workload=workload,
+        seed=seed,
+        preset=preset,
+        scale=scale,
+        makespan=makespan,
+        rpcs_ok=rpcs_ok,
+        rpcs_failed=rpcs_failed,
+        leaked_events=cluster.leaked_events,
+        violations=list(cluster.validator.violations),
+        prometheus_text=to_prometheus(monitor.registry),
+        series_csv=series_to_csv(monitor.store),
+        perfetto_json=chrome_trace_json(
+            monitor=monitor,
+            collector=cluster.collector,
+            fault_events=cluster.fault_events(),
+        ),
+        profile_text=profile_summary(cluster.collector).render(),
+    )
 
 
 def _resolve_preset(name: str):
@@ -289,9 +308,7 @@ def run_workload(
         validate=ValidationConfig(strict=strict),
     ) as cluster:
         runner(cluster, scale, outcome, done)
-        finished = legacy_settle_until(
-            cluster.sim, lambda: "at" in done, limit=time_limit
-        )
+        finished = cluster.sim.run_until(lambda: "at" in done, time_limit)
         if not finished:
             cluster.shutdown()
             raise WorkloadHang(
@@ -311,24 +328,13 @@ def run_workload(
                 dead[0].pool.push(dead[0])
                 cluster.sim.run(until=cluster.sim.now + 1e-3)
 
-    monitor = cluster.monitor
-    validator = cluster.validator
-    return RunArtifacts(
-        workload=workload,
+    return collect_artifacts(
+        cluster,
+        workload,
         seed=seed,
         preset=preset,
         scale=scale,
         makespan=done["at"],
         rpcs_ok=outcome["ok"],
         rpcs_failed=outcome["failed"],
-        leaked_events=cluster.leaked_events,
-        violations=list(validator.violations),
-        prometheus_text=to_prometheus(monitor.registry),
-        series_csv=series_to_csv(monitor.store),
-        perfetto_json=chrome_trace_json(
-            monitor=monitor,
-            collector=cluster.collector,
-            fault_events=cluster.fault_events(),
-        ),
-        profile_text=profile_summary(cluster.collector).render(),
     )

@@ -1,10 +1,9 @@
 """The unified export package: registry protocol, byte-parity with the
-historical per-format helpers, and the deprecation shim."""
+historical per-format helpers."""
 
 
 import pytest
 
-from repro.store import PerfStore
 from repro.symbiosys import Stage
 from repro.symbiosys.export import (
     ExportBundle,
@@ -31,14 +30,14 @@ def finished_world():
 
 @pytest.fixture(scope="module")
 def bundle(finished_world):
-    return ExportBundle.from_cluster(finished_world.cluster, name="reg-test")
+    return ExportBundle.from_cluster(finished_world.cluster)
 
 
 class TestRegistry:
     def test_all_formats_registered(self):
         assert exporter_names() == [
             "critical", "csv", "json", "perfetto", "profile",
-            "prometheus", "store",
+            "prometheus",
         ]
 
     def test_unknown_name_raises(self):
@@ -87,24 +86,3 @@ class TestByteParity:
             collector=cluster.collector,
             fault_events=cluster.fault_events(),
         )
-
-
-class TestStoreExporter:
-    def test_render_refuses(self, bundle):
-        with pytest.raises(ValueError, match="database"):
-            get_exporter("store").render(bundle)
-
-    def test_write_records_run(self, bundle, tmp_path):
-        db = str(tmp_path / "export.db")
-        run_id = get_exporter("store").write(bundle, db)
-        store = PerfStore(db)
-        try:
-            run = store.run(run_id)
-            assert run["name"] == "reg-test"
-            assert store.metric_names(run_id)
-            assert store.trace_event_rows(run_id)
-        finally:
-            store.close()
-
-    def test_write_default_filename(self):
-        assert get_exporter("store").filename == "perf.db"
