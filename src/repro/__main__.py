@@ -4,7 +4,6 @@ One dispatcher over the per-subsystem entry points, which all keep
 working on their own::
 
     python -m repro experiments monitor --seed 0 --store perf.db
-    python -m repro bench --smoke --store perf.db
     python -m repro validate fuzz --smoke
     python -m repro analysis query regression --store perf.db \\
         --base run-a --head run-b
@@ -13,9 +12,9 @@ working on their own::
 The subcommands share flag conventions: ``--seed`` selects the
 deterministic seed, ``--out`` the artifact directory, ``--jobs`` the
 process fan-out, and ``--store`` the persistent performance store that
-ties them together (experiments and bench write it, analysis queries
-it).  Everything after the subcommand is passed through verbatim, so
-each subsystem's ``--help`` remains authoritative.
+ties them together (experiments write it, analysis queries it).
+Everything after the subcommand is passed through verbatim, so each
+subsystem's ``--help`` remains authoritative.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from importlib import import_module
 #: subcommand -> module whose ``main(argv)`` receives the rest.
 _COMMANDS = {
     "experiments": "repro.experiments.__main__",
-    "bench": "repro.bench.__main__",
     "validate": "repro.validate.__main__",
     "analysis": "repro.analysis.__main__",
     "store": "repro.store.__main__",
@@ -38,10 +36,9 @@ usage: python -m repro <command> [args...]
 
 commands:
   experiments  regenerate the paper's tables and figures
-  bench        wall-clock benchmarks and regression gates
   validate     fuzz sweeps and golden-trace checks
   analysis     query a persistent performance store
-  store        inspect or import into a performance store
+  store        inspect a performance store
 
 `python -m repro <command> --help` shows each command's flags; the
 shared ones are --seed, --out, --jobs, and --store.

@@ -5,8 +5,8 @@ request/response API (:class:`~repro.analysis.protocol.Query` /
 :class:`~repro.analysis.protocol.Reply` over canonical JSON) that
 answers cross-run questions -- regression between two runs, percentile
 trends vs. scale or seed, knob-importance tables, detector-event
-summaries, bench trajectories -- every statistic with a bootstrap
-confidence interval, never a bare median.
+summaries -- every statistic with a bootstrap confidence interval,
+never a bare median.
 
 In-process::
 

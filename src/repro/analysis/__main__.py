@@ -12,8 +12,6 @@ Usage::
     python -m repro.analysis query critical_path --store perf.db \\
         --run 1 --top 5
     python -m repro.analysis query blame --store perf.db --run 1
-    python -m repro.analysis query bench_history --store perf.db \\
-        --suite kernel
     python -m repro.analysis serve --store perf.db --port 9991
 
 ``query`` prints one canonical-JSON reply line (byte-deterministic for
@@ -43,7 +41,6 @@ _PARAM_FLAGS = {
     "by": ("by", str),
     "prefix": ("prefix", str),
     "kind": ("kind", str),
-    "suite": ("suite", str),
     "side": ("side", str),
     "interval": ("interval", str),
     "top": ("top", int),

@@ -28,8 +28,6 @@ answering one cross-run question over a
 ``blame``
     The cross-request interference matrix: who occupied the contended
     resource while each victim operation waited, summed overlap.
-``bench_history``
-    The dated bench trajectory of one suite out of the store.
 ``shards``
     Per-shard breakdown of one sharded run: final per-process shard
     counts, op/redirect/migration/byte totals from the ``shard_*``
@@ -540,11 +538,6 @@ def q_shards(store, params: dict) -> dict:
     }
 
 
-def q_bench_history(store, params: dict) -> dict:
-    suite = params["suite"]
-    return {"suite": suite, "history": store.bench_history(suite)}
-
-
 QUERY_OPS: dict[str, Callable] = {
     "runs": q_runs,
     "regression": q_regression,
@@ -555,7 +548,6 @@ QUERY_OPS: dict[str, Callable] = {
     "breakdown": q_breakdown,
     "critical_path": q_critical_path,
     "blame": q_blame,
-    "bench_history": q_bench_history,
     "shards": q_shards,
 }
 

@@ -81,8 +81,11 @@ class OverheadStudyResult:
 
     def overhead_vs_baseline(self, stage: Stage) -> float:
         """Relative wall-clock overhead of ``stage`` over Baseline."""
+        return self._vs_baseline(self.timings[stage])
+
+    def _vs_baseline(self, timing: StageTiming) -> float:
         base = self.timings[Stage.OFF].mean_wall
-        return (self.timings[stage].mean_wall - base) / base if base > 0 else 0.0
+        return (timing.mean_wall - base) / base if base > 0 else 0.0
 
     def monitoring_sim_overhead(self) -> float:
         """Relative *simulated-time* overhead of monitoring over the
@@ -96,35 +99,20 @@ class OverheadStudyResult:
         return (self.monitored.mean_makespan - base) / base
 
     def rows(self) -> list[dict]:
-        out = []
-        for stage in OVERHEAD_STAGES:
-            t = self.timings[stage]
-            out.append(
-                {
-                    "stage": t.label,
-                    "mean_wall_s": t.mean_wall,
-                    "mean_sim_makespan_s": t.mean_makespan,
-                    "trace_events": t.trace_events,
-                    "overhead_vs_baseline": self.overhead_vs_baseline(stage),
-                }
-            )
+        """One row per stage the study ran, then the monitoring arm."""
+        arms = list(self.timings.values())
         if self.monitored is not None:
-            t = self.monitored
-            out.append(
-                {
-                    "stage": t.label,
-                    "mean_wall_s": t.mean_wall,
-                    "mean_sim_makespan_s": t.mean_makespan,
-                    "trace_events": t.trace_events,
-                    "overhead_vs_baseline": (
-                        (t.mean_wall - self.timings[Stage.OFF].mean_wall)
-                        / self.timings[Stage.OFF].mean_wall
-                        if self.timings[Stage.OFF].mean_wall > 0
-                        else 0.0
-                    ),
-                }
-            )
-        return out
+            arms.append(self.monitored)
+        return [
+            {
+                "stage": t.label,
+                "mean_wall_s": t.mean_wall,
+                "mean_sim_makespan_s": t.mean_makespan,
+                "trace_events": t.trace_events,
+                "overhead_vs_baseline": self._vs_baseline(t),
+            }
+            for t in arms
+        ]
 
 
 def run_overhead_study(
@@ -143,6 +131,13 @@ def run_overhead_study(
     ``monitoring`` adds a fifth arm: Full Support with the online
     monitor attached, so the telemetry layer's cost shows up next to the
     instrumentation stages (its *simulated* overhead must be ~0).
+    ``stages`` must include Baseline (``Stage.OFF``): every overhead is
+    relative to it.
+
+    Cells run repetition-major: each repetition runs every stage and
+    then the monitoring arm before the next repetition starts, so
+    machine drift during the study spreads over all arms instead of
+    landing on one stage's block of repeats.
 
     ``jobs > 1`` fans the (stage, repetition) cells across worker
     processes.  Simulated quantities (makespans, trace counts) are
@@ -155,6 +150,8 @@ def run_overhead_study(
         config = TABLE_IV["C2"]
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
+    if Stage.OFF not in stages:
+        raise ValueError("stages must include Stage.OFF, the baseline")
 
     def cell(stage: Stage, rep: int, mon: Optional[MonitorConfig]) -> dict:
         return {
@@ -166,33 +163,24 @@ def run_overhead_study(
             "monitoring": mon,
         }
 
-    cells = [
-        cell(stage, rep, None)
-        for stage in stages
-        for rep in range(repetitions)
-    ]
-    if monitoring is not None:
-        cells.extend(
-            cell(Stage.FULL, rep, monitoring) for rep in range(repetitions)
-        )
-    outs = iter(map_cells(overhead_cell, cells, jobs=jobs))
-
-    def merge(timing: StageTiming) -> StageTiming:
-        for _ in range(repetitions):
-            out = next(outs)
-            timing.wall_times.append(out["wall"])
-            timing.sim_makespans.append(out["makespan"])
-            timing.trace_events = max(
-                timing.trace_events, out["trace_events"]
-            )
-        return timing
-
-    timings = {stage: merge(StageTiming(stage=stage)) for stage in stages}
+    timings = {stage: StageTiming(stage=stage) for stage in stages}
     monitored: Optional[StageTiming] = None
+    arms = [(timing, None) for timing in timings.values()]
     if monitoring is not None:
-        monitored = merge(
-            StageTiming(stage=Stage.FULL, label_override="Full + monitor")
-        )
+        monitored = StageTiming(stage=Stage.FULL,
+                                label_override="Full + monitor")
+        arms.append((monitored, monitoring))
+    cells = [
+        cell(timing.stage, rep, mon)
+        for rep in range(repetitions)
+        for timing, mon in arms
+    ]
+    outs = map_cells(overhead_cell, cells, jobs=jobs)
+    for i, out in enumerate(outs):
+        timing = arms[i % len(arms)][0]
+        timing.wall_times.append(out["wall"])
+        timing.sim_makespans.append(out["makespan"])
+        timing.trace_events = max(timing.trace_events, out["trace_events"])
     return OverheadStudyResult(timings=timings, monitored=monitored)
 
 

@@ -11,12 +11,9 @@ law; see ``docs/performance.md``).
 Two properties of the pool matter beyond ordering:
 
 * **One-time setup is hoisted into an initializer.**  Workers used to
-  pay the heavy experiment-stack import (and any machine calibration a
-  cell triggers) lazily inside the first cell they executed;
-  :func:`_warm_worker` now runs once per worker at startup, and the
-  parent warms the :func:`repro.bench.harness.calibrate` cache before
-  forking so children inherit the constant copy-on-write instead of
-  re-spinning the loop.
+  pay the heavy experiment-stack import lazily inside the first cell
+  they executed; :func:`_warm_worker` now runs once per worker at
+  startup.
 * **Workers are non-daemonic** (``ProcessPoolExecutor``, fork
   context), so a cell may itself start processes; daemonic
   ``multiprocessing.Pool`` workers cannot have children.
@@ -48,9 +45,8 @@ def _warm_worker() -> None:
 
     Imports the experiment stack (simulator, fabric, services, the
     experiment modules every cell worker reaches for) once at worker
-    start instead of once inside the first cell, and warms the bench
-    calibration cache so a cell that asks for machine metadata does
-    not re-run the spin loop.  Future per-process setup belongs here.
+    start instead of once inside the first cell.  Future per-process
+    setup belongs here.
     """
     import repro.cluster  # noqa: F401  pulls sim/net/margo/symbiosys
     import repro.experiments.faults  # noqa: F401
@@ -69,11 +65,6 @@ def map_cells(worker: Callable, cells: Iterable, jobs: int = 1) -> list:
     cells = list(cells)
     if jobs <= 1 or len(cells) <= 1:
         return [worker(cell) for cell in cells]
-    # Warm the calibration constant in the parent: the fork below hands
-    # every worker the cached value copy-on-write.
-    from ..bench.harness import calibrate
-
-    calibrate()
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(cells)),
         mp_context=multiprocessing.get_context("fork"),

@@ -2,10 +2,9 @@
 
 The collect -> persist -> analyze workflow of the paper, with the
 persist step upgraded from one-shot export files to a durable cross-run
-store.  One ``.db`` file accumulates monitored cluster runs, overhead
-studies, and bench suites; :mod:`repro.analysis` serves analytical
-queries (regression, trends, knob importance, detector summaries) over
-it, and :class:`~repro.store.archive.ArchivedRun` feeds archived runs
+store.  One ``.db`` file accumulates monitored cluster runs and
+overhead studies; :mod:`repro.analysis` serves analytical queries
+(regression, trends, knob importance, detector summaries) over it, and :class:`~repro.store.archive.ArchivedRun` feeds archived runs
 back through the same ``repro.symbiosys.analysis`` code paths that
 consume live collectors.
 
@@ -35,10 +34,7 @@ from typing import Optional, Union
 from .schema import SCHEMA_VERSION, ensure_schema, schema_version
 from .writer import (
     StoreWriter,
-    git_rev,
     labels_to_text,
-    normalized_machine,
-    record_bench_suite,
     record_cluster_run,
     record_overhead_study,
 )
@@ -48,11 +44,8 @@ __all__ = [
     "SCHEMA_VERSION",
     "StoreWriter",
     "ensure_schema",
-    "git_rev",
     "labels_to_text",
-    "normalized_machine",
     "open_store",
-    "record_bench_suite",
     "record_cluster_run",
     "record_overhead_study",
     "schema_version",
@@ -342,82 +335,6 @@ class PerfStore:
                 (run_id,),
             )
         }
-
-    # -- bench --------------------------------------------------------------
-
-    def bench_suites(self) -> list[str]:
-        return [
-            r[0]
-            for r in self.conn.execute(
-                "SELECT DISTINCT suite FROM bench_results ORDER BY suite"
-            )
-        ]
-
-    def bench_results(self, suite: str, run: Optional[int] = None) -> dict:
-        """The ``results`` mapping of one bench suite run (default: the
-        most recent run of that suite)."""
-        if run is None:
-            row = self.conn.execute(
-                "SELECT MAX(run_id) FROM bench_results WHERE suite = ?",
-                (suite,),
-            ).fetchone()
-            if row is None or row[0] is None:
-                return {}
-            run = row[0]
-        return {
-            r["benchmark"]: {
-                "median_s": r["median_s"],
-                "runs_s": json.loads(r["runs_s"]),
-                "units": r["units"],
-                "unit_name": r["unit_name"],
-                "rate_per_s": r["rate_per_s"],
-            }
-            for r in self.conn.execute(
-                "SELECT * FROM bench_results WHERE suite = ? AND run_id = ?"
-                " ORDER BY benchmark",
-                (suite, run),
-            )
-        }
-
-    def bench_calibration(self, suite: str, run: Optional[int] = None):
-        sql = "SELECT calibration_s FROM bench_results WHERE suite = ?"
-        params: list = [suite]
-        if run is not None:
-            sql += " AND run_id = ?"
-            params.append(run)
-        sql += " ORDER BY run_id DESC LIMIT 1"
-        row = self.conn.execute(sql, params).fetchone()
-        return row[0] if row is not None else None
-
-    def bench_baseline(self) -> dict:
-        """The latest run of every suite, in the bundle shape
-        ``python -m repro.bench --check`` consumes (so a ``.db`` works
-        anywhere a committed BENCH JSON did)."""
-        bundle = {}
-        for suite in self.bench_suites():
-            bundle[suite] = {
-                "suite": suite,
-                "meta": {"calibration_s": self.bench_calibration(suite)},
-                "results": self.bench_results(suite),
-            }
-        return bundle
-
-    def bench_history(self, suite: str) -> list[dict]:
-        """The dated trajectory of one suite, oldest first."""
-        return [
-            {
-                "date": r["date"],
-                "machine": r["machine"],
-                "git_rev": r["git_rev"],
-                "calibration_s": r["calibration_s"],
-                "results": json.loads(r["results"]),
-            }
-            for r in self.conn.execute(
-                "SELECT * FROM bench_history WHERE suite = ?"
-                " ORDER BY date, machine, git_rev",
-                (suite,),
-            )
-        ]
 
 
 def open_store(path: str) -> PerfStore:

@@ -1,55 +1,19 @@
-"""Command-line store maintenance: ``python -m repro.store <command>``.
+"""Command-line store inspection: ``python -m repro.store <command>``.
 
 Commands
 --------
 
-``import-bench``
-    Import one or more BENCH JSON files (single-suite or bundle format)
-    into a store as bench runs + idempotent history entries.  CI uses
-    this to turn the committed baselines into the store the bench
-    ``--check`` gate reads.
-
 ``info``
     Print a deterministic summary of a store: schema version, runs,
-    series/event/finding counts, bench suites.
+    series/event/finding counts.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import PerfStore, record_bench_suite
-
-
-def _cmd_import_bench(args: argparse.Namespace) -> int:
-    with PerfStore(args.store) as store:
-        for path in args.files:
-            with open(path) as f:
-                doc = json.load(f)
-            # A file is either one suite dict or a bundle keyed by suite.
-            suites = (
-                [doc]
-                if "suite" in doc
-                else [v for v in doc.values() if isinstance(v, dict)]
-            )
-            imported = 0
-            for payload in suites:
-                if "results" not in payload:
-                    continue
-                run_id = record_bench_suite(
-                    store, payload, date=args.date or ""
-                )
-                imported += 1
-                print(
-                    f"imported {payload.get('suite', '?')} from {path} "
-                    f"as run {run_id}"
-                )
-            if not imported:
-                print(f"{path}: no bench suites found", file=sys.stderr)
-                return 1
-    return 0
+from . import PerfStore
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -61,8 +25,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
             table: conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
             for table in (
                 "runs", "metrics", "samples", "trace_events",
-                "sched_slices", "findings", "profiles", "bench_results",
-                "bench_history",
+                "sched_slices", "findings", "profiles",
             )
         }
         print(f"store {args.store}")
@@ -74,27 +37,15 @@ def _cmd_info(args: argparse.Namespace) -> int:
                 f"  run {run['run_id']:>3}  {run['kind']:<9} "
                 f"{run['name']}  seed={run['seed']}"
             )
-        suites = store.bench_suites()
-        if suites:
-            print(f"  bench suites: {', '.join(suites)}")
     return 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.store",
-        description="Maintain a persistent performance store.",
+        description="Inspect a persistent performance store.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_imp = sub.add_parser(
-        "import-bench", help="import BENCH JSON files into a store"
-    )
-    p_imp.add_argument("files", nargs="+", help="BENCH_*.json files")
-    p_imp.add_argument("--store", required=True, help="store .db path")
-    p_imp.add_argument("--date", default=None,
-                       help="history date stamp (default: empty)")
-    p_imp.set_defaults(fn=_cmd_import_bench)
 
     p_info = sub.add_parser("info", help="summarize a store")
     p_info.add_argument("--store", required=True, help="store .db path")

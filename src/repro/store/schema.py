@@ -1,20 +1,20 @@
 """Versioned SQLite schema of the persistent performance store.
 
 One ``.db`` file holds any number of *runs* -- monitored cluster
-campaigns, overhead studies, bench suites -- each decomposed into the
-columnar tables below.  The layout follows the SOS/LDMS shape the
+campaigns and overhead studies -- each decomposed into the columnar
+tables below.  The layout follows the SOS/LDMS shape the
 ``algo74/py-sim-serv`` exemplar queries: narrow append-only tables keyed
 by run, with metric samples separated from metric identity so a
 time-series scan never touches label strings.
 
-Tables (schema version 2):
+Tables (schema version 3):
 
 ``meta``
     Key/value store metadata; carries ``schema_version``.
 ``runs``
-    One row per recorded run: name, kind (``cluster`` / ``overhead`` /
-    ``bench``), seed, JSON config/tags, free-form ``extra`` JSON
-    (fault-event traces land here).
+    One row per recorded run: name, kind (``cluster`` / ``overhead``),
+    seed, JSON config/tags, free-form ``extra`` JSON (fault-event
+    traces land here).
 ``metrics`` / ``samples``
     Metric identity (name, canonical ``k=v|k=v`` label string, Prometheus
     kind, help) and its ``(t, value)`` time-series rows.
@@ -44,12 +44,6 @@ Tables (schema version 2):
 ``callpath_names``
     Component-hash -> RPC-name mapping captured at record time so
     archived callpaths stay decodable without the live registry.
-``bench_results``
-    Per-benchmark medians/repeats of one recorded bench suite run.
-``bench_history``
-    The dated cross-run bench trajectory; ``UNIQUE(suite, machine,
-    git_rev)`` makes history appends idempotent (re-recording the same
-    rev on the same machine replaces instead of duplicating).
 """
 
 from __future__ import annotations
@@ -58,7 +52,7 @@ import sqlite3
 
 __all__ = ["SCHEMA_VERSION", "ensure_schema", "schema_version"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _DDL = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -205,29 +199,6 @@ CREATE TABLE IF NOT EXISTS callpath_names (
     name      TEXT NOT NULL,
     UNIQUE(run_id, component, name)
 );
-
-CREATE TABLE IF NOT EXISTS bench_results (
-    run_id        INTEGER NOT NULL REFERENCES runs(run_id),
-    suite         TEXT NOT NULL,
-    benchmark     TEXT NOT NULL,
-    median_s      REAL NOT NULL,
-    runs_s        TEXT NOT NULL DEFAULT '[]',
-    units         INTEGER NOT NULL DEFAULT 0,
-    unit_name     TEXT NOT NULL DEFAULT 'ops',
-    rate_per_s    REAL NOT NULL DEFAULT 0.0,
-    calibration_s REAL
-);
-CREATE INDEX IF NOT EXISTS idx_bench_results_suite ON bench_results(suite);
-
-CREATE TABLE IF NOT EXISTS bench_history (
-    suite         TEXT NOT NULL,
-    machine       TEXT NOT NULL,
-    git_rev       TEXT NOT NULL,
-    date          TEXT NOT NULL,
-    calibration_s REAL,
-    results       TEXT NOT NULL DEFAULT '{}',
-    UNIQUE(suite, machine, git_rev)
-);
 """
 
 
@@ -236,8 +207,8 @@ def ensure_schema(conn: sqlite3.Connection) -> None:
 
     The stored version is read before any DDL runs, and a store written
     by any other schema version is refused untouched: a newer one would
-    be misread, and an older one lacks the critical-path tables the
-    analysis ops read.
+    be misread, version 1 lacks the critical-path tables the analysis
+    ops read, and version 2 carries the dropped bench tables.
     """
     found = schema_version(conn)
     if found > SCHEMA_VERSION:

@@ -9,15 +9,12 @@ two same-seed runs produce row-for-row identical stores.
 
 The free functions at the bottom are the high-level sinks the rest of
 the stack calls: :func:`record_cluster_run` (what ``Cluster(store=...)``
-invokes at shutdown), :func:`record_overhead_study`, and
-:func:`record_bench_suite`.
+invokes at shutdown) and :func:`record_overhead_study`.
 """
 
 from __future__ import annotations
 
 import json
-import platform
-import subprocess
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -29,10 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "StoreWriter",
-    "git_rev",
     "labels_to_text",
-    "normalized_machine",
-    "record_bench_suite",
     "record_cluster_run",
     "record_overhead_study",
 ]
@@ -47,31 +41,6 @@ def labels_to_text(labels) -> str:
     if isinstance(labels, dict):
         labels = sorted((str(k), str(v)) for k, v in labels.items())
     return "|".join(f"{k}={v}" for k, v in labels)
-
-
-def normalized_machine() -> str:
-    """A stable machine identity for history dedupe: coarse enough to
-    survive kernel upgrades, fine enough to separate real hardware/
-    interpreter changes."""
-    v = platform.python_version_tuple()
-    return (
-        f"{platform.system()}-{platform.machine()}"
-        f"-{platform.python_implementation()}{v[0]}.{v[1]}"
-    )
-
-
-def git_rev(default: str = "unknown") -> str:
-    """Short git revision of the working tree, or ``default`` when not
-    in a repository (CI tarballs, installed packages)."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return default
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else default
 
 
 def _dumps(obj) -> str:
@@ -98,8 +67,6 @@ class StoreWriter:
         self._breakdowns: list[tuple] = []
         self._profiles: list[tuple] = []
         self._callpath_names: list[tuple] = []
-        self._bench_results: list[tuple] = []
-        self._bench_history: list[tuple] = []
 
     # -- runs ---------------------------------------------------------------
 
@@ -289,48 +256,6 @@ class StoreWriter:
         )
         self.record_callpath_names(run_id, collector.registry)
 
-    # -- bench --------------------------------------------------------------
-
-    def record_bench_results(
-        self, run_id: int, suite_name: str, results: dict,
-        calibration_s: Optional[float],
-    ) -> None:
-        """``results`` is the BENCH JSON ``results`` mapping:
-        name -> {median_s, runs_s, units, unit_name, rate_per_s}."""
-        for name in sorted(results):
-            entry = results[name]
-            self._bench_results.append(
-                (
-                    run_id, suite_name, name, entry["median_s"],
-                    _dumps(entry.get("runs_s", [])),
-                    entry.get("units", 0), entry.get("unit_name", "ops"),
-                    entry.get("rate_per_s", 0.0), calibration_s,
-                )
-            )
-
-    def record_bench_history(
-        self,
-        suite_name: str,
-        entry: dict,
-        *,
-        machine: Optional[str] = None,
-        rev: Optional[str] = None,
-    ) -> None:
-        """Upsert one dated history entry.  The ``UNIQUE(suite, machine,
-        git_rev)`` constraint makes re-recording the same machine+rev
-        replace the old row -- the idempotency the JSON lists lacked."""
-        self._bench_history.append(
-            (
-                suite_name,
-                machine if machine is not None
-                else entry.get("machine", normalized_machine()),
-                rev if rev is not None else entry.get("git_rev", git_rev()),
-                entry.get("date", ""),
-                entry.get("calibration_s"),
-                _dumps(entry.get("results", {})),
-            )
-        )
-
     # -- flushing -----------------------------------------------------------
 
     def flush(self) -> None:
@@ -401,28 +326,10 @@ class StoreWriter:
                 " name) VALUES (?, ?, ?)",
                 self._callpath_names,
             )
-        if self._bench_results:
-            conn.executemany(
-                "INSERT INTO bench_results (run_id, suite, benchmark,"
-                " median_s, runs_s, units, unit_name, rate_per_s,"
-                " calibration_s) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                self._bench_results,
-            )
-        if self._bench_history:
-            conn.executemany(
-                "INSERT INTO bench_history (suite, machine, git_rev, date,"
-                " calibration_s, results) VALUES (?, ?, ?, ?, ?, ?)"
-                " ON CONFLICT(suite, machine, git_rev) DO UPDATE SET"
-                " date = excluded.date,"
-                " calibration_s = excluded.calibration_s,"
-                " results = excluded.results",
-                self._bench_history,
-            )
         for buf in (
             self._metrics, self._samples, self._events, self._slices,
             self._findings, self._retries, self._breakdowns,
             self._profiles, self._callpath_names,
-            self._bench_results, self._bench_history,
         ):
             buf.clear()
         conn.commit()
@@ -543,43 +450,3 @@ def record_overhead_study(
         if own:
             writer.store.close()
 
-
-def record_bench_suite(
-    store: Union[str, "PerfStore", "StoreWriter"],
-    payload: dict,
-    *,
-    date: str = "",
-    created: str = "",
-) -> int:
-    """Persist one bench suite payload (the BENCH JSON dict) as a run,
-    plus an idempotent history entry keyed by machine and git rev."""
-    writer, own = _open_writer(store)
-    try:
-        suite_name = payload.get("suite", "bench")
-        meta = payload.get("meta", {})
-        results = payload.get("results", {})
-        run_id = writer.begin_run(
-            f"bench-{suite_name}",
-            kind="bench",
-            config={"meta": meta},
-            created=created,
-        )
-        writer.record_bench_results(
-            run_id, suite_name, results, meta.get("calibration_s")
-        )
-        writer.record_bench_history(
-            suite_name,
-            {
-                "date": date,
-                "calibration_s": meta.get("calibration_s"),
-                "results": {
-                    bench: entry["median_s"]
-                    for bench, entry in sorted(results.items())
-                },
-            },
-        )
-        writer.flush()
-        return run_id
-    finally:
-        if own:
-            writer.store.close()

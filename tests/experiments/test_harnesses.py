@@ -113,6 +113,61 @@ def test_overhead_study_runs_all_stages():
     assert len(makespans) == 1
 
 
+def test_overhead_study_stage_subset_renders_and_records(tmp_path):
+    from repro.store import PerfStore, record_overhead_study
+    from repro.symbiosys.monitor import MonitorConfig
+
+    study = run_overhead_study(
+        config=SMALL, repetitions=1, events_per_client=32,
+        stages=(Stage.OFF, Stage.FULL), monitoring=MonitorConfig(),
+    )
+    rows = study.rows()
+    assert [r["stage"] for r in rows] == [
+        "Baseline", "Full Support", "Full + monitor",
+    ]
+    assert rows[0]["overhead_vs_baseline"] == 0.0
+    with PerfStore(str(tmp_path / "perf.db")) as store:
+        run_id = record_overhead_study(store, study)
+        assert store.run(run_id)["kind"] == "overhead"
+        assert len(store.series_keys(run_id)) == 2 * len(rows)
+
+
+def test_overhead_study_needs_baseline_stage():
+    with pytest.raises(ValueError, match="Stage.OFF"):
+        run_overhead_study(
+            config=SMALL, repetitions=1, events_per_client=32,
+            stages=(Stage.STAGE1, Stage.FULL),
+        )
+
+
+def test_overhead_study_interleaves_cells_rep_major(monkeypatch):
+    import repro.experiments.overhead as overhead
+    from repro.symbiosys.monitor import MonitorConfig
+
+    order = []
+
+    def fake_map_cells(worker, cells, jobs=1):
+        outs = []
+        for cell in cells:
+            order.append((cell["seed"], cell["stage"],
+                          cell["monitoring"] is not None))
+            outs.append({"wall": 1.0, "makespan": 1.0, "trace_events": 0})
+        return outs
+
+    monkeypatch.setattr(overhead, "map_cells", fake_map_cells)
+    study = overhead.run_overhead_study(
+        config=SMALL, repetitions=2, stages=(Stage.OFF, Stage.FULL),
+        monitoring=MonitorConfig(),
+    )
+    assert order == [
+        (1000, Stage.OFF, False), (1000, Stage.FULL, False),
+        (1000, Stage.FULL, True),
+        (1001, Stage.OFF, False), (1001, Stage.FULL, False),
+        (1001, Stage.FULL, True),
+    ]
+    assert len(study.monitored.wall_times) == 2
+
+
 def test_time_analysis_scripts():
     result = run_hepnos_experiment(SMALL, events_per_client=128)
     timings = time_analysis_scripts(result)

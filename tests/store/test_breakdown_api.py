@@ -155,12 +155,32 @@ class TestSchemaV2:
         archived = ArchivedRun(store, 1).all_retries()
         assert archived == live
 
-    def test_v1_store_is_refused_untouched(self, tmp_path):
+    # Version 1 lacks the critical-path tables; version 2 still carries
+    # the bench tables version 3 dropped.
+    @pytest.mark.parametrize("version,extra", [
+        pytest.param("1", "", id="v1"),
+        pytest.param("2", """
+            CREATE TABLE bench_results (run_id INTEGER NOT NULL,
+                suite TEXT NOT NULL, benchmark TEXT NOT NULL,
+                median_s REAL NOT NULL);
+            INSERT INTO bench_results VALUES (1, 'kernel', 'spawn', 0.01);
+            CREATE TABLE bench_history (suite TEXT NOT NULL,
+                machine TEXT NOT NULL, git_rev TEXT NOT NULL,
+                date TEXT NOT NULL, UNIQUE(suite, machine, git_rev));
+            INSERT INTO bench_history VALUES ('kernel', 'm', 'r', 'd');
+        """, id="v2"),
+    ])
+    def test_older_store_is_refused_untouched(self, tmp_path, version,
+                                              extra):
         db = tmp_path / "old.db"
         conn = sqlite3.connect(str(db))
+        conn.execute(
+            "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)"
+        )
+        conn.execute(
+            "INSERT INTO meta VALUES ('schema_version', ?)", (version,)
+        )
         conn.executescript("""
-            CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
-            INSERT INTO meta VALUES ('schema_version', '1');
             CREATE TABLE runs (run_id INTEGER PRIMARY KEY,
                 name TEXT NOT NULL, kind TEXT NOT NULL DEFAULT 'cluster',
                 seed INTEGER, config TEXT NOT NULL DEFAULT '{}',
@@ -173,7 +193,7 @@ class TestSchemaV2:
                 detector TEXT NOT NULL, process TEXT NOT NULL,
                 message TEXT NOT NULL, value REAL NOT NULL DEFAULT 0.0);
             INSERT INTO findings VALUES (1, 0, 0.5, 'd', 'p', 'm', 1.0);
-        """)
+        """ + extra)
         conn.commit()
         conn.close()
         before = db.read_bytes()

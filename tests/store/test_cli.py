@@ -7,7 +7,6 @@ import pytest
 
 from repro.__main__ import main as repro_main
 from repro.analysis.__main__ import main as analysis_main
-from repro.store import PerfStore, record_bench_suite
 from repro.store.__main__ import main as store_main
 
 from .conftest import record_echo_run
@@ -25,8 +24,7 @@ class TestUnifiedCli:
     def test_help_lists_commands(self, capsys):
         assert repro_main(["help"]) == 0
         out = capsys.readouterr().out
-        for command in ("experiments", "bench", "validate", "analysis",
-                        "store"):
+        for command in ("experiments", "validate", "analysis", "store"):
             assert command in out
 
     def test_no_args_is_usage_error(self, capsys):
@@ -80,87 +78,3 @@ class TestStoreCli:
         assert store_main(["info", "--store", recorded_db]) == 0
         out = capsys.readouterr().out
         assert "run-a" in out and "run-b" in out
-
-    def test_import_bench(self, tmp_path, capsys):
-        bench_json = tmp_path / "BENCH_kernel.json"
-        bench_json.write_text(json.dumps({
-            "suite": "kernel",
-            "meta": {"calibration_s": 0.05},
-            "results": {
-                "spawn": {"median_s": 0.01, "runs_s": [0.01], "units": 10,
-                          "unit_name": "ops", "rate_per_s": 1000.0},
-            },
-        }))
-        db = str(tmp_path / "bench.db")
-        rc = store_main([
-            "import-bench", str(bench_json), "--store", db,
-            "--date", "2026-08-08",
-        ])
-        assert rc == 0
-        store = PerfStore(db)
-        try:
-            assert store.bench_suites() == ["kernel"]
-            assert store.bench_results("kernel")["spawn"]["median_s"] == 0.01
-        finally:
-            store.close()
-
-
-class TestBenchStoreGate:
-    def test_check_reads_db_baseline(self, tmp_path, capsys, monkeypatch):
-        """--check against a .db flows through the store bundle."""
-        from repro.bench.__main__ import _baseline_for, _load_baseline
-
-        db = str(tmp_path / "bench.db")
-        record_bench_suite(db, {
-            "suite": "kernel",
-            "meta": {"calibration_s": 0.05},
-            "results": {
-                "spawn": {"median_s": 0.01, "runs_s": [0.01], "units": 10,
-                          "unit_name": "ops", "rate_per_s": 1000.0},
-            },
-        }, date="2026-08-08")
-        bundle = _load_baseline(db)
-        baseline = _baseline_for(bundle, "kernel")
-        assert baseline is not None
-        assert baseline["results"]["spawn"]["median_s"] == 0.01
-        assert baseline["meta"]["calibration_s"] == 0.05
-
-    def test_load_baseline_falls_back_to_json(self, tmp_path):
-        from repro.bench.__main__ import _load_baseline
-
-        path = tmp_path / "b.json"
-        path.write_text('{"suite": "kernel", "results": {}}')
-        assert _load_baseline(str(path))["suite"] == "kernel"
-
-
-class TestHistoryDedupe:
-    def test_dedupe_replaces_same_machine_rev(self):
-        from repro.bench.harness import dedupe_history
-
-        old = [
-            {"date": "d1", "machine": "m", "git_rev": "r", "results": {}},
-            {"date": "d0", "machine": "other", "git_rev": "r",
-             "results": {}},
-        ]
-        new = {"date": "d2", "machine": "m", "git_rev": "r", "results": {}}
-        merged = dedupe_history(old, new)
-        assert len(merged) == 2
-        assert merged[-1]["date"] == "d2"
-        assert merged[0]["machine"] == "other"
-
-    def test_dedupe_keeps_legacy_entries(self):
-        from repro.bench.harness import dedupe_history
-
-        legacy = [{"date": "d1", "results": {}}]  # pre-machine format
-        new = {"date": "d2", "machine": "m", "git_rev": "r", "results": {}}
-        assert len(dedupe_history(legacy, new)) == 2
-
-    def test_history_entry_carries_identity(self):
-        from repro.bench.harness import SuiteResult, history_entry
-
-        suite = SuiteResult(suite="kernel", results=[],
-                            meta={"calibration_s": 0.05})
-        entry = history_entry(suite, "2026-08-08")
-        assert entry["machine"]
-        assert "git_rev" in entry
-        assert entry["calibration_s"] == 0.05

@@ -4,7 +4,7 @@ import sqlite3
 
 import pytest
 
-from repro.store import PerfStore, StoreWriter, record_bench_suite
+from repro.store import PerfStore
 from repro.store.archive import ArchivedRun
 from repro.store.schema import SCHEMA_VERSION, ensure_schema, schema_version
 from repro.symbiosys.analysis import profile_summary, trace_summary
@@ -117,59 +117,6 @@ class TestTraceAndProfileRoundTrip:
         monitor = world.cluster.monitor
         assert archived.findings == monitor.findings
         assert archived.sched_slices() == list(monitor.sched.slices)
-
-
-class TestBenchHistory:
-    PAYLOAD = {
-        "suite": "kernel",
-        "meta": {"calibration_s": 0.05},
-        "results": {
-            "spawn": {"median_s": 0.01, "runs_s": [0.01], "units": 100,
-                      "unit_name": "ops", "rate_per_s": 10000.0},
-        },
-    }
-
-    def test_rerecord_same_machine_rev_is_idempotent(self, tmp_path):
-        db = str(tmp_path / "bench.db")
-        record_bench_suite(db, self.PAYLOAD, date="2026-08-01")
-        record_bench_suite(db, self.PAYLOAD, date="2026-08-02")
-        store = PerfStore(db)
-        try:
-            history = store.bench_history("kernel")
-            assert len(history) == 1
-            assert history[0]["date"] == "2026-08-02"  # upsert kept latest
-            assert len(store.runs(kind="bench")) == 2  # runs still append
-        finally:
-            store.close()
-
-    def test_distinct_rev_appends(self, tmp_path):
-        db = str(tmp_path / "bench.db")
-        store = PerfStore(db)
-        try:
-            with StoreWriter(store) as w:
-                w.record_bench_history(
-                    "kernel", {"date": "d1", "results": {}},
-                    machine="m1", rev="r1",
-                )
-                w.record_bench_history(
-                    "kernel", {"date": "d2", "results": {}},
-                    machine="m1", rev="r2",
-                )
-            assert len(store.bench_history("kernel")) == 2
-        finally:
-            store.close()
-
-    def test_bench_baseline_bundle_shape(self, tmp_path):
-        db = str(tmp_path / "bench.db")
-        record_bench_suite(db, self.PAYLOAD, date="2026-08-01")
-        store = PerfStore(db)
-        try:
-            bundle = store.bench_baseline()
-        finally:
-            store.close()
-        assert set(bundle) == {"kernel"}
-        assert bundle["kernel"]["meta"]["calibration_s"] == 0.05
-        assert bundle["kernel"]["results"]["spawn"]["median_s"] == 0.01
 
 
 class TestMultiRun:
