@@ -61,13 +61,11 @@ class Pool:
         self._waiters.append(ev)
         return ev
 
-    def cancel_wait(self, ev: SimEvent) -> None:
-        """Withdraw a parked waiter (used when an ES shuts down or a wait
-        times out)."""
-        try:
-            self._waiters.remove(ev)
-        except ValueError:
-            pass
+    def wake_waiters(self) -> None:
+        """Fire every pending work event (runtime shutdown)."""
+        waiters = self._waiters
+        while waiters:
+            waiters.popleft().succeed()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Pool({self.name!r}, len={len(self._queue)})"

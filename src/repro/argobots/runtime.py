@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Optional
 
-from ..sim import SimEvent, Simulator
+from ..sim import Simulator
 from .pool import Pool
 from .sync import AbtBarrier, AbtMutex, Eventual
 from .ult import ULT, UltState, WaitEventual
@@ -52,7 +52,6 @@ class AbtRuntime:
         #: implement ``on_spawn(ult)`` to see ULT creation.
         self._sched_observers: list = []
         self.shutting_down = False
-        self.shutdown_event: SimEvent = sim.event(f"{name}.shutdown")
 
     # -- observers ---------------------------------------------------------
 
@@ -178,11 +177,13 @@ class AbtRuntime:
     # -- shutdown -----------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Stop all execution streams once they go idle."""
+        """Stop all execution streams once they go idle: a parked ES
+        wakes, sees ``shutting_down`` and exits."""
         if self.shutting_down:
             return
         self.shutting_down = True
-        self.shutdown_event.succeed()
+        for es in self.xstreams:
+            es.pool.wake_waiters()
 
     # -- internal hooks used by ES / sync ------------------------------------
 

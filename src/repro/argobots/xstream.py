@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from ..sim import AnyOf, SimulationError, Timeout
+from ..sim import SimulationError, Timeout
 from .pool import Pool
 from .ult import ULT, Compute, UltState, WaitEventual, YieldNow
 
@@ -40,14 +40,12 @@ class ExecutionStream:
 
     def _main(self):
         rt = self.runtime
+        pool = self.pool
         while not rt.shutting_down:
-            ult = self.pool.pop()
+            ult = pool.pop()
             if ult is None:
-                work = self.pool.work_event()
-                idx, _ = yield AnyOf([work, rt.shutdown_event])
-                if idx == 1:
-                    self.pool.cancel_wait(work)
-                    return
+                # Woken by the next push, or by AbtRuntime.shutdown().
+                yield pool.work_event()
                 continue
             yield from self._run_ult(ult)
 

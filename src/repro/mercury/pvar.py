@@ -103,6 +103,19 @@ class PvarRegistry:
     def num_pvars(self) -> int:
         return len(self._defs)
 
+    @property
+    def names(self) -> tuple[str, ...]:
+        """Every PVAR name in definition (slot) order: the registry's
+        schema."""
+        return tuple(self._index)
+
+    @property
+    def slot_values(self) -> list[Any]:
+        """The live per-slot value list, for bind-once readers that
+        index it directly (getter-backed and HANDLE-bound slots hold
+        None placeholders; read those through :meth:`value_at`)."""
+        return self._slots
+
     def info(self, index: int) -> PvarDef:
         if not 0 <= index < len(self._defs):
             raise PvarError(f"PVAR index {index} out of range")

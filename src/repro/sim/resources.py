@@ -165,10 +165,6 @@ class Store:
             return True
             yield  # pragma: no cover - makes this function a generator
         ev = self.sim.event(f"{self.name}.nonempty")
-
-        def _cancel_ok(_=None):
-            pass
-
         # Piggyback on the getter queue: a put() fires the event with the
         # item, which we immediately push back to preserve FIFO contents.
         self._getters.append(ev)

@@ -38,6 +38,7 @@ __all__ = [
 DEFAULT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 LabelItems = tuple[tuple[str, str], ...]
+MetricKey = tuple[str, LabelItems]
 
 
 def _label_items(labels: Optional[dict[str, str]]) -> LabelItems:
@@ -150,7 +151,7 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._metrics: dict[tuple[str, LabelItems], Metric] = {}
+        self._metrics: dict[MetricKey, Metric] = {}
         #: name -> (type string, help string)
         self._families: dict[str, tuple[str, str]] = {}
 
@@ -165,25 +166,40 @@ class MetricsRegistry:
                 f"metric {name!r} is a {existing[0]}, not a {kind}"
             )
 
+    def _get_or_create(self, key: MetricKey, kind: str, help: str, cls, *args):
+        self._family(key[0], kind, help)
+        metric = self._metrics.get(key)
+        if metric is None:
+            metric = self._metrics[key] = cls(key[0], key[1], *args)
+        return metric
+
+    # Prebuilt-key variants: callers that intern their ``(name, labels)``
+    # keys (the monitor) skip the label sort and share one key tuple
+    # between the registry and the :class:`SeriesStore`.
+
+    def _counter_at(self, key: MetricKey, help: str = "") -> Counter:
+        return self._get_or_create(key, "counter", help, Counter)
+
+    def _gauge_at(self, key: MetricKey, help: str = "") -> Gauge:
+        return self._get_or_create(key, "gauge", help, Gauge)
+
+    def _histogram_at(
+        self,
+        key: MetricKey,
+        help: str = "",
+        bounds: Iterable[float] = DEFAULT_BUCKETS,
+    ) -> Histogram:
+        return self._get_or_create(key, "histogram", help, Histogram, bounds)
+
     def counter(
         self, name: str, help: str = "", labels: Optional[dict] = None
     ) -> Counter:
-        self._family(name, "counter", help)
-        key = (name, _label_items(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = self._metrics[key] = Counter(name, key[1])
-        return metric
+        return self._counter_at((name, _label_items(labels)), help)
 
     def gauge(
         self, name: str, help: str = "", labels: Optional[dict] = None
     ) -> Gauge:
-        self._family(name, "gauge", help)
-        key = (name, _label_items(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = self._metrics[key] = Gauge(name, key[1])
-        return metric
+        return self._gauge_at((name, _label_items(labels)), help)
 
     def histogram(
         self,
@@ -192,12 +208,7 @@ class MetricsRegistry:
         labels: Optional[dict] = None,
         bounds: Iterable[float] = DEFAULT_BUCKETS,
     ) -> Histogram:
-        self._family(name, "histogram", help)
-        key = (name, _label_items(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = self._metrics[key] = Histogram(name, key[1], bounds)
-        return metric
+        return self._histogram_at((name, _label_items(labels)), help, bounds)
 
     # -- introspection ----------------------------------------------------
 
@@ -285,14 +296,17 @@ class SeriesStore:
 
     def __init__(self, capacity: int = 4096):
         self.capacity = capacity
-        self._series: dict[tuple[str, LabelItems], TimeSeries] = {}
+        self._series: dict[MetricKey, TimeSeries] = {}
 
-    def series(self, name: str, labels: Optional[dict] = None) -> TimeSeries:
-        key = (name, _label_items(labels))
+    def _series_at(self, key: MetricKey) -> TimeSeries:
+        """Get-or-create by a prebuilt ``(name, labels)`` key."""
         ts = self._series.get(key)
         if ts is None:
-            ts = self._series[key] = TimeSeries(name, key[1], self.capacity)
+            ts = self._series[key] = TimeSeries(key[0], key[1], self.capacity)
         return ts
+
+    def series(self, name: str, labels: Optional[dict] = None) -> TimeSeries:
+        return self._series_at((name, _label_items(labels)))
 
     def all_series(self) -> list[TimeSeries]:
         """Every series, sorted by ``(name, labels)`` for stable export."""

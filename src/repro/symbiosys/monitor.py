@@ -452,47 +452,30 @@ class PeriodicSampler:
         self.sim.call_at(self.sim.now + self.interval, self._tick)
 
 
-class _PvarRow:
-    """One NO_OBJECT PVAR in a process's cached sampling plan.
-
-    ``read`` is the slot reader bound at plan-build time (one list
-    index or getter call per sample -- no name hashing).  ``update`` /
-    ``append`` stay None until the PVAR first reports a non-None value
-    (LOWWATERMARKs are None until sampled) -- exactly the lazy metric
-    creation the uncached path had, so exports are byte-identical;
-    afterwards they are the bound ``set``/``set_total`` and
-    ``TimeSeries.append`` methods.
-    """
-
-    __slots__ = ("d", "is_counter", "read", "metric", "series", "update", "append")
-
-    def __init__(self, d, is_counter: bool, read):
-        self.d = d
-        self.is_counter = is_counter
-        self.read = read
-        self.metric = None
-        self.series = None
-        self.update = None
-        self.append = None
-
-
-class _GaugeRow:
-    """A resolved (gauge, ring-buffer series) pair."""
-
-    __slots__ = ("metric", "series")
-
-    def __init__(self, metric, series):
-        self.metric = metric
-        self.series = series
-
-    def record(self, t: float, value) -> None:
-        self.metric.set(value)
-        self.series.append(t, value)
+#: Per-process tasking gauges, in sampling order.  They follow the
+#: PVAR rows in each plan's ``metrics``/``series`` lists.
+_TASKING_GAUGES = (
+    ("abt_handler_pool_depth", "ULTs queued in the handler pool"),
+    ("abt_num_ready", "ULTs queued in pools, waiting for an ES"),
+    ("abt_num_blocked", "ULTs blocked on an eventual or mutex"),
+    ("abt_num_running", "ULTs currently executing on an ES"),
+    ("abt_busy_fraction", "Mean cumulative ES busy time over elapsed time"),
+    ("process_memory_bytes", "Simulated process memory gauge"),
+)
 
 
 class _ProcessPlan:
     """Per-process sampling plan: every name/label/PVAR-index resolution
     the sampler needs, done once at build time instead of every tick.
+
+    ``rows`` is the schema's shared row template, one
+    ``(slot, metric name, help, is_counter)`` tuple per NO_OBJECT PVAR.
+    ``getters``, ``metrics`` and ``series`` are parallel to it:
+    ``getters[i]`` is the PVAR's getter, or None to read
+    ``values[slot]``; ``metrics[i]``/``series[i]`` stay None until the
+    PVAR first reports a non-None value (LOWWATERMARKs start empty), the
+    lazy creation that keeps exports byte-identical.  The tasking gauges
+    follow the PVAR rows in ``metrics``/``series``.
 
     Invalidated (and rebuilt) when the process's PVAR registry, Argobots
     runtime, or handler pool is replaced or grows -- the staleness checks
@@ -500,9 +483,8 @@ class _ProcessPlan:
     """
 
     __slots__ = (
-        "addr", "pvars", "n_pvars", "pvar_rows", "rt", "pool",
-        "depth", "depth_hist", "ready", "blocked", "running",
-        "busy", "memory",
+        "pvars", "n_pvars", "rt", "pool", "labels", "rows", "values",
+        "getters", "metrics", "series", "depth_hist",
     )
 
 
@@ -575,14 +557,17 @@ class Monitor:
             ),
         ):
             self.pvars.define(d)
-        self._self_rows: Optional[list] = None
+        self._self_plan: Optional[_ProcessPlan] = None
         self.findings: list[Finding] = []
         #: addr -> simulated time of the last progress-loop iteration.
         self.last_progress: dict[str, float] = {}
         self._processes: dict[str, "MargoInstance"] = {}
+        #: addr -> the process's interned ``(("process", addr),)`` labels.
+        self._labels: dict[str, tuple] = {}
         self._plans: dict[str, _ProcessPlan] = {}
+        #: PVAR name sequence -> row template (see :class:`_ProcessPlan`).
+        self._templates: dict[tuple[str, ...], tuple] = {}
         self._fabric_plan: Optional[tuple] = None
-        self._progress_counters: dict[str, object] = {}
         self.detectors: list[AnomalyDetector] = [
             _BUILTIN_DETECTORS[name](self.config)
             for name in self.config.detectors
@@ -599,30 +584,28 @@ class Monitor:
         if mi.addr in self._processes:
             raise ValueError(f"process {mi.addr!r} already monitored")
         self._processes[mi.addr] = mi
+        labels = self._labels[mi.addr] = (("process", mi.addr),)
         mi.rt.add_sched_observer(self.sched)
         self.last_progress[mi.addr] = self.sim.now
         # The observer fires on every progress iteration, so it is a
-        # closure over pre-resolved state: one dict store plus a bound
+        # closure over pre-resolved state: one dict store plus one
         # counter.inc per iteration.  The counter is still created on
         # the first iteration (not at attach), as before, so exports of
         # runs with idle processes are unchanged.
         addr = mi.addr
         last_progress = self.last_progress
         registry = self.registry
-        counters = self._progress_counters
-        inc_cell: list = []
+        counter = None
 
         def _observer(t: float, n: int) -> None:
+            nonlocal counter
             last_progress[addr] = t
-            if not inc_cell:
-                counter = registry.counter(
-                    "hg_progress_iterations",
+            if counter is None:
+                counter = registry._counter_at(
+                    ("hg_progress_iterations", labels),
                     "Progress-loop iterations completed",
-                    labels={"process": addr},
                 )
-                counters[addr] = counter
-                inc_cell.append(counter.inc)
-            inc_cell[0]()
+            counter.inc()
 
         mi.hg.add_progress_observer(_observer)
 
@@ -658,7 +641,9 @@ class Monitor:
                 or plan.rt is not mi.rt
                 or plan.pool is not mi.handler_pool
             ):
-                plan = self._plans[addr] = self._build_plan(addr, mi)
+                plan = self._plans[addr] = self._build_plan(
+                    self._labels[addr], mi.hg.pvars, mi
+                )
                 self.plan_rebuilds += 1
             self._sample_pvars(t, plan)
             self._sample_tasking(t, mi, plan)
@@ -666,15 +651,13 @@ class Monitor:
             fp = self._fabric_plan
             if fp is None:
                 fp = self._fabric_plan = (
-                    _GaugeRow(
-                        self.registry.gauge(
-                            "fabric_inflight_bytes",
-                            "Bytes currently on the wire (sent, not yet "
-                            "delivered)",
-                            None,
-                        ),
-                        self.store.series("fabric_inflight_bytes", None),
+                    self.registry.gauge(
+                        "fabric_inflight_bytes",
+                        "Bytes currently on the wire (sent, not yet "
+                        "delivered)",
+                        None,
                     ),
+                    self.store.series("fabric_inflight_bytes", None),
                     self.registry.counter(
                         "fabric_total_bytes",
                         "Cumulative bytes injected into the fabric",
@@ -682,126 +665,111 @@ class Monitor:
                     ),
                     self.store.series("fabric_total_bytes", None),
                 )
-            fp[0].record(t, self.fabric.inflight_bytes)
+            inflight = self.fabric.inflight_bytes
+            fp[0].set(inflight)
+            fp[1].append(t, inflight)
             total = self.fabric.total_bytes
-            fp[1].set_total(total)
-            fp[2].append(t, total)
-        self._sample_self(t)
+            fp[2].set_total(total)
+            fp[3].append(t, total)
+        # Self-observability: the monitor's own overhead PVARs.
+        plan = self._self_plan
+        if plan is None:
+            plan = self._self_plan = self._build_plan(
+                (("process", "__monitor__"),), self.pvars
+            )
+        self._sample_pvars(t, plan)
         for detector in self.detectors:
             self.findings.extend(detector.on_sample(t, self))
 
-    def _sample_self(self, t: float) -> None:
-        """Sample the monitor's own overhead PVARs (self-observability)."""
-        rows = self._self_rows
+    def _build_plan(
+        self, labels: tuple, pvars: PvarRegistry, mi: Optional["MargoInstance"] = None
+    ) -> _ProcessPlan:
+        """Resolve every name/PVAR lookup the sampler will make for one
+        process once, so the per-tick hot loop touches only cached
+        handles.  Without ``mi`` the plan covers the PVARs only."""
+        names = pvars.names
+        rows = self._templates.get(names)
         if rows is None:
-            rows = self._self_rows = []
-            labels = {"process": "__monitor__"}
-            for i in range(self.pvars.num_pvars):
-                d = self.pvars.info(i)
-                name = f"pvar_{d.name}"
-                if d.pvar_class is PvarClass.COUNTER:
-                    metric = self.registry.counter(name, d.description, labels)
-                    update = metric.set_total
-                else:
-                    metric = self.registry.gauge(name, d.description, labels)
-                    update = metric.set
-                rows.append(
-                    (self.pvars.reader(d.name), update,
-                     self.store.series(name, labels).append)
-                )
-        for read, update, append in rows:
-            value = read()
-            update(value)
-            append(t, value)
-
-    def _build_plan(self, addr: str, mi: "MargoInstance") -> _ProcessPlan:
-        """Resolve every name/PVAR lookup the sampler will make for
-        ``mi`` once, so the per-tick hot loop touches only cached
-        handles."""
-        labels = {"process": addr}
-        pvars = mi.hg.pvars
+            rows = self._templates[names] = tuple(
+                (slot, f"pvar_{d.name}", d.description,
+                 d.pvar_class is PvarClass.COUNTER)
+                for slot, d in enumerate(map(pvars.info, range(len(names))))
+                # HANDLE-bound values have no global snapshot.
+                if d.binding is PvarBinding.NO_OBJECT
+            )
         plan = _ProcessPlan()
-        plan.addr = addr
         plan.pvars = pvars
-        plan.n_pvars = pvars.num_pvars
-        plan.pvar_rows = [
-            _PvarRow(d, d.pvar_class is PvarClass.COUNTER, pvars.reader(d.name))
-            for d in (pvars.info(i) for i in range(pvars.num_pvars))
-            # HANDLE-bound values have no global snapshot.
-            if d.binding is PvarBinding.NO_OBJECT
-        ]
+        plan.n_pvars = len(names)
+        plan.labels = labels
+        plan.rows = rows
+        plan.values = pvars.slot_values
+        plan.getters = [pvars.info(row[0]).getter for row in rows]
+        plan.metrics = [None] * len(rows)
+        plan.series = [None] * len(rows)
+        if mi is None:
+            plan.rt = plan.pool = plan.depth_hist = None
+            return plan
         plan.rt = mi.rt
         plan.pool = mi.handler_pool
-
-        def gauge_row(name: str, help: str) -> _GaugeRow:
-            return _GaugeRow(
-                self.registry.gauge(name, help, labels),
-                self.store.series(name, labels),
-            )
-
-        plan.depth = gauge_row(
-            "abt_handler_pool_depth", "ULTs queued in the handler pool"
-        )
-        plan.depth_hist = self.registry.histogram(
-            "abt_handler_pool_depth_hist",
+        registry = self.registry
+        store = self.store
+        for name, help in _TASKING_GAUGES:
+            key = (name, labels)
+            plan.metrics.append(registry._gauge_at(key, help))
+            plan.series.append(store._series_at(key))
+        plan.depth_hist = registry._histogram_at(
+            ("abt_handler_pool_depth_hist", labels),
             "Distribution of sampled handler-pool depths",
-            labels=labels,
-        )
-        plan.ready = gauge_row(
-            "abt_num_ready", "ULTs queued in pools, waiting for an ES"
-        )
-        plan.blocked = gauge_row(
-            "abt_num_blocked", "ULTs blocked on an eventual or mutex"
-        )
-        plan.running = gauge_row(
-            "abt_num_running", "ULTs currently executing on an ES"
-        )
-        plan.busy = gauge_row(
-            "abt_busy_fraction",
-            "Mean cumulative ES busy time over elapsed time",
-        )
-        plan.memory = gauge_row(
-            "process_memory_bytes", "Simulated process memory gauge"
         )
         return plan
 
     def _sample_pvars(self, t: float, plan: _ProcessPlan) -> None:
-        for row in plan.pvar_rows:
-            value = row.read()
+        values = plan.values
+        getters = plan.getters
+        metrics = plan.metrics
+        series = plan.series
+        for i, (slot, name, help, is_counter) in enumerate(plan.rows):
+            getter = getters[i]
+            value = values[slot] if getter is None else getter()
             if value is None:
                 continue  # LOWWATERMARK with no sample yet
-            update = row.update
-            if update is None:
-                d = row.d
-                name = f"pvar_{d.name}"
-                labels = {"process": plan.addr}
-                if row.is_counter:
-                    metric = self.registry.counter(name, d.description, labels)
-                    update = metric.set_total
+            metric = metrics[i]
+            if metric is None:
+                key = (name, plan.labels)
+                if is_counter:
+                    metric = self.registry._counter_at(key, help)
                 else:
-                    metric = self.registry.gauge(name, d.description, labels)
-                    update = metric.set
-                row.metric = metric
-                row.series = self.store.series(name, labels)
-                row.update = update
-                row.append = row.series.append
-            update(value)
-            row.append(t, value)
+                    metric = self.registry._gauge_at(key, help)
+                metrics[i] = metric
+                series[i] = self.store._series_at(key)
+            if is_counter:
+                metric.set_total(value)
+            else:
+                metric.set(value)
+            series[i].append(t, value)
 
     def _sample_tasking(
         self, t: float, mi: "MargoInstance", plan: _ProcessPlan
     ) -> None:
         rt = plan.rt
         depth = len(plan.pool)
-        plan.depth.record(t, depth)
         plan.depth_hist.observe(depth)
-        plan.ready.record(t, rt.num_ready)
-        plan.blocked.record(t, rt.num_blocked)
-        plan.running.record(t, rt.num_running)
+        metrics = plan.metrics
+        series = plan.series
+        i = len(plan.rows)
         # busy_fraction() is a pure read; ProcessStats.cpu_utilization()
         # would perturb the delta-sample state the trace layer shares.
-        plan.busy.record(t, rt.busy_fraction())
-        plan.memory.record(t, mi.stats.memory_bytes)
+        for value in (
+            depth,
+            rt.num_ready,
+            rt.num_blocked,
+            rt.num_running,
+            rt.busy_fraction(),
+            mi.stats.memory_bytes,
+        ):
+            metrics[i].set(value)
+            series[i].append(t, value)
+            i += 1
 
     # -- reporting ----------------------------------------------------------
 

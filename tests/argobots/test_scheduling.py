@@ -304,3 +304,30 @@ def test_num_ready_and_blocked_counters():
     sim.run(until=10.0)
     assert snap["blocked"] == 1
     assert snap["after"] == 0
+
+
+def test_parked_es_leaves_nothing_behind():
+    """An idle ES parks on its pool alone: a thousand park/wake cycles
+    leave no dead first-wins waiter behind, and shutdown still wakes
+    and finishes every parked ES."""
+    import gc
+
+    from repro.sim.engine import _AnyOfBranch, _AnyOfWaiter
+
+    sim, rt, pool = make_runtime(n_es=2)
+
+    def body():
+        yield Compute(1e-6)
+
+    for _ in range(1000):
+        rt.spawn(body(), pool)
+        sim.run()
+    assert rt.total_finished == 1000
+    gc.collect()
+    assert not [
+        o for o in gc.get_objects() if isinstance(o, (_AnyOfBranch, _AnyOfWaiter))
+    ]
+    rt.shutdown()
+    sim.run()
+    assert all(es._task.finished for es in rt.xstreams)
+    assert sim.pending_events == 0

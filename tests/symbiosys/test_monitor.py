@@ -262,3 +262,85 @@ def test_finding_as_row():
     f = Finding(1.5e-3, "d", "p", "msg", value=2.0)
     row = f.as_row()
     assert row["time"] == "1.500000ms" and row["finding"] == "msg"
+
+
+# ------------------------------------------------------------ sampling plans
+
+
+def _idle_cluster(n):
+    """A monitored cluster of ``n`` idle processes (never run)."""
+    cluster = Cluster(seed=0, monitoring=MonitorConfig())
+    for i in range(n):
+        cluster.process(f"p{i:03d}", f"n{i:03d}")
+    return cluster
+
+
+def test_first_sample_allocates_few_objects_per_process():
+    """The first sample builds every process's plan, metrics and series;
+    at fleet scale its long-lived objects are what the cyclic GC keeps
+    rescanning, so they stay few per process."""
+    import gc
+
+    n = 64
+    cluster = _idle_cluster(n)
+    monitor = cluster.monitor
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        monitor.sample(cluster.sim.now)
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(monitor.store) >= 15 * n  # the sample did build the series
+    assert added <= 160 * n, f"{added / n:.0f} tracked objects per process"
+    cluster.shutdown()
+
+
+def test_stale_plans_are_rebuilt_and_counted():
+    from repro.mercury.pvar import PvarBinding, PvarClass, PvarDef
+
+    cluster = _idle_cluster(3)
+    monitor = cluster.monitor
+    grown, promoted = cluster.processes["p000"], cluster.processes["p001"]
+    monitor.sample(cluster.sim.now)
+    assert monitor.plan_rebuilds == 3
+    assert monitor._plans["p000"].rows is monitor._plans["p002"].rows
+
+    # A shard-style PVAR family appended after the first sample.
+    grown.hg.pvars.define(
+        PvarDef("shard_ops_total", PvarClass.COUNTER, PvarBinding.NO_OBJECT,
+                "KV operations served by this shard server")
+    )
+    grown.hg.pvars.add("shard_ops_total", 5)
+    promoted.add_handler_es()
+    monitor.sample(cluster.sim.now)
+    assert monitor.plan_rebuilds == 5
+    assert monitor.pvars.raw_value("monitor_plan_rebuilds") == 5
+    monitor.sample(cluster.sim.now)
+    assert monitor.plan_rebuilds == 5  # fresh plans stay
+
+    # The new PVAR's metric and series carry the public API's labels.
+    counter = monitor.registry.counter(
+        "pvar_shard_ops_total", labels={"process": "p000"}
+    )
+    assert counter.value == 5
+    [series] = [s for s in monitor.store.all_series()
+                if s.name == "pvar_shard_ops_total"]
+    assert series is monitor.store.series(
+        "pvar_shard_ops_total", {"process": "p000"}
+    )
+    assert series.labels == counter.labels == (("process", "p000"),)
+    assert [v for _, v in series.samples()] == [5.0, 5.0]
+
+    # Different schemas never share rows; the unchanged one keeps its own.
+    rows = {a: monitor._plans[a].rows for a in ("p000", "p001", "p002")}
+    assert rows["p000"] is not rows["p002"]
+    assert rows["p001"] is rows["p002"]
+    assert "pvar_shard_ops_total" in {r[1] for r in rows["p000"]}
+    assert "pvar_shard_ops_total" not in {r[1] for r in rows["p002"]}
+    # The promoted handler pool is the one now sampled.
+    depth = monitor.store.series("abt_handler_pool_depth", {"process": "p001"})
+    assert len(depth) == 3
+    assert monitor._plans["p001"].pool is promoted.handler_pool
+    cluster.shutdown()
