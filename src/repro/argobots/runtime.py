@@ -55,20 +55,6 @@ class AbtRuntime:
 
     # -- observers ---------------------------------------------------------
 
-    @property
-    def sched_observer(self):
-        """The first subscribed scheduler observer (None when empty).
-
-        Assigning replaces the whole subscription list -- the historical
-        single-observer semantics.  Use :meth:`add_sched_observer` to
-        stack observers (e.g. telemetry plus invariant checking).
-        """
-        return self._sched_observers[0] if self._sched_observers else None
-
-    @sched_observer.setter
-    def sched_observer(self, observer) -> None:
-        self._sched_observers = [] if observer is None else [observer]
-
     def add_sched_observer(self, observer) -> None:
         """Subscribe an additional scheduler observer."""
         if observer in self._sched_observers:

@@ -289,9 +289,9 @@ class MargoInstance:
                 break
             delay = policy.delay(attempt, self._rng)
             next_target = policy.target_for(target_addr, attempt + 1)
-            self.hg.pvars.add_at(self.hg._pv_fwd_retries, 1)
+            self.hg.pvars.add("num_forward_retries")
             if next_target != target_addr:
-                self.hg.pvars.add_at(self.hg._pv_failed_over, 1)
+                self.hg.pvars.add("num_failed_over_forwards")
             self.instr.on_forward_retry(
                 self,
                 getattr(last_exc, "handle", None),
@@ -338,7 +338,7 @@ class MargoInstance:
             ok, _ = yield from ev.wait(timeout=timeout)
             if not ok:
                 self.hg.cancel(handle)
-                self.hg.pvars.add_at(self.hg._pv_fwd_timeouts, 1)
+                self.hg.pvars.add("num_forward_timeouts")
                 self.instr.on_forward_timeout(self, handle, ult, timeout)
                 raise MargoTimeoutError(rpc_name, target_addr, timeout, handle)
 

@@ -216,30 +216,6 @@ class HGCore:
         self._progress_observers: list = []
         self.pvars = PvarRegistry()
         self._define_pvars()
-        # Interned slots for every PVAR the data path updates per RPC /
-        # per progress iteration: name resolution and protocol checks
-        # happen once, here, not per update.
-        pv = self.pvars
-        self._pv_rpcs_invoked = pv.bind_update("num_rpcs_invoked")
-        self._pv_eager_overflow = pv.bind_update("eager_overflow_count")
-        self._pv_ofi_read = pv.bind_update("num_ofi_events_read")
-        self._pv_ofi_read_max = pv.bind_update("max_ofi_events_read")
-        self._pv_ofi_read_min = pv.bind_update("min_ofi_events_read")
-        self._pv_late_drops = pv.bind_update("num_late_responses_dropped")
-        self._pv_fwd_timeouts = pv.bind_update("num_forward_timeouts")
-        self._pv_fwd_retries = pv.bind_update("num_forward_retries")
-        self._pv_failed_over = pv.bind_update("num_failed_over_forwards")
-
-    @property
-    def progress_observer(self):
-        """The first subscribed progress observer (None when empty).
-        Assigning replaces the whole list; :meth:`add_progress_observer`
-        stacks observers instead."""
-        return self._progress_observers[0] if self._progress_observers else None
-
-    @progress_observer.setter
-    def progress_observer(self, observer) -> None:
-        self._progress_observers = [] if observer is None else [observer]
 
     def add_progress_observer(self, observer) -> None:
         """Subscribe an additional progress observer."""
@@ -447,7 +423,7 @@ class HGCore:
             yield Compute(ser_t)  # t2 -> t3
         if self.pvars_enabled:
             handle.pvar_set("input_serialization_time", ser_t)
-            self.pvars.add_at(self._pv_rpcs_invoked, 1)
+            self.pvars.add("num_rpcs_invoked")
         if self.config.post_cost > 0:
             yield Compute(self.config.post_cost)
 
@@ -457,7 +433,7 @@ class HGCore:
         needs_rdma = input_size > self.config.eager_size
         rdma_size = input_size - eager_part
         if needs_rdma and self.pvars_enabled:
-            self.pvars.add_at(self._pv_eager_overflow, 1)
+            self.pvars.add("eager_overflow_count")
 
         wire = RequestWire(
             cookie=handle.cookie,
@@ -588,9 +564,9 @@ class HGCore:
         n = len(entries)
         if n and self.pvars_enabled:
             pv = self.pvars
-            pv.set_at(self._pv_ofi_read, n)
-            pv.hiwater_at(self._pv_ofi_read_max, n)
-            pv.lowater_at(self._pv_ofi_read_min, n)
+            pv.set("num_ofi_events_read", n)
+            pv.watermark("max_ofi_events_read", n)
+            pv.watermark("min_ofi_events_read", n)
         for entry in entries:
             self._dispatch(entry)
         self._note_progress(n)
@@ -705,7 +681,7 @@ class HGCore:
     ) -> None:
         if wire.cookie in self._cancelled:
             self._cancelled.discard(wire.cookie)
-            self.pvars.add_at(self._pv_late_drops, 1)
+            self.pvars.add("num_late_responses_dropped")
             return
         try:
             handle, cb = self._posted.pop(wire.cookie)
@@ -714,7 +690,7 @@ class HGCore:
             # cancellation, or a wire-level duplicate of one already
             # consumed.  Real Mercury ignores stale completions; we count
             # them as a resilience gauge.
-            self.pvars.add_at(self._pv_late_drops, 1)
+            self.pvars.add("num_late_responses_dropped")
             return
         handle.output = wire.payload
         handle.output_size = wire.output_size

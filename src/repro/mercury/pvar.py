@@ -70,12 +70,12 @@ class PvarRegistry:
     """Holds the PVAR definitions and NO_OBJECT values for one Mercury
     instance.
 
-    Values live in a flat list parallel to the definitions, so each
-    (pvar, binding) key resolves to an integer *slot* exactly once --
-    at :meth:`bind_update` / :meth:`reader` time -- and the per-RPC hot
-    paths update or read ``_slots[slot]`` without hashing the name.
-    The name-based methods keep full protocol validation and remain the
-    API for cold paths, tests, and external tools.
+    Values live in a flat list parallel to the definitions.  Every
+    update goes through the validated name API (:meth:`set`,
+    :meth:`add`, :meth:`watermark`), so binding, class and
+    monotonicity checks run on each write.  Readers may bind a name to
+    its slot once (:meth:`reader`, :attr:`slot_values`) and then read
+    ``_slots[slot]`` without hashing the name.
     """
 
     def __init__(self) -> None:
@@ -113,7 +113,7 @@ class PvarRegistry:
     def slot_values(self) -> list[Any]:
         """The live per-slot value list, for bind-once readers that
         index it directly (getter-backed and HANDLE-bound slots hold
-        None placeholders; read those through :meth:`value_at`)."""
+        None placeholders; read those through :meth:`reader`)."""
         return self._slots
 
     def info(self, index: int) -> PvarDef:
@@ -127,45 +127,7 @@ class PvarRegistry:
         except KeyError:
             raise PvarError(f"unknown PVAR {name!r}") from None
 
-    # -- interned slots (bind once, update by index) ---------------------------
-
-    def bind_update(self, name: str) -> int:
-        """Resolve *name* to its integer slot for unchecked updates.
-
-        All protocol validation (NO_OBJECT binding, not getter-backed)
-        happens here, once; afterwards :meth:`add_at` / :meth:`set_at`
-        / the watermark variants touch ``_slots[slot]`` directly.
-        """
-        return self._slot_for_update(name)
-
-    def add_at(self, slot: int, delta: Any = 1) -> None:
-        """Unchecked increment of a bound slot (hot path)."""
-        self._slots[slot] += delta
-
-    def set_at(self, slot: int, value: Any) -> None:
-        """Unchecked write of a bound slot (hot path)."""
-        self._slots[slot] = value
-
-    def hiwater_at(self, slot: int, value: Any) -> None:
-        """Unchecked HIGHWATERMARK sample into a bound slot."""
-        slots = self._slots
-        cur = slots[slot]
-        if cur is None or value > cur:
-            slots[slot] = value
-
-    def lowater_at(self, slot: int, value: Any) -> None:
-        """Unchecked LOWWATERMARK sample into a bound slot."""
-        slots = self._slots
-        cur = slots[slot]
-        if cur is None or value < cur:
-            slots[slot] = value
-
-    def value_at(self, slot: int) -> Any:
-        """Current value of any NO_OBJECT slot (calls getters)."""
-        getter = self._defs[slot].getter
-        if getter is not None:
-            return getter()
-        return self._slots[slot]
+    # -- reads (tool side) ----------------------------------------------------
 
     def reader(self, name: str) -> Callable[[], Any]:
         """Bind-once zero-arg reader for a NO_OBJECT PVAR.
@@ -209,10 +171,13 @@ class PvarRegistry:
         """Record a sample into a HIGH/LOWWATERMARK PVAR."""
         slot = self._slot_for_update(name)
         cls = self._defs[slot].pvar_class
+        cur = self._slots[slot]
         if cls is PvarClass.HIGHWATERMARK:
-            self.hiwater_at(slot, value)
+            if cur is None or value > cur:
+                self._slots[slot] = value
         elif cls is PvarClass.LOWWATERMARK:
-            self.lowater_at(slot, value)
+            if cur is None or value < cur:
+                self._slots[slot] = value
         else:
             raise PvarError(f"{name!r} is not a watermark PVAR")
 

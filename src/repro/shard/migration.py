@@ -215,8 +215,8 @@ class ShardManager:
             record.n_keys = out.get("n_keys", len(pairs))
             record.nbytes = out.get("nbytes", nbytes)
             pvars = mi.hg.pvars
-            pvars.add_at(provider._pv_mig_out, 1)
-            pvars.add_at(provider._pv_bytes_out, record.nbytes)
+            pvars.add("shard_migrations_out")
+            pvars.add("shard_migration_bytes_out", record.nbytes)
             mi.stats.add_memory(-nbytes)
         except Exception:
             # The push failed (destination died mid-transfer): restore

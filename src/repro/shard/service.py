@@ -144,12 +144,6 @@ class ShardKvProvider:
             ),
         ):
             pvars.define(d)
-        self._pv_ops = pvars.bind_update("shard_ops_total")
-        self._pv_redirects = pvars.bind_update("shard_redirects_total")
-        self._pv_mig_in = pvars.bind_update("shard_migrations_in")
-        self._pv_mig_out = pvars.bind_update("shard_migrations_out")
-        self._pv_bytes_in = pvars.bind_update("shard_migration_bytes_in")
-        self._pv_bytes_out = pvars.bind_update("shard_migration_bytes_out")
 
     # -- local (construction / admin-side) bookkeeping ---------------------
 
@@ -174,7 +168,7 @@ class ShardKvProvider:
                 self.backend, self.mi.rt, db_id=shard, costs=self.costs
             )
             self.forwards.pop(shard, None)
-            self.mi.hg.pvars.add_at(self._pv_mig_in, 1)
+            self.mi.hg.pvars.add("shard_migrations_in")
         return True
 
     def fence_shard(self, shard: int, dst: str) -> Optional[KVDatabase]:
@@ -210,10 +204,10 @@ class ShardKvProvider:
 
     def _count_op(self, shard: int) -> None:
         self.ops_by_shard[shard] = self.ops_by_shard.get(shard, 0) + 1
-        self.mi.hg.pvars.add_at(self._pv_ops, 1)
+        self.mi.hg.pvars.add("shard_ops_total")
 
     def _redirect(self, shard: int) -> dict:
-        self.mi.hg.pvars.add_at(self._pv_redirects, 1)
+        self.mi.hg.pvars.add("shard_redirects_total")
         return {"ret": RET_WRONG_OWNER, "owner": self.forwards.get(shard)}
 
     # -- handlers ----------------------------------------------------------
@@ -267,8 +261,8 @@ class ShardKvProvider:
         self.forwards.pop(shard, None)
         mi.stats.add_memory(installed)
         pvars = mi.hg.pvars
-        pvars.add_at(self._pv_mig_in, 1)
-        pvars.add_at(self._pv_bytes_in, installed)
+        pvars.add("shard_migrations_in")
+        pvars.add("shard_migration_bytes_in", installed)
         yield from mi.respond(
             handle, {"ret": 0, "n_keys": len(pairs), "nbytes": installed}
         )
@@ -285,8 +279,7 @@ class ShardKvProvider:
             yield Compute(self.install_fixed)
             self.shards[shard] = db
             self.forwards.pop(shard, None)
-            pvars = mi.hg.pvars
-            pvars.add_at(self._pv_mig_in, 1)
+            mi.hg.pvars.add("shard_migrations_in")
         yield from mi.respond(handle, {"ret": 0})
 
 

@@ -18,28 +18,19 @@ about nesting.
 
 Determinism law (load-bearing for the golden-trace corpus): events
 scheduled for the same timestamp fire in the order they were scheduled.
-Two structures uphold it:
-
-* a ``heapq`` of ``(time, seq, fn, args)`` entries for future events,
-  with a monotonically increasing sequence number breaking timestamp
-  ties, and
-* a plain FIFO *fast lane* (a ``deque``) for events scheduled at the
-  **current** instant -- the dominant case (an event fires, a task
-  resumes, a spawn takes its first step) -- which bypasses the heap
-  entirely.
-
-The split preserves global ordering because once ``now`` has advanced to
-``T``, a heap entry at ``T`` can no longer be created (``call_at(T)``
-lands in the fast lane), so every heap entry at ``T`` predates -- and
-therefore precedes, by sequence number -- every fast-lane entry; the run
-loop drains same-time heap entries before the lane.
+One structure upholds it: a single ``heapq`` of ``(when, seq, fn, args)``
+entries, popped in ``(when, seq)`` order, where ``seq`` is a
+monotonically increasing counter that breaks timestamp ties.  Work
+scheduled at the current instant -- an event fires, a task resumes, a
+spawn takes its first step -- rides the same heap: its ``seq`` is
+larger than that of every entry already queued for that instant, so it
+runs after them.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -84,12 +75,7 @@ class Timeout(_Waitable):
         self.value = value
 
     def _subscribe(self, sim: "Simulator", task: "Task") -> None:
-        delay = self.delay
-        if delay == 0.0:
-            # Zero-delay resume: straight onto the same-instant lane.
-            sim._ready.append((task._resume, (self.value,)))
-        else:
-            sim.call_at(sim.now + delay, task._resume, self.value)
+        sim.call_at(sim.now + self.delay, task._resume, self.value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Timeout({self.delay!r})"
@@ -126,32 +112,31 @@ class SimEvent(_Waitable):
     def succeed(self, value: Any = None) -> "SimEvent":
         if self._fired:
             raise SimulationError(f"event {self.name!r} fired twice")
-        self._fired = True
         self._value = value
-        callbacks, self._callbacks = self._callbacks, []
-        ready = self.sim._ready
-        for cb in callbacks:
-            # Callbacks run at the *current* simulated instant but through
-            # the event queue, preserving deterministic FIFO ordering.
-            ready.append((cb, (self,)))
+        self._fire()
         return self
 
     def fail(self, exc: BaseException) -> "SimEvent":
         if self._fired:
             raise SimulationError(f"event {self.name!r} fired twice")
-        self._fired = True
         self._exc = exc
-        callbacks, self._callbacks = self._callbacks, []
-        ready = self.sim._ready
-        for cb in callbacks:
-            ready.append((cb, (self,)))
+        self._fire()
         return self
+
+    def _fire(self) -> None:
+        self._fired = True
+        callbacks, self._callbacks = self._callbacks, []
+        sim = self.sim
+        for cb in callbacks:
+            # Callbacks run at the *current* simulated instant but through
+            # the event queue, preserving deterministic FIFO ordering.
+            sim.call_at(sim.now, cb, self)
 
     def add_callback(self, cb: Callable[["SimEvent"], None]) -> None:
         """Invoke ``cb(event)`` once the event fires (immediately if it
         already has)."""
         if self._fired:
-            self.sim._ready.append((cb, (self,)))
+            self.sim.call_at(self.sim.now, cb, self)
         else:
             self._callbacks.append(cb)
 
@@ -369,18 +354,14 @@ class _Waker:
 class Simulator:
     """Deterministic discrete-event simulator.
 
-    Future events live in a priority queue of ``(time, seq, callback,
-    args)`` entries; events scheduled at the current instant ride the
-    FIFO fast lane (see the module docstring for the ordering law).  All
-    substrate behaviour -- scheduling, networking, RPC progress --
-    reduces to callbacks on these two queues.
+    Every scheduled callback lives in one priority queue of ``(when,
+    seq, callback, args)`` entries (see the module docstring for the
+    ordering law).  All substrate behaviour -- scheduling, networking,
+    RPC progress -- reduces to callbacks on this queue.
     """
 
     def __init__(self, *, swallow_task_errors: bool = False):
         self._queue: list[tuple[float, int, Callable, tuple]] = []
-        #: Same-instant FIFO fast lane: ``(callback, args)`` entries
-        #: scheduled for the current ``now``.
-        self._ready: deque[tuple[Callable, tuple]] = deque()
         self._seq = itertools.count()
         self.now: float = 0.0
         self._running = False
@@ -396,13 +377,9 @@ class Simulator:
 
     def call_at(self, when: float, fn: Callable, *args: Any) -> None:
         """Schedule ``fn(*args)`` at simulated time ``when``."""
-        now = self.now
-        if when == now:
-            self._ready.append((fn, args))
-            return
-        if when < now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule in the past: {when} < now {now}"
+                f"cannot schedule in the past: {when} < now {self.now}"
             )
         heapq.heappush(self._queue, (when, next(self._seq), fn, args))
 
@@ -418,7 +395,7 @@ class Simulator:
         """Start a generator as a task.  The first step runs at the current
         simulated instant (through the queue, preserving order)."""
         task = Task(self, gen, name=name)
-        self._ready.append((task._resume, (None,)))
+        self.call_at(self.now, task._resume, None)
         return task
 
     # -- execution --------------------------------------------------------
@@ -433,66 +410,29 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
-        # Localized hot bindings: every name in the loop below is a local.
         queue = self._queue
-        ready = self._ready
-        ready_popleft = ready.popleft
         heappop = heapq.heappop
         now = self.now
         processed = 0
         try:
-            while True:
-                # Same-time heap entries predate (and so must precede)
-                # everything in the fast lane -- see the ordering law.
-                if queue and queue[0][0] <= now:
-                    entry = heappop(queue)
-                    try:
-                        entry[2](*entry[3])
-                    except StopSimulation:
-                        processed += 1
-                        break
-                    processed += 1
-                    if max_events is not None and processed >= max_events:
-                        break
-                elif ready:
-                    # Tight same-instant drain.  While now == T, call_at
-                    # routes every new T-entry here (a past time raises),
-                    # so no heap entry at <= now can appear mid-drain and
-                    # the heap needs no re-peek until the lane is empty.
-                    try:
-                        while ready:
-                            fn, args = ready_popleft()
-                            fn(*args)
-                            processed += 1
-                            if (
-                                max_events is not None
-                                and processed >= max_events
-                            ):
-                                break
-                    except StopSimulation:
-                        processed += 1
-                        break
-                    if max_events is not None and processed >= max_events:
-                        break
-                elif queue:
-                    when = queue[0][0]
-                    if until is not None and when > until:
-                        now = until
-                        break
-                    entry = heappop(queue)
-                    now = self.now = when
-                    try:
-                        entry[2](*entry[3])
-                    except StopSimulation:
-                        processed += 1
-                        break
-                    processed += 1
-                    if max_events is not None and processed >= max_events:
-                        break
-                else:
-                    if until is not None and until > now:
-                        now = until
+            while queue:
+                when = queue[0][0]
+                if until is not None and when > until:
+                    now = until
                     break
+                _, _, fn, args = heappop(queue)
+                now = self.now = when
+                try:
+                    fn(*args)
+                except StopSimulation:
+                    processed += 1
+                    break
+                processed += 1
+                if max_events is not None and processed >= max_events:
+                    break
+            else:
+                if until is not None and until > now:
+                    now = until
         finally:
             self.now = now
             self._running = False
@@ -505,7 +445,7 @@ class Simulator:
         """Process events until ``event`` fires; the event-driven wait.
 
         Stops *at the firing instant*: the waker rides the event's
-        callback list through the FIFO lane, so callbacks registered
+        callback list through the queue, so callbacks registered
         before this wait still run at that instant, and nothing after it
         -- no fixed-step idle tail -- is simulated.  ``limit`` bounds
         simulated time.  Returns whether the event has fired.
@@ -538,28 +478,25 @@ class Simulator:
         """
         if predicate():
             return True
-        while self.now < limit and (self._ready or self._queue):
-            if self._queue and not self._ready:
-                when = self._queue[0][0]
-                if when > limit:
-                    self.now = limit
-                    break
+        queue = self._queue
+        while self.now < limit and queue:
+            if queue[0][0] > limit:
+                self.now = limit
+                break
             self.run(until=limit, max_events=1)
             if predicate():
                 return True
-        if self.now < limit and not (self._ready or self._queue):
+        if self.now < limit and not queue:
             self.now = limit
         return predicate()
 
     def peek(self) -> Optional[float]:
         """Timestamp of the next queued event, or None if the queue is empty."""
-        if self._ready:
-            return self.now
         return self._queue[0][0] if self._queue else None
 
     @property
     def pending_events(self) -> int:
-        return len(self._queue) + len(self._ready)
+        return len(self._queue)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self.now}, pending={self.pending_events})"

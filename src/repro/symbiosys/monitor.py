@@ -312,7 +312,8 @@ _SLICE_REASONS = ("", "end", "block", "yield", "preempt")
 
 
 class SchedRecorder:
-    """The ``sched_observer`` installed on each process's AbtRuntime.
+    """The scheduler observer subscribed on each process's AbtRuntime
+    (:meth:`~repro.argobots.runtime.AbtRuntime.add_sched_observer`).
 
     Records run slices as the execution streams report them and
     synthesizes the block slice between a ULT blocking and its next
@@ -477,14 +478,16 @@ class _ProcessPlan:
     lazy creation that keeps exports byte-identical.  The tasking gauges
     follow the PVAR rows in ``metrics``/``series``.
 
-    Invalidated (and rebuilt) when the process's PVAR registry, Argobots
-    runtime, or handler pool is replaced or grows -- the staleness checks
-    in :meth:`Monitor.sample`.
+    Invalidated (and rebuilt) when the process's PVAR registry grows or
+    its handler pool is replaced -- the staleness checks in
+    :meth:`Monitor.sample`.  The registry and the Argobots runtime are
+    assigned once per :class:`~repro.margo.instance.MargoInstance`, so
+    they need no check.
     """
 
     __slots__ = (
-        "pvars", "n_pvars", "rt", "pool", "labels", "rows", "values",
-        "getters", "metrics", "series", "depth_hist",
+        "n_pvars", "pool", "labels", "rows", "values", "getters",
+        "metrics", "series", "depth_hist",
     )
 
 
@@ -636,9 +639,7 @@ class Monitor:
             plan = self._plans.get(addr)
             if (
                 plan is None
-                or plan.pvars is not mi.hg.pvars
                 or plan.n_pvars != mi.hg.pvars.num_pvars
-                or plan.rt is not mi.rt
                 or plan.pool is not mi.handler_pool
             ):
                 plan = self._plans[addr] = self._build_plan(
@@ -698,7 +699,6 @@ class Monitor:
                 if d.binding is PvarBinding.NO_OBJECT
             )
         plan = _ProcessPlan()
-        plan.pvars = pvars
         plan.n_pvars = len(names)
         plan.labels = labels
         plan.rows = rows
@@ -707,9 +707,8 @@ class Monitor:
         plan.metrics = [None] * len(rows)
         plan.series = [None] * len(rows)
         if mi is None:
-            plan.rt = plan.pool = plan.depth_hist = None
+            plan.pool = plan.depth_hist = None
             return plan
-        plan.rt = mi.rt
         plan.pool = mi.handler_pool
         registry = self.registry
         store = self.store
@@ -751,7 +750,7 @@ class Monitor:
     def _sample_tasking(
         self, t: float, mi: "MargoInstance", plan: _ProcessPlan
     ) -> None:
-        rt = plan.rt
+        rt = mi.rt
         depth = len(plan.pool)
         plan.depth_hist.observe(depth)
         metrics = plan.metrics

@@ -219,10 +219,9 @@ class TraceBuffer:
     samples that only origin-complete records carry.  Request ids and
     RPC names are interned into a per-buffer string table.
 
-    :attr:`events` materializes (and caches) :class:`TraceEvent` views;
-    :meth:`append_event` is the allocation-free hot path used by the
-    instrumentation hooks, while :meth:`append` remains for generic
-    pre-built events (replay tooling, tests).
+    :meth:`append_event` is the only way in: the allocation-free path
+    the instrumentation hooks record through.  :attr:`events`
+    materializes (and caches) :class:`TraceEvent` views of the rows.
     """
 
     def __init__(self, process: str):
@@ -313,35 +312,6 @@ class TraceBuffer:
         )
         self._d.extend((local_ts, true_ts, cpu_util, d0, d1, d2, d3))
         self._n += 1
-
-    def append(self, event: TraceEvent) -> None:
-        """Generic append of a pre-built event (cold path).
-
-        The original object is kept as the materialized view for its
-        row, so arbitrary ``data`` / ``pvars`` / ``sysstats`` payloads
-        round-trip exactly; only the columns needed for ordering and
-        grouping are populated.
-        """
-        mat = self.events  # materialize pending rows so the cache is aligned
-        self.append_event(
-            _KIND_CODE[event.kind],
-            event.request_id,
-            event.order,
-            event.lamport,
-            event.local_ts,
-            event.true_ts,
-            event.rpc_name,
-            event.callpath,
-            event.span_id,
-            event.parent_span_id,
-            event.provider_id,
-            0,
-            0,
-            0,
-            0.0,
-            0,
-        )
-        mat.append(event)
 
     def annotate(self, time: float, kind: str, detail: tuple = ()) -> None:
         """Record one injected fault (duck-called by the injector, so

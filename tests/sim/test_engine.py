@@ -97,6 +97,25 @@ def test_stop_simulation_halts_run():
     assert sim.now == 2.0
 
 
+def test_stop_inside_bounded_run_keeps_firing_instant_and_counts():
+    sim = Simulator()
+    seen = []
+
+    def stop():
+        raise StopSimulation()
+
+    sim.call_at(1.0, seen.append, 1)
+    sim.call_at(2.0, stop)
+    sim.call_at(9.0, seen.append, 9)  # past the bound
+    assert sim.run(until=5.0) == 2.0
+    # The stop wins over the bound: time stays at the firing instant
+    # instead of jumping to ``until``, and the stopping callback counts.
+    assert sim.now == 2.0
+    assert seen == [1]
+    assert sim.events_processed == 2
+    assert sim.pending_events == 1
+
+
 def test_task_timeout_sequence():
     sim = Simulator()
     trace = []

@@ -1,9 +1,9 @@
-"""Kernel fast-lane and event-driven-wait laws.
+"""Kernel ordering and event-driven-wait laws.
 
-The same-instant FIFO lane bypasses the heap; these tests pin the
-ordering law it must uphold (same-timestamp events fire in scheduling
-order, heap entries at T before fast-lane entries created at T) and the
-new event-driven wait APIs.
+Every callback rides one heap in ``(when, seq)`` order; these tests pin
+the ordering law that upholds (same-timestamp events fire in scheduling
+order, so entries queued for T before ``now`` reached T run before the
+ones scheduled at T) and the event-driven wait APIs.
 """
 
 import pytest
@@ -42,8 +42,8 @@ def test_heap_entries_at_now_precede_fast_lane_entries():
 
     def first():
         order.append("first")
-        # Scheduled AT the current instant -> fast lane; must run after
-        # the remaining heap entries at this same timestamp.
+        # Scheduled AT the current instant: its later seq puts it after
+        # the entries already queued for this same timestamp.
         sim.call_at(sim.now, order.append, "lane")
 
     sim.call_at(2.0, first)

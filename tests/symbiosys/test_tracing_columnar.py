@@ -135,19 +135,6 @@ def test_parent_none_and_no_pvars_round_trip():
     assert ev.pvars == {}
 
 
-def test_generic_append_preserves_object_identity():
-    """Replay tooling appends pre-built events with arbitrary payloads;
-    the buffer must hand back the very same objects."""
-    buf = TraceBuffer("p0")
-    buf.append_event(**_scalar_kwargs())
-    custom = _equivalent_event()
-    custom.data = {"weird_key": "not-a-float"}
-    buf.append(custom)
-    assert len(buf) == 2
-    assert buf.events[1] is custom
-    assert buf.events[1].data == {"weird_key": "not-a-float"}
-
-
 def test_events_are_materialized_once():
     buf = TraceBuffer("p0")
     buf.append_event(**_scalar_kwargs())
