@@ -1,17 +1,18 @@
 """FIFO work pools.
 
 A pool holds READY ULTs.  One or more execution streams dequeue from a
-pool; when a pool is empty an ES parks on it and is woken by the next
-push.  The pool also keeps the high-watermark and cumulative statistics
-the SYMBIOSYS system monitor samples.
+pool; when a pool is empty an ES parks on it by leaving a resume
+callback, which the next push schedules at the current instant.  The
+pool also keeps the high-watermark and cumulative statistics the
+SYMBIOSYS system monitor samples.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
-from ..sim import SimEvent, Simulator
+from ..sim import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ult import ULT
@@ -26,7 +27,8 @@ class Pool:
         self.sim = sim
         self.name = name
         self._queue: deque["ULT"] = deque()
-        self._waiters: deque[SimEvent] = deque()
+        #: Resume callbacks of parked execution streams, in park order.
+        self._waiters: deque[Callable[[], None]] = deque()
         #: Highest number of ULTs ever queued simultaneously.
         self.high_watermark = 0
         #: Total ULTs ever pushed (for throughput accounting).
@@ -46,7 +48,7 @@ class Pool:
         if len(self._queue) > self.high_watermark:
             self.high_watermark = len(self._queue)
         if self._waiters:
-            self._waiters.popleft().succeed()
+            self.sim.call_at(self.sim.now, self._waiters.popleft())
 
     def pop(self) -> Optional["ULT"]:
         """Dequeue the next ready ULT, or None if the pool is empty."""
@@ -55,17 +57,16 @@ class Pool:
             return self._queue.popleft()
         return None
 
-    def work_event(self) -> SimEvent:
-        """An event fired at the next :meth:`push` (one-shot, one waiter)."""
-        ev = self.sim.event(f"{self.name}.work")
-        self._waiters.append(ev)
-        return ev
+    def park(self, resume: Callable[[], None]) -> None:
+        """Schedule ``resume()`` at the next :meth:`push` (one-shot)."""
+        self._waiters.append(resume)
 
     def wake_waiters(self) -> None:
-        """Fire every pending work event (runtime shutdown)."""
+        """Schedule every parked resume callback now (runtime shutdown)."""
         waiters = self._waiters
+        sim = self.sim
         while waiters:
-            waiters.popleft().succeed()
+            sim.call_at(sim.now, waiters.popleft())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Pool({self.name!r}, len={len(self._queue)})"

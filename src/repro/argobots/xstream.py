@@ -1,9 +1,24 @@
 """Execution streams: the schedulers that run ULTs.
 
-An execution stream (ES) is a kernel task bound to one pool.  It pops
-READY ULTs and interprets their effects; while a ULT computes the ES is
-busy, and when a ULT blocks the ES immediately picks up the next one.
-ESs with an empty pool park until the next push.
+An execution stream (ES) is a simulated OS thread bound to one pool.  It
+pops READY ULTs and interprets their effects; while a ULT computes the
+ES is busy, and when a ULT blocks the ES immediately picks up the next
+one.  An ES with an empty pool parks on it until the next push.
+
+The ES is not a coroutine: it is a small state machine driven by kernel
+callbacks, so ULTs are the simulator's only coroutines.  Each step that
+waits schedules exactly one callback:
+
+* starting the ES, and waking it from a park, run :meth:`_next` at the
+  current instant;
+* a context switch (``ctx_switch_cost > 0``) runs :meth:`_switched` one
+  switch cost later -- in that window the popped ULT is still READY and
+  ``current`` is None;
+* a ``Compute(d)`` with ``d > 0`` runs :meth:`_computed` ``d`` later.
+
+A ULT's *slice* runs from its pop until it blocks, yields or terminates;
+each scheduler observer sees every slice once, also when a ULT error
+ends it.
 
 This is the lower level of the two-level scheduling hierarchy; all the
 queueing behaviour the paper measures (target handler time, progress-ULT
@@ -14,7 +29,7 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from ..sim import SimulationError, Timeout
+from ..sim import SimulationError
 from .pool import Pool
 from .ult import ULT, Compute, UltState, WaitEventual, YieldNow
 
@@ -34,32 +49,55 @@ class ExecutionStream:
         self.current: Optional[ULT] = None
         #: Cumulative simulated seconds spent computing (incl. switch cost).
         self.busy_time = 0.0
-        self._task = runtime.sim.spawn(self._main(), name=f"{name}.main")
+        #: When the slice in progress began (the pop of its ULT).
+        self._slice_start = 0.0
+        sim = runtime.sim
+        sim.call_at(sim.now, self._next)
 
-    # -- main loop ---------------------------------------------------------
+    # -- scheduling callbacks ------------------------------------------------
 
-    def _main(self):
+    def _next(self) -> None:
+        """Run READY ULTs until one holds the ES across simulated time,
+        the pool runs dry or the runtime shuts down."""
         rt = self.runtime
+        sim = rt.sim
         pool = self.pool
         while not rt.shutting_down:
             ult = pool.pop()
             if ult is None:
                 # Woken by the next push, or by AbtRuntime.shutdown().
-                yield pool.work_event()
-                continue
-            yield from self._run_ult(ult)
+                pool.park(self._next)
+                return
+            self._slice_start = sim.now
+            if rt.ctx_switch_cost > 0:
+                sim.call_at(sim.now + rt.ctx_switch_cost, self._switched, ult)
+                return
+            if not self._start(ult):
+                return
 
-    def _run_ult(self, ult: ULT):
-        rt = self.runtime
-        sim = rt.sim
-        slice_start = sim.now
-        if rt.ctx_switch_cost > 0:
-            yield Timeout(rt.ctx_switch_cost)
-            self.busy_time += rt.ctx_switch_cost
+    def _switched(self, ult: ULT) -> None:
+        self.busy_time += self.runtime.ctx_switch_cost
+        if self._start(ult):
+            self._next()
+
+    def _computed(self, ult: ULT, duration: float) -> None:
+        self.busy_time += duration
+        if self._run(ult):
+            self._next()
+
+    def _start(self, ult: ULT) -> bool:
         if ult.started_at is None:
-            ult.started_at = sim.now
+            ult.started_at = self.runtime.sim.now
         ult.state = UltState.RUNNING
         self.current = ult
+        return self._run(ult)
+
+    def _run(self, ult: ULT) -> bool:
+        """Step ``ult`` until its slice ends (True: it blocked, yielded or
+        terminated) or a ``Compute`` holds the ES (False)."""
+        rt = self.runtime
+        sim = rt.sim
+        held = False
         try:
             while True:
                 rt._current_ult = ult
@@ -71,20 +109,24 @@ class ExecutionStream:
                         effect = ult.gen.send(ult._send_value)
                 except StopIteration as stop:
                     rt._finish_ult(ult, stop.value, None)
-                    return
+                    return True
                 except BaseException as exc:
                     rt._finish_ult(ult, None, exc)
                     if not rt.swallow_ult_errors:
                         raise
-                    return
+                    return True
                 finally:
                     rt._current_ult = None
                 ult._send_value = None
 
                 if isinstance(effect, Compute):
                     if effect.duration > 0:
-                        yield Timeout(effect.duration)
-                        self.busy_time += effect.duration
+                        sim.call_at(
+                            sim.now + effect.duration,
+                            self._computed, ult, effect.duration,
+                        )
+                        held = True
+                        return False
                 elif isinstance(effect, WaitEventual):
                     ev = effect.eventual
                     if ev.is_set:
@@ -98,19 +140,20 @@ class ExecutionStream:
                     ev._add_waiter(ult)
                     if effect.timeout is not None:
                         sim.call_after(effect.timeout, rt._wait_timeout, ult, ev)
-                    return
+                    return True
                 elif isinstance(effect, YieldNow):
                     ult.state = UltState.READY
                     ult.pool.push(ult)
-                    return
+                    return True
                 else:
                     raise SimulationError(
                         f"ULT {ult.name!r} yielded non-ABT effect {effect!r}"
                     )
         finally:
-            self.current = None
-            for obs in rt._sched_observers:
-                obs.on_slice(self, ult, slice_start, sim.now)
+            if not held:
+                self.current = None
+                for obs in rt._sched_observers:
+                    obs.on_slice(self, ult, self._slice_start, sim.now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         running = self.current.name if self.current else None

@@ -582,11 +582,11 @@ class HGCore:
             raise ValueError("ofi_max_events must be at least 1")
         self.ofi_max_events = n
 
-    def trigger(self, max_count: Optional[int] = None):
+    def trigger(self):
         """Run queued completion callbacks (generator; progress ULT).
         Returns the number executed."""
         n = 0
-        while self._completion_queue and (max_count is None or n < max_count):
+        while self._completion_queue:
             cb = self._completion_queue.popleft()
             if self.config.callback_cost > 0:
                 yield Compute(self.config.callback_cost)

@@ -2,30 +2,20 @@
 
 from .clock import LocalClock
 from .engine import (
-    AnyOf,
     SimEvent,
     SimulationError,
     Simulator,
     StopSimulation,
-    Task,
-    Timeout,
     all_of,
 )
-from .resources import Mutex, Semaphore, Store
 from .rng import RngRegistry
 
 __all__ = [
-    "AnyOf",
     "LocalClock",
-    "Mutex",
     "RngRegistry",
-    "Semaphore",
     "SimEvent",
     "SimulationError",
     "Simulator",
     "StopSimulation",
-    "Store",
-    "Task",
-    "Timeout",
     "all_of",
 ]

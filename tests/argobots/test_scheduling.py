@@ -130,9 +130,20 @@ def test_ult_error_propagates_by_default():
         yield Compute(1.0)
         raise ValueError("broken handler")
 
+    slices = []
+
+    class Recorder:
+        def on_slice(self, es, ult, start, end):
+            slices.append((start, end))
+
+    rt.add_sched_observer(Recorder())
     rt.spawn(bad(), pool)
     with pytest.raises(ValueError, match="broken handler"):
         sim.run(until=10.0)
+    # The failing slice is still reported, once, and the ES stops.
+    assert slices == [(0.0, 1.0)]
+    assert rt.xstreams[0].current is None
+    assert sim.pending_events == 0
 
 
 def test_ult_error_swallowed_when_configured():
@@ -307,13 +318,9 @@ def test_num_ready_and_blocked_counters():
 
 
 def test_parked_es_leaves_nothing_behind():
-    """An idle ES parks on its pool alone: a thousand park/wake cycles
-    leave no dead first-wins waiter behind, and shutdown still wakes
-    and finishes every parked ES."""
-    import gc
-
-    from repro.sim.engine import _AnyOfBranch, _AnyOfWaiter
-
+    """An idle ES parks on its pool with one resume callback: a thousand
+    park/wake cycles never pile up waiters, shutdown wakes every parked
+    ES without re-parking it, and a ULT spawned afterwards stays READY."""
     sim, rt, pool = make_runtime(n_es=2)
 
     def body():
@@ -322,12 +329,61 @@ def test_parked_es_leaves_nothing_behind():
     for _ in range(1000):
         rt.spawn(body(), pool)
         sim.run()
+        assert len(pool._waiters) == len(rt.xstreams)
     assert rt.total_finished == 1000
-    gc.collect()
-    assert not [
-        o for o in gc.get_objects() if isinstance(o, (_AnyOfBranch, _AnyOfWaiter))
-    ]
     rt.shutdown()
     sim.run()
-    assert all(es._task.finished for es in rt.xstreams)
+    assert not pool._waiters
     assert sim.pending_events == 0
+    late = rt.spawn(body(), pool)
+    sim.run()
+    assert late.state is UltState.READY
+    assert sim.pending_events == 0
+
+
+def test_es_switch_window_and_event_accounting():
+    """One ES with a context-switch cost runs a fixed script: Compute,
+    block until an outside signal, YieldNow.  Pins the switch window, the
+    slice bounds, busy_time and the exact kernel callback count."""
+    cost = 0.25
+    sim, rt, pool = make_runtime(n_es=1, ctx_cost=cost)
+    ev = rt.eventual()
+    slices = []
+    probes = []
+
+    class Recorder:
+        def on_slice(self, es, ult, start, end):
+            slices.append((start, end))
+
+    rt.add_sched_observer(Recorder())
+
+    def body():
+        yield Compute(1.0)
+        got = yield from ev.wait()
+        yield YieldNow()
+        return got
+
+    ult = rt.spawn(body(), pool)
+
+    def probe():
+        probes.append((sim.now, rt.num_running, ult.state))
+
+    sim.call_at(cost / 2, probe)  # inside the first switch window
+    sim.call_at(2.0, ev.signal, "go")  # the ES is parked by then
+    sim.call_at(2.0 + cost / 2, probe)  # inside the switch after the wake
+    sim.run()
+
+    assert ult.result == "go"
+    assert probes == [
+        (cost / 2, 0, UltState.READY),
+        (2.0 + cost / 2, 0, UltState.READY),
+    ]
+    # Each slice starts when its ULT is popped, before the switch.
+    assert slices == [(0.0, 1.0 + cost), (2.0, 2.0 + cost), (2.0 + cost, 2.0 + 2 * cost)]
+    switches = len(slices)
+    assert rt.xstreams[0].busy_time == switches * cost + 1.0
+    es_start, computes, wakes = 1, 1, 1
+    scheduled_here = len(probes) + 1  # the probes and the signal
+    assert sim.events_processed == (
+        es_start + switches + computes + wakes + scheduled_here
+    )

@@ -94,24 +94,6 @@ def test_set_ofi_max_events_validation():
         hg.set_ofi_max_events(0)
 
 
-def test_trigger_respects_max_count():
-    sim, rt, pool, hg = make_hg()
-    fired = []
-    for i in range(6):
-        hg._completion_queue.append(lambda i=i: fired.append(i))
-    out = {}
-
-    def body():
-        out["a"] = yield from hg.trigger(max_count=2)
-        out["b"] = yield from hg.trigger()
-
-    rt.spawn(body(), pool)
-    sim.run(until=1.0)
-    assert out["a"] == 2
-    assert out["b"] == 4
-    assert fired == list(range(6))
-
-
 def test_trigger_charges_callback_cost():
     sim, rt, pool, hg = make_hg(callback_cost=1e-3)
     for _ in range(4):

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AnyOf,
-    SimEvent,
-    SimulationError,
-    Simulator,
-    StopSimulation,
-    Timeout,
-)
+from repro.sim import SimulationError, Simulator, StopSimulation
 
 
 def test_time_starts_at_zero():
@@ -116,41 +109,16 @@ def test_stop_inside_bounded_run_keeps_firing_instant_and_counts():
     assert sim.pending_events == 1
 
 
-def test_task_timeout_sequence():
-    sim = Simulator()
-    trace = []
-
-    def proc():
-        trace.append(("start", sim.now))
-        yield Timeout(1.5)
-        trace.append(("mid", sim.now))
-        yield Timeout(0.5)
-        trace.append(("end", sim.now))
-        return "done"
-
-    task = sim.spawn(proc())
-    sim.run()
-    assert trace == [("start", 0.0), ("mid", 1.5), ("end", 2.0)]
-    assert task.finished
-    assert task.done.value == "done"
-
-
-def test_timeout_rejects_negative_delay():
-    with pytest.raises(ValueError):
-        Timeout(-1.0)
-
-
 def test_event_wait_and_succeed():
     sim = Simulator()
     ev = sim.event("gate")
     results = []
 
     def waiter(tag):
-        value = yield ev
-        results.append((tag, value, sim.now))
+        ev.add_callback(lambda e: results.append((tag, e.value, sim.now)))
 
-    sim.spawn(waiter("a"))
-    sim.spawn(waiter("b"))
+    waiter("a")
+    waiter("b")
     sim.call_at(3.0, ev.succeed, 99)
     sim.run()
     assert results == [("a", 99, 3.0), ("b", 99, 3.0)]
@@ -163,21 +131,26 @@ def test_wait_on_already_fired_event_resumes_immediately():
     out = []
 
     def waiter():
-        out.append((yield ev))
+        ev.add_callback(lambda e: out.append((e.value, sim.now)))
 
-    sim.spawn(waiter())
+    sim.call_at(2.0, waiter)
     sim.run()
-    assert out == ["early"]
+    # The late callback runs at the instant it was added, not before.
+    assert out == [("early", 2.0)]
+    assert sim.events_processed == 2
 
 
 def test_event_fires_only_once():
     sim = Simulator()
     ev = sim.event()
+    fired = []
+    ev.add_callback(fired.append)
     ev.succeed(1)
     with pytest.raises(SimulationError):
         ev.succeed(2)
-    with pytest.raises(SimulationError):
-        ev.fail(RuntimeError("x"))
+    sim.run()
+    assert fired == [ev]
+    assert ev.value == 1
 
 
 def test_event_value_before_fire_raises():
@@ -185,158 +158,6 @@ def test_event_value_before_fire_raises():
     ev = sim.event("pending")
     with pytest.raises(SimulationError):
         _ = ev.value
-
-
-def test_event_fail_propagates_into_task():
-    sim = Simulator()
-    ev = sim.event()
-    caught = []
-
-    def waiter():
-        try:
-            yield ev
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    sim.spawn(waiter())
-    sim.call_at(1.0, ev.fail, ValueError("boom"))
-    sim.run()
-    assert caught == ["boom"]
-
-
-def test_task_unhandled_exception_aborts_by_default():
-    sim = Simulator()
-
-    def bad():
-        yield Timeout(1.0)
-        raise RuntimeError("die")
-
-    sim.spawn(bad())
-    with pytest.raises(RuntimeError, match="die"):
-        sim.run()
-
-
-def test_task_error_recorded_when_swallowed():
-    sim = Simulator(swallow_task_errors=True)
-
-    def bad():
-        yield Timeout(1.0)
-        raise RuntimeError("die")
-
-    task = sim.spawn(bad())
-    sim.run()
-    assert task.finished
-    assert isinstance(task.done._exc, RuntimeError)
-
-
-def test_task_done_callback_receives_error():
-    sim = Simulator()
-    failures = []
-
-    def bad():
-        yield Timeout(1.0)
-        raise RuntimeError("die")
-
-    task = sim.spawn(bad())
-    task.done.add_callback(lambda ev: failures.append(ev._exc))
-    sim.run()
-    assert len(failures) == 1
-    assert isinstance(failures[0], RuntimeError)
-
-
-def test_yield_from_subroutine_composes():
-    sim = Simulator()
-    log = []
-
-    def inner(n):
-        yield Timeout(n)
-        return n * 2
-
-    def outer():
-        a = yield from inner(1)
-        b = yield from inner(2)
-        log.append((a, b, sim.now))
-
-    sim.spawn(outer())
-    sim.run()
-    assert log == [(2, 4, 3.0)]
-
-
-def test_yield_non_waitable_is_error():
-    sim = Simulator()
-
-    def bad():
-        yield 42
-
-    sim.spawn(bad())
-    with pytest.raises(SimulationError):
-        sim.run()
-
-
-def test_anyof_timeout_wins():
-    sim = Simulator()
-    ev = sim.event()
-    out = []
-
-    def waiter():
-        idx, value = yield AnyOf([ev, Timeout(2.0, "to")])
-        out.append((idx, value, sim.now))
-
-    sim.spawn(waiter())
-    sim.call_at(5.0, ev.succeed, "late")
-    sim.run()
-    assert out == [(1, "to", 2.0)]
-
-
-def test_anyof_event_wins():
-    sim = Simulator()
-    ev = sim.event()
-    out = []
-
-    def waiter():
-        idx, value = yield AnyOf([ev, Timeout(10.0)])
-        out.append((idx, value, sim.now))
-
-    sim.spawn(waiter())
-    sim.call_at(1.0, ev.succeed, "fast")
-    sim.run()
-    assert out == [(0, "fast", 1.0)]
-
-
-def test_anyof_requires_branches():
-    with pytest.raises(ValueError):
-        AnyOf([])
-
-
-def test_spawn_runs_at_current_instant_in_order():
-    sim = Simulator()
-    seen = []
-
-    def proc(tag):
-        seen.append((tag, sim.now))
-        yield Timeout(0.0)
-
-    sim.call_at(4.0, lambda: (sim.spawn(proc("x")), sim.spawn(proc("y"))))
-    sim.run()
-    assert seen == [("x", 4.0), ("y", 4.0)]
-
-
-def test_task_done_event_can_be_awaited():
-    sim = Simulator()
-    out = []
-
-    def child():
-        yield Timeout(3.0)
-        return "payload"
-
-    def parent():
-        t = sim.spawn(child())
-        value = yield t.done
-        out.append((value, sim.now))
-
-    sim.spawn(parent())
-    sim.run()
-    assert out == [("payload", 3.0)]
 
 
 def test_run_not_reentrant():
@@ -388,10 +209,3 @@ def test_run_until_immediate_predicate():
     sim = Simulator()
     assert sim.run_until(lambda: True, limit=100.0)
     assert sim.now == 0.0
-
-
-def test_peek_returns_next_event_time():
-    sim = Simulator()
-    assert sim.peek() is None
-    sim.call_at(7.0, lambda: None)
-    assert sim.peek() == 7.0

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Simulator, Timeout
+from repro.sim import Simulator
 
 
 @given(st.lists(st.floats(0, 1e3, allow_nan=False), min_size=1, max_size=60))
@@ -30,30 +30,6 @@ def test_equal_times_fire_fifo(delays):
     sim.run()
     same = [i for t, i in fired if t == 5.0]
     assert same == sorted(same)
-
-
-@given(
-    st.lists(
-        st.lists(st.floats(1e-6, 10, allow_nan=False), min_size=1, max_size=6),
-        min_size=1,
-        max_size=10,
-    )
-)
-@settings(max_examples=50)
-def test_tasks_accumulate_their_delays(task_delays):
-    sim = Simulator()
-    results = {}
-
-    def proc(tag, delays):
-        for d in delays:
-            yield Timeout(d)
-        results[tag] = sim.now
-
-    for tag, delays in enumerate(task_delays):
-        sim.spawn(proc(tag, delays))
-    sim.run()
-    for tag, delays in enumerate(task_delays):
-        assert abs(results[tag] - sum(delays)) < 1e-9 * max(1, sum(delays))
 
 
 @given(st.integers(1, 40), st.integers(1, 8))

@@ -8,14 +8,7 @@ ones scheduled at T) and the event-driven wait APIs.
 
 import pytest
 
-from repro.sim import (
-    AnyOf,
-    SimEvent,
-    SimulationError,
-    Simulator,
-    Timeout,
-    all_of,
-)
+from repro.sim import SimEvent, SimulationError, Simulator, all_of
 
 
 def test_same_instant_call_at_preserves_fifo():
@@ -70,63 +63,6 @@ def test_event_succeed_callbacks_ride_the_queue_in_order():
     assert ev.value == 41
 
 
-def test_spawn_runs_in_spawn_order_at_current_instant():
-    sim = Simulator()
-    order = []
-
-    def body(tag):
-        order.append(tag)
-        yield Timeout(0.0)
-        order.append(tag + "'")
-
-    sim.spawn(body("a"))
-    sim.spawn(body("b"))
-    sim.run()
-    assert order == ["a", "b", "a'", "b'"]
-    assert sim.now == 0.0
-
-
-def test_anyof_losing_timeout_branch_is_a_noop():
-    sim = Simulator()
-    results = []
-
-    def body():
-        ev = sim.event()
-        sim.call_after(1e-6, ev.succeed, "win")
-        idx, value = yield AnyOf([ev, Timeout(5e-6, "lose")])
-        results.append((idx, value))
-        # Park past the loser timeout: its queued callback must fire
-        # harmlessly without resuming this task a second time.
-        yield Timeout(10e-6)
-        results.append("done")
-
-    sim.spawn(body())
-    sim.run()
-    assert results == [(0, "win"), "done"]
-    assert sim.pending_events == 0
-
-
-def test_anyof_losing_event_branch_stays_available():
-    sim = Simulator()
-    other = sim.event("other")
-    seen = []
-
-    def racer():
-        idx, _ = yield AnyOf([Timeout(1e-6), other])
-        seen.append(("racer", idx))
-
-    def late_waiter():
-        value = yield other
-        seen.append(("late", value))
-
-    sim.spawn(racer())
-    sim.spawn(late_waiter())
-    sim.call_at(5e-6, other.succeed, "finally")
-    sim.run()
-    assert ("racer", 0) in seen
-    assert ("late", "finally") in seen
-
-
 def test_run_until_event_stops_at_firing_instant():
     sim = Simulator()
     ev = sim.event()
@@ -178,6 +114,9 @@ def test_run_until_event_rejects_foreign_event():
     other = Simulator()
     with pytest.raises(SimulationError):
         sim.run_until_event(SimEvent(other), limit=1.0)
+    # Already fired on the other simulator: still foreign, not "done".
+    with pytest.raises(SimulationError):
+        sim.run_until_event(other.event().succeed(), limit=1.0)
 
 
 def test_all_of_fires_after_last_branch():
@@ -202,40 +141,6 @@ def test_all_of_with_prefired_and_empty():
 
     empty = all_of(sim, [])
     assert empty.fired
-
-
-def test_task_done_is_lazy_but_complete():
-    sim = Simulator()
-
-    def body():
-        yield Timeout(1.0)
-        return "result"
-
-    task = sim.spawn(body())
-    sim.run()
-    assert task.finished
-    # done was never touched during the run; materializing it afterwards
-    # still yields a fired event carrying the return value.
-    assert task.done.fired
-    assert task.done.value == "result"
-
-
-def test_task_done_awaitable_before_finish():
-    sim = Simulator()
-    got = []
-
-    def worker():
-        yield Timeout(1.0)
-        return 42
-
-    def waiter(t):
-        value = yield t.done
-        got.append(value)
-
-    task = sim.spawn(worker())
-    sim.spawn(waiter(task))
-    sim.run()
-    assert got == [42]
 
 
 def test_events_processed_counts_callbacks():
