@@ -131,43 +131,30 @@ def test_ablation_backend(benchmark, report):
     """Figure 10's mechanism isolated: swapping the map backend for the
     LSM-style (concurrent-insert) backend removes the blocked-ULT
     serialization spikes even under the C2 flood."""
-    from repro.experiments.hepnos import run_hepnos_experiment as run
+    from repro.cluster import Cluster
     from repro.experiments.presets import THETA_KNL
-    from repro.margo import MargoConfig, MargoInstance
-    from repro.net import Fabric
     from repro.services.hepnos import DataLoader, DataLoaderConfig, HEPnOSService
-    from repro.sim import Simulator
-    from repro.symbiosys import SymbiosysCollector
     from repro.workloads import flatten_to_pairs, generate_event_files
 
     def _run_backend(backend):
         cfg = TABLE_IV["C2"]
-        sim = Simulator()
-        fabric = Fabric(sim, THETA_KNL.fabric)
-        collector = SymbiosysCollector(Stage.FULL)
+        cluster = Cluster(
+            stage=Stage.FULL,
+            preset=THETA_KNL,
+            hg_config=THETA_KNL.hg_config(cfg.ofi_max_events),
+        )
         service = HEPnOSService.deploy(
-            sim, fabric,
+            cluster,
             n_servers=cfg.total_servers,
             servers_per_node=cfg.servers_per_node,
             n_handler_es=cfg.threads,
             n_databases=cfg.databases_per_server,
             backend=backend,
             sdskv_costs=THETA_KNL.map_costs if backend == "map" else None,
-            hg_config=THETA_KNL.hg_config(cfg.ofi_max_events),
-            serialization=THETA_KNL.serialization,
-            ctx_switch_cost=THETA_KNL.ctx_switch_cost,
-            instrumentation_factory=collector.create_instrumentation,
         )
         loaders = []
         for i in range(cfg.total_clients):
-            mi = MargoInstance(
-                sim, fabric, f"cli{i}", f"cnode{i // cfg.clients_per_node}",
-                config=MargoConfig(),
-                hg_config=THETA_KNL.hg_config(cfg.ofi_max_events),
-                serialization=THETA_KNL.serialization,
-                ctx_switch_cost=THETA_KNL.ctx_switch_cost,
-                instrumentation=collector.create_instrumentation(),
-            )
+            mi = cluster.process(f"cli{i}", f"cnode{i // cfg.clients_per_node}")
             loader = DataLoader(
                 mi, service, DataLoaderConfig(batch_size=cfg.batch_size,
                                               pipeline_width=2)
@@ -177,11 +164,15 @@ def test_ablation_backend(benchmark, report):
             )
             loader.load(flatten_to_pairs(files))
             loaders.append(loader)
-        assert sim.run_until(lambda: all(l.done for l in loaders), limit=300.0)
+        assert cluster.run_until(
+            lambda: all(l.done for l in loaders), limit=300.0
+        )
         from repro.symbiosys.analysis import blocked_ult_samples
 
         blocked = np.array(
-            [b for _, b, _ in blocked_ult_samples(collector.all_events())]
+            [b for _, b, _ in blocked_ult_samples(
+                cluster.collector.all_events()
+            )]
         )
         contention = max(
             db.insert_mutex_waiters_high_watermark
@@ -226,23 +217,15 @@ def test_ablation_callpath_depth(benchmark, report):
     """Chains deeper than 4 lose their oldest ancestor -- the 64-bit
     encoding limitation, demonstrated on a live 5-deep service chain."""
     import repro.argobots as abt
-    from repro.margo import MargoConfig, MargoInstance
-    from repro.net import Fabric, FabricConfig
-    from repro.sim import Simulator
-    from repro.symbiosys import SymbiosysCollector, push
+    from repro.cluster import Cluster
 
     def _run_chain():
-        sim = Simulator()
-        fabric = Fabric(sim, FabricConfig())
-        collector = SymbiosysCollector(Stage.FULL)
+        cluster = Cluster(stage=Stage.FULL)
         n_ops = 5  # op1 .. op5: one more link than the encoding can hold
-        tiers = {}
-        for level in range(1, n_ops + 1):
-            tiers[level] = MargoInstance(
-                sim, fabric, f"tier{level}", f"n{level}",
-                config=MargoConfig(n_handler_es=1),
-                instrumentation=collector.create_instrumentation(),
-            )
+        tiers = {
+            level: cluster.process(f"tier{level}", f"n{level}", n_handler_es=1)
+            for level in range(1, n_ops + 1)
+        }
 
         def make_handler(level):
             def handler(mi, handle):
@@ -258,10 +241,7 @@ def test_ablation_callpath_depth(benchmark, report):
             if level < n_ops:
                 tiers[level].register(f"op{level + 1}")  # client-side stub
 
-        client = MargoInstance(
-            sim, fabric, "cli", "nc",
-            instrumentation=collector.create_instrumentation(),
-        )
+        client = cluster.process("cli", "nc")
         client.register("op1")
         done = []
 
@@ -270,8 +250,8 @@ def test_ablation_callpath_depth(benchmark, report):
             done.append(True)
 
         client.client_ult(body())
-        assert sim.run_until(lambda: done, limit=1.0)
-        return collector
+        assert cluster.run_until(lambda: done, limit=1.0)
+        return cluster.collector
 
     collector = run_once(benchmark, _run_chain)
     from repro.symbiosys import components, hash16

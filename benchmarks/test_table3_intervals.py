@@ -6,11 +6,9 @@ strategy the paper assigns to it (ULT-local key vs Mercury PVAR).
 """
 
 import repro.argobots as abt
-from repro.margo import MargoConfig, MargoInstance
+from repro.cluster import Cluster
 from repro.mercury import HGConfig
-from repro.net import Fabric, FabricConfig
-from repro.sim import Simulator
-from repro.symbiosys import ProfileKey, Stage, SymbiosysCollector, push
+from repro.symbiosys import ProfileKey, Stage, push
 from repro.experiments import ascii_table
 from .conftest import run_once
 
@@ -35,21 +33,10 @@ _ORIGIN_SIDE = {
 
 
 def _run_one_rpc():
-    sim = Simulator()
-    fabric = Fabric(sim, FabricConfig())
-    collector = SymbiosysCollector(Stage.FULL)
-    server = MargoInstance(
-        sim, fabric, "svr", "n0",
-        config=MargoConfig(n_handler_es=1),
-        # A small eager buffer so the internal-RDMA interval is exercised.
-        hg_config=HGConfig(eager_size=128),
-        instrumentation=collector.create_instrumentation(),
-    )
-    client = MargoInstance(
-        sim, fabric, "cli", "n1",
-        hg_config=HGConfig(eager_size=128),
-        instrumentation=collector.create_instrumentation(),
-    )
+    # A small eager buffer so the internal-RDMA interval is exercised.
+    cluster = Cluster(stage=Stage.FULL, hg_config=HGConfig(eager_size=128))
+    server = cluster.process("svr", "n0", n_handler_es=1)
+    client = cluster.process("cli", "n1")
 
     def handler(mi, handle):
         yield from mi.get_input(handle)
@@ -65,8 +52,8 @@ def _run_one_rpc():
         done.append(out)
 
     client.client_ult(body())
-    assert sim.run_until(lambda: done, limit=1.0)
-    return collector
+    assert cluster.run_until(lambda: done, limit=1.0)
+    return cluster.collector
 
 
 def test_table3_intervals(benchmark, report):

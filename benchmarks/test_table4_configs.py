@@ -4,10 +4,9 @@ Regenerates the configuration table and verifies each row deploys to a
 working service with the stated shape (server/ES/database counts).
 """
 
+from repro.cluster import Cluster
 from repro.experiments import TABLE_IV, ascii_table, table_iv_rows
-from repro.net import Fabric, FabricConfig
 from repro.services.hepnos import HEPnOSService
-from repro.sim import Simulator
 from .conftest import run_once
 
 PAPER_ROWS = {
@@ -24,11 +23,8 @@ PAPER_ROWS = {
 def _deploy_all():
     shapes = {}
     for name, cfg in TABLE_IV.items():
-        sim = Simulator()
-        fabric = Fabric(sim, FabricConfig())
         service = HEPnOSService.deploy(
-            sim,
-            fabric,
+            Cluster(stage=None),
             n_servers=cfg.total_servers,
             servers_per_node=cfg.servers_per_node,
             n_handler_es=cfg.threads,

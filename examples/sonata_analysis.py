@@ -9,30 +9,19 @@ into its steps (the Figure 7 analysis).
 Run:  python examples/sonata_analysis.py
 """
 
-from repro.margo import MargoConfig, MargoInstance
-from repro.net import Fabric, FabricConfig
+from repro.cluster import Cluster
 from repro.services.sonata import SonataClient, SonataProvider
-from repro.sim import Simulator
-from repro.symbiosys import Stage, SymbiosysCollector
+from repro.symbiosys import Stage
 from repro.experiments import ascii_table, format_seconds, run_sonata_experiment
 from repro.workloads import generate_json_records
 
 
 def interactive_demo() -> None:
     """Use the Sonata API directly (no experiment harness)."""
-    sim = Simulator()
-    fabric = Fabric(sim, FabricConfig())
-    collector = SymbiosysCollector(Stage.FULL)
-    server = MargoInstance(
-        sim, fabric, "db-server", "nodeA",
-        config=MargoConfig(n_handler_es=2),
-        instrumentation=collector.create_instrumentation(),
-    )
+    cluster = Cluster(stage=Stage.FULL)
+    server = cluster.process("db-server", "nodeA", n_handler_es=2)
     SonataProvider(server, provider_id=1)
-    client_mi = MargoInstance(
-        sim, fabric, "analyst", "nodeB",
-        instrumentation=collector.create_instrumentation(),
-    )
+    client_mi = cluster.process("analyst", "nodeB")
     sonata = SonataClient(client_mi)
     records = generate_json_records(2000)
     out = {}
@@ -52,7 +41,7 @@ def interactive_demo() -> None:
         out["size"] = yield from sonata.size("db-server", 1, "telemetry")
 
     client_mi.client_ult(body())
-    assert sim.run_until(lambda: "size" in out, limit=10.0)
+    assert cluster.run_until(lambda: "size" in out, limit=10.0)
     expected = [r for r in records if r["tag"] == "alpha" and r["score"] > 0.5]
     assert out["alphas"] == expected
     print(f"stored {out['size']} documents; remote Jx9 filter matched "

@@ -61,9 +61,6 @@ class AbtRuntime:
             raise ValueError("scheduler observer already subscribed")
         self._sched_observers.append(observer)
 
-    def remove_sched_observer(self, observer) -> None:
-        self._sched_observers.remove(observer)
-
     # -- construction ------------------------------------------------------
 
     def create_pool(self, name: str = "") -> Pool:

@@ -1,11 +1,11 @@
-"""One-stop construction of a simulated Mochi cluster.
+"""One-stop construction of a simulated Mochi deployment.
 
-Every experiment used to assemble the same boilerplate by hand: a
-:class:`~repro.sim.Simulator`, a :class:`~repro.net.Fabric`, a
+A deployment is a :class:`~repro.sim.Simulator`, a
+:class:`~repro.net.Fabric`, an optional
 :class:`~repro.symbiosys.SymbiosysCollector`, and one
-:class:`~repro.margo.MargoInstance` per process, each wired to a fresh
-instrumentation object.  :class:`Cluster` bundles that into a single
-builder with a context-manager lifecycle::
+:class:`~repro.margo.MargoInstance` per process, each wired to its own
+instrumentation object.  :class:`Cluster` is the one place that builds
+them, with a context-manager lifecycle::
 
     with Cluster(seed=42, stage=Stage.FULL) as cluster:
         server = cluster.process("server", "node1", n_handler_es=2)
@@ -18,8 +18,13 @@ On exit every process is finalized and the event queue drained, so a
 cluster tears down without leaking pending simulator events
 (:attr:`leaked_events` reports any that survived the drain).
 
-The old construction paths keep working -- ``Cluster`` only composes the
-public constructors; nothing below depends on it.
+Services deploy onto a cluster or a process rather than building their
+own: ``HEPnOSService.deploy(cluster, ...)``,
+``MobjectCluster.deploy(cluster, ...)``,
+``ShardedKVService.deploy(cluster, n)``, ``SonataProvider(mi, pid)``.
+Every experiment harness, example and benchmark that runs Margo
+processes builds them here, so a preset's cost model reaches every
+process of the run.
 
 Faults: pass a :class:`~repro.faults.FaultPlan` and the cluster creates a
 :class:`~repro.faults.FaultInjector` seeded from the cluster's
@@ -55,9 +60,8 @@ class Cluster:
 
     ``stage`` selects the SYMBIOSYS support level for the bundled
     collector; ``None`` disables instrumentation entirely (the Baseline).
-    ``instrumentation_factory`` overrides the collector wiring with any
-    callable returning an :class:`~repro.margo.Instrumentation` per
-    process.
+    :meth:`process` takes an ``instrumentation`` object to override the
+    collector's for one process.
     """
 
     def __init__(
@@ -72,7 +76,6 @@ class Cluster:
         ctx_switch_cost: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
-        instrumentation_factory: Optional[Callable[[], Instrumentation]] = None,
         monitoring: Union[None, bool, MonitorConfig] = None,
         validate: Union[None, bool, ValidationConfig] = None,
         store: Union[None, str, Any] = None,
@@ -116,7 +119,6 @@ class Cluster:
         self.collector: Optional[SymbiosysCollector] = (
             SymbiosysCollector(stage) if stage is not None else None
         )
-        self._instr_factory = instrumentation_factory
 
         self.injector: Optional[FaultInjector] = None
         if fault_plan is not None:
@@ -190,11 +192,8 @@ class Cluster:
             raise ValueError("pass either config or config keywords, not both")
         if config is None and config_kw:
             config = MargoConfig(**config_kw)
-        if instrumentation is None:
-            if self._instr_factory is not None:
-                instrumentation = self._instr_factory()
-            elif self.collector is not None:
-                instrumentation = self.collector.create_instrumentation()
+        if instrumentation is None and self.collector is not None:
+            instrumentation = self.collector.create_instrumentation()
         mi = MargoInstance(
             self.sim,
             self.fabric,

@@ -29,7 +29,6 @@ path trace per config.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from ..symbiosys.critical import CATEGORIES, CriticalReport, analyze_collector
@@ -197,17 +196,8 @@ def run_breakdown_experiment(
         if store is not None:
             from ..store import record_cluster_run
 
-            # run_hepnos_experiment deploys raw MargoInstances rather
-            # than a Cluster; a shim with the same duck type feeds the
-            # same store sink.
-            shim = SimpleNamespace(
-                seed=seed,
-                monitor=result.monitor,
-                collector=result.collector,
-                fault_events=lambda: (),
-            )
             record_cluster_run(
-                store, shim,
+                store, result.cluster,
                 name=f"breakdown-{name}-seed{seed}",
                 tags={
                     "experiment": "breakdown",

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..margo import MargoConfig, MargoInstance
-from ..net import Fabric
+from ..cluster import Cluster
 from ..services.hepnos import DataLoader, DataLoaderConfig, HEPnOSService
-from ..sim import Simulator, all_of
+from ..sim import all_of
 from ..symbiosys import Stage, SymbiosysCollector
 from ..symbiosys.analysis import (
     ProfileSummary,
@@ -45,7 +44,9 @@ TARGET_COMPONENTS = (
 @dataclass
 class HEPnOSExperimentResult:
     config: HEPnOSConfig
-    collector: SymbiosysCollector
+    #: The deployment the run used (not shut down: see
+    #: :func:`run_hepnos_experiment`).
+    cluster: Cluster
     makespan: float
     events_stored: int
     rpcs_issued: int
@@ -53,9 +54,17 @@ class HEPnOSExperimentResult:
     server_addrs: list[str]
     #: PolicyEngines attached by the autotuning extension (if any).
     policy_engines: list = field(default_factory=list)
-    #: Online telemetry monitor (when the run was monitored; else None).
-    monitor: Optional[Monitor] = None
     _summary: Optional[ProfileSummary] = field(default=None, repr=False)
+
+    @property
+    def collector(self) -> SymbiosysCollector:
+        return self.cluster.collector
+
+    @property
+    def monitor(self) -> Optional[Monitor]:
+        """Online telemetry monitor (when the run was monitored; else
+        None)."""
+        return self.cluster.monitor
 
     @property
     def throughput(self) -> float:
@@ -128,7 +137,6 @@ def run_hepnos_experiment(
     pipeline_width: Optional[int] = None,
     seed: int = 7,
     time_limit: float = 300.0,
-    collector: Optional[SymbiosysCollector] = None,
     client_policy_factory=None,
     server_policy_factory=None,
     monitoring: Optional[MonitorConfig] = None,
@@ -143,33 +151,27 @@ def run_hepnos_experiment(
 
     ``monitoring`` attaches an online :class:`Monitor` to every process
     for the duration of the run (returned as ``result.monitor``).
-    """
-    sim = Simulator()
-    fabric = Fabric(sim, preset.fabric)
-    collector = collector or SymbiosysCollector(stage)
-    hg_config = preset.hg_config(ofi_max_events=config.ofi_max_events)
 
+    The cluster is not shut down: the monitor stops when the last
+    loader finishes, and nothing after that instant runs, so the
+    results cover exactly the load.
+    """
+    cluster = Cluster(
+        seed=seed,
+        stage=stage,
+        preset=preset,
+        hg_config=preset.hg_config(ofi_max_events=config.ofi_max_events),
+        monitoring=monitoring,
+    )
     service = HEPnOSService.deploy(
-        sim,
-        fabric,
+        cluster,
         n_servers=config.total_servers,
         servers_per_node=config.servers_per_node,
         n_handler_es=config.threads,
         n_databases=config.databases_per_server,
         backend="map",
         sdskv_costs=preset.map_costs,
-        hg_config=hg_config,
-        serialization=preset.serialization,
-        ctx_switch_cost=preset.ctx_switch_cost,
-        instrumentation_factory=collector.create_instrumentation,
     )
-
-    monitor: Optional[Monitor] = None
-    if monitoring is not None:
-        monitor = Monitor(sim, monitoring, fabric=fabric)
-        for server_mi in service.servers:
-            monitor.attach(server_mi)
-        monitor.start()
 
     if pipeline_width is None:
         windows = max(1, events_per_client // config.batch_size)
@@ -187,18 +189,10 @@ def run_hepnos_experiment(
     for i in range(config.total_clients):
         addr = f"cli{i}"
         client_addrs.append(addr)
-        mi = MargoInstance(
-            sim,
-            fabric,
+        mi = cluster.process(
             addr,
             f"cnode{i // config.clients_per_node}",
-            config=MargoConfig(
-                use_progress_thread=config.client_progress_thread
-            ),
-            hg_config=hg_config,
-            serialization=preset.serialization,
-            ctx_switch_cost=preset.ctx_switch_cost,
-            instrumentation=collector.create_instrumentation(),
+            use_progress_thread=config.client_progress_thread,
         )
         files = generate_event_files(
             n_files=1,
@@ -221,32 +215,28 @@ def run_hepnos_experiment(
             engine = client_policy_factory(mi)
             if engine is not None:
                 policy_engines.append(engine)
-        if monitor is not None:
-            monitor.attach(mi)
         loader.load(flatten_to_pairs(files))
         loaders.append(loader)
 
     all_loaded = all_of(
-        sim, (ld.all_done for ld in loaders), name="hepnos-loaders-done"
+        cluster.sim, (ld.all_done for ld in loaders), name="hepnos-loaders-done"
     )
-    finished = sim.run_until_event(all_loaded, limit=time_limit)
-    if monitor is not None:
-        monitor.stop()
+    finished = cluster.run_until_event(all_loaded, limit=time_limit)
+    if cluster.monitor is not None:
+        cluster.monitor.stop()
     if not finished:
         raise RuntimeError(
             f"{config.name}: data-loader did not finish within "
             f"{time_limit} simulated seconds"
         )
 
-    result = HEPnOSExperimentResult(
+    return HEPnOSExperimentResult(
         config=config,
-        collector=collector,
+        cluster=cluster,
         makespan=max(ld.finished_at for ld in loaders),
         events_stored=sum(ld.events_stored for ld in loaders),
         rpcs_issued=sum(ld.client.rpcs_issued for ld in loaders),
         client_addrs=client_addrs,
         server_addrs=[s.addr for s in service.servers],
+        policy_engines=policy_engines,
     )
-    result.policy_engines = policy_engines
-    result.monitor = monitor
-    return result

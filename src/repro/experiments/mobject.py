@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..margo import MargoInstance
-from ..net import Fabric
+from ..cluster import Cluster
 from ..services.mobject import MobjectProviderNode
-from ..sim import Simulator
 from ..symbiosys import Stage, SymbiosysCollector
 from ..symbiosys.analysis import (
     ProfileSummary,
@@ -31,9 +29,13 @@ __all__ = ["MobjectExperimentResult", "run_mobject_experiment"]
 
 @dataclass
 class MobjectExperimentResult:
-    collector: SymbiosysCollector
+    cluster: Cluster
     makespan: float
     clients: list[IorClient]
+
+    @property
+    def collector(self) -> SymbiosysCollector:
+        return self.cluster.collector
 
     @property
     def summary(self) -> ProfileSummary:
@@ -67,36 +69,22 @@ def run_mobject_experiment(
     n_handler_es: int = 8,
     time_limit: float = 60.0,
 ) -> MobjectExperimentResult:
-    sim = Simulator()
-    fabric = Fabric(sim, preset.fabric)
-    collector = SymbiosysCollector(stage)
-
-    provider = MobjectProviderNode(
-        sim,
-        fabric,
-        "mobject0",
-        "node0",
-        n_handler_es=n_handler_es,
-        sdskv_costs=preset.map_costs,
-        instrumentation=collector.create_instrumentation(),
-    )
-    clients = []
-    for rank in range(n_clients):
-        mi = MargoInstance(
-            sim,
-            fabric,
-            f"ior{rank}",
-            "node0",  # colocated with the provider node
-            serialization=preset.serialization,
-            ctx_switch_cost=preset.ctx_switch_cost,
-            instrumentation=collector.create_instrumentation(),
+    cluster = Cluster(stage=stage, preset=preset)
+    provider = cluster.process("mobject0", "node0", n_handler_es=n_handler_es)
+    MobjectProviderNode(provider, sdskv_costs=preset.map_costs)
+    clients = [
+        IorClient(
+            # Colocated with the provider node.
+            cluster.process(f"ior{rank}", "node0"),
+            "mobject0",
+            rank,
+            ior_config or IorConfig(),
         )
-        clients.append(
-            IorClient(mi, "mobject0", rank, ior_config or IorConfig())
-        )
+        for rank in range(n_clients)
+    ]
     all_done = run_ior_clients(clients)
 
-    finished = sim.run_until_event(all_done, limit=time_limit)
+    finished = cluster.run_until_event(all_done, limit=time_limit)
     if not finished:
         raise RuntimeError("ior clients did not finish in time")
     for c in clients:
@@ -106,7 +94,7 @@ def run_mobject_experiment(
                 f"{c.read_mismatches} read mismatches"
             )
     return MobjectExperimentResult(
-        collector=collector,
+        cluster=cluster,
         makespan=max(c.finished_at for c in clients),
         clients=clients,
     )

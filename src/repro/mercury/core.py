@@ -223,9 +223,6 @@ class HGCore:
             raise ValueError("progress observer already subscribed")
         self._progress_observers.append(observer)
 
-    def remove_progress_observer(self, observer) -> None:
-        self._progress_observers.remove(observer)
-
     @property
     def addr(self) -> str:
         return self.endpoint.addr

@@ -14,10 +14,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from ...margo import MargoConfig, MargoInstance
-from ...mercury import HGConfig
-from ...net import Fabric
-from ...sim import Simulator
+from ...margo import MargoInstance
 from ...ssg import SSGGroup
 from ..bake import BakeProvider
 from ..sdskv import BackendCosts, SdskvClient, SdskvProvider
@@ -53,8 +50,7 @@ class HEPnOSService:
     @classmethod
     def deploy(
         cls,
-        sim: Simulator,
-        fabric: Fabric,
+        cluster,
         *,
         n_servers: int,
         servers_per_node: int,
@@ -62,34 +58,20 @@ class HEPnOSService:
         n_databases: int,
         backend: str = "map",
         sdskv_costs: Optional[BackendCosts] = None,
-        hg_config: Optional[HGConfig] = None,
-        serialization=None,
-        ctx_switch_cost: float = 50e-9,
-        instrumentation_factory=None,
         addr_prefix: str = "hepnos",
         node_prefix: str = "snode",
     ) -> "HEPnOSService":
-        """Create the server processes.  ``n_databases`` is per provider
-        (Table IV's "Databases" divided across servers is handled by the
-        caller passing per-server counts)."""
+        """Create the server processes on ``cluster`` (a
+        :class:`~repro.cluster.Cluster`).  ``n_databases`` is per
+        provider (Table IV's "Databases" divided across servers is
+        handled by the caller passing per-server counts)."""
         if n_servers < 1 or servers_per_node < 1:
             raise ValueError("need at least one server and one per node")
         service = cls()
-        mk_instr = instrumentation_factory or (lambda: None)
         for i in range(n_servers):
             node = f"{node_prefix}{i // servers_per_node}"
             addr = f"{addr_prefix}{i}"
-            mi = MargoInstance(
-                sim,
-                fabric,
-                addr,
-                node,
-                config=MargoConfig(n_handler_es=n_handler_es),
-                hg_config=hg_config,
-                serialization=serialization,
-                ctx_switch_cost=ctx_switch_cost,
-                instrumentation=mk_instr(),
-            )
+            mi = cluster.process(addr, node, n_handler_es=n_handler_es)
             service.servers.append(mi)
             service.bake_providers.append(BakeProvider(mi, PID_BAKE))
             service.sdskv_providers.append(

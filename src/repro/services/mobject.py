@@ -19,11 +19,9 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..argobots import Compute
-from ..margo import MargoConfig, MargoInstance
+from ..margo import MargoInstance
 from ..mercury import BulkRef, HGHandle
-from ..net import Fabric
-from ..sim import Simulator
-from .bake import BakeClient, BakeCosts, BakeProvider
+from .bake import BakeClient, BakeProvider
 from .sdskv import BackendCosts, SdskvClient, SdskvProvider
 
 __all__ = ["MobjectProviderNode", "MobjectClient"]
@@ -43,37 +41,16 @@ _SEQUENCER_STEP_COST = 0.3e-6
 
 
 class MobjectProviderNode:
-    """One Mobject server process: sequencer + BAKE + SDSKV providers."""
+    """One Mobject server process: sequencer + BAKE + SDSKV providers,
+    registered on ``mi``."""
 
     def __init__(
-        self,
-        sim: Simulator,
-        fabric: Fabric,
-        addr: str,
-        node: str,
-        *,
-        n_handler_es: int = 4,
-        sdskv_backend: str = "map",
-        sdskv_costs: Optional[BackendCosts] = None,
-        bake_costs: Optional[BakeCosts] = None,
-        instrumentation=None,
-        margo_config: Optional[MargoConfig] = None,
+        self, mi: MargoInstance, *, sdskv_costs: Optional[BackendCosts] = None
     ):
-        self.mi = MargoInstance(
-            sim,
-            fabric,
-            addr,
-            node,
-            config=margo_config or MargoConfig(n_handler_es=n_handler_es),
-            instrumentation=instrumentation,
-        )
-        self.bake = BakeProvider(self.mi, PID_BAKE, costs=bake_costs)
+        self.mi = mi
+        self.bake = BakeProvider(mi, PID_BAKE)
         self.sdskv = SdskvProvider(
-            self.mi,
-            PID_SDSKV,
-            backend=sdskv_backend,
-            n_databases=1,
-            costs=sdskv_costs,
+            mi, PID_SDSKV, backend="map", n_databases=1, costs=sdskv_costs
         )
         # Loopback clients used by the sequencer for its discrete steps.
         self._bake_cli = BakeClient(self.mi)

@@ -9,11 +9,9 @@ the owning node -- composing Mobject, SSG, and the Margo substrate.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from ..margo import MargoInstance
-from ..net import Fabric
-from ..sim import Simulator
 from ..ssg import SSGGroup
 from .mobject import MobjectClient, MobjectProviderNode
 
@@ -30,31 +28,28 @@ class MobjectCluster:
     @classmethod
     def deploy(
         cls,
-        sim: Simulator,
-        fabric: Fabric,
+        cluster,
         *,
         n_provider_nodes: int,
         n_handler_es: int = 4,
-        instrumentation_factory=None,
         addr_prefix: str = "mobject",
         node_prefix: str = "mnode",
     ) -> "MobjectCluster":
+        """Create the provider-node processes on ``cluster`` (a
+        :class:`~repro.cluster.Cluster`)."""
         if n_provider_nodes < 1:
             raise ValueError("need at least one provider node")
-        cluster = cls()
-        mk_instr = instrumentation_factory or (lambda: None)
+        out = cls()
         for i in range(n_provider_nodes):
-            node = MobjectProviderNode(
-                sim,
-                fabric,
+            mi = cluster.process(
                 f"{addr_prefix}{i}",
                 f"{node_prefix}{i}",
                 n_handler_es=n_handler_es,
-                instrumentation=mk_instr(),
             )
-            cluster.nodes.append(node)
-            cluster.group.join(node.addr)
-        return cluster
+            node = MobjectProviderNode(mi)
+            out.nodes.append(node)
+            out.group.join(node.addr)
+        return out
 
     @property
     def size(self) -> int:

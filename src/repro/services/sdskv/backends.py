@@ -68,10 +68,6 @@ class KVDatabase:
         return len(self._data)
 
     @property
-    def insert_mutex_waiters(self) -> int:
-        return self._mutex.waiting if self._mutex is not None else 0
-
-    @property
     def insert_mutex_waiters_high_watermark(self) -> int:
         """Peak number of ULTs ever queued on the insert mutex (0 for
         backends with concurrent inserts)."""

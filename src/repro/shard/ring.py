@@ -121,10 +121,3 @@ class HashRing:
         if i == len(self._tokens):
             i = 0
         return self._owners[i]
-
-    def token_counts(self) -> dict[str, int]:
-        """Virtual-node count actually placed per node (sorted keys)."""
-        counts: dict[str, int] = {}
-        for o in self._owners:
-            counts[o] = counts.get(o, 0) + 1
-        return dict(sorted(counts.items()))

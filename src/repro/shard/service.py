@@ -191,10 +191,6 @@ class ShardKvProvider:
         self.forwards.clear()
 
     @property
-    def owned_shards(self) -> list[int]:
-        return sorted(self.shards)
-
-    @property
     def bytes_stored(self) -> int:
         return sum(db.bytes_stored for db in self.shards.values())
 

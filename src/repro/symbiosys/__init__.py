@@ -11,10 +11,9 @@ Public surface:
 * :class:`Monitor` / :class:`MonitorConfig` -- always-on online
   telemetry: periodic sampling into ring-buffer time-series, scheduler
   slice recording, and anomaly detection.
-* :mod:`repro.symbiosys.export` -- the unified export surface
-  (Prometheus text, CSV time-series, profile CSV, trace JSON,
-  Perfetto, and the persistent performance store) behind one
-  ``Exporter`` registry.
+* :mod:`repro.symbiosys.export` -- Prometheus text, CSV time-series,
+  profile CSV and trace JSON; :mod:`repro.symbiosys.perfetto` -- the
+  Perfetto/Chrome timeline.
 """
 
 from .callpath import MAX_DEPTH, CallpathRegistry, components, depth, hash16, push

@@ -60,37 +60,12 @@ class SymbiosysCollector:
                 merged[name] = merged.get(name, 0) + value
         return merged
 
-    def resilience_by_process(self) -> dict[str, dict[str, int]]:
-        """Per-process degraded-mode gauges, keyed by address."""
-        return {
-            instr.process: instr.resilience_counters()
-            for instr in self.instruments
-            if instr.process is not None
-        }
-
     def all_events(self) -> list[TraceEvent]:
         events: list[TraceEvent] = []
         for instr in self.instruments:
             if instr.trace is not None:
                 events.extend(instr.trace.events)
         return events
-
-    def events_by_process(self) -> dict[str, list[TraceEvent]]:
-        out: dict[str, list[TraceEvent]] = {}
-        for instr in self.instruments:
-            if instr.trace is not None:
-                out[instr.trace.process] = list(instr.trace.events)
-        return out
-
-    def all_annotations(self) -> list[FaultAnnotation]:
-        """Every fault annotation recorded into any process's trace
-        buffer, in firing order (stable across same-seed runs)."""
-        anns: list[FaultAnnotation] = []
-        for instr in self.instruments:
-            if instr.trace is not None:
-                anns.extend(instr.trace.annotations)
-        anns.sort(key=lambda a: (a.time, a.kind, a.detail))
-        return anns
 
     def annotations_by_process(self) -> dict[str, list[FaultAnnotation]]:
         return {

@@ -782,12 +782,6 @@ class Monitor:
             )
         return "\n".join(lines)
 
-    def record_to(self, writer, run_id: int) -> None:
-        """Archive this monitor's telemetry (time-series, findings,
-        scheduler slices) under ``run_id`` via a
-        :class:`repro.store.StoreWriter`.  The caller flushes."""
-        writer.record_monitor(run_id, self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Monitor(processes={len(self._processes)}, "

@@ -25,6 +25,13 @@ def test_table4_runs(capsys):
     assert "[table4 done" in captured.err
 
 
+def test_fig5_fig6_run(capsys):
+    assert main(["fig5", "fig6"]) == 0
+    out = capsys.readouterr().out
+    assert "step 12: " in out
+    assert "mobject_read_op -> sdskv_list_keyvals_rpc" in out
+
+
 def test_fig7_runs(capsys):
     assert main(["fig7"]) == 0
     out = capsys.readouterr().out

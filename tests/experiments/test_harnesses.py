@@ -11,6 +11,7 @@ from repro.experiments import (
     time_analysis_scripts,
 )
 from repro.experiments.overhead import OVERHEAD_STAGES
+from repro.experiments.presets import THETA_KNL
 from repro.symbiosys import Stage
 from repro.workloads import IorConfig
 
@@ -87,6 +88,20 @@ def test_mobject_experiment_smoke():
     assert len(trace.discrete_calls()) == 12
     spans = result.write_op_zipkin()
     assert len(spans) == 13  # root + 12 children
+
+
+def test_mobject_experiment_applies_preset_to_every_process():
+    result = run_mobject_experiment(
+        n_clients=1,
+        ior_config=IorConfig(objects_per_client=1, read_iterations=1),
+        preset=THETA_KNL,
+    )
+    processes = result.cluster.processes
+    assert sorted(processes) == ["ior0", "mobject0"]
+    for mi in processes.values():
+        assert mi.hg.serialization == THETA_KNL.serialization
+        assert mi.hg.config == THETA_KNL.hg_config()
+        assert mi.rt.ctx_switch_cost == THETA_KNL.ctx_switch_cost
 
 
 def test_sonata_experiment_smoke():

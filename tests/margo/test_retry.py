@@ -249,13 +249,13 @@ def test_retry_hooks_fire_on_instrumentation():
             self.retries.append((attempt, target))
 
     recorder = Recorder()
-    with Cluster(
-        seed=0, stage=None, instrumentation_factory=lambda: recorder
-    ) as cluster:
+    with Cluster(seed=0, stage=None) as cluster:
         handler, _ = _slow_then_fast_handler(stalls=1)
-        server = cluster.process("svr", "nA", n_handler_es=2)
+        server = cluster.process(
+            "svr", "nA", n_handler_es=2, instrumentation=recorder
+        )
         server.register("echo", handler)
-        client = cluster.process("cli", "nB")
+        client = cluster.process("cli", "nB", instrumentation=recorder)
         client.register("echo")
         policy = RetryPolicy(max_attempts=3, timeout=1e-3, backoff=0.1e-3)
         results = []

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.margo import MargoInstance
-from repro.net import Fabric, FabricConfig
+from repro.cluster import Cluster
 from repro.services.hepnos import (
     DataLoader,
     DataLoaderConfig,
@@ -13,7 +12,6 @@ from repro.services.hepnos import (
     event_key,
     parse_event_key,
 )
-from repro.sim import Simulator
 from repro.workloads import flatten_to_pairs, generate_event_files
 
 
@@ -54,11 +52,9 @@ def make_hepnos_world(
     n_clients=1,
     **deploy_kw,
 ):
-    sim = Simulator()
-    fabric = Fabric(sim, FabricConfig())
+    cluster = Cluster(stage=None)
     service = HEPnOSService.deploy(
-        sim,
-        fabric,
+        cluster,
         n_servers=n_servers,
         servers_per_node=servers_per_node,
         n_handler_es=n_handler_es,
@@ -66,10 +62,9 @@ def make_hepnos_world(
         **deploy_kw,
     )
     clients = [
-        MargoInstance(sim, fabric, f"cli{i}", f"cnode{i}")
-        for i in range(n_clients)
+        cluster.process(f"cli{i}", f"cnode{i}") for i in range(n_clients)
     ]
-    return sim, service, clients
+    return cluster.sim, service, clients
 
 
 def test_deploy_layout():
@@ -87,11 +82,13 @@ def test_deploy_layout():
 
 
 def test_deploy_validation():
-    sim = Simulator()
-    fabric = Fabric(sim, FabricConfig())
     with pytest.raises(ValueError):
         HEPnOSService.deploy(
-            sim, fabric, n_servers=0, servers_per_node=1, n_handler_es=1, n_databases=1
+            Cluster(stage=None),
+            n_servers=0,
+            servers_per_node=1,
+            n_handler_es=1,
+            n_databases=1,
         )
 
 

@@ -2,22 +2,19 @@
 
 import pytest
 
-from repro.margo import MargoInstance
-from repro.net import Fabric, FabricConfig
+from repro.cluster import Cluster
 from repro.services.hepnos import DataSet, HEPnOSClient, HEPnOSService
-from repro.sim import Simulator
 
 
 def make_world():
-    sim = Simulator()
-    fabric = Fabric(sim, FabricConfig())
+    cluster = Cluster(stage=None)
     service = HEPnOSService.deploy(
-        sim, fabric, n_servers=2, servers_per_node=1,
+        cluster, n_servers=2, servers_per_node=1,
         n_handler_es=4, n_databases=4,
     )
-    mi = MargoInstance(sim, fabric, "cli", "cnode0")
+    mi = cluster.process("cli", "cnode0")
     client = HEPnOSClient(mi, service)
-    return sim, mi, client
+    return cluster.sim, mi, client
 
 
 def run_gen(sim, mi, gen, limit=10.0):

@@ -2,35 +2,20 @@
 
 import pytest
 
-from repro.margo import MargoInstance
-from repro.net import Fabric, FabricConfig
+from repro.cluster import Cluster
 from repro.services.mobject import MobjectClient, MobjectProviderNode
-from repro.sim import Simulator
-from repro.symbiosys import Stage, SymbiosysCollector, push
+from repro.symbiosys import Stage, push
 
 
 def make_mobject_world(stage=None, n_handler_es=4):
-    sim = Simulator()
-    fabric = Fabric(sim, FabricConfig())
-    collector = SymbiosysCollector(stage) if stage is not None else None
-
+    cluster = Cluster(stage=stage)
     node = MobjectProviderNode(
-        sim,
-        fabric,
-        "mobj0",
-        "n0",
-        n_handler_es=n_handler_es,
-        instrumentation=collector.create_instrumentation() if collector else None,
+        cluster.process("mobj0", "n0", n_handler_es=n_handler_es)
     )
-    client_mi = MargoInstance(
-        sim,
-        fabric,
-        "cli",
-        "n0",  # colocated, like the paper's ior setup
-        instrumentation=collector.create_instrumentation() if collector else None,
-    )
+    # Colocated, like the paper's ior setup.
+    client_mi = cluster.process("cli", "n0")
     client = MobjectClient(client_mi)
-    return sim, node, client_mi, client, collector
+    return cluster.sim, node, client_mi, client, cluster.collector
 
 
 def run_body(sim, client_mi, gen, until=5.0):
@@ -152,12 +137,12 @@ def test_multiple_writes_accumulate_extents():
 
 
 def test_concurrent_clients_all_complete():
-    sim = Simulator()
-    fabric = Fabric(sim, FabricConfig())
-    node = MobjectProviderNode(sim, fabric, "mobj0", "n0", n_handler_es=4)
+    cluster = Cluster(stage=None)
+    sim = cluster.sim
+    MobjectProviderNode(cluster.process("mobj0", "n0", n_handler_es=4))
     results = []
     for rank in range(6):
-        mi = MargoInstance(sim, fabric, f"cli{rank}", "n0")
+        mi = cluster.process(f"cli{rank}", "n0")
         cl = MobjectClient(mi)
 
         def body(c=cl, r=rank):

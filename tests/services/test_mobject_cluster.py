@@ -2,19 +2,16 @@
 
 import pytest
 
-from repro.margo import MargoInstance
-from repro.net import Fabric, FabricConfig
+from repro.cluster import Cluster
 from repro.services.mobject_cluster import MobjectCluster, MobjectClusterClient
-from repro.sim import Simulator
 
 
 def make_cluster(n_nodes=3):
-    sim = Simulator()
-    fabric = Fabric(sim, FabricConfig())
-    cluster = MobjectCluster.deploy(sim, fabric, n_provider_nodes=n_nodes)
-    mi = MargoInstance(sim, fabric, "cli", "cn0")
+    deployment = Cluster(stage=None)
+    cluster = MobjectCluster.deploy(deployment, n_provider_nodes=n_nodes)
+    mi = deployment.process("cli", "cn0")
     client = MobjectClusterClient(mi, cluster)
-    return sim, cluster, mi, client
+    return deployment.sim, cluster, mi, client
 
 
 def run_gen(sim, mi, gen, limit=10.0):
@@ -29,10 +26,8 @@ def run_gen(sim, mi, gen, limit=10.0):
 
 
 def test_deploy_validates():
-    sim = Simulator()
-    fabric = Fabric(sim, FabricConfig())
     with pytest.raises(ValueError):
-        MobjectCluster.deploy(sim, fabric, n_provider_nodes=0)
+        MobjectCluster.deploy(Cluster(stage=None), n_provider_nodes=0)
 
 
 def test_group_membership_matches_nodes():

@@ -2,19 +2,16 @@
 
 import pytest
 
-from repro.margo import MargoInstance
-from repro.net import Fabric, FabricConfig
+from repro.cluster import Cluster
 from repro.services.mobject import MobjectClient, MobjectProviderNode
-from repro.sim import Simulator
 
 
 def make_world():
-    sim = Simulator()
-    fabric = Fabric(sim, FabricConfig())
-    node = MobjectProviderNode(sim, fabric, "mobj0", "n0", n_handler_es=4)
-    mi = MargoInstance(sim, fabric, "cli", "n0")
+    cluster = Cluster(stage=None)
+    node = MobjectProviderNode(cluster.process("mobj0", "n0", n_handler_es=4))
+    mi = cluster.process("cli", "n0")
     client = MobjectClient(mi)
-    return sim, node, mi, client
+    return cluster.sim, node, mi, client
 
 
 def run_gen(sim, mi, gen, limit=5.0):

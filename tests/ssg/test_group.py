@@ -79,14 +79,11 @@ def test_observers_notified_on_changes():
 
 
 def test_hepnos_service_exposes_group():
-    from repro.net import Fabric, FabricConfig
+    from repro.cluster import Cluster
     from repro.services.hepnos import HEPnOSService
-    from repro.sim import Simulator
 
-    sim = Simulator()
-    fabric = Fabric(sim, FabricConfig())
     service = HEPnOSService.deploy(
-        sim, fabric, n_servers=3, servers_per_node=1,
+        Cluster(stage=None), n_servers=3, servers_per_node=1,
         n_handler_es=1, n_databases=1,
     )
     assert service.group.size == 3

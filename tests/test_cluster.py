@@ -1,5 +1,8 @@
 """Cluster facade: construction, wiring, and teardown guarantees."""
 
+import ast
+import pathlib
+
 import pytest
 
 from repro.cluster import Cluster
@@ -13,9 +16,11 @@ from repro.symbiosys import Stage
 from .margo.conftest import echo_handler
 
 
-def _echo_pair(cluster):
-    server = cluster.process("svr", "nA", n_handler_es=1)
-    client = cluster.process("cli", "nB")
+def _echo_pair(cluster, instrumentation=None):
+    server = cluster.process(
+        "svr", "nA", n_handler_es=1, instrumentation=instrumentation
+    )
+    client = cluster.process("cli", "nB", instrumentation=instrumentation)
     server.register("echo", echo_handler)
     client.register("echo")
     return server, client
@@ -125,8 +130,8 @@ def test_custom_instrumentation_hooks_fire():
             self.handled += 1
 
     instr = Counting()
-    with Cluster(stage=None, instrumentation_factory=lambda: instr) as cluster:
-        _, client = _echo_pair(cluster)
+    with Cluster(stage=None) as cluster:
+        _, client = _echo_pair(cluster, instrumentation=instr)
         _run_one_echo(client, cluster.sim)
     assert instr.forwards == 1
     assert instr.handled == 1
@@ -157,3 +162,21 @@ def test_no_fault_plan_means_no_injector():
                 "num_late_responses_dropped": 0,
             }
         }
+
+
+def test_processes_are_built_only_by_cluster():
+    """Every Margo process outside the unit-test harness comes from
+    ``Cluster.process``, so a preset's cost model reaches all of them."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    callers = set()
+    for top in ("src/repro", "examples", "benchmarks"):
+        for path in sorted((root / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "MargoInstance":
+                    callers.add(path.relative_to(root).as_posix())
+    assert callers == {"src/repro/cluster.py"}

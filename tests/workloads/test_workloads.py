@@ -47,17 +47,14 @@ def test_ior_object_ids_unique_per_rank():
 
 
 def test_ior_end_to_end_verifies_data():
-    from repro.margo import MargoInstance
-    from repro.net import Fabric, FabricConfig
+    from repro.cluster import Cluster
     from repro.services.mobject import MobjectProviderNode
-    from repro.sim import Simulator
 
-    sim = Simulator()
-    fabric = Fabric(sim, FabricConfig())
-    MobjectProviderNode(sim, fabric, "mobj", "n0", n_handler_es=4)
+    cluster = Cluster(stage=None)
+    MobjectProviderNode(cluster.process("mobj", "n0", n_handler_es=4))
     clients = [
         IorClient(
-            MargoInstance(sim, fabric, f"ior{r}", "n0"),
+            cluster.process(f"ior{r}", "n0"),
             "mobj",
             r,
             IorConfig(objects_per_client=2, transfer_size=2048,
@@ -66,7 +63,7 @@ def test_ior_end_to_end_verifies_data():
         for r in range(3)
     ]
     run_ior_clients(clients)
-    assert sim.run_until(
+    assert cluster.run_until(
         lambda: all(c.finished_at is not None for c in clients), limit=10.0
     )
     for c in clients:
