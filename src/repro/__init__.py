@@ -13,7 +13,7 @@ Package map (bottom-up):
 * :mod:`repro.symbiosys` -- THE PAPER'S CONTRIBUTION: callpath profiling,
   distributed tracing, PVAR fusion, analysis scripts, Zipkin export,
   and the in-situ policy engine
-* :mod:`repro.services`  -- BAKE, SDSKV, Sonata, REMI, Mobject, HEPnOS
+* :mod:`repro.services`  -- BAKE, SDSKV, Sonata, Mobject, HEPnOS
 * :mod:`repro.workloads` -- ior, synthetic event files, JSON records
 * :mod:`repro.experiments` -- Table IV configs and per-figure harnesses
   (also a CLI: ``python -m repro.experiments``)

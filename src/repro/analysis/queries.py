@@ -49,6 +49,7 @@ from typing import Callable, Sequence
 from .stats import (
     bootstrap_ci,
     bootstrap_delta_ci,
+    check_bootstrap,
     mean,
     percentile,
     round9,
@@ -69,12 +70,26 @@ def _stat_fn(name: str) -> Callable[[Sequence[float]], float]:
     raise ValueError(f"unknown stat {name!r} (use 'mean' or 'pNN')")
 
 
+def _int_param(params: dict, name: str, default=None, minimum: int = 0):
+    """``params[name]`` as an int (``default`` when absent); a value
+    below ``minimum`` is an error, not a silently wrong slice."""
+    value = params.get(name, default)
+    if value is None:
+        return None
+    value = int(value)
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
 def _boot_kwargs(params: dict) -> dict:
-    return {
-        "n_boot": int(params.get("boot", 200)),
+    kw = {
+        "n_boot": _int_param(params, "boot", 200, minimum=1),
         "seed": int(params.get("seed", 0)),
         "alpha": float(params.get("alpha", 0.05)),
     }
+    check_bootstrap(kw["n_boot"], kw["alpha"])
+    return kw
 
 
 def q_runs(store, params: dict) -> dict:
@@ -88,12 +103,13 @@ def q_regression(store, params: dict) -> dict:
     A metric is *flagged* when its CI excludes zero -- the planted-
     slowdown detection the store tests assert on.
     """
+    kw = _boot_kwargs(params)
+    limit = _int_param(params, "limit")
     base = store.resolve_run(params["base"])
     head = store.resolve_run(params["head"])
     stat_name = params.get("stat", "mean")
     stat = _stat_fn(stat_name)
     prefix = params.get("prefix")
-    kw = _boot_kwargs(params)
 
     base_names = set(store.metric_names(base))
     head_names = set(store.metric_names(head))
@@ -123,9 +139,8 @@ def q_regression(store, params: dict) -> dict:
             }
         )
     rows.sort(key=lambda r: (-abs(r["rel_delta"]), r["metric"]))
-    limit = params.get("limit")
     if limit is not None:
-        rows = rows[: int(limit)]
+        rows = rows[:limit]
     return {
         "base_run": base,
         "head_run": head,
@@ -259,10 +274,10 @@ def q_detectors(store, params: dict) -> dict:
 
 def q_profile(store, params: dict) -> dict:
     """Top callpath-profile rows of one run by cumulative time."""
+    top = _int_param(params, "top", 10)
     run = store.resolve_run(params["run"])
     side = params.get("side", "origin")
     interval = params.get("interval")
-    top = int(params.get("top", 10))
     rows = store.profile_rows(run, side)
     if interval:
         rows = [r for r in rows if r["interval"] == interval]
@@ -386,9 +401,9 @@ def q_breakdown(store, params: dict) -> dict:
 def q_critical_path(store, params: dict) -> dict:
     """Per-request critical paths: ordered wait-state segments of the
     slowest ``top`` requests (or of one ``request`` by id)."""
+    top = _int_param(params, "top", 10)
     run = store.resolve_run(params["run"])
     request = params.get("request")
-    top = int(params.get("top", 10))
     rows = _breakdown_dicts(store, run)
     if request is not None:
         rows = [r for r in rows if r["request_id"] == request]
@@ -423,6 +438,7 @@ def q_blame(store, params: dict) -> dict:
     """The cross-request interference matrix: for each victim RPC, who
     occupied the contended resource while it waited, with the summed
     overlap split by wait-state category."""
+    limit = _int_param(params, "limit")
     run = store.resolve_run(params["run"])
     rows = _breakdown_dicts(store, run)
 
@@ -451,9 +467,8 @@ def q_blame(store, params: dict) -> dict:
             key=lambda kv: (-kv[1]["overlap_ps"], kv[0]),
         )
     ]
-    limit = params.get("limit")
     if limit is not None:
-        matrix = matrix[: int(limit)]
+        matrix = matrix[:limit]
     return {"run_id": run, "n_requests": len(rows), "matrix": matrix}
 
 
@@ -488,6 +503,7 @@ def q_shards(store, params: dict) -> dict:
     one row per server process, one row per (shard, process) pair, and
     run-wide totals.  ``top`` caps the per-shard rows to the hottest N.
     """
+    top = _int_param(params, "top")
     run = store.run(params["run"])
     run_id = run["run_id"]
     per_process: dict[str, dict] = {}
@@ -516,9 +532,8 @@ def q_shards(store, params: dict) -> dict:
         for addr, row in sorted(per_process.items())
     ]
     shard_rows.sort(key=lambda r: (-r["ops"], r["shard"], r["process"]))
-    top = params.get("top")
     if top is not None:
-        shard_rows = shard_rows[: int(top)]
+        shard_rows = shard_rows[:top]
     totals = {
         "ops": round9(sum(r.get("ops", 0.0) for r in processes)),
         "redirects": round9(sum(r.get("redirects", 0.0) for r in processes)),

@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 __all__ = [
     "bootstrap_ci",
     "bootstrap_delta_ci",
+    "check_bootstrap",
     "mean",
     "percentile",
     "round9",
@@ -57,6 +58,15 @@ def subsample(values: Sequence[float], cap: int = MAX_BOOTSTRAP_VALUES) -> list:
     return [values[int(i * stride)] for i in range(cap)]
 
 
+def check_bootstrap(n_boot: int, alpha: float) -> None:
+    """Reject a resample count below 1 or a level outside (0, 1): either
+    would index past the sorted draws or pick the wrong quantiles."""
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be at least 1, got {n_boot}")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def _resample(rng: random.Random, values: Sequence[float]) -> list[float]:
     n = len(values)
     return [values[rng.randrange(n)] for _ in range(n)]
@@ -75,6 +85,7 @@ def bootstrap_ci(
     Seeded, so identical inputs give identical intervals.  ``stat``
     defaults to the mean.
     """
+    check_bootstrap(n_boot, alpha)
     if not values:
         return (0.0, 0.0)
     stat = stat or mean
@@ -97,6 +108,7 @@ def bootstrap_delta_ci(
 ) -> tuple[float, float]:
     """CI of ``stat(head) - stat(base)`` by independent resampling of
     both sample sets (the two-run regression question)."""
+    check_bootstrap(n_boot, alpha)
     if not base or not head:
         return (0.0, 0.0)
     stat = stat or mean

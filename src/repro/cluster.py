@@ -20,8 +20,8 @@ cluster tears down without leaking pending simulator events
 
 Services deploy onto a cluster or a process rather than building their
 own: ``HEPnOSService.deploy(cluster, ...)``,
-``MobjectCluster.deploy(cluster, ...)``,
-``ShardedKVService.deploy(cluster, n)``, ``SonataProvider(mi, pid)``.
+``ShardedKVService.deploy(cluster, n)``, ``MobjectProviderNode(mi)``,
+``SonataProvider(mi, pid)``.
 Every experiment harness, example and benchmark that runs Margo
 processes builds them here, so a preset's cost model reaches every
 process of the run.

@@ -420,15 +420,6 @@ class MargoInstance:
 
     # -- runtime reconfiguration (the paper's future-work direction) -----------
 
-    def add_handler_es(self) -> None:
-        """Grow the RPC handler pool by one execution stream at runtime."""
-        if self.handler_pool is self.primary_pool:
-            # Promote to a dedicated handler pool first; new RPCs dispatch
-            # there while in-flight ULTs finish on the primary.
-            self.handler_pool = self.rt.create_pool(f"{self.addr}.handlers")
-        n = sum(1 for es in self.rt.xstreams if es.pool is self.handler_pool)
-        self.rt.create_xstream(self.handler_pool, f"{self.addr}.es-h{n}")
-
     def enable_progress_thread(self) -> bool:
         """Move the progress loop onto a dedicated execution stream.
 

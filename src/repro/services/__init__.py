@@ -1,13 +1,10 @@
 """Mochi microservices built on the simulated stack (DESIGN.md §2):
-BAKE, SDSKV, Sonata, REMI, Mobject (single-node and SSG-sharded
-cluster), and HEPnOS."""
+BAKE, SDSKV, Sonata, Mobject and HEPnOS."""
 
 from . import (
     bake,
     hepnos,
     mobject,
-    mobject_cluster,
-    remi,
     sdskv,
     sonata,
 )
@@ -16,8 +13,6 @@ __all__ = [
     "bake",
     "hepnos",
     "mobject",
-    "mobject_cluster",
-    "remi",
     "sdskv",
     "sonata",
 ]

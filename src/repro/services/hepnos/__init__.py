@@ -1,6 +1,5 @@
 """HEPnOS: a Mochi storage service for high-energy physics events."""
 
-from .api import DataSet, Run, SubRun
 from .dataloader import DataLoader, DataLoaderConfig
 from .hierarchy import EventKey, event_key, parse_event_key
 from .service import HEPnOSClient, HEPnOSService, PID_BAKE, PID_SDSKV
@@ -8,14 +7,11 @@ from .service import HEPnOSClient, HEPnOSService, PID_BAKE, PID_SDSKV
 __all__ = [
     "DataLoader",
     "DataLoaderConfig",
-    "DataSet",
     "EventKey",
     "HEPnOSClient",
     "HEPnOSService",
     "PID_BAKE",
     "PID_SDSKV",
-    "Run",
-    "SubRun",
     "event_key",
     "parse_event_key",
 ]

@@ -1,9 +1,8 @@
 """SSG: Scalable Service Groups.
 
 The Mochi core component that gives a set of service processes a stable
-group identity: each member has a *rank*, clients resolve ranks to
-addresses, and key-based member selection gives services a consistent
-way to shard work.  The production library layers SWIM-style failure
+group identity: each member has a *rank* and clients resolve ranks to
+addresses.  The production library layers SWIM-style failure
 detection on top; Mochi services predominantly use static groups
 with explicit join/leave, which is what this implements (observers are
 notified on membership changes so services can rebalance).
@@ -12,7 +11,6 @@ notified on membership changes so services can rebalance).
 from __future__ import annotations
 
 import copy
-import hashlib
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,10 +23,6 @@ _group_ids = itertools.count(1)
 
 class SSGError(RuntimeError):
     """Membership lookup or mutation failure."""
-
-
-def _key_hash(key: str) -> int:
-    return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "little")
 
 
 @dataclass(frozen=True)
@@ -186,12 +180,6 @@ class SSGGroup:
                 f"(size {len(self._members)})"
             )
         return self._members[rank]
-
-    def member_for_key(self, key: str) -> str:
-        """Consistent key-based member selection (hash mod size)."""
-        if not self._members:
-            raise SSGError(f"group {self.name!r} is empty")
-        return self._members[_key_hash(key) % len(self._members)]
 
     # -- observers ---------------------------------------------------------------
 

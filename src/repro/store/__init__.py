@@ -45,7 +45,6 @@ __all__ = [
     "StoreWriter",
     "ensure_schema",
     "labels_to_text",
-    "open_store",
     "record_cluster_run",
     "record_overhead_study",
     "schema_version",
@@ -335,8 +334,3 @@ class PerfStore:
                 (run_id,),
             )
         }
-
-
-def open_store(path: str) -> PerfStore:
-    """Open (creating if needed) the store at ``path``."""
-    return PerfStore(path)

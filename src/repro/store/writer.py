@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..symbiosys.metrics import MetricsRegistry, SeriesStore
-    from ..symbiosys.monitor import Finding, Monitor, SchedSlice
+    from ..symbiosys.monitor import Finding, SchedSlice
     from ..symbiosys.profiling import ProfileStore
     from ..symbiosys.tracing import TraceEvent
     from . import PerfStore
@@ -134,15 +134,6 @@ class StoreWriter:
                 run_id, ts.name, ts.labels, ts.samples(),
                 kind=kind, help=help,
             )
-
-    # -- monitor ------------------------------------------------------------
-
-    def record_monitor(self, run_id: int, monitor: "Monitor") -> None:
-        """The full telemetry of one monitored run: series, findings,
-        scheduler slices."""
-        self.record_series_store(run_id, monitor.store, monitor.registry)
-        self.record_findings(run_id, monitor.findings)
-        self.record_sched_slices(run_id, monitor.sched.slices)
 
     def record_findings(
         self, run_id: int, findings: Iterable["Finding"]

@@ -25,7 +25,6 @@ from .monitor import AnomalyDetector, Finding, Monitor, MonitorConfig
 from .perfetto import chrome_trace_json, to_chrome_trace, write_chrome_trace
 from .policy import (
     DedicateProgressES,
-    GrowHandlerPool,
     MetricSample,
     Policy,
     PolicyAction,
@@ -49,7 +48,6 @@ __all__ = [
     "EventKind",
     "FaultAnnotation",
     "Finding",
-    "GrowHandlerPool",
     "MetricSample",
     "MetricsRegistry",
     "Monitor",

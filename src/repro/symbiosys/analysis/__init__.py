@@ -1,6 +1,6 @@
 """Offline analysis scripts: profile, trace, and system summaries."""
 
-from .plots import gantt, scatter, timeseries
+from .plots import scatter
 from .profile_summary import CallpathRow, ProfileSummary, profile_summary
 from .system_summary import ProcessSystemStats, SystemSummary, system_summary
 from .trace_summary import (
@@ -24,12 +24,10 @@ __all__ = [
     "TraceSummary",
     "blocked_ult_samples",
     "estimate_clock_offsets",
-    "gantt",
     "ofi_events_series",
     "profile_summary",
     "scatter",
     "stitch_traces",
     "system_summary",
-    "timeseries",
     "trace_summary",
 ]

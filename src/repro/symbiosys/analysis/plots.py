@@ -1,22 +1,17 @@
 """Terminal-rendered plots for the analysis scripts.
 
-The paper's summary scripts "generate visual plots"; this module renders
-the three plot families as text so they work anywhere the library runs:
-
-* :func:`gantt` -- the Figure 5 request Gantt chart from a stitched
-  :class:`~repro.symbiosys.analysis.trace_summary.RequestTrace`,
-* :func:`scatter` -- the Figure 10 blocked-ULT scatter,
-* :func:`timeseries` -- the Figure 12 PVAR sample series with an
-  optional threshold line.
+The paper's summary scripts "generate visual plots"; :func:`scatter`
+renders the Figure 10 blocked-ULT scatter as text so it works anywhere
+the library runs.  Figure 5's request timeline comes from the Zipkin
+export and Figure 12's PVAR series from
+:func:`repro.experiments.reporting.series_histogram`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .trace_summary import RequestTrace
-
-__all__ = ["gantt", "scatter", "timeseries"]
+__all__ = ["scatter"]
 
 
 def _scale(value: float, lo: float, hi: float, width: int) -> int:
@@ -24,49 +19,6 @@ def _scale(value: float, lo: float, hi: float, width: int) -> int:
         return 0
     pos = int((value - lo) / (hi - lo) * (width - 1))
     return min(width - 1, max(0, pos))
-
-
-def gantt(request: RequestTrace, width: int = 72) -> str:
-    """Gantt chart of one request's spans on a common timeline.
-
-    Each row is one span: ``|===X===|`` marks [t1, t14] with ``X`` at the
-    target execution interval [t5, t8].
-    """
-    spans = [s for root in request.roots for s in root.walk() if s.complete]
-    if not spans:
-        return "(no complete spans)"
-    t_lo = min(s.t1 for s in spans)
-    t_hi = max(s.t14 for s in spans)
-    name_w = max(len(s.rpc_name) for s in spans) + 2
-    lines = [
-        f"request {request.request_id}: "
-        f"{(t_hi - t_lo) * 1e6:.1f} us end to end"
-    ]
-
-    def emit(span, depth):
-        row = [" "] * width
-        a = _scale(span.t1, t_lo, t_hi, width)
-        b = _scale(span.t14, t_lo, t_hi, width)
-        for i in range(a, b + 1):
-            row[i] = "="
-        x1 = _scale(span.t5, t_lo, t_hi, width)
-        x2 = _scale(span.t8, t_lo, t_hi, width)
-        for i in range(x1, x2 + 1):
-            row[i] = "#"
-        row[a] = "|"
-        row[b] = "|"
-        label = ("  " * depth + span.rpc_name).ljust(name_w)[:name_w]
-        lines.append(f"{label}{''.join(row)}")
-        for child in span.children:
-            emit(child, depth + 1)
-
-    for root in request.roots:
-        emit(root, 0)
-    lines.append(
-        f"{'':{name_w}}{'^t=' + format((0.0), '.0f'):<{width // 2}}"
-        f"{'(=' + ' wire/origin, # target execution)':>{width // 2}}"
-    )
-    return "\n".join(lines)
 
 
 def scatter(
@@ -94,39 +46,4 @@ def scatter(
         lines.append("|" + "".join(row))
     lines.append("+" + "-" * width)
     lines.append(f" {x_label}: {x_lo:g} .. {x_hi:g}")
-    return "\n".join(lines)
-
-
-def timeseries(
-    samples: Sequence[tuple[float, float]],
-    *,
-    threshold: Optional[float] = None,
-    width: int = 72,
-    height: int = 12,
-    label: str = "value",
-) -> str:
-    """Sample series with an optional horizontal threshold line -- the
-    Figure 12 rendering (e.g. num_ofi_events_read vs OFI_max_events)."""
-    if not samples:
-        return "(no samples)"
-    xs = [s[0] for s in samples]
-    ys = [s[1] for s in samples]
-    y_hi = max(max(ys), threshold or 0)
-    y_lo = min(min(ys), 0)
-    x_lo, x_hi = min(xs), max(xs)
-    grid = [[" "] * width for _ in range(height)]
-    if threshold is not None:
-        t_row = height - 1 - _scale(threshold, y_lo, y_hi, height)
-        for c in range(width):
-            grid[t_row][c] = "-"
-    for x, y in samples:
-        col = _scale(x, x_lo, x_hi, width)
-        row = height - 1 - _scale(y, y_lo, y_hi, height)
-        grid[row][col] = "*"
-    lines = [f"{label} (max {max(ys):g}"
-             + (f", threshold {threshold:g})" if threshold is not None else ")")]
-    for row in grid:
-        lines.append("|" + "".join(row))
-    lines.append("+" + "-" * width)
-    lines.append(f" t: {x_lo:g} .. {x_hi:g}")
     return "\n".join(lines)

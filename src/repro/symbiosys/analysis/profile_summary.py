@@ -58,9 +58,6 @@ class CallpathRow:
     def mean_latency(self) -> float:
         return self.cumulative_latency / self.call_count if self.call_count else 0.0
 
-    def latency_percentile(self, q: float) -> float:
-        return self.latency_stats.percentile(q)
-
     @property
     def accounted_time(self) -> float:
         return sum(self.breakdown.get(i, 0.0) for i in ACCOUNTED_INTERVALS)

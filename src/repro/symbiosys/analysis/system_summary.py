@@ -37,16 +37,6 @@ class ProcessSystemStats:
 class SystemSummary:
     per_process: dict[str, ProcessSystemStats]
 
-    def saturated_processes(self, blocked_threshold: int) -> list[str]:
-        """Processes whose blocked-ULT high watermark crossed the
-        threshold -- candidates for 'too few execution streams' or
-        backend serialization diagnoses."""
-        return sorted(
-            name
-            for name, stats in self.per_process.items()
-            if stats.max_blocked >= blocked_threshold
-        )
-
     def render(self) -> str:
         lines = [
             f"{'process':<16} {'samples':>8} {'max_blocked':>12} "

@@ -451,20 +451,6 @@ class CriticalReport:
             op["total_ps"] += rec["delay_ps"]
         return {rpc: ops[rpc] for rpc in sorted(ops)}
 
-    def interference_matrix(self) -> dict:
-        """victim rpc -> occupant -> overlap ps, from all blame entries."""
-        matrix: dict[str, dict[str, int]] = {}
-        for bd in self.breakdowns:
-            for entry in bd.blame:
-                row = matrix.setdefault(bd.rpc_name, {})
-                row[entry.occupant] = (
-                    row.get(entry.occupant, 0) + entry.overlap_ps
-                )
-        return {
-            victim: dict(sorted(row.items()))
-            for victim, row in sorted(matrix.items())
-        }
-
     def category_totals(self) -> dict:
         """Run-wide category sums (integer ps), retry backoff included."""
         totals = dict.fromkeys(CATEGORIES, 0)

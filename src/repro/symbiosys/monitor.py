@@ -478,11 +478,10 @@ class _ProcessPlan:
     lazy creation that keeps exports byte-identical.  The tasking gauges
     follow the PVAR rows in ``metrics``/``series``.
 
-    Invalidated (and rebuilt) when the process's PVAR registry grows or
-    its handler pool is replaced -- the staleness checks in
-    :meth:`Monitor.sample`.  The registry and the Argobots runtime are
-    assigned once per :class:`~repro.margo.instance.MargoInstance`, so
-    they need no check.
+    Invalidated (and rebuilt) when the process's PVAR registry grows --
+    the staleness check in :meth:`Monitor.sample`.  The registry, the
+    Argobots runtime and the handler pool are assigned once per
+    :class:`~repro.margo.instance.MargoInstance`, so they need no check.
     """
 
     __slots__ = (
@@ -637,11 +636,7 @@ class Monitor:
         """Snapshot every watched quantity at simulated time ``t``."""
         for addr, mi in self._processes.items():
             plan = self._plans.get(addr)
-            if (
-                plan is None
-                or plan.n_pvars != mi.hg.pvars.num_pvars
-                or plan.pool is not mi.handler_pool
-            ):
+            if plan is None or plan.n_pvars != mi.hg.pvars.num_pvars:
                 plan = self._plans[addr] = self._build_plan(
                     self._labels[addr], mi.hg.pvars, mi
                 )

@@ -7,22 +7,21 @@ module implements that loop on top of the SYMBIOSYS data sources:
 
 * a :class:`PolicyEngine` runs as a monitoring ULT on its own execution
   stream (so it observes rather than perturbs), samples live metrics --
-  Mercury PVARs through a tool session, OFI queue depths, Argobots
-  blocked/ready counts, handler-pool backlogs -- at a fixed period, and
+  Mercury PVARs through a tool session, OFI queue depths and Argobots
+  blocked/ready counts -- at a fixed period, and
 * evaluates :class:`Policy` rules over the recent metric history; a rule
   whose condition holds (and whose cooldown has elapsed) applies its
   reconfiguration action to the live Margo instance.
 
-Built-in policies target the paper's three §V-C root causes:
+Built-in policies target two of the paper's §V-C root causes:
 
 * :class:`RaiseOfiMaxEvents`   -- Figure 12's backed-up OFI event queue,
-* :class:`DedicateProgressES`  -- Figure 11's starved progress ULT,
-* :class:`GrowHandlerPool`     -- Figure 9's saturated handler pool.
+* :class:`DedicateProgressES`  -- Figure 11's starved progress ULT.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,7 +34,6 @@ __all__ = [
     "PolicyEngine",
     "RaiseOfiMaxEvents",
     "DedicateProgressES",
-    "GrowHandlerPool",
 ]
 
 
@@ -50,8 +48,6 @@ class MetricSample:
     completion_queue_size: int  # Mercury completion queue
     num_blocked: int
     num_ready: int
-    handler_backlog: int  # READY ULTs waiting in the handler pool
-    handler_es: int
 
 
 @dataclass
@@ -167,38 +163,6 @@ class DedicateProgressES(Policy):
         )
 
 
-class GrowHandlerPool(Policy):
-    """If spawned handler ULTs keep queueing in the pool, the target
-    lacks execution streams (Figure 9's C1 signature): add one."""
-
-    def __init__(self, *, window: int = 4, backlog_per_es: float = 2.0,
-                 max_es: int = 64, cooldown: float = 1e-3):
-        super().__init__()
-        if backlog_per_es <= 0 or max_es < 1:
-            raise ValueError("backlog_per_es and max_es must be positive")
-        self.window = window
-        self.backlog_per_es = backlog_per_es
-        self.max_es = max_es
-        self.cooldown = cooldown
-        self.min_history = window
-
-    def condition(self, history: list[MetricSample]) -> bool:
-        recent = history[-self.window:]
-        if recent[-1].handler_es >= self.max_es:
-            return False
-        saturated = sum(
-            1
-            for s in recent
-            if s.handler_backlog >= self.backlog_per_es * max(1, s.handler_es)
-        )
-        return saturated >= max(1, len(recent) // 2)
-
-    def apply(self, mi: "MargoInstance") -> str:
-        mi.add_handler_es()
-        n = sum(1 for es in mi.rt.xstreams if es.pool is mi.handler_pool)
-        return f"handler pool grown to {n} execution streams"
-
-
 class PolicyEngine:
     """The in-situ monitoring + reconfiguration loop for one process."""
 
@@ -241,9 +205,6 @@ class PolicyEngine:
 
     def sample(self) -> MetricSample:
         mi = self.mi
-        handler_backlog = (
-            len(mi.handler_pool) if mi.handler_pool is not mi.primary_pool else 0
-        )
         return MetricSample(
             time=mi.sim.now,
             ofi_events_read=self._read_ofi_events(),
@@ -252,10 +213,6 @@ class PolicyEngine:
             completion_queue_size=self._read_cq_size(),
             num_blocked=mi.rt.num_blocked,
             num_ready=mi.rt.num_ready,
-            handler_backlog=handler_backlog,
-            handler_es=sum(
-                1 for es in mi.rt.xstreams if es.pool is mi.handler_pool
-            ),
         )
 
     # -- the monitoring ULT ------------------------------------------------------

@@ -192,11 +192,3 @@ class ProfileStore:
                     merged = IntervalStats()
                     merged.merge(stats)
                     mine[interval] = merged
-
-    def total_over_interval(self, interval: str) -> float:
-        return sum(
-            stats.total
-            for by_interval in self._data.values()
-            for name, stats in by_interval.items()
-            if name == interval
-        )

@@ -1,12 +1,10 @@
-"""Tests for runtime reconfiguration: handler-ES growth, progress-ULT
-migration, live OFI cap changes, and the ULT sleep primitive."""
+"""Tests for runtime reconfiguration: progress-ULT migration, live OFI
+cap changes, and the ULT sleep primitive."""
 
 import pytest
 
 import repro.argobots as abt
 from repro.argobots import AbtRuntime
-from repro.margo import MargoConfig, MargoInstance
-from repro.net import Fabric, FabricConfig
 from repro.sim import Simulator
 from .conftest import echo_handler, make_pair, run_client_calls
 
@@ -64,40 +62,6 @@ def test_set_ofi_max_events_runtime():
     assert world.client.hg.ofi_max_events == 64
     with pytest.raises(ValueError):
         world.client.set_ofi_max_events(0)
-
-
-def test_add_handler_es_grows_pool():
-    world = make_pair()  # server starts with 2 handler ESs
-    before = len(world.server.rt.xstreams)
-    world.server.add_handler_es()
-    assert len(world.server.rt.xstreams) == before + 1
-    # New ES serves the handler pool.
-    new_es = world.server.rt.xstreams[-1]
-    assert new_es.pool is world.server.handler_pool
-
-
-def test_add_handler_es_promotes_primary_dispatch():
-    """A server running handlers on the primary pool gets a dedicated
-    handler pool on first growth, and RPCs still work."""
-    sim = Simulator()
-    fabric = Fabric(sim, FabricConfig())
-    server = MargoInstance(sim, fabric, "svr", "n0")  # no handler ESs
-    client = MargoInstance(sim, fabric, "cli", "n1")
-    assert server.handler_pool is server.primary_pool
-    server.add_handler_es()
-    assert server.handler_pool is not server.primary_pool
-
-    server.register("echo", echo_handler)
-    client.register("echo")
-    results = []
-
-    def body():
-        out = yield from client.forward("svr", "echo", {"x": 1})
-        results.append(out)
-
-    client.client_ult(body())
-    sim.run_until(lambda: results, limit=1.0)
-    assert results == [{"echo": {"x": 1}}]
 
 
 def test_enable_progress_thread_migrates_loop():

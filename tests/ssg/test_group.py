@@ -55,19 +55,6 @@ def test_lookup_errors():
         g.address_of(-1)
 
 
-def test_member_for_key_is_stable_and_in_group():
-    g = SSGGroup("svc", [f"m{i}" for i in range(5)])
-    picks = {g.member_for_key(f"key{i}") for i in range(100)}
-    assert picks <= set(g.members)
-    assert len(picks) > 1  # keys spread over members
-    assert g.member_for_key("key1") == g.member_for_key("key1")
-
-
-def test_member_for_key_empty_group():
-    with pytest.raises(SSGError):
-        SSGGroup("svc").member_for_key("k")
-
-
 def test_observers_notified_on_changes():
     g = SSGGroup("svc")
     log = []

@@ -147,18 +147,6 @@ class TestCategories:
         for bd in report.breakdowns:
             assert bd.categories["retry_backoff"] == 0
 
-    def test_interference_matrix_shape(self):
-        world = run_echo(n_calls=20)
-        report = analyze_collector(
-            world.cluster.collector, world.cluster.monitor
-        )
-        matrix = report.interference_matrix()
-        assert "echo" in matrix
-        assert all(
-            isinstance(v, int) and v > 0
-            for row in matrix.values() for v in row.values()
-        )
-
 
 class TestFindingAnnotation:
     def test_findings_carry_dominant_wait_state(self):

@@ -302,7 +302,7 @@ def test_stale_plans_are_rebuilt_and_counted():
 
     cluster = _idle_cluster(3)
     monitor = cluster.monitor
-    grown, promoted = cluster.processes["p000"], cluster.processes["p001"]
+    grown = cluster.processes["p000"]
     monitor.sample(cluster.sim.now)
     assert monitor.plan_rebuilds == 3
     assert monitor._plans["p000"].rows is monitor._plans["p002"].rows
@@ -313,12 +313,11 @@ def test_stale_plans_are_rebuilt_and_counted():
                 "KV operations served by this shard server")
     )
     grown.hg.pvars.add("shard_ops_total", 5)
-    promoted.add_handler_es()
     monitor.sample(cluster.sim.now)
-    assert monitor.plan_rebuilds == 5
-    assert monitor.pvars.raw_value("monitor_plan_rebuilds") == 5
+    assert monitor.plan_rebuilds == 4
+    assert monitor.pvars.raw_value("monitor_plan_rebuilds") == 4
     monitor.sample(cluster.sim.now)
-    assert monitor.plan_rebuilds == 5  # fresh plans stay
+    assert monitor.plan_rebuilds == 4  # fresh plans stay
 
     # The new PVAR's metric and series carry the public API's labels.
     counter = monitor.registry.counter(
@@ -339,8 +338,4 @@ def test_stale_plans_are_rebuilt_and_counted():
     assert rows["p001"] is rows["p002"]
     assert "pvar_shard_ops_total" in {r[1] for r in rows["p000"]}
     assert "pvar_shard_ops_total" not in {r[1] for r in rows["p002"]}
-    # The promoted handler pool is the one now sampled.
-    depth = monitor.store.series("abt_handler_pool_depth", {"process": "p001"})
-    assert len(depth) == 3
-    assert monitor._plans["p001"].pool is promoted.handler_pool
     cluster.shutdown()

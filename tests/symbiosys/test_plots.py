@@ -1,45 +1,6 @@
-"""Tests for the terminal plot renderers."""
+"""Tests for the terminal plot renderer."""
 
-import pytest
-
-from repro.symbiosys import Stage
-from repro.symbiosys.analysis import gantt, scatter, timeseries, trace_summary
-from .conftest import drive_requests, make_instrumented_world
-
-
-def make_trace():
-    world = make_instrumented_world(Stage.FULL)
-    results = drive_requests(world, 1)
-    world.sim.run(until=1.0)
-    assert results
-    summary = trace_summary(world.collector)
-    (req,) = summary.requests.values()
-    return req
-
-
-def test_gantt_renders_all_spans():
-    req = make_trace()
-    text = gantt(req)
-    assert "front_op" in text
-    assert text.count("leaf_op") == 2
-    assert "us end to end" in text
-    # Bars present, with target-execution segments marked.
-    assert "=" in text and "#" in text and "|" in text
-
-
-def test_gantt_children_indented_and_within_width():
-    req = make_trace()
-    text = gantt(req, width=40)
-    lines = text.splitlines()
-    leaf_lines = [l for l in lines if "leaf_op" in l]
-    assert all(l.startswith("  ") for l in leaf_lines)
-
-
-def test_gantt_empty_request():
-    from repro.symbiosys.analysis import RequestTrace
-
-    empty = RequestTrace(request_id="x", roots=[], spans={})
-    assert gantt(empty) == "(no complete spans)"
+from repro.symbiosys.analysis import scatter
 
 
 def test_scatter_plots_points():
@@ -60,30 +21,6 @@ def test_scatter_overlapping_points_collapse():
     assert text.count("*") == 1
 
 
-def test_timeseries_threshold_line():
-    samples = [(i * 0.1, 16) for i in range(10)]
-    text = timeseries(samples, threshold=16.0, width=30, height=6,
-                      label="ofi reads")
-    assert "threshold 16" in text
-    assert "-" in text
-    assert "*" in text
-
-
-def test_timeseries_without_threshold():
-    samples = [(0.0, 1.0), (1.0, 2.0)]
-    text = timeseries(samples, width=10, height=4)
-    assert "threshold" not in text
-
-
-def test_timeseries_empty():
-    assert timeseries([]) == "(no samples)"
-
-
 def test_plots_are_pure_ascii():
-    req = make_trace()
-    for text in (
-        gantt(req),
-        scatter([(0, 1), (1, 2)]),
-        timeseries([(0, 1), (1, 2)], threshold=1.5),
-    ):
-        assert text == text.encode("ascii", "replace").decode()
+    text = scatter([(0, 1), (1, 2)])
+    assert text == text.encode("ascii", "replace").decode()

@@ -2,13 +2,11 @@
 
 import pytest
 
-import repro.argobots as abt
 from repro.margo import MargoConfig, MargoInstance
 from repro.net import Fabric, FabricConfig
 from repro.sim import Simulator
 from repro.symbiosys import (
     DedicateProgressES,
-    GrowHandlerPool,
     MetricSample,
     Policy,
     PolicyEngine,
@@ -25,8 +23,6 @@ def mk_sample(**kw):
         completion_queue_size=0,
         num_blocked=0,
         num_ready=0,
-        handler_backlog=0,
-        handler_es=2,
     )
     defaults.update(kw)
     return MetricSample(**defaults)
@@ -67,16 +63,6 @@ def test_dedicate_progress_condition():
     # Completion-queue depth counts too.
     hybrid = [mk_sample(cq_depth=4, completion_queue_size=5)] * 4
     assert p.condition(hybrid)
-
-
-def test_grow_handler_condition():
-    p = GrowHandlerPool(window=4, backlog_per_es=2.0, max_es=8)
-    saturated = [mk_sample(handler_backlog=10, handler_es=2)] * 4
-    light = [mk_sample(handler_backlog=1, handler_es=2)] * 4
-    maxed = [mk_sample(handler_backlog=100, handler_es=8)] * 4
-    assert p.condition(saturated)
-    assert not p.condition(light)
-    assert not p.condition(maxed)
 
 
 def test_policy_cooldown_and_history_gates():
@@ -181,38 +167,3 @@ def test_engine_fires_raise_ofi_under_synthetic_backlog():
     assert client.hg.ofi_max_events > 16
     assert engine.actions[0].policy == "RaiseOfiMaxEvents"
 
-
-def test_engine_grows_handler_pool_under_load():
-    """Server-side: a burst of slow RPCs piles ULTs into the handler
-    pool; the GrowHandlerPool policy adds execution streams."""
-    sim, server, client = make_world()
-    engine = PolicyEngine(
-        server,
-        [GrowHandlerPool(window=2, backlog_per_es=1.5, max_es=8,
-                         cooldown=0.2e-3)],
-        period=0.2e-3,
-    )
-
-    def slow_handler(mi, handle):
-        yield from mi.get_input(handle)
-        yield abt.Compute(2e-3)
-        yield from mi.respond(handle, "ok")
-
-    server.register("slow", slow_handler)
-    client.register("slow")
-    results = []
-
-    def call():
-        out = yield from client.forward("svr", "slow", {})
-        results.append(out)
-
-    for _ in range(24):
-        client.client_ult(call())
-    sim.run_until(lambda: len(results) == 24, limit=0.2)
-    assert len(results) == 24
-    grown = [a for a in engine.actions if a.policy == "GrowHandlerPool"]
-    assert grown, "handler pool never grew despite backlog"
-    n_handler_es = sum(
-        1 for es in server.rt.xstreams if es.pool is server.handler_pool
-    )
-    assert n_handler_es > 2

@@ -85,16 +85,6 @@ def test_store_merge_disjoint_and_overlapping():
     assert s1.get(only2, "target_handler_time").total == pytest.approx(0.25)
 
 
-def test_total_over_interval():
-    store = ProfileStore()
-    for i in range(4):
-        key = ProfileKey(callpath=i, origin="a", target="b")
-        store.add(key, "origin_execution_time", 1.0)
-        store.add(key, "target_handler_time", 0.5)
-    assert store.total_over_interval("origin_execution_time") == pytest.approx(4.0)
-    assert store.total_over_interval("target_handler_time") == pytest.approx(2.0)
-
-
 @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=50))
 def test_property_stats_match_reference(values):
     s = IntervalStats()

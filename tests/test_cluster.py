@@ -180,3 +180,89 @@ def test_processes_are_built_only_by_cluster():
                 if name == "MargoInstance":
                     callers.add(path.relative_to(root).as_posix())
     assert callers == {"src/repro/cluster.py"}
+
+
+
+def _imports(path: pathlib.Path, module: str, is_package: bool):
+    """``(module, name)`` for every import in ``path``, made absolute;
+    ``name`` is None for a plain ``import module``."""
+    package = module if is_package else module.rpartition(".")[0]
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                parts = parts[: len(parts) - node.level + 1]
+                base = ".".join(parts + [base] if base else parts)
+            for alias in node.names:
+                yield base, alias.name
+
+
+def test_every_service_module_is_reached_by_a_workload():
+    """Every leaf module under ``repro.services`` is imported, directly
+    or through other ``src`` modules, by an experiment, an example, a
+    benchmark or a ``perfbench`` file.  A name imported from a package
+    resolves to the submodule that defines it, so a package
+    ``__init__`` re-export is not a use."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    src = root / "src"
+
+    def source(module):
+        """``(path, is_package)`` of a ``src`` module, or ``(None, False)``."""
+        base = src.joinpath(*module.split("."))
+        if (base / "__init__.py").is_file():
+            return base / "__init__.py", True
+        if base.with_suffix(".py").is_file():
+            return base.with_suffix(".py"), False
+        return None, False
+
+    def defining_module(package, name):
+        if source(f"{package}.{name}")[0] is not None:
+            return f"{package}.{name}"
+        path, is_package = source(package)
+        if is_package:
+            for module, imported in _imports(path, package, True):
+                if imported == name and module != package:
+                    return defining_module(module, name)
+        return package
+
+    reached = set()
+
+    def visit(path, module, is_package):
+        for target, name in _imports(path, module, is_package):
+            if not target.startswith("repro"):
+                continue
+            if name is not None:
+                target = defining_module(target, name)
+            target_path, target_is_package = source(target)
+            if target_path is None or target in reached:
+                continue
+            reached.add(target)
+            if not target_is_package:  # a package's own imports are re-exports
+                visit(target_path, target, False)
+
+    entry_points = sorted(src.glob("repro/**/__main__.py"))
+    entry_points += sorted(src.glob("repro/experiments/*.py"))
+    for top in ("examples", "benchmarks", "perfbench"):
+        entry_points += sorted((root / top).glob("*.py"))
+    for path in entry_points:
+        if path.is_relative_to(src):
+            parts = path.relative_to(src).with_suffix("").parts
+            is_package = parts[-1] == "__init__"
+            visit(path, ".".join(parts[:-1] if is_package else parts), is_package)
+        else:
+            visit(path, path.stem, False)
+
+    services = src / "repro" / "services"
+    leaves = {
+        ".".join(path.relative_to(services).with_suffix("").parts)
+        for path in services.rglob("*.py")
+        if path.name != "__init__.py"
+    }
+    unreached = sorted(
+        leaf for leaf in leaves if f"repro.services.{leaf}" not in reached
+    )
+    assert unreached == [], f"service modules no workload imports: {unreached}"
