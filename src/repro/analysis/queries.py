@@ -304,14 +304,15 @@ def q_profile(store, params: dict) -> dict:
 
 
 def _breakdown_dicts(store, run_id: int) -> list[dict]:
-    """The run's stored per-request breakdowns.  A run with trace events
-    but no breakdowns was archived without the critical-path engine, so
-    an empty answer would be wrong: it is refused instead."""
+    """The run's stored per-request breakdowns.  An instrumented run
+    (one with profiles) but no breakdowns was recorded without the
+    critical-path engine, so an empty answer would be wrong: it is
+    refused instead."""
     rows = store.breakdown_rows(run_id)
-    if not rows and store.trace_event_rows(run_id):
+    if not rows and store.profile_rows(run_id):
         raise ValueError(
-            f"run {store.run(run_id)['name']!r} (id {run_id}) has trace "
-            "events but no stored breakdowns; record it with "
+            f"run {store.run(run_id)['name']!r} (id {run_id}) has "
+            "profiles but no stored breakdowns; record it with "
             "record_cluster_run"
         )
     return rows

@@ -89,7 +89,7 @@ class Cluster:
         #: Persistent performance store sink: a path, a
         #: :class:`~repro.store.PerfStore`, or a ``StoreWriter``.  When
         #: set, :meth:`shutdown` archives the run (monitor telemetry,
-        #: traces, profiles) via :func:`repro.store.record_cluster_run`;
+        #: profiles, breakdowns) via :func:`repro.store.record_cluster_run`;
         #: :attr:`run_id` then holds the recorded run's id.
         self.store = store
         self.run_name = run_name

@@ -21,7 +21,7 @@ emits a machine-checkable report:
   regime exceeds the batched regime's),
 * per-config category tables are printed byte-deterministically.
 
-``--store`` archives each run (telemetry, traces, breakdowns) into a
+``--store`` archives each run (telemetry, profiles, breakdowns) into a
 performance store; ``--out`` writes one flow-linked Perfetto critical-
 path trace per config.
 """

@@ -4,9 +4,9 @@ The collect -> persist -> analyze workflow of the paper, with the
 persist step upgraded from one-shot export files to a durable cross-run
 store.  One ``.db`` file accumulates monitored cluster runs and
 overhead studies; :mod:`repro.analysis` serves analytical queries
-(regression, trends, knob importance, detector summaries) over it, and :class:`~repro.store.archive.ArchivedRun` feeds archived runs
-back through the same ``repro.symbiosys.analysis`` code paths that
-consume live collectors.
+(regression, trends, knob importance, detector summaries, profiles,
+critical-path breakdowns) over it.  The store keeps only what a query
+reads: series, findings, retry records, breakdowns and profiles.
 
 Entry points::
 
@@ -221,21 +221,7 @@ class PerfStore:
         sql += " ORDER BY name, labels, t"
         return [tuple(r) for r in self.conn.execute(sql, params)]
 
-    # -- traces, slices, findings, profiles ---------------------------------
-
-    def trace_event_rows(self, run: Union[int, str]) -> list[sqlite3.Row]:
-        run_id = self.resolve_run(run)
-        return self.conn.execute(
-            "SELECT * FROM trace_events WHERE run_id = ? ORDER BY seq",
-            (run_id,),
-        ).fetchall()
-
-    def sched_slice_rows(self, run: Union[int, str]) -> list[sqlite3.Row]:
-        run_id = self.resolve_run(run)
-        return self.conn.execute(
-            "SELECT * FROM sched_slices WHERE run_id = ? ORDER BY seq",
-            (run_id,),
-        ).fetchall()
+    # -- findings, retries, breakdowns, profiles ----------------------------
 
     def findings(self, run: Union[int, str]) -> list[dict]:
         run_id = self.resolve_run(run)
@@ -323,14 +309,3 @@ class PerfStore:
                 (run_id, side),
             )
         ]
-
-    def callpath_names(self, run: Union[int, str]) -> dict[int, str]:
-        run_id = self.resolve_run(run)
-        return {
-            r[0]: r[1]
-            for r in self.conn.execute(
-                "SELECT component, name FROM callpath_names"
-                " WHERE run_id = ? ORDER BY component",
-                (run_id,),
-            )
-        }

@@ -5,7 +5,7 @@ Commands
 
 ``info``
     Print a deterministic summary of a store: schema version, runs,
-    series/event/finding counts.
+    series/finding/profile counts.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         counts = {
             table: conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
             for table in (
-                "runs", "metrics", "samples", "trace_events",
-                "sched_slices", "findings", "profiles",
+                "runs", "metrics", "samples", "findings", "profiles",
             )
         }
         print(f"store {args.store}")

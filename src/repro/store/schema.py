@@ -7,7 +7,7 @@ tables below.  The layout follows the SOS/LDMS shape the
 by run, with metric samples separated from metric identity so a
 time-series scan never touches label strings.
 
-Tables (schema version 3):
+Tables (schema version 4):
 
 ``meta``
     Key/value store metadata; carries ``schema_version``.
@@ -22,11 +22,6 @@ Tables (schema version 3):
     A *view* over metrics/samples restricted to the ``pvar_``-prefixed
     families -- the Table I/II PVAR snapshots as their own queryable
     relation.
-``trace_events``
-    Full-fidelity SYMBIOSYS trace events (span ids, callpaths, JSON
-    payloads), losslessly restorable to ``TraceEvent`` objects.
-``sched_slices``
-    ULT scheduler run/block slices from the monitor's recorder.
 ``findings``
     Timestamped anomaly-detector findings, each with ``wait_state``: the
     dominant wait-state category from the critical-path engine.
@@ -41,9 +36,6 @@ Tables (schema version 3):
     Flattened callpath-profile interval statistics (count / total /
     min / max plus the bounded distribution reservoir as JSON), one row
     per (side, callpath, origin, target, interval).
-``callpath_names``
-    Component-hash -> RPC-name mapping captured at record time so
-    archived callpaths stay decodable without the live registry.
 """
 
 from __future__ import annotations
@@ -52,7 +44,7 @@ import sqlite3
 
 __all__ = ["SCHEMA_VERSION", "ensure_schema", "schema_version"]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _DDL = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -97,40 +89,6 @@ CREATE VIEW IF NOT EXISTS pvar_samples AS
            s.value   AS value
     FROM metrics m JOIN samples s ON s.metric_id = m.metric_id
     WHERE m.name LIKE 'pvar\\_%' ESCAPE '\\';
-
-CREATE TABLE IF NOT EXISTS trace_events (
-    run_id         INTEGER NOT NULL REFERENCES runs(run_id),
-    seq            INTEGER NOT NULL,
-    kind           TEXT NOT NULL,
-    request_id     TEXT NOT NULL,
-    ord            INTEGER NOT NULL,
-    lamport        INTEGER NOT NULL,
-    process        TEXT NOT NULL,
-    local_ts       REAL NOT NULL,
-    true_ts        REAL NOT NULL,
-    rpc_name       TEXT NOT NULL,
-    callpath       INTEGER NOT NULL,
-    span_id        INTEGER NOT NULL,
-    parent_span_id INTEGER,
-    provider_id    INTEGER NOT NULL DEFAULT 0,
-    data           TEXT NOT NULL DEFAULT '{}',
-    pvars          TEXT NOT NULL DEFAULT '{}',
-    sysstats       TEXT NOT NULL DEFAULT '{}'
-);
-CREATE INDEX IF NOT EXISTS idx_trace_events_run ON trace_events(run_id, seq);
-
-CREATE TABLE IF NOT EXISTS sched_slices (
-    run_id  INTEGER NOT NULL REFERENCES runs(run_id),
-    seq     INTEGER NOT NULL,
-    process TEXT NOT NULL,
-    es      TEXT NOT NULL,
-    ult     TEXT NOT NULL,
-    kind    TEXT NOT NULL,
-    start   REAL NOT NULL,
-    end     REAL NOT NULL,
-    reason  TEXT NOT NULL DEFAULT ''
-);
-CREATE INDEX IF NOT EXISTS idx_sched_slices_run ON sched_slices(run_id, seq);
 
 CREATE TABLE IF NOT EXISTS findings (
     run_id   INTEGER NOT NULL REFERENCES runs(run_id),
@@ -192,13 +150,6 @@ CREATE TABLE IF NOT EXISTS profiles (
     reservoir     TEXT NOT NULL DEFAULT '[]'
 );
 CREATE INDEX IF NOT EXISTS idx_profiles_run ON profiles(run_id, side);
-
-CREATE TABLE IF NOT EXISTS callpath_names (
-    run_id    INTEGER NOT NULL REFERENCES runs(run_id),
-    component INTEGER NOT NULL,
-    name      TEXT NOT NULL,
-    UNIQUE(run_id, component, name)
-);
 """
 
 
@@ -208,7 +159,8 @@ def ensure_schema(conn: sqlite3.Connection) -> None:
     The stored version is read before any DDL runs, and a store written
     by any other schema version is refused untouched: a newer one would
     be misread, version 1 lacks the critical-path tables the analysis
-    ops read, and version 2 carries the dropped bench tables.
+    ops read, version 2 carries the dropped bench tables, and version 3
+    the dropped trace-event, scheduler-slice and callpath-name tables.
     """
     found = schema_version(conn)
     if found > SCHEMA_VERSION:

@@ -4,8 +4,8 @@ All appends accumulate in per-table row buffers and land in one
 ``executemany`` batch per table at :meth:`StoreWriter.flush` -- a run's
 worth of telemetry is one transaction, not ten thousand.  Row order is
 deterministic: series are written in sorted ``(name, labels)`` order
-(the exporters' order), events/slices/findings in recording order, so
-two same-seed runs produce row-for-row identical stores.
+(the exporters' order), findings/retries/breakdowns in recording
+order, so two same-seed runs produce row-for-row identical stores.
 
 The free functions at the bottom are the high-level sinks the rest of
 the stack calls: :func:`record_cluster_run` (what ``Cluster(store=...)``
@@ -19,9 +19,8 @@ from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..symbiosys.metrics import MetricsRegistry, SeriesStore
-    from ..symbiosys.monitor import Finding, SchedSlice
+    from ..symbiosys.monitor import Finding
     from ..symbiosys.profiling import ProfileStore
-    from ..symbiosys.tracing import TraceEvent
     from . import PerfStore
 
 __all__ = [
@@ -50,23 +49,19 @@ def _dumps(obj) -> str:
 class StoreWriter:
     """Batched writes into one :class:`~repro.store.PerfStore`.
 
-    Use as a context manager (flushes on clean exit) or call
-    :meth:`flush` explicitly.  One writer may record several runs.
+    Use as a context manager (flushes on clean exit, discards everything
+    pending on an exception) or call :meth:`flush` explicitly.  One
+    writer may record several runs.
     """
 
     def __init__(self, store: "PerfStore"):
         self.store = store
-        self._runs: list[tuple] = []
-        self._run_ids: list[int] = []
         self._metrics: list[tuple] = []  # (run, name, labels, kind, help)
         self._samples: list[tuple] = []  # (run, name, labels, t, value)
-        self._events: list[tuple] = []
-        self._slices: list[tuple] = []
         self._findings: list[tuple] = []
         self._retries: list[tuple] = []
         self._breakdowns: list[tuple] = []
         self._profiles: list[tuple] = []
-        self._callpath_names: list[tuple] = []
 
     # -- runs ---------------------------------------------------------------
 
@@ -81,10 +76,9 @@ class StoreWriter:
         extra: Optional[dict] = None,
         created: str = "",
     ) -> int:
-        """Allocate a run id (immediately, so references work) and queue
-        the run row."""
-        conn = self.store.conn
-        cur = conn.execute(
+        """Allocate a run id (immediately, so references work).  The run
+        row is inserted now but committed only by :meth:`flush`."""
+        cur = self.store.conn.execute(
             "INSERT INTO runs (name, kind, seed, config, tags, extra, created)"
             " VALUES (?, ?, ?, ?, ?, ?, ?)",
             (
@@ -93,9 +87,7 @@ class StoreWriter:
                 created,
             ),
         )
-        run_id = cur.lastrowid
-        self._run_ids.append(run_id)
-        return run_id
+        return cur.lastrowid
 
     # -- metric time-series -------------------------------------------------
 
@@ -141,7 +133,7 @@ class StoreWriter:
         base = len(self._findings)
         self._findings.extend(
             (run_id, base + i, f.time, f.detector, f.process, f.message,
-             f.value, getattr(f, "wait_state", ""))
+             f.value, f.wait_state)
             for i, f in enumerate(findings)
         )
 
@@ -172,46 +164,21 @@ class StoreWriter:
             for i, bd in enumerate(report.breakdowns)
         )
 
-    def record_sched_slices(
-        self, run_id: int, slices: Iterable["SchedSlice"]
-    ) -> None:
-        base = len(self._slices)
-        self._slices.extend(
-            (run_id, base + i, s.process, s.es, s.ult, s.kind, s.start,
-             s.end, s.reason)
-            for i, s in enumerate(slices)
-        )
-
-    # -- traces and profiles ------------------------------------------------
-
-    def record_trace_events(
-        self, run_id: int, events: Iterable["TraceEvent"]
-    ) -> None:
-        base = len(self._events)
-        self._events.extend(
-            (
-                run_id, base + i, ev.kind.value, ev.request_id, ev.order,
-                ev.lamport, ev.process, ev.local_ts, ev.true_ts,
-                ev.rpc_name, ev.callpath, ev.span_id, ev.parent_span_id,
-                ev.provider_id, _dumps(ev.data), _dumps(ev.pvars),
-                _dumps(ev.sysstats),
-            )
-            for i, ev in enumerate(events)
-        )
+    # -- profiles -----------------------------------------------------------
 
     def record_profile(
         self,
         run_id: int,
         side: str,
         store: "ProfileStore",
-        registry=None,
+        registry,
     ) -> None:
         """Flatten one callpath-profile store (count/total/min/max plus
         the distribution reservoir) in sorted key order."""
         for key in sorted(
             store.keys(), key=lambda k: (k.callpath, k.origin, k.target)
         ):
-            name = registry.decode(key.callpath) if registry else ""
+            name = registry.decode(key.callpath)
             for interval, stats in sorted(store.intervals_for(key).items()):
                 self._profiles.append(
                     (
@@ -222,21 +189,10 @@ class StoreWriter:
                     )
                 )
 
-    def record_callpath_names(self, run_id: int, registry) -> None:
-        """Persist the component-hash -> RPC-name map so archived
-        callpaths decode without the live registry."""
-        from ..symbiosys.callpath import hash16
-
-        for name in registry.known_names():
-            self._callpath_names.append((run_id, hash16(name), name))
-
     def record_collector(self, run_id: int, collector) -> None:
-        """Everything a SYMBIOSYS collector holds: trace events, retry
-        records, both profile sides, and the callpath name map."""
-        self.record_trace_events(run_id, collector.all_events())
-        all_retries = getattr(collector, "all_retries", None)
-        if all_retries is not None:
-            self.record_retries(run_id, all_retries())
+        """What the queries read of a SYMBIOSYS collector: its retry
+        records and both profile sides."""
+        self.record_retries(run_id, collector.all_retries())
         self.record_profile(
             run_id, "origin", collector.merged_origin_profile(),
             collector.registry,
@@ -245,7 +201,6 @@ class StoreWriter:
             run_id, "target", collector.merged_target_profile(),
             collector.registry,
         )
-        self.record_callpath_names(run_id, collector.registry)
 
     # -- flushing -----------------------------------------------------------
 
@@ -264,22 +219,6 @@ class StoreWriter:
                 " ?4, ?5 FROM metrics WHERE run_id = ?1 AND name = ?2 AND"
                 " labels = ?3",
                 self._samples,
-            )
-        if self._events:
-            conn.executemany(
-                "INSERT INTO trace_events (run_id, seq, kind, request_id,"
-                " ord, lamport, process, local_ts, true_ts, rpc_name,"
-                " callpath, span_id, parent_span_id, provider_id, data,"
-                " pvars, sysstats) VALUES"
-                " (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                self._events,
-            )
-        if self._slices:
-            conn.executemany(
-                "INSERT INTO sched_slices (run_id, seq, process, es, ult,"
-                " kind, start, end, reason)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                self._slices,
             )
         if self._findings:
             conn.executemany(
@@ -311,19 +250,22 @@ class StoreWriter:
                 " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 self._profiles,
             )
-        if self._callpath_names:
-            conn.executemany(
-                "INSERT OR IGNORE INTO callpath_names (run_id, component,"
-                " name) VALUES (?, ?, ?)",
-                self._callpath_names,
-            )
+        self._clear()
+        conn.commit()
+
+    def _discard(self) -> None:
+        """Drop every buffered row and roll back the run rows
+        :meth:`begin_run` inserted, so a failed record leaves no run
+        for the next writer's :meth:`flush` to commit."""
+        self._clear()
+        self.store.conn.rollback()
+
+    def _clear(self) -> None:
         for buf in (
-            self._metrics, self._samples, self._events, self._slices,
-            self._findings, self._retries, self._breakdowns,
-            self._profiles, self._callpath_names,
+            self._metrics, self._samples, self._findings, self._retries,
+            self._breakdowns, self._profiles,
         ):
             buf.clear()
-        conn.commit()
 
     def __enter__(self) -> "StoreWriter":
         return self
@@ -331,6 +273,8 @@ class StoreWriter:
     def __exit__(self, exc_type, exc, tb) -> bool:
         if exc_type is None:
             self.flush()
+        else:
+            self._discard()
         return False
 
 
@@ -361,47 +305,47 @@ def record_cluster_run(
 ) -> int:
     """Persist one finished :class:`~repro.cluster.Cluster` run: the
     monitor's telemetry (when monitoring was on) and the collector's
-    traces/profiles/breakdowns (when instrumentation was on).  When
+    retries/profiles/breakdowns (when instrumentation was on).  When
     both are present, the critical-path engine runs once here and its
     per-request breakdowns land in the ``breakdowns`` table; detector
-    findings are stored with their dominant wait state filled in."""
+    findings are stored with their dominant wait state filled in.  On
+    failure nothing of the run is left behind."""
     writer, own = _open_writer(store)
     try:
-        extra = {
-            "fault_events": [list(ev) for ev in cluster.fault_events()],
-        }
-        if cluster.collector is not None:
-            extra["resilience"] = cluster.collector.merged_resilience()
-        run_id = writer.begin_run(
-            name,
-            kind=kind,
-            seed=getattr(cluster, "seed", None),
-            config=config,
-            tags=tags,
-            extra=extra,
-            created=created,
-        )
-        report = None
-        if cluster.collector is not None:
-            from ..symbiosys.critical import analyze_collector
+        with writer:
+            extra = {
+                "fault_events": [list(ev) for ev in cluster.fault_events()],
+            }
+            if cluster.collector is not None:
+                extra["resilience"] = cluster.collector.merged_resilience()
+            run_id = writer.begin_run(
+                name,
+                kind=kind,
+                seed=getattr(cluster, "seed", None),
+                config=config,
+                tags=tags,
+                extra=extra,
+                created=created,
+            )
+            report = None
+            if cluster.collector is not None:
+                from ..symbiosys.critical import analyze_collector
 
-            report = analyze_collector(cluster.collector, cluster.monitor)
-        if cluster.monitor is not None:
-            monitor = cluster.monitor
-            findings = monitor.findings
-            if report is not None:
-                from ..symbiosys.critical import annotate_findings
+                report = analyze_collector(cluster.collector, cluster.monitor)
+            if cluster.monitor is not None:
+                monitor = cluster.monitor
+                findings = monitor.findings
+                if report is not None:
+                    from ..symbiosys.critical import annotate_findings
 
-                findings = annotate_findings(findings, report)
-            writer.record_series_store(run_id, monitor.store,
-                                       monitor.registry)
-            writer.record_findings(run_id, findings)
-            writer.record_sched_slices(run_id, monitor.sched.slices)
-        if cluster.collector is not None:
-            writer.record_collector(run_id, cluster.collector)
-            writer.record_breakdowns(run_id, report)
-        writer.flush()
-        return run_id
+                    findings = annotate_findings(findings, report)
+                writer.record_series_store(run_id, monitor.store,
+                                           monitor.registry)
+                writer.record_findings(run_id, findings)
+            if cluster.collector is not None:
+                writer.record_collector(run_id, cluster.collector)
+                writer.record_breakdowns(run_id, report)
+            return run_id
     finally:
         if own:
             writer.store.close()
@@ -420,23 +364,23 @@ def record_overhead_study(
     per-stage makespan/trace-count series keyed by a ``stage`` label."""
     writer, own = _open_writer(store)
     try:
-        run_id = writer.begin_run(
-            name, kind="overhead", seed=seed, tags=tags, created=created,
-        )
-        for row in study.rows():
-            labels = {"stage": row["stage"]}
-            writer.add_series(
-                run_id, "overhead_mean_sim_makespan_s", labels,
-                [(0.0, row["mean_sim_makespan_s"])],
-                help="Mean simulated makespan of one overhead-study stage",
+        with writer:
+            run_id = writer.begin_run(
+                name, kind="overhead", seed=seed, tags=tags, created=created,
             )
-            writer.add_series(
-                run_id, "overhead_trace_events", labels,
-                [(0.0, float(row["trace_events"]))],
-                help="Trace events collected at one overhead-study stage",
-            )
-        writer.flush()
-        return run_id
+            for row in study.rows():
+                labels = {"stage": row["stage"]}
+                writer.add_series(
+                    run_id, "overhead_mean_sim_makespan_s", labels,
+                    [(0.0, row["mean_sim_makespan_s"])],
+                    help="Mean simulated makespan of one overhead-study stage",
+                )
+                writer.add_series(
+                    run_id, "overhead_trace_events", labels,
+                    [(0.0, float(row["trace_events"]))],
+                    help="Trace events collected at one overhead-study stage",
+                )
+            return run_id
     finally:
         if own:
             writer.store.close()

@@ -11,9 +11,8 @@ Public surface:
 * :class:`Monitor` / :class:`MonitorConfig` -- always-on online
   telemetry: periodic sampling into ring-buffer time-series, scheduler
   slice recording, and anomaly detection.
-* :mod:`repro.symbiosys.export` -- Prometheus text, CSV time-series,
-  profile CSV and trace JSON; :mod:`repro.symbiosys.perfetto` -- the
-  Perfetto/Chrome timeline.
+* :mod:`repro.symbiosys.export` -- Prometheus text and CSV time-series;
+  :mod:`repro.symbiosys.perfetto` -- the Perfetto/Chrome timeline.
 """
 
 from .callpath import MAX_DEPTH, CallpathRegistry, components, depth, hash16, push

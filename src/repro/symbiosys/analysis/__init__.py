@@ -1,6 +1,5 @@
 """Offline analysis scripts: profile, trace, and system summaries."""
 
-from .plots import scatter
 from .profile_summary import CallpathRow, ProfileSummary, profile_summary
 from .system_summary import ProcessSystemStats, SystemSummary, system_summary
 from .trace_summary import (
@@ -26,7 +25,6 @@ __all__ = [
     "estimate_clock_offsets",
     "ofi_events_series",
     "profile_summary",
-    "scatter",
     "stitch_traces",
     "system_summary",
     "trace_summary",

@@ -332,10 +332,9 @@ def stitch_traces(
 def trace_summary(collector) -> TraceSummary:
     """Stitch everything the collector gathered, including any fault
     annotations the injector recorded into the per-process buffers."""
-    by_process = getattr(collector, "annotations_by_process", None)
     return stitch_traces(
         collector.all_events(),
-        annotations_by_process=by_process() if by_process is not None else None,
+        annotations_by_process=collector.annotations_by_process(),
     )
 
 

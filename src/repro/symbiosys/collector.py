@@ -86,13 +86,6 @@ class SymbiosysCollector:
         )
         return recs
 
-    def retries_by_process(self) -> dict[str, list[RetryRecord]]:
-        return {
-            instr.trace.process: list(instr.trace.retries)
-            for instr in self.instruments
-            if instr.trace is not None
-        }
-
     @property
     def total_trace_events(self) -> int:
         return sum(

@@ -58,7 +58,6 @@ __all__ = [
     "RequestBreakdown",
     "analyze",
     "analyze_collector",
-    "analyze_run",
     "annotate_findings",
     "dominant_wait_state",
 ]
@@ -572,28 +571,11 @@ def analyze(
 
 def analyze_collector(collector, monitor=None) -> CriticalReport:
     """Decompose a live run: a collector plus (optionally) its monitor."""
-    anns = getattr(collector, "annotations_by_process", None)
-    all_retries = getattr(collector, "all_retries", None)
-    sched = monitor.sched.slices if monitor is not None else ()
     return analyze(
         collector.all_events(),
-        sched_slices=sched,
-        retries=all_retries() if all_retries is not None else (),
-        annotations_by_process=anns() if anns is not None else None,
-    )
-
-
-def analyze_run(run) -> CriticalReport:
-    """Decompose an :class:`~repro.store.archive.ArchivedRun` (or any
-    object exposing the collector duck type plus ``sched_slices``)."""
-    sched = getattr(run, "sched_slices", None)
-    all_retries = getattr(run, "all_retries", None)
-    anns = getattr(run, "annotations_by_process", None)
-    return analyze(
-        run.all_events(),
-        sched_slices=sched() if sched is not None else (),
-        retries=all_retries() if all_retries is not None else (),
-        annotations_by_process=anns() if anns is not None else None,
+        sched_slices=monitor.sched.slices if monitor is not None else (),
+        retries=collector.all_retries(),
+        annotations_by_process=collector.annotations_by_process(),
     )
 
 

@@ -95,6 +95,14 @@ class MonitorConfig(Replaceable):
             raise ValueError("ring_capacity must be positive")
         if self.sched_slice_capacity < 1:
             raise ValueError("sched_slice_capacity must be positive")
+        if self.starvation_threshold <= 0:
+            raise ValueError("starvation_threshold must be positive")
+        if self.queue_watermark < 1:
+            raise ValueError("queue_watermark must be positive")
+        if self.timeout_burst_count < 1:
+            raise ValueError("timeout_burst_count must be positive")
+        if self.timeout_burst_window <= 0:
+            raise ValueError("timeout_burst_window must be positive")
         unknown = set(self.detectors) - set(_BUILTIN_DETECTORS)
         if unknown:
             raise ValueError(f"unknown detectors: {sorted(unknown)}")

@@ -102,25 +102,6 @@ class IntervalStats:
         """The retained distribution samples (unordered subset)."""
         return [v for _, v in self._reservoir]
 
-    @classmethod
-    def from_summary(
-        cls,
-        *,
-        count: int,
-        total: float,
-        minimum: float,
-        maximum: float,
-        samples: Iterable[float] = (),
-    ) -> "IntervalStats":
-        """Rebuild a stats object from persisted summary fields (the
-        store's ``profiles`` rows).  Reservoir priorities are synthetic
-        -- only the retained values matter for percentile estimates."""
-        stats = cls(count=count, total=total, minimum=minimum, maximum=maximum)
-        stats._reservoir = sorted(
-            (i, float(v)) for i, v in enumerate(samples)
-        )
-        return stats
-
     def percentile(self, q: float) -> float:
         """Estimated q-th percentile (0..100) from the reservoir."""
         if not 0 <= q <= 100:

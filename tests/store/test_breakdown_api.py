@@ -1,16 +1,14 @@
-"""Critical-path queries over archived runs: byte-determinism of the
-``breakdown``/``critical_path``/``blame`` replies, the stored-vs-
-recomputed equivalence, and refusal of stores of other schema
-versions."""
+"""Critical-path queries over stored runs: byte-determinism of the
+``breakdown``/``critical_path``/``blame`` replies, the stored-vs-live
+equivalence, and refusal of stores of other schema versions."""
 
 import sqlite3
 
 import pytest
 
 from repro.analysis import AnalysisService, Query, encode_reply
-from repro.store import PerfStore, StoreWriter
-from repro.store.archive import ArchivedRun
-from repro.symbiosys.critical import WAIT_CATEGORIES, analyze_run
+from repro.store import PerfStore
+from repro.symbiosys.critical import WAIT_CATEGORIES, analyze_collector
 
 from ..conftest import make_echo_cluster, run_client_calls
 from .conftest import record_echo_run
@@ -55,29 +53,12 @@ class TestByteDeterminism:
 
 
 class TestStoredVsRecomputed:
-    def test_engine_fallback_matches_stored_rows(self, tmp_path):
-        """Replacing the stored ``breakdowns`` rows with a fresh engine
-        pass over the archived trace events leaves every critical-path
-        reply byte-identical (same engine, same inputs)."""
-        db = tmp_path / "perf.db"
-        record_echo_run(db, seed=3, n_calls=10)
-        stored = query_bytes(db)
-        store = PerfStore(str(db))
-        try:
-            report = analyze_run(ArchivedRun(store, 1))
-            store.conn.execute("DELETE FROM breakdowns")
-            store.conn.commit()
-            with StoreWriter(store) as writer:
-                writer.record_breakdowns(1, report)
-        finally:
-            store.close()
-        assert query_bytes(db) == stored
-
     def test_archived_run_feeds_the_engine(self, echo_store):
         """Every stored breakdown field equals a fresh engine pass over
-        the archived trace events."""
+        the live run."""
         store, world = echo_store
-        report = analyze_run(ArchivedRun(store, 1))
+        report = analyze_collector(world.cluster.collector,
+                                   world.cluster.monitor)
         report.check_invariant()
         rows = store.breakdown_rows(1)
         assert len(rows) == len(report.breakdowns) > 0
@@ -99,7 +80,7 @@ class TestStoredVsRecomputed:
                           for b in bd.blame],
             }
 
-    def test_traces_without_breakdowns_are_refused(self, tmp_path):
+    def test_profiles_without_breakdowns_are_refused(self, tmp_path):
         db = tmp_path / "perf.db"
         record_echo_run(db, seed=3, n_calls=10)
         conn = sqlite3.connect(str(db))
@@ -143,20 +124,29 @@ class TestSchemaV2:
             assert all(
                 f["wait_state"] in WAIT_CATEGORIES for f in findings
             )
-            archived = ArchivedRun(store, 1).findings
-            assert [f.wait_state for f in archived] == \
-                [f["wait_state"] for f in findings]
         finally:
             store.close()
 
     def test_retry_records_round_trip(self, echo_store):
         store, world = echo_store
         live = world.cluster.collector.all_retries()
-        archived = ArchivedRun(store, 1).all_retries()
-        assert archived == live
+        assert store.retry_records(1) == [
+            {
+                "time": r.time,
+                "process": r.process,
+                "request_id": r.request_id,
+                "rpc_name": r.rpc_name,
+                "attempt": r.attempt,
+                "delay": r.delay,
+                "target": r.target,
+                "kind": r.kind,
+            }
+            for r in live
+        ]
 
     # Version 1 lacks the critical-path tables; version 2 still carries
-    # the bench tables version 3 dropped.
+    # the bench tables version 3 dropped; version 3 still carries the
+    # trace-event, slice and callpath-name tables version 4 dropped.
     @pytest.mark.parametrize("version,extra", [
         pytest.param("1", "", id="v1"),
         pytest.param("2", """
@@ -169,6 +159,20 @@ class TestSchemaV2:
                 date TEXT NOT NULL, UNIQUE(suite, machine, git_rev));
             INSERT INTO bench_history VALUES ('kernel', 'm', 'r', 'd');
         """, id="v2"),
+        pytest.param("3", """
+            CREATE TABLE trace_events (run_id INTEGER NOT NULL,
+                seq INTEGER NOT NULL, kind TEXT NOT NULL,
+                request_id TEXT NOT NULL, data TEXT NOT NULL DEFAULT '{}');
+            INSERT INTO trace_events VALUES (1, 0, 'origin_forward', 'r',
+                '{}');
+            CREATE TABLE sched_slices (run_id INTEGER NOT NULL,
+                seq INTEGER NOT NULL, process TEXT NOT NULL,
+                start REAL NOT NULL, end REAL NOT NULL);
+            INSERT INTO sched_slices VALUES (1, 0, 'p', 0.0, 1.0);
+            CREATE TABLE callpath_names (run_id INTEGER NOT NULL,
+                component INTEGER NOT NULL, name TEXT NOT NULL);
+            INSERT INTO callpath_names VALUES (1, 1, 'echo');
+        """, id="v3"),
     ])
     def test_older_store_is_refused_untouched(self, tmp_path, version,
                                               extra):

@@ -5,9 +5,8 @@ import sqlite3
 import pytest
 
 from repro.store import PerfStore
-from repro.store.archive import ArchivedRun
 from repro.store.schema import SCHEMA_VERSION, ensure_schema, schema_version
-from repro.symbiosys.analysis import profile_summary, trace_summary
+from repro.symbiosys.critical import analyze_collector, annotate_findings
 from repro.symbiosys.export import series_to_csv
 
 from .conftest import record_echo_run
@@ -94,29 +93,52 @@ class TestSeriesRoundTrip:
 
 
 class TestTraceAndProfileRoundTrip:
-    def test_events_restore_losslessly(self, echo_store):
-        store, world = echo_store
-        archived = ArchivedRun(store, world.cluster.run_id)
-        assert archived.all_events() == world.cluster.collector.all_events()
-
     def test_profiles_match_live_summaries(self, echo_store):
+        """Each stored profile row carries the live merged profile's
+        count, total, min, max and reservoir for its key and interval,
+        on both sides."""
         store, world = echo_store
-        archived = ArchivedRun(store, world.cluster.run_id)
-        live = world.cluster.collector
-        assert (
-            profile_summary(archived).render()
-            == profile_summary(live).render()
-        )
-        assert (
-            trace_summary(archived).render() == trace_summary(live).render()
-        )
+        collector = world.cluster.collector
+        for side, live in (
+            ("origin", collector.merged_origin_profile()),
+            ("target", collector.merged_target_profile()),
+        ):
+            expected = {
+                (key.callpath, key.origin, key.target, interval):
+                    (s.count, s.total, s.minimum, s.maximum, s.samples())
+                for key in live.keys()
+                for interval, s in live.intervals_for(key).items()
+            }
+            rows = store.profile_rows(world.cluster.run_id, side)
+            stored = {
+                (r["callpath"], r["origin"], r["target"], r["interval"]):
+                    (r["count"], r["total"], r["min"], r["max"],
+                     r["reservoir"])
+                for r in rows
+            }
+            assert len(rows) == len(stored) > 0
+            assert stored == expected
 
     def test_findings_and_slices(self, echo_store):
+        """The stored findings are the live ones with their wait state
+        filled in."""
         store, world = echo_store
-        archived = ArchivedRun(store, world.cluster.run_id)
-        monitor = world.cluster.monitor
-        assert archived.findings == monitor.findings
-        assert archived.sched_slices() == list(monitor.sched.slices)
+        cluster = world.cluster
+        live = annotate_findings(
+            cluster.monitor.findings,
+            analyze_collector(cluster.collector, cluster.monitor),
+        )
+        assert store.findings(cluster.run_id) == [
+            {
+                "time": f.time,
+                "detector": f.detector,
+                "process": f.process,
+                "message": f.message,
+                "value": f.value,
+                "wait_state": f.wait_state,
+            }
+            for f in live
+        ]
 
 
 class TestMultiRun:

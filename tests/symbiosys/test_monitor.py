@@ -56,6 +56,19 @@ def test_monitor_config_validates():
         MonitorConfig(ring_capacity=0)
     with pytest.raises(ValueError):
         MonitorConfig(detectors=("starvation", "nonsense"))
+    # A zero watermark or burst count, or a non-positive window or
+    # threshold, would make its detector fire on every sample.
+    for field, value in (
+        ("queue_watermark", 0),
+        ("queue_watermark", -1),
+        ("timeout_burst_count", 0),
+        ("timeout_burst_window", 0.0),
+        ("timeout_burst_window", -1e-3),
+        ("starvation_threshold", 0.0),
+        ("starvation_threshold", -1e-3),
+    ):
+        with pytest.raises(ValueError, match=field):
+            MonitorConfig(**{field: value})
 
 
 def test_monitor_config_replaceable():

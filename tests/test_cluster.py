@@ -201,9 +201,10 @@ def _imports(path: pathlib.Path, module: str, is_package: bool):
                 yield base, alias.name
 
 
-def test_every_service_module_is_reached_by_a_workload():
-    """Every leaf module under ``repro.services`` is imported, directly
-    or through other ``src`` modules, by an experiment, an example, a
+def test_every_module_is_reached_by_an_entry_point():
+    """Every leaf module under ``repro`` (package ``__init__`` and
+    ``__main__`` files aside) is imported, directly or through other
+    ``src`` modules, by a ``__main__``, an experiment, an example, a
     benchmark or a ``perfbench`` file.  A name imported from a package
     resolves to the submodule that defines it, so a package
     ``__init__`` re-export is not a use."""
@@ -256,13 +257,10 @@ def test_every_service_module_is_reached_by_a_workload():
         else:
             visit(path, path.stem, False)
 
-    services = src / "repro" / "services"
     leaves = {
-        ".".join(path.relative_to(services).with_suffix("").parts)
-        for path in services.rglob("*.py")
-        if path.name != "__init__.py"
+        ".".join(path.relative_to(src).with_suffix("").parts)
+        for path in src.glob("repro/**/*.py")
+        if path.name not in ("__init__.py", "__main__.py")
     }
-    unreached = sorted(
-        leaf for leaf in leaves if f"repro.services.{leaf}" not in reached
-    )
-    assert unreached == [], f"service modules no workload imports: {unreached}"
+    unreached = sorted(leaves - reached)
+    assert unreached == [], f"modules no entry point imports: {unreached}"
