@@ -17,7 +17,8 @@ hand-count bytes.  It dispatches on the payload's exact type:
   for ASCII text, so only non-ASCII text is encoded; ``bytes`` costs
   ``8 + len``;
 * ``list``, ``tuple`` and ``dict`` add 8 to the size of their items, and
-  size scalar and ASCII ``str`` items inline rather than recursing.
+  size scalar, ASCII ``str`` and ``bytes`` items inline rather than
+  recursing.
 
 Every other type is resolved onto the same handlers: a type with an
 ``__encoded_size__`` class attribute (``BulkRef``) costs that many
@@ -83,14 +84,16 @@ def _size_bytes(b: bytes) -> int:
     return _OVERHEAD_PER_ITEM + len(b)
 
 
-# The container handlers size scalar and ASCII ``str`` items inline: for
-# record batches, one call per item would be most of the sizing cost.
+# The container handlers size scalar, ASCII ``str`` and ``bytes`` items
+# inline: for record batches and packed events, one call per item would
+# be most of the sizing cost.  ``bytes`` is tested after ``str``, so the
+# text-heavy record batches pay no extra compare.
 def _size_sequence(items: Any) -> int:
     total = _OVERHEAD_PER_ITEM
     for v in items:
         size = _scalar_size(type(v))
         if size is None:
-            if type(v) is str and v.isascii():
+            if (type(v) is str and v.isascii()) or type(v) is bytes:
                 size = _OVERHEAD_PER_ITEM + len(v)
             else:
                 size = estimate_size(v)
@@ -111,7 +114,7 @@ def _size_dict(d: Any) -> int:
             total += estimate_size(k)
         size = _scalar_size(type(v))
         if size is None:
-            if type(v) is str and v.isascii():
+            if (type(v) is str and v.isascii()) or type(v) is bytes:
                 size = _OVERHEAD_PER_ITEM + len(v)
             else:
                 size = estimate_size(v)

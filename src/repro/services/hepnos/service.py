@@ -44,6 +44,9 @@ class HEPnOSService:
         self.sdskv_providers: list[SdskvProvider] = []
         self.bake_providers: list[BakeProvider] = []
         self.info: list[_ServerInfo] = []
+        #: Databases across every server, counted once by :meth:`deploy`:
+        #: the client hashes every event key modulo it.
+        self.total_databases = 0
         #: Service membership (clients discover servers through this).
         self.group = SSGGroup("hepnos")
 
@@ -87,11 +90,8 @@ class HEPnOSService:
                 _ServerInfo(addr=addr, node=node, n_databases=n_databases)
             )
             service.group.join(addr)
+        service.total_databases = sum(s.n_databases for s in service.info)
         return service
-
-    @property
-    def total_databases(self) -> int:
-        return sum(s.n_databases for s in self.info)
 
     @property
     def total_events_stored(self) -> int:

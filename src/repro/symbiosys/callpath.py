@@ -101,6 +101,3 @@ class CallpathRegistry:
         if not parts:
             return "<root>"
         return " -> ".join(self.name_of(c) for c in parts)
-
-    def known_names(self) -> list[str]:
-        return sorted(set(self._names.values()))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import difflib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -148,28 +148,16 @@ def _run_sonata() -> RunArtifacts:
 
 
 def _run_hepnos() -> RunArtifacts:
-    """Two HEPnOS servers (sdskv + bake providers each) assembled on a
+    """Two HEPnOS servers (sdskv + bake providers each) deployed on a
     Cluster, driven through the real HEPnOS client hashing path."""
-    from ..services.hepnos import HEPnOSClient, HEPnOSService, PID_BAKE, PID_SDSKV
-    from ..services.hepnos.service import _ServerInfo
-    from ..services.bake import BakeProvider
-    from ..services.sdskv import SdskvProvider
+    from ..services.hepnos import HEPnOSClient, HEPnOSService
 
     done: dict = {}
     count = {"ok": 0}
     with _service_cluster() as cluster:
-        service = HEPnOSService()
-        for i in range(2):
-            mi = cluster.process(f"hepnos{i}", f"snode{i}", n_handler_es=2)
-            service.servers.append(mi)
-            service.bake_providers.append(BakeProvider(mi, PID_BAKE))
-            service.sdskv_providers.append(
-                SdskvProvider(mi, PID_SDSKV, n_databases=2)
-            )
-            service.info.append(
-                _ServerInfo(addr=f"hepnos{i}", node=f"snode{i}", n_databases=2)
-            )
-            service.group.join(f"hepnos{i}")
+        service = HEPnOSService.deploy(
+            cluster, n_servers=2, servers_per_node=1, n_handler_es=2, n_databases=2
+        )
         client_mi = cluster.process("hepnos-cli", "cnode0")
         client = HEPnOSClient(client_mi, service)
 

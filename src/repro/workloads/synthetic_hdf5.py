@@ -7,6 +7,8 @@ subruns, and events whose serialized payloads follow a lognormal size
 distribution around ~1 KiB, with real (deterministic, content-bearing)
 bytes.  The loader's code path -- key construction, batching, hashing,
 put_packed -- is identical to what the real files would drive.
+Each file's payloads come from one uint32 draw, and their bytes equal
+one full-range uint8 draw per event (see :func:`generate_event_files`).
 """
 
 from __future__ import annotations
@@ -42,11 +44,6 @@ class SyntheticEventFile:
         ]
 
 
-def _payload(rng: np.random.Generator, size: int) -> bytes:
-    """Deterministic pseudo-physics payload of exactly ``size`` bytes."""
-    return rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
-
-
 def generate_event_files(
     *,
     dataset: str = "NOvA",
@@ -61,25 +58,35 @@ def generate_event_files(
 
     Event payload sizes are lognormal around ``mean_event_bytes`` --
     serialized physics objects are variable-length.
+
+    A file's payloads are sliced out of one uint32 draw.  NumPy fills a
+    full-range uint8 draw of ``n`` bytes from ``ceil(n / 4)`` uint32
+    words, lowest byte first, and drops the rest of the last word.  So
+    event ``i`` takes the first ``n`` bytes of its own ``ceil(n / 4)``
+    words: the bytes, and the generator state after the file, are those
+    of one ``integers(0, 256, size=n, dtype=uint8)`` call per event.
     """
     if n_files < 1 or events_per_file < 1 or subruns_per_file < 1:
         raise ValueError("file, event, and subrun counts must be positive")
     if mean_event_bytes < 1:
         raise ValueError("mean_event_bytes must be positive")
     rng = RngRegistry(seed).stream("synthetic_hdf5")
+    mu = np.log(mean_event_bytes) - sigma**2 / 2
     files = []
     for run in range(n_files):
-        mu = np.log(mean_event_bytes) - sigma**2 / 2
         sizes = np.exp(rng.normal(mu, sigma, size=events_per_file))
-        sizes = np.maximum(16, sizes.astype(int))
-        events = [
-            (
-                int(i * subruns_per_file // events_per_file),
-                int(i),
-                _payload(rng, int(sizes[i])),
-            )
-            for i in range(events_per_file)
-        ]
+        sizes = np.maximum(16, sizes.astype(int)).tolist()
+        n_words = sum((n + 3) // 4 for n in sizes)
+        buf = (
+            rng.integers(0, 2**32, size=n_words, dtype=np.uint32)
+            .astype("<u4", copy=False)
+            .tobytes()
+        )
+        events = []
+        off = 0
+        for i, n in enumerate(sizes):
+            events.append((i * subruns_per_file // events_per_file, i, buf[off : off + n]))
+            off += 4 * ((n + 3) // 4)
         files.append(SyntheticEventFile(dataset=dataset, run=run, events=events))
     return files
 

@@ -37,6 +37,11 @@ def test_event_key_validation():
         event_key("d", -1, 0, 0)
     with pytest.raises(ValueError):
         event_key("d", 10**9, 0, 0)
+    for subrun, event in ((-1, 0), (0, -1), (10**9, 0), (0, 10**9)):
+        with pytest.raises(ValueError):
+            event_key("d", 0, subrun, event)
+        with pytest.raises(ValueError):
+            EventKey("d", 0, subrun, event)
     with pytest.raises(ValueError):
         parse_event_key("not-a-key")
 

@@ -92,13 +92,6 @@ def test_registry_collision_flagged():
     assert "ambiguous" in reg.name_of(h)
 
 
-def test_registry_known_names_sorted():
-    reg = CallpathRegistry()
-    for name in ("b_op", "a_op", "c_op"):
-        reg.register(name)
-    assert reg.known_names() == ["a_op", "b_op", "c_op"]
-
-
 @given(st.lists(st.text(min_size=1, max_size=30), min_size=1, max_size=4))
 def test_property_chain_roundtrip_within_depth(names):
     """Up to depth 4, components() recovers exactly the pushed sequence."""

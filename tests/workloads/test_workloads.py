@@ -1,7 +1,11 @@
 """Tests for the workload generators (ior, synthetic files, JSON records)."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
+from repro.sim import RngRegistry
 from repro.workloads import (
     IorClient,
     IorConfig,
@@ -119,6 +123,71 @@ def test_flatten_preserves_order_and_count():
     assert len(pairs) == 24
     keys = [k for k, _ in pairs]
     assert keys == sorted(keys)  # file order == run order == key order
+
+
+def _per_event_reference(n_files, events_per_file, mean_event_bytes, sigma, seed):
+    """Payloads drawn the straightforward way -- one uint8 draw per event
+    -- and the generator state they leave behind."""
+    rng = RngRegistry(seed).stream("synthetic_hdf5")
+    payloads = []
+    for _ in range(n_files):
+        mu = np.log(mean_event_bytes) - sigma**2 / 2
+        sizes = np.exp(rng.normal(mu, sigma, size=events_per_file))
+        for n in np.maximum(16, sizes.astype(int)):
+            payloads.append(rng.integers(0, 256, size=int(n), dtype=np.uint8).tobytes())
+    return payloads, rng.bit_generator.state
+
+
+def test_event_payloads_equal_per_event_uint8_draw(monkeypatch):
+    import repro.workloads.synthetic_hdf5 as synthetic_hdf5
+
+    streams = []
+
+    class RecordingRegistry(RngRegistry):
+        def stream(self, name):
+            gen = super().stream(name)
+            streams.append(gen)
+            return gen
+
+    monkeypatch.setattr(synthetic_hdf5, "RngRegistry", RecordingRegistry)
+    kw = dict(events_per_file=64, mean_event_bytes=37, sigma=0.5, seed=99)
+    files = generate_event_files(n_files=3, **kw)
+    payloads = [p for f in files for _, _, p in f.events]
+    assert {1, 2, 3} <= {len(p) % 4 for p in payloads}  # partial last words
+    words = [sum((len(p) + 3) // 4 for _, _, p in f.events) for f in files]
+    assert any(w % 2 for w in words)  # PCG64 left holding half a 64-bit output
+
+    expected, expected_state = _per_event_reference(3, **kw)
+    assert payloads == expected
+    (rng,) = streams
+    assert rng.bit_generator.state == expected_state
+
+
+def test_default_event_payloads_are_pinned():
+    # Seed-0 benchmark outputs see payload sizes only, so this digest is
+    # what catches a change in the payload bytes themselves.
+    digest = hashlib.sha256()
+    for f in generate_event_files():
+        for _, _, payload in f.events:
+            digest.update(payload)
+    assert digest.hexdigest() == (
+        "54b5e0487ddb49762f74c4fa597b7a512c3cda7748b54f31fa0e0cf416d634f6"
+    )
+
+
+def test_event_keys_equal_event_key_encoding():
+    from repro.services.hepnos import EventKey
+
+    files = generate_event_files(n_files=2, events_per_file=40, subruns_per_file=3)
+    for f in files:
+        pairs = f.to_pairs()
+        assert len(pairs) == len(f.events)
+        for (key, payload), (subrun, event, data) in zip(pairs, f.events):
+            assert payload is data
+            assert key == EventKey(f.dataset, f.run, subrun, event).encode()
+            assert key == "%".join(
+                (f.dataset, f"{f.run:09d}", f"{subrun:09d}", f"{event:09d}")
+            )
 
 
 def test_event_sizes_lognormal_spread():
