@@ -154,7 +154,9 @@ class MargoInstance:
         self._req_seq = itertools.count(1)
 
         self._handlers: dict[tuple[str, int], Callable] = {}
-        self._arrival_installed: set[str] = set()
+        #: The one Mercury request-arrival callback, bound once and
+        #: shared by every RPC this process serves.
+        self._arrival = self._on_arrival
         #: Handler exceptions caught and returned to the origin as
         #: RemoteRpcError payloads (the server survives them).
         self.handler_errors: list[tuple[str, Exception]] = []
@@ -213,29 +215,27 @@ class MargoInstance:
                 f"RPC {rpc_name!r} provider {provider_id} already registered"
             )
         self._handlers[key] = handler
-        if rpc_name not in self._arrival_installed:
-            # First provider for this RPC name installs the HG callback;
-            # further providers share it (dispatch is by provider_id).
-            self.hg.register(rpc_name, self._make_arrival(rpc_name))
-            self._arrival_installed.add(rpc_name)
+        # Every provider of every RPC shares the one HG callback
+        # (dispatch is by provider_id); re-registering it is a no-op.
+        self.hg.register(rpc_name, self._arrival)
 
-    def _make_arrival(self, rpc_name: str) -> Callable[[HGHandle], None]:
-        def _on_arrival(handle: HGHandle) -> None:
-            # t4: runs inside the progress ULT via HG_Trigger.
-            pid = handle.header.get("provider_id", 0)
-            try:
-                handler = self._handlers[(rpc_name, pid)]
-            except KeyError:
-                raise RuntimeError(
-                    f"{self.addr}: no provider {pid} for RPC {rpc_name!r}"
-                ) from None
-            self.rt.spawn(
-                self._handler_wrapper(handler, handle),
-                self.handler_pool,
-                name=f"{self.addr}.h:{rpc_name}",
-            )
-
-        return _on_arrival
+    def _on_arrival(self, handle: HGHandle) -> None:
+        # t4: runs inside the progress ULT via HG_Trigger.  HGCore
+        # dispatches by ``handle.rpc_name``, so that and the provider id
+        # name the handler.
+        rpc_name = handle.rpc_name
+        pid = handle.header.get("provider_id", 0)
+        try:
+            handler = self._handlers[(rpc_name, pid)]
+        except KeyError:
+            raise RuntimeError(
+                f"{self.addr}: no provider {pid} for RPC {rpc_name!r}"
+            ) from None
+        self.rt.spawn(
+            self._handler_wrapper(handler, handle),
+            self.handler_pool,
+            name=f"{self.addr}.h:{rpc_name}",
+        )
 
     # -- origin side --------------------------------------------------------------
 

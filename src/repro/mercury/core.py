@@ -110,6 +110,137 @@ class ResponseWire:
     header: dict = field(default_factory=dict)
 
 
+#: Table II plus extras covering every class, shared by every
+#: :class:`HGCore`; getters read the instance they are given.
+_HG_PVARS = (
+    PvarDef(
+        "num_posted_handles",
+        PvarClass.LEVEL,
+        PvarBinding.NO_OBJECT,
+        "Number of currently posted RPC handles",
+        getter=lambda hg: len(hg._posted),
+    ),
+    PvarDef(
+        "completion_queue_size",
+        PvarClass.STATE,
+        PvarBinding.NO_OBJECT,
+        "Number of events in Mercury's completion queue",
+        getter=lambda hg: len(hg._completion_queue),
+    ),
+    PvarDef(
+        "num_ofi_events_read",
+        PvarClass.LEVEL,
+        PvarBinding.NO_OBJECT,
+        "Number of OFI completion events last read",
+    ),
+    PvarDef(
+        "num_rpcs_invoked",
+        PvarClass.COUNTER,
+        PvarBinding.NO_OBJECT,
+        "Number of RPCs invoked by instance",
+    ),
+    PvarDef(
+        "internal_rdma_transfer_time",
+        PvarClass.TIMER,
+        PvarBinding.HANDLE,
+        "Time taken to transfer additional RPC metadata through RDMA",
+    ),
+    PvarDef(
+        "input_serialization_time",
+        PvarClass.TIMER,
+        PvarBinding.HANDLE,
+        "Time taken to serialize input on origin",
+    ),
+    PvarDef(
+        "input_deserialization_time",
+        PvarClass.TIMER,
+        PvarBinding.HANDLE,
+        "Time taken to de-serialize input on target",
+    ),
+    PvarDef(
+        "output_serialization_time",
+        PvarClass.TIMER,
+        PvarBinding.HANDLE,
+        "Time taken to serialize output on target",
+    ),
+    PvarDef(
+        "origin_completion_callback_time",
+        PvarClass.TIMER,
+        PvarBinding.HANDLE,
+        "Delay between arrival of RPC response and invocation of "
+        "completion callback",
+    ),
+    PvarDef(
+        "bulk_transfer_time",
+        PvarClass.TIMER,
+        PvarBinding.HANDLE,
+        "Time taken by a bulk (RDMA) data transfer for this RPC",
+    ),
+    PvarDef(
+        "eager_buffer_size",
+        PvarClass.SIZE,
+        PvarBinding.NO_OBJECT,
+        "Size of the eager metadata buffer",
+        getter=lambda hg: hg.config.eager_size,
+    ),
+    PvarDef(
+        "ofi_cq_high_watermark",
+        PvarClass.HIGHWATERMARK,
+        PvarBinding.NO_OBJECT,
+        "Deepest observed OFI completion-queue backlog",
+        getter=lambda hg: hg.endpoint.cq_high_watermark,
+    ),
+    PvarDef(
+        "max_ofi_events_read",
+        PvarClass.HIGHWATERMARK,
+        PvarBinding.NO_OBJECT,
+        "Most OFI events read in one progress iteration",
+    ),
+    PvarDef(
+        "min_ofi_events_read",
+        PvarClass.LOWWATERMARK,
+        PvarBinding.NO_OBJECT,
+        "Fewest OFI events read in one non-empty progress iteration",
+    ),
+    PvarDef(
+        "eager_overflow_count",
+        PvarClass.COUNTER,
+        PvarBinding.NO_OBJECT,
+        "RPCs whose metadata overflowed the eager buffer",
+    ),
+    # Resilience gauges: degraded-mode behaviour under faults.
+    # Updated by the Margo retry/timeout layer and the response
+    # path unconditionally (not gated on pvars_enabled) -- they
+    # cost one integer add and resilience reports need them even
+    # in Baseline runs.
+    PvarDef(
+        "num_forward_timeouts",
+        PvarClass.COUNTER,
+        PvarBinding.NO_OBJECT,
+        "Forwards that hit their timeout and were cancelled",
+    ),
+    PvarDef(
+        "num_forward_retries",
+        PvarClass.COUNTER,
+        PvarBinding.NO_OBJECT,
+        "Forwards re-issued by a retry policy after a failure",
+    ),
+    PvarDef(
+        "num_failed_over_forwards",
+        PvarClass.COUNTER,
+        PvarBinding.NO_OBJECT,
+        "Forward attempts redirected to a failover target",
+    ),
+    PvarDef(
+        "num_late_responses_dropped",
+        PvarClass.COUNTER,
+        PvarBinding.NO_OBJECT,
+        "Responses dropped on arrival: handle cancelled, already "
+        "completed, or duplicated on the wire",
+    ),
+)
+
+
 class HGHandle:
     """Per-RPC state on either side of the wire.
 
@@ -215,7 +346,8 @@ class HGCore:
         #: empty ones, in subscription order.
         self._progress_observers: list = []
         self.pvars = PvarRegistry()
-        self._define_pvars()
+        for d in _HG_PVARS:
+            self.pvars.define(d, self)
 
     def add_progress_observer(self, observer) -> None:
         """Subscribe an additional progress observer."""
@@ -226,140 +358,6 @@ class HGCore:
     @property
     def addr(self) -> str:
         return self.endpoint.addr
-
-    # -- PVAR definitions (Table II plus extras covering every class) -------------
-
-    def _define_pvars(self) -> None:
-        P, B = PvarClass, PvarBinding
-        defs = [
-            PvarDef(
-                "num_posted_handles",
-                P.LEVEL,
-                B.NO_OBJECT,
-                "Number of currently posted RPC handles",
-                getter=lambda: len(self._posted),
-            ),
-            PvarDef(
-                "completion_queue_size",
-                P.STATE,
-                B.NO_OBJECT,
-                "Number of events in Mercury's completion queue",
-                getter=lambda: len(self._completion_queue),
-            ),
-            PvarDef(
-                "num_ofi_events_read",
-                P.LEVEL,
-                B.NO_OBJECT,
-                "Number of OFI completion events last read",
-            ),
-            PvarDef(
-                "num_rpcs_invoked",
-                P.COUNTER,
-                B.NO_OBJECT,
-                "Number of RPCs invoked by instance",
-            ),
-            PvarDef(
-                "internal_rdma_transfer_time",
-                P.TIMER,
-                B.HANDLE,
-                "Time taken to transfer additional RPC metadata through RDMA",
-            ),
-            PvarDef(
-                "input_serialization_time",
-                P.TIMER,
-                B.HANDLE,
-                "Time taken to serialize input on origin",
-            ),
-            PvarDef(
-                "input_deserialization_time",
-                P.TIMER,
-                B.HANDLE,
-                "Time taken to de-serialize input on target",
-            ),
-            PvarDef(
-                "output_serialization_time",
-                P.TIMER,
-                B.HANDLE,
-                "Time taken to serialize output on target",
-            ),
-            PvarDef(
-                "origin_completion_callback_time",
-                P.TIMER,
-                B.HANDLE,
-                "Delay between arrival of RPC response and invocation of "
-                "completion callback",
-            ),
-            PvarDef(
-                "bulk_transfer_time",
-                P.TIMER,
-                B.HANDLE,
-                "Time taken by a bulk (RDMA) data transfer for this RPC",
-            ),
-            PvarDef(
-                "eager_buffer_size",
-                P.SIZE,
-                B.NO_OBJECT,
-                "Size of the eager metadata buffer",
-                getter=lambda: self.config.eager_size,
-            ),
-            PvarDef(
-                "ofi_cq_high_watermark",
-                P.HIGHWATERMARK,
-                B.NO_OBJECT,
-                "Deepest observed OFI completion-queue backlog",
-                getter=lambda: self.endpoint.cq_high_watermark,
-            ),
-            PvarDef(
-                "max_ofi_events_read",
-                P.HIGHWATERMARK,
-                B.NO_OBJECT,
-                "Most OFI events read in one progress iteration",
-            ),
-            PvarDef(
-                "min_ofi_events_read",
-                P.LOWWATERMARK,
-                B.NO_OBJECT,
-                "Fewest OFI events read in one non-empty progress iteration",
-            ),
-            PvarDef(
-                "eager_overflow_count",
-                P.COUNTER,
-                B.NO_OBJECT,
-                "RPCs whose metadata overflowed the eager buffer",
-            ),
-            # Resilience gauges: degraded-mode behaviour under faults.
-            # Updated by the Margo retry/timeout layer and the response
-            # path unconditionally (not gated on pvars_enabled) -- they
-            # cost one integer add and resilience reports need them even
-            # in Baseline runs.
-            PvarDef(
-                "num_forward_timeouts",
-                P.COUNTER,
-                B.NO_OBJECT,
-                "Forwards that hit their timeout and were cancelled",
-            ),
-            PvarDef(
-                "num_forward_retries",
-                P.COUNTER,
-                B.NO_OBJECT,
-                "Forwards re-issued by a retry policy after a failure",
-            ),
-            PvarDef(
-                "num_failed_over_forwards",
-                P.COUNTER,
-                B.NO_OBJECT,
-                "Forward attempts redirected to a failover target",
-            ),
-            PvarDef(
-                "num_late_responses_dropped",
-                P.COUNTER,
-                B.NO_OBJECT,
-                "Responses dropped on arrival: handle cancelled, already "
-                "completed, or duplicated on the wire",
-            ),
-        ]
-        for d in defs:
-            self.pvars.define(d)
 
     def pvar_session_init(self) -> PvarSession:
         """Entry point of the external-tool interface (Section IV-B-2)."""
@@ -376,11 +374,12 @@ class HGCore:
 
         ``rpc_cb(handle)`` is the request-arrival callback (Margo's ULT
         spawner); it runs at t4 in the progress ULT context.  Clients may
-        register with no callback purely to create handles.
+        register with no callback purely to create handles.  Registering
+        the installed callback again is a no-op.
         """
         if rpc_cb is not None:
             existing = self._rpcs.get(rpc_name)
-            if existing is not None:
+            if existing is not None and existing is not rpc_cb:
                 raise ValueError(f"RPC {rpc_name!r} already has a handler")
             self._rpcs[rpc_name] = rpc_cb
         else:

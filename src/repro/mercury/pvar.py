@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
+from operator import getitem
 from typing import Any, Callable, Optional
 
 __all__ = [
@@ -55,15 +57,23 @@ class PvarBinding(enum.Enum):
 @dataclass(frozen=True)
 class PvarDef:
     """Static description of one exported PVAR (what ``pvar_get_info``
-    returns to an external tool)."""
+    returns to an external tool).
+
+    A definition is library data, not instance state: one module-level
+    tuple of them serves every instance of the defining class, and each
+    registry that holds a definition pairs it with the object it reads.
+    """
 
     name: str
     pvar_class: PvarClass
     binding: PvarBinding
     description: str
     #: For NO_OBJECT PVARs whose value is computed on demand (e.g. the
-    #: instantaneous completion-queue depth), a zero-arg getter.
-    getter: Optional[Callable[[], Any]] = None
+    #: instantaneous completion-queue depth), a one-argument getter
+    #: called with the owner the registry was given at
+    #: :meth:`PvarRegistry.define` time, e.g. ``lambda hg:
+    #: len(hg._completion_queue)``.
+    getter: Optional[Callable[[Any], Any]] = None
 
 
 class PvarRegistry:
@@ -81,19 +91,26 @@ class PvarRegistry:
     def __init__(self) -> None:
         self._defs: list[PvarDef] = []
         self._index: dict[str, int] = {}
-        #: Current value per definition slot (None placeholder for
-        #: HANDLE-bound and getter-backed definitions).
+        #: Per definition slot: the current value of a stored PVAR, the
+        #: owner handed to the getter of a getter-backed one, and None
+        #: for a HANDLE-bound one.
         self._slots: list[Any] = []
+        #: Sessions opened against this registry (numbers session ids).
+        self._sessions_opened = 0
 
     # -- definition (library side) -------------------------------------------
 
-    def define(self, pvar_def: PvarDef) -> None:
+    def define(self, pvar_def: PvarDef, owner: Any = None) -> None:
+        """Add one definition.  ``owner`` is what a getter-backed
+        definition's getter is called with."""
         if pvar_def.name in self._index:
             raise PvarError(f"duplicate PVAR {pvar_def.name!r}")
         self._index[pvar_def.name] = len(self._defs)
         self._defs.append(pvar_def)
         value: Any = None
-        if pvar_def.binding is PvarBinding.NO_OBJECT and pvar_def.getter is None:
+        if pvar_def.getter is not None:
+            value = owner
+        elif pvar_def.binding is PvarBinding.NO_OBJECT:
             value = 0.0 if pvar_def.pvar_class is PvarClass.TIMER else 0
             if pvar_def.pvar_class is PvarClass.LOWWATERMARK:
                 value = None  # no sample yet
@@ -111,9 +128,10 @@ class PvarRegistry:
 
     @property
     def slot_values(self) -> list[Any]:
-        """The live per-slot value list, for bind-once readers that
-        index it directly (getter-backed and HANDLE-bound slots hold
-        None placeholders; read those through :meth:`reader`)."""
+        """The live per-slot list, for bind-once readers that index it
+        directly.  A getter-backed slot holds the getter's owner, so its
+        value is ``getter(slot_values[slot])``; a HANDLE-bound slot holds
+        None."""
         return self._slots
 
     def info(self, index: int) -> PvarDef:
@@ -132,18 +150,18 @@ class PvarRegistry:
     def reader(self, name: str) -> Callable[[], Any]:
         """Bind-once zero-arg reader for a NO_OBJECT PVAR.
 
-        Getter-backed definitions hand back the getter itself; stored
-        definitions hand back a closure over (slots, slot), so a read
-        costs one list index instead of two dict lookups.
+        Getter-backed definitions hand back the getter bound to its
+        owner; stored definitions hand back ``slots[slot]`` bound the
+        same way, so a read costs one list index instead of two dict
+        lookups.
         """
         slot = self.index_of(name)
         d = self._defs[slot]
         if d.binding is not PvarBinding.NO_OBJECT:
             raise PvarError(f"{name!r} is HANDLE-bound")
         if d.getter is not None:
-            return d.getter
-        slots = self._slots
-        return lambda: slots[slot]
+            return partial(d.getter, self._slots[slot])
+        return partial(getitem, self._slots, slot)
 
     # -- updates (library side) ------------------------------------------------
 
@@ -182,12 +200,13 @@ class PvarRegistry:
             raise PvarError(f"{name!r} is not a watermark PVAR")
 
     def raw_value(self, name: str) -> Any:
-        d = self._defs[self.index_of(name)]
+        slot = self.index_of(name)
+        d = self._defs[slot]
         if d.binding is not PvarBinding.NO_OBJECT:
             raise PvarError(f"{name!r} is HANDLE-bound")
         if d.getter is not None:
-            return d.getter()
-        return self._slots[self._index[name]]
+            return d.getter(self._slots[slot])
+        return self._slots[slot]
 
 
 @dataclass
@@ -203,15 +222,15 @@ class PvarSession:
     """One external tool's sampling session against a Mercury instance.
 
     Follows the paper's five-step protocol; every step validates its
-    preconditions so misuse is caught loudly.
+    preconditions so misuse is caught loudly.  Session ids count from 1
+    per registry, so identical runs in one interpreter number their
+    sessions identically.
     """
-
-    _next_id = 1
 
     def __init__(self, registry: PvarRegistry):
         self._registry = registry
-        self.session_id = PvarSession._next_id
-        PvarSession._next_id += 1
+        registry._sessions_opened += 1
+        self.session_id = registry._sessions_opened
         self._finalized = False
         self._handles: list[PvarHandle] = []
 

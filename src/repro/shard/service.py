@@ -46,6 +46,61 @@ _ALL_RPCS = (RPC_PUT, RPC_GET, RPC_INSTALL, RPC_ASSIGN)
 #: its placement map when no hint is available yet).
 RET_WRONG_OWNER = -2
 
+#: The shard server's PVARs, shared by every :class:`ShardKvProvider`;
+#: getters read the provider they are given.
+_SHARD_PVARS = (
+    PvarDef(
+        "shard_num_owned",
+        PvarClass.LEVEL,
+        PvarBinding.NO_OBJECT,
+        "Shards currently stored on this process",
+        getter=lambda p: len(p.shards),
+    ),
+    PvarDef(
+        "ssg_view_epoch",
+        PvarClass.LEVEL,
+        PvarBinding.NO_OBJECT,
+        "Epoch of the latest SSG view applied by this process",
+        getter=lambda p: p.replica.epoch if p.replica else 0,
+    ),
+    PvarDef(
+        "shard_ops_total",
+        PvarClass.COUNTER,
+        PvarBinding.NO_OBJECT,
+        "Shard KV operations served by this process",
+    ),
+    PvarDef(
+        "shard_redirects_total",
+        PvarClass.COUNTER,
+        PvarBinding.NO_OBJECT,
+        "Wrong-owner requests answered with a redirect",
+    ),
+    PvarDef(
+        "shard_migrations_in",
+        PvarClass.COUNTER,
+        PvarBinding.NO_OBJECT,
+        "Shards installed by in-migration",
+    ),
+    PvarDef(
+        "shard_migrations_out",
+        PvarClass.COUNTER,
+        PvarBinding.NO_OBJECT,
+        "Shards handed off by out-migration",
+    ),
+    PvarDef(
+        "shard_migration_bytes_in",
+        PvarClass.COUNTER,
+        PvarBinding.NO_OBJECT,
+        "Bytes received through shard in-migrations",
+    ),
+    PvarDef(
+        "shard_migration_bytes_out",
+        PvarClass.COUNTER,
+        PvarBinding.NO_OBJECT,
+        "Bytes pushed through shard out-migrations",
+    ),
+)
+
 
 class ShardKvProvider:
     """Server-side provider for the shards this process owns.
@@ -86,64 +141,8 @@ class ShardKvProvider:
         mi.register(RPC_GET, self._h_get, provider_id)
         mi.register(RPC_INSTALL, self._h_install, provider_id)
         mi.register(RPC_ASSIGN, self._h_assign, provider_id)
-        self._define_pvars()
-
-    def _define_pvars(self) -> None:
-        pvars = self.mi.hg.pvars
-        P, B = PvarClass, PvarBinding
-        for d in (
-            PvarDef(
-                "shard_num_owned",
-                P.LEVEL,
-                B.NO_OBJECT,
-                "Shards currently stored on this process",
-                getter=lambda: len(self.shards),
-            ),
-            PvarDef(
-                "ssg_view_epoch",
-                P.LEVEL,
-                B.NO_OBJECT,
-                "Epoch of the latest SSG view applied by this process",
-                getter=lambda: self.replica.epoch if self.replica else 0,
-            ),
-            PvarDef(
-                "shard_ops_total",
-                P.COUNTER,
-                B.NO_OBJECT,
-                "Shard KV operations served by this process",
-            ),
-            PvarDef(
-                "shard_redirects_total",
-                P.COUNTER,
-                B.NO_OBJECT,
-                "Wrong-owner requests answered with a redirect",
-            ),
-            PvarDef(
-                "shard_migrations_in",
-                P.COUNTER,
-                B.NO_OBJECT,
-                "Shards installed by in-migration",
-            ),
-            PvarDef(
-                "shard_migrations_out",
-                P.COUNTER,
-                B.NO_OBJECT,
-                "Shards handed off by out-migration",
-            ),
-            PvarDef(
-                "shard_migration_bytes_in",
-                P.COUNTER,
-                B.NO_OBJECT,
-                "Bytes received through shard in-migrations",
-            ),
-            PvarDef(
-                "shard_migration_bytes_out",
-                P.COUNTER,
-                B.NO_OBJECT,
-                "Bytes pushed through shard out-migrations",
-            ),
-        ):
-            pvars.define(d)
+        for d in _SHARD_PVARS:
+            mi.hg.pvars.define(d, self)
 
     # -- local (construction / admin-side) bookkeeping ---------------------
 

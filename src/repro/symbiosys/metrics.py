@@ -166,12 +166,18 @@ class MetricsRegistry:
                 f"metric {name!r} is a {existing[0]}, not a {kind}"
             )
 
-    def _get_or_create(self, key: MetricKey, kind: str, help: str, cls, *args):
-        self._family(key[0], kind, help)
+    def _adopt(self, key: MetricKey, cls, *args) -> Metric:
+        """Get-or-create ``key`` in a family the caller has already
+        checked with :meth:`_family` (the monitor checks each PVAR row's
+        family once, not once per process)."""
         metric = self._metrics.get(key)
         if metric is None:
             metric = self._metrics[key] = cls(key[0], key[1], *args)
         return metric
+
+    def _get_or_create(self, key: MetricKey, kind: str, help: str, cls, *args):
+        self._family(key[0], kind, help)
+        return self._adopt(key, cls, *args)
 
     # Prebuilt-key variants: callers that intern their ``(name, labels)``
     # keys (the monitor) skip the label sort and share one key tuple
@@ -215,9 +221,6 @@ class MetricsRegistry:
     def family_info(self, name: str) -> tuple[str, str]:
         return self._families[name]
 
-    def families(self) -> list[str]:
-        return sorted(self._families)
-
     def collect(self) -> Iterator[tuple[str, str, str, list[Metric]]]:
         """Yield ``(name, kind, help, metrics)`` per family, sorted by
         family name, metrics sorted by labels."""
@@ -240,13 +243,14 @@ class TimeSeries:
     :attr:`dropped`; the window always holds the *latest* ``capacity``
     samples, which is what live monitoring wants.
 
-    Storage is a pair of parallel ``array('d')`` ring buffers, so an
-    append is two C-level scalar writes -- no tuple allocation on the
-    sampling hot path.  Values are coerced to float; every consumer
-    (CSV export, threshold checks) treats them numerically.
+    Storage is one ``array('d')`` ring buffer of interleaved ``t, v``
+    pairs, so an append is two C-level scalar writes -- no tuple
+    allocation on the sampling hot path -- and a series costs one
+    buffer object.  Values are coerced to float; every consumer (CSV
+    export, threshold checks) treats them numerically.
     """
 
-    __slots__ = ("name", "labels", "capacity", "dropped", "_t", "_v", "_head")
+    __slots__ = ("name", "labels", "capacity", "dropped", "_tv", "_head")
 
     def __init__(self, name: str, labels: LabelItems = (), capacity: int = 4096):
         if capacity < 1:
@@ -255,40 +259,40 @@ class TimeSeries:
         self.labels = labels
         self.capacity = capacity
         self.dropped = 0
-        self._t = array("d")
-        self._v = array("d")
-        self._head = 0  # index of the oldest sample once wrapped
+        self._tv = array("d")
+        self._head = 0  # buffer index of the oldest pair once wrapped
 
     def append(self, t: float, value: float) -> None:
-        tcol = self._t
-        if len(tcol) < self.capacity:
-            tcol.append(t)
-            self._v.append(value)
+        tv = self._tv
+        if len(tv) < 2 * self.capacity:
+            tv.append(t)
+            tv.append(value)
         else:
             head = self._head
-            tcol[head] = t
-            self._v[head] = value
-            self._head = (head + 1) % self.capacity
+            tv[head] = t
+            tv[head + 1] = value
+            head += 2
+            self._head = 0 if head == len(tv) else head
             self.dropped += 1
 
     def samples(self) -> list[tuple[float, float]]:
         """Chronological ``(time, value)`` list of the retained window."""
+        tv = self._tv
         head = self._head
-        times = self._t
-        values = self._v
         if head:
-            order = list(range(head, len(times))) + list(range(head))
-            return [(times[i], values[i]) for i in order]
-        return list(zip(times, values))
+            tv = tv[head:] + tv[:head]
+        pairs = iter(tv)
+        return list(zip(pairs, pairs))
 
     def latest(self) -> Optional[tuple[float, float]]:
-        if not self._t:
+        tv = self._tv
+        if not tv:
             return None
-        head = self._head - 1
-        return (self._t[head], self._v[head])
+        end = self._head or len(tv)  # the newest pair ends at the head
+        return (tv[end - 2], tv[end - 1])
 
     def __len__(self) -> int:
-        return len(self._t)
+        return len(self._tv) >> 1
 
 
 class SeriesStore:

@@ -30,12 +30,12 @@ simulated makespan of a monitored run equals the unmonitored one.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..config import Replaceable
 from ..mercury.pvar import PvarBinding, PvarClass, PvarDef, PvarRegistry
-from .metrics import MetricsRegistry, SeriesStore
+from .metrics import Counter, Gauge, MetricsRegistry, SeriesStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..argobots import ULT
@@ -473,18 +473,60 @@ _TASKING_GAUGES = (
 )
 
 
+#: The monitor's own overhead PVARs; getters read the monitor they are
+#: given.
+_MONITOR_PVARS = (
+    PvarDef(
+        "monitor_samples_taken",
+        PvarClass.COUNTER,
+        PvarBinding.NO_OBJECT,
+        "Sampler ticks completed by the monitor",
+        getter=lambda m: m.sampler.ticks,
+    ),
+    PvarDef(
+        "monitor_plan_rebuilds",
+        PvarClass.COUNTER,
+        PvarBinding.NO_OBJECT,
+        "Per-process sampling-plan rebuilds (staleness-triggered)",
+        getter=lambda m: m.plan_rebuilds,
+    ),
+    PvarDef(
+        "monitor_sched_slices",
+        PvarClass.LEVEL,
+        PvarBinding.NO_OBJECT,
+        "Scheduler slices held in the columnar recorder",
+        getter=lambda m: len(m.sched),
+    ),
+    PvarDef(
+        "monitor_sched_slice_highwater",
+        PvarClass.HIGHWATERMARK,
+        PvarBinding.NO_OBJECT,
+        "Deepest recorded fill of the scheduler-slice buffer",
+        getter=lambda m: len(m.sched),
+    ),
+    PvarDef(
+        "monitor_sched_slices_dropped",
+        PvarClass.COUNTER,
+        PvarBinding.NO_OBJECT,
+        "Scheduler slices dropped past the capacity cap",
+        getter=lambda m: m.sched.dropped,
+    ),
+)
+
+
 class _ProcessPlan:
     """Per-process sampling plan: every name/label/PVAR-index resolution
     the sampler needs, done once at build time instead of every tick.
 
     ``rows`` is the schema's shared row template, one
-    ``(slot, metric name, help, is_counter)`` tuple per NO_OBJECT PVAR.
-    ``getters``, ``metrics`` and ``series`` are parallel to it:
-    ``getters[i]`` is the PVAR's getter, or None to read
-    ``values[slot]``; ``metrics[i]``/``series[i]`` stay None until the
-    PVAR first reports a non-None value (LOWWATERMARKs start empty), the
-    lazy creation that keeps exports byte-identical.  The tasking gauges
-    follow the PVAR rows in ``metrics``/``series``.
+    ``(slot, metric name, is_counter, getter)`` tuple per NO_OBJECT
+    PVAR; a row's value is ``values[slot]``, passed through ``getter``
+    when there is one (the slot then holds the getter's owner).
+    ``metrics`` and ``series`` are parallel to it: ``metrics[i]`` and
+    ``series[i]`` stay None until the PVAR first reports a non-None
+    value (LOWWATERMARKs start empty), the lazy creation that keeps
+    exports byte-identical.  The tasking gauges follow the PVAR rows in
+    ``metrics``/``series``.
 
     Invalidated (and rebuilt) when the process's PVAR registry grows --
     the staleness check in :meth:`Monitor.sample`.  The registry, the
@@ -493,8 +535,8 @@ class _ProcessPlan:
     """
 
     __slots__ = (
-        "n_pvars", "pool", "labels", "rows", "values", "getters",
-        "metrics", "series", "depth_hist",
+        "n_pvars", "pool", "labels", "rows", "values", "metrics", "series",
+        "depth_hist",
     )
 
 
@@ -528,45 +570,8 @@ class Monitor:
         # through the normal PVAR session interface *and* sampled into
         # pvar_monitor_* series every tick.
         self.pvars = PvarRegistry()
-        P, B = PvarClass, PvarBinding
-        for d in (
-            PvarDef(
-                "monitor_samples_taken",
-                P.COUNTER,
-                B.NO_OBJECT,
-                "Sampler ticks completed by the monitor",
-                getter=lambda: self.sampler.ticks,
-            ),
-            PvarDef(
-                "monitor_plan_rebuilds",
-                P.COUNTER,
-                B.NO_OBJECT,
-                "Per-process sampling-plan rebuilds (staleness-triggered)",
-                getter=lambda: self.plan_rebuilds,
-            ),
-            PvarDef(
-                "monitor_sched_slices",
-                P.LEVEL,
-                B.NO_OBJECT,
-                "Scheduler slices held in the columnar recorder",
-                getter=lambda: len(self.sched),
-            ),
-            PvarDef(
-                "monitor_sched_slice_highwater",
-                P.HIGHWATERMARK,
-                B.NO_OBJECT,
-                "Deepest recorded fill of the scheduler-slice buffer",
-                getter=lambda: len(self.sched),
-            ),
-            PvarDef(
-                "monitor_sched_slices_dropped",
-                P.COUNTER,
-                B.NO_OBJECT,
-                "Scheduler slices dropped past the capacity cap",
-                getter=lambda: self.sched.dropped,
-            ),
-        ):
-            self.pvars.define(d)
+        for d in _MONITOR_PVARS:
+            self.pvars.define(d, self)
         self._self_plan: Optional[_ProcessPlan] = None
         self.findings: list[Finding] = []
         #: addr -> simulated time of the last progress-loop iteration.
@@ -694,19 +699,12 @@ class Monitor:
         names = pvars.names
         rows = self._templates.get(names)
         if rows is None:
-            rows = self._templates[names] = tuple(
-                (slot, f"pvar_{d.name}", d.description,
-                 d.pvar_class is PvarClass.COUNTER)
-                for slot, d in enumerate(map(pvars.info, range(len(names))))
-                # HANDLE-bound values have no global snapshot.
-                if d.binding is PvarBinding.NO_OBJECT
-            )
+            rows = self._templates[names] = self._build_template(pvars)
         plan = _ProcessPlan()
         plan.n_pvars = len(names)
         plan.labels = labels
         plan.rows = rows
         plan.values = pvars.slot_values
-        plan.getters = [pvars.info(row[0]).getter for row in rows]
         plan.metrics = [None] * len(rows)
         plan.series = [None] * len(rows)
         if mi is None:
@@ -725,24 +723,38 @@ class Monitor:
         )
         return plan
 
+    def _build_template(self, pvars: PvarRegistry) -> tuple:
+        """One row per NO_OBJECT PVAR of a registry schema, checking
+        each row's metric family once for every process that shares the
+        schema."""
+        rows = []
+        for slot, d in enumerate(map(pvars.info, range(pvars.num_pvars))):
+            if d.binding is not PvarBinding.NO_OBJECT:
+                continue  # HANDLE-bound values have no global snapshot
+            name = f"pvar_{d.name}"
+            is_counter = d.pvar_class is PvarClass.COUNTER
+            self.registry._family(
+                name, "counter" if is_counter else "gauge", d.description
+            )
+            rows.append((slot, name, is_counter, d.getter))
+        return tuple(rows)
+
     def _sample_pvars(self, t: float, plan: _ProcessPlan) -> None:
         values = plan.values
-        getters = plan.getters
         metrics = plan.metrics
         series = plan.series
-        for i, (slot, name, help, is_counter) in enumerate(plan.rows):
-            getter = getters[i]
-            value = values[slot] if getter is None else getter()
+        for i, (slot, name, is_counter, getter) in enumerate(plan.rows):
+            value = values[slot]
+            if getter is not None:
+                value = getter(value)
             if value is None:
                 continue  # LOWWATERMARK with no sample yet
             metric = metrics[i]
             if metric is None:
                 key = (name, plan.labels)
-                if is_counter:
-                    metric = self.registry._counter_at(key, help)
-                else:
-                    metric = self.registry._gauge_at(key, help)
-                metrics[i] = metric
+                metric = metrics[i] = self.registry._adopt(
+                    key, Counter if is_counter else Gauge
+                )
                 series[i] = self.store._series_at(key)
             if is_counter:
                 metric.set_total(value)

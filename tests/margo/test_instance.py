@@ -69,13 +69,48 @@ def test_provider_dispatch_by_id():
     assert results == ["provider-a", "provider-b"]
 
 
+def test_one_arrival_callback_serves_every_rpc_and_provider():
+    world = make_pair()
+
+    def handler_for(rpc, pid):
+        def handler(mi, handle):
+            yield from mi.get_input(handle)
+            yield from mi.respond(handle, (rpc, pid))
+
+        return handler
+
+    for rpc in ("op", "other"):
+        for pid in (1, 2):
+            world.server.register(rpc, handler_for(rpc, pid), provider_id=pid)
+        world.client.register(rpc)
+    hg = world.server.hg
+    assert hg._rpcs["op"] is hg._rpcs["other"] is world.server._arrival
+    results = []
+
+    def body():
+        for rpc in ("op", "other"):
+            for pid in (2, 1):
+                out = yield from world.client.forward(
+                    "svr", rpc, {}, provider_id=pid
+                )
+                results.append(out)
+
+    world.client.client_ult(body())
+    world.sim.run(until=0.5)
+    assert results == [("op", 2), ("op", 1), ("other", 2), ("other", 1)]
+    # The installed callback still cannot be replaced by another one.
+    with pytest.raises(ValueError, match="already has a handler"):
+        hg.register("op", lambda handle: None)
+
+
 def test_missing_provider_id_fails_loudly():
     world = make_pair()
     world.server.register("op", echo_handler, provider_id=1)
     world.client.register("op")
     run_client_calls(world, [("op", {})])  # defaults to provider 0
-    with pytest.raises(RuntimeError, match="no provider 0"):
+    with pytest.raises(RuntimeError) as err:
         world.sim.run(until=0.05)
+    assert str(err.value) == "svr: no provider 0 for RPC 'op'"
 
 
 def test_duplicate_provider_registration_rejected():

@@ -74,7 +74,7 @@ def test_registry_watermark_on_counter_rejected():
 def test_registry_getter_pvar_cannot_be_set():
     reg = PvarRegistry()
     reg.define(
-        PvarDef("g", PvarClass.STATE, PvarBinding.NO_OBJECT, "x", getter=lambda: 42)
+        PvarDef("g", PvarClass.STATE, PvarBinding.NO_OBJECT, "x", getter=lambda _: 42)
     )
     assert reg.raw_value("g") == 42
     with pytest.raises(PvarError):
@@ -96,6 +96,78 @@ def test_registry_unknown_name():
         reg.index_of("nope")
     with pytest.raises(PvarError):
         reg.info(0)
+
+
+def test_registry_getter_reads_its_owner():
+    reg = PvarRegistry()
+    owner = {"depth": 3}
+    reg.define(
+        PvarDef("g", PvarClass.LEVEL, PvarBinding.NO_OBJECT, "x",
+                getter=lambda o: o["depth"]),
+        owner,
+    )
+    read = reg.reader("g")
+    assert reg.raw_value("g") == read() == 3
+    owner["depth"] = 5
+    assert reg.raw_value("g") == read() == 5
+
+
+def test_stored_reader_follows_later_writes():
+    reg = PvarRegistry()
+    reg.define(PvarDef("c", PvarClass.COUNTER, PvarBinding.NO_OBJECT, "x"))
+    read = reg.reader("c")
+    reg.add("c", 2)
+    assert read() == 2
+    reg.add("c")
+    assert read() == 3
+
+
+# ------------------------------------------------------ definitions per class
+
+
+def test_instances_share_definitions_and_read_their_own_state(world):
+    a, b = world.cli.hg, world.svr.hg
+    assert a.pvars.num_pvars == b.pvars.num_pvars
+    for i in range(a.pvars.num_pvars):
+        assert a.pvars.info(i) is b.pvars.info(i)
+
+    a._completion_queue.append(lambda: None)
+    a._completion_queue.append(lambda: None)
+    read_a = a.pvar_session_init().reader("completion_queue_size")
+    read_b = b.pvar_session_init().reader("completion_queue_size")
+    assert (read_a(), read_b()) == (2, 0)
+    assert a.pvars.raw_value("completion_queue_size") == 2
+    assert b.pvars.raw_value("completion_queue_size") == 0
+    a._completion_queue.popleft()
+    assert (read_a(), read_b()) == (1, 0)
+
+    # Stored values are per instance too.
+    a.pvars.add("num_rpcs_invoked", 4)
+    assert a.pvars.raw_value("num_rpcs_invoked") == 4
+    assert b.pvars.raw_value("num_rpcs_invoked") == 0
+
+
+def test_shared_getter_pvar_still_refuses_updates(world):
+    hg = world.svr.hg
+    for update in (hg.pvars.set, hg.pvars.add, hg.pvars.watermark):
+        with pytest.raises(PvarError, match="is computed"):
+            update("completion_queue_size", 1)
+    with pytest.raises(PvarError, match="HANDLE-bound"):
+        hg.pvars.reader("input_serialization_time")
+    with pytest.raises(PvarError, match="HANDLE-bound"):
+        hg.pvar_session_init().reader("bulk_transfer_time")
+
+
+def test_session_ids_count_per_registry():
+    sessions = []
+    for _ in range(2):
+        _, sides = make_world()
+        hg = sides["svr"].hg
+        sessions.append(
+            [hg.pvar_session_init().session_id for _ in range(3)]
+        )
+    # A second identical world numbers its sessions the same way.
+    assert sessions == [[1, 2, 3], [1, 2, 3]]
 
 
 # ------------------------------------------------------ Table I / II coverage

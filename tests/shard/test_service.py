@@ -1,6 +1,8 @@
 """End-to-end tests of the sharded KV service: routing, migration,
 failover, revival handoff, and the churn audit."""
 
+import gc
+
 import pytest
 
 from repro.cluster import Cluster
@@ -9,6 +11,8 @@ from repro.margo import MargoError, RetryPolicy
 from repro.shard import ShardedKVService, run_churn_audit
 from repro.shard.placement import shard_of
 from repro.symbiosys import Stage
+from repro.symbiosys.monitor import MonitorConfig
+from repro.validate import ValidationConfig
 
 
 def _retry() -> RetryPolicy:
@@ -261,3 +265,34 @@ def test_router_fails_loudly_when_no_owner_exists():
         client.client_ult(body(), name="lost")
         assert cluster.run_until(lambda: "done" in failed, limit=1.0)
         assert router.routing_failures == 1
+
+
+def _tracked_objects_per_server(n_servers):
+    """GC-tracked objects a monitored, strictly validated fleet deploy
+    leaves behind, per server (the ``fleet_n640`` benchmark shape)."""
+    with Cluster(
+        seed=0,
+        stage=Stage.FULL,
+        monitoring=MonitorConfig(interval=500e-6),
+        validate=ValidationConfig(strict=True),
+    ) as cluster:
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            ShardedKVService.deploy(cluster, n_servers, n_handler_es=1)
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+    return added / n_servers
+
+
+def test_fleet_deploy_allocates_few_flat_objects_per_server():
+    """Every long-lived tracked object is one more the cyclic GC rescans
+    in each full collection, and a bigger fleet has both a bigger heap
+    and more collections; so the per-server count stays small and does
+    not grow with the fleet."""
+    at_320 = _tracked_objects_per_server(320)
+    at_2560 = _tracked_objects_per_server(2560)
+    assert at_320 <= 150, f"{at_320:.1f} tracked objects per server"
+    assert at_2560 <= 1.1 * at_320, f"{at_2560:.1f} vs {at_320:.1f} per server"

@@ -80,6 +80,22 @@ def test_ring_buffer_evicts_oldest():
     assert ts.latest() == (4.0, 40.0)
 
 
+def test_ring_buffer_matches_a_bounded_deque_reference():
+    from collections import deque
+
+    for capacity in (1, 2, 3, 5):
+        ts = TimeSeries("s", capacity=capacity)
+        ref = deque(maxlen=capacity)
+        assert ts.latest() is None and ts.samples() == [] and len(ts) == 0
+        for i in range(3 * capacity + 2):
+            ts.append(float(i), -0.5 * i)
+            ref.append((float(i), -0.5 * i))
+            assert ts.samples() == list(ref)
+            assert ts.latest() == ref[-1]
+            assert len(ts) == len(ref)
+            assert ts.dropped == i + 1 - len(ref)
+
+
 def test_series_store_keys_and_totals():
     store = SeriesStore(capacity=8)
     store.series("a", {"p": "x"}).append(0.0, 1.0)

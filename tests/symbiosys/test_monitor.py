@@ -306,7 +306,7 @@ def test_first_sample_allocates_few_objects_per_process():
     finally:
         gc.enable()
     assert len(monitor.store) >= 15 * n  # the sample did build the series
-    assert added <= 160 * n, f"{added / n:.0f} tracked objects per process"
+    assert added <= 90 * n, f"{added / n:.0f} tracked objects per process"
     cluster.shutdown()
 
 
