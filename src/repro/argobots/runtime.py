@@ -48,8 +48,8 @@ class AbtRuntime:
         #: :class:`repro.symbiosys.monitor.SchedRecorder` and
         #: :class:`repro.validate.invariants.InvariantMonitor`).  Every ES
         #: reports each ULT run slice to each observer, in subscription
-        #: order: ``on_slice(es, ult, start, end)``.  An observer may also
-        #: implement ``on_spawn(ult)`` to see ULT creation.
+        #: order: ``on_slice(es, ult, start, end)``, the protocol's one
+        #: method.  Per-ULT facts they need live on the ULT itself.
         self._sched_observers: list = []
         self.shutting_down = False
 
@@ -81,10 +81,6 @@ class AbtRuntime:
         """Create a ULT from a generator and make it READY in ``pool``."""
         ult = ULT(gen, pool, name=name, created_at=self.sim.now)
         self.total_spawned += 1
-        for obs in self._sched_observers:
-            on_spawn = getattr(obs, "on_spawn", None)
-            if on_spawn is not None:
-                on_spawn(ult)
         pool.push(ult)
         return ult
 

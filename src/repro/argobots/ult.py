@@ -88,6 +88,9 @@ class ULT:
 
     ``local`` is the ULT-local key/value storage the paper's "ULT-local
     key" instrumentation strategy (Table III) writes through.
+    ``blocked_at``, kept by the execution stream for the scheduler
+    observers, is the end of the ULT's previous slice when that slice
+    ended in a block, else None.
     """
 
     __slots__ = (
@@ -96,6 +99,7 @@ class ULT:
         "name",
         "pool",
         "state",
+        "blocked_at",
         "local",
         "created_at",
         "started_at",
@@ -114,6 +118,7 @@ class ULT:
         self.name = name or f"ult{self.id}"
         self.pool = pool
         self.state = UltState.READY
+        self.blocked_at: Optional[float] = None
         self.local: dict[Any, Any] = {}
         self.created_at = created_at
         self.started_at: Optional[float] = None

@@ -18,7 +18,10 @@ waits schedules exactly one callback:
 
 A ULT's *slice* runs from its pop until it blocks, yields or terminates;
 each scheduler observer sees every slice once, also when a ULT error
-ends it.
+ends it.  Observers keep no per-ULT state: they read what the slice
+started from off the ES (``dispatched_from``) and when the ULT last
+blocked off the ULT (``blocked_at``, updated after the observers ran,
+so they see the value for the slice being reported).
 
 This is the lower level of the two-level scheduling hierarchy; all the
 queueing behaviour the paper measures (target handler time, progress-ULT
@@ -51,6 +54,9 @@ class ExecutionStream:
         self.busy_time = 0.0
         #: When the slice in progress began (the pop of its ULT).
         self._slice_start = 0.0
+        #: The state the slice in progress found its ULT in: READY
+        #: unless the scheduler state machine broke.
+        self.dispatched_from = UltState.READY
         sim = runtime.sim
         sim.call_at(sim.now, self._next)
 
@@ -88,6 +94,8 @@ class ExecutionStream:
     def _start(self, ult: ULT) -> bool:
         if ult.started_at is None:
             ult.started_at = self.runtime.sim.now
+        # The only READY -> RUNNING transition: keep what it left.
+        self.dispatched_from = ult.state
         ult.state = UltState.RUNNING
         self.current = ult
         return self._run(ult)
@@ -98,6 +106,7 @@ class ExecutionStream:
         rt = self.runtime
         sim = rt.sim
         held = False
+        blocked_at = None
         try:
             while True:
                 rt._current_ult = ult
@@ -135,6 +144,7 @@ class ExecutionStream:
                         )
                         continue
                     ult.state = UltState.BLOCKED
+                    blocked_at = sim.now
                     ult._wait_wrap = effect.timeout is not None
                     rt.num_blocked += 1
                     ev._add_waiter(ult)
@@ -154,6 +164,7 @@ class ExecutionStream:
                 self.current = None
                 for obs in rt._sched_observers:
                     obs.on_slice(self, ult, self._slice_start, sim.now)
+                ult.blocked_at = blocked_at
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         running = self.current.name if self.current else None

@@ -36,8 +36,8 @@ from ..faults import CrashFault, FaultPlan
 from ..margo import MargoError, RetryPolicy
 from ..shard import (
     ChurnReport,
+    ShardHotspotDetector,
     ShardedKVService,
-    make_hotspot_detector_factory,
     run_churn_audit,
 )
 from ..symbiosys import Stage
@@ -268,13 +268,14 @@ def run_scale_cell(
             cell.n_servers,
             servers_per_node=cell.servers_per_node,
         )
-        detector = make_hotspot_detector_factory(
-            service.manager,
-            service.providers,
+        detector = ShardHotspotDetector(
+            cluster.monitor.config,
+            manager=service.manager,
+            providers=service.providers,
             min_window_ops=8,
             hot_fraction=0.4,
             cooldown=10.0,
-        )(cluster.monitor.config)
+        )
         cluster.monitor.detectors.append(detector)
 
         manager = service.manager

@@ -26,7 +26,7 @@ from .placement import ShardMap, ShardMove
 from .service import ShardKvProvider, ShardedKVService
 from .router import ShardRouter
 from .migration import MigrationRecord, ShardManager
-from .balancer import ShardHotspotDetector, make_hotspot_detector_factory
+from .balancer import ShardHotspotDetector
 from .audit import ChurnReport, run_churn_audit
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "ShardManager",
     "MigrationRecord",
     "ShardHotspotDetector",
-    "make_hotspot_detector_factory",
     "ChurnReport",
     "run_churn_audit",
 ]

@@ -1,7 +1,7 @@
 """Monitor-driven shard telemetry and hot-spot rebalancing.
 
-:class:`ShardHotspotDetector` plugs into the monitor's
-``detector_factories`` extension point.  On every sample tick it
+:class:`ShardHotspotDetector` is appended to a monitor's detector list
+(``cluster.monitor.detectors``).  On every sample tick it
 
 * records per-shard operation counts into the monitor's time-series
   store (``shard_ops`` with ``process``/``shard`` labels — the feed for
@@ -24,7 +24,7 @@ from typing import Optional
 
 from ..symbiosys.monitor import AnomalyDetector, Finding, MonitorConfig
 
-__all__ = ["ShardHotspotDetector", "make_hotspot_detector_factory"]
+__all__ = ["ShardHotspotDetector"]
 
 
 class ShardHotspotDetector(AnomalyDetector):
@@ -121,27 +121,3 @@ class ShardHotspotDetector(AnomalyDetector):
         if not candidates:
             return None
         return min(candidates)[1]
-
-
-def make_hotspot_detector_factory(
-    manager,
-    providers: dict,
-    **kw,
-):
-    """``detector_factories`` entry bound to a deployed sharded service.
-
-    Usage::
-
-        service = ShardedKVService.deploy(cluster, 32)
-        cluster.monitor.detectors.append(
-            make_hotspot_detector_factory(service.manager,
-                                          service.providers)(
-                cluster.monitor.config))
-    """
-
-    def factory(config: MonitorConfig) -> ShardHotspotDetector:
-        return ShardHotspotDetector(
-            config, manager=manager, providers=providers, **kw
-        )
-
-    return factory

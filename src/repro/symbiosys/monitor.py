@@ -58,22 +58,22 @@ __all__ = [
 ]
 
 
+#: Ring-buffer capacity of each metric time-series.
+RING_CAPACITY = 4096
+#: Cap on recorded scheduler slices (run + block), monitor-wide.
+SCHED_SLICE_CAPACITY = 65536
+
+
 @dataclass(frozen=True, kw_only=True)
 class MonitorConfig(Replaceable):
     """Configuration of one :class:`Monitor`.
 
-    ``detectors`` selects the built-in anomaly detectors by name;
-    ``detector_factories`` appends arbitrary extra detectors (each
-    factory is called with this config and must return an
-    :class:`AnomalyDetector`).
+    The monitor always arms the three built-in anomaly detectors; append
+    any other :class:`AnomalyDetector` to :attr:`Monitor.detectors`.
     """
 
     #: Sampling period on the *simulated* clock, seconds.
     interval: float = 100e-6
-    #: Ring-buffer capacity of each metric time-series.
-    ring_capacity: int = 4096
-    #: Cap on recorded scheduler slices (run + block), monitor-wide.
-    sched_slice_capacity: int = 65536
     #: Progress-ULT starvation: a process with completion-queue backlog
     #: but no progress-loop iteration for this long is starved.
     starvation_threshold: float = 0.5e-3
@@ -83,18 +83,10 @@ class MonitorConfig(Replaceable):
     timeout_burst_count: int = 3
     #: ... within this window, seconds.
     timeout_burst_window: float = 1e-3
-    #: Built-in detectors to arm.
-    detectors: tuple[str, ...] = ("starvation", "queue_depth", "timeout_burst")
-    #: Extra detector factories: ``factory(config) -> AnomalyDetector``.
-    detector_factories: tuple[Callable, ...] = ()
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
             raise ValueError("monitor interval must be positive")
-        if self.ring_capacity < 1:
-            raise ValueError("ring_capacity must be positive")
-        if self.sched_slice_capacity < 1:
-            raise ValueError("sched_slice_capacity must be positive")
         if self.starvation_threshold <= 0:
             raise ValueError("starvation_threshold must be positive")
         if self.queue_watermark < 1:
@@ -103,9 +95,6 @@ class MonitorConfig(Replaceable):
             raise ValueError("timeout_burst_count must be positive")
         if self.timeout_burst_window <= 0:
             raise ValueError("timeout_burst_window must be positive")
-        unknown = set(self.detectors) - set(_BUILTIN_DETECTORS)
-        if unknown:
-            raise ValueError(f"unknown detectors: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -286,13 +275,6 @@ class ForwardTimeoutBurstDetector(AnomalyDetector):
         return findings
 
 
-_BUILTIN_DETECTORS: dict[str, Callable[[MonitorConfig], AnomalyDetector]] = {
-    "starvation": ProgressStarvationDetector,
-    "queue_depth": QueueDepthWatermarkDetector,
-    "timeout_burst": ForwardTimeoutBurstDetector,
-}
-
-
 @dataclass(frozen=True)
 class SchedSlice:
     """One scheduler interval of one ULT on one execution stream.
@@ -325,8 +307,9 @@ class SchedRecorder:
 
     Records run slices as the execution streams report them and
     synthesizes the block slice between a ULT blocking and its next
-    dispatch.  Bounded: past ``capacity`` slices it counts drops instead
-    of growing.
+    dispatch from the block time the ES keeps on the ULT
+    (``ULT.blocked_at``).  Bounded: past ``capacity`` slices it counts
+    drops instead of growing.
 
     The hook fires on *every* ULT dispatch, so recording is columnar:
     one slice is four scalar appends into flat arrays with process/ES/
@@ -334,11 +317,9 @@ class SchedRecorder:
     (and caches) the :class:`SchedSlice` views for the exporters.
     """
 
-    def __init__(self, capacity: int = 65536):
+    def __init__(self, capacity: int = SCHED_SLICE_CAPACITY):
         self.capacity = capacity
         self.dropped = 0
-        #: ULT object -> time its last run slice ended with a block.
-        self._blocked_at: dict = {}
         self._n = 0
         self._ids = array("q")  # interleaved (process, es, ult) string ids
         self._kind = array("b")  # 0 = run, 1 = block
@@ -373,7 +354,7 @@ class SchedRecorder:
             }
         n = self._n
         capacity = self.capacity
-        blocked_since = self._blocked_at.pop(ult, None)
+        blocked_since = ult.blocked_at
         proc = self._intern(es.runtime.name)
         es_id = self._intern(es.name)
         ult_id = self._intern(ult.name)
@@ -388,8 +369,6 @@ class SchedRecorder:
             else:
                 self.dropped += 1
         reason = reason_codes.get(ult.state, 4)
-        if reason == 2:
-            self._blocked_at[ult] = end
         if n < capacity:
             self._ids.extend((proc, es_id, ult_id))
             self._kind.append(0)
@@ -561,8 +540,8 @@ class Monitor:
         self.config = config or MonitorConfig()
         self.fabric = fabric
         self.registry = MetricsRegistry()
-        self.store = SeriesStore(self.config.ring_capacity)
-        self.sched = SchedRecorder(self.config.sched_slice_capacity)
+        self.store = SeriesStore(RING_CAPACITY)
+        self.sched = SchedRecorder(SCHED_SLICE_CAPACITY)
         #: Sampling-plan rebuilds (staleness-triggered) since start.
         self.plan_rebuilds = 0
         # Self-observability: the monitor's own overhead as PVARs, so
@@ -584,12 +563,10 @@ class Monitor:
         self._templates: dict[tuple[str, ...], tuple] = {}
         self._fabric_plan: Optional[tuple] = None
         self.detectors: list[AnomalyDetector] = [
-            _BUILTIN_DETECTORS[name](self.config)
-            for name in self.config.detectors
+            ProgressStarvationDetector(self.config),
+            QueueDepthWatermarkDetector(self.config),
+            ForwardTimeoutBurstDetector(self.config),
         ]
-        self.detectors.extend(
-            factory(self.config) for factory in self.config.detector_factories
-        )
         self.sampler = PeriodicSampler(sim, self.config.interval, self.sample)
 
     # -- wiring -------------------------------------------------------------

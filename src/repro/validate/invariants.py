@@ -8,8 +8,12 @@ hooks -- and asserts, *while the run unfolds*:
 * **clock monotonicity** -- no observer callback ever sees simulated
   time move backwards,
 * **ULT state machine** -- created -> ready -> running ->
-  blocked/terminated; a terminated ULT must never be scheduled again,
-  and a ULT leaving its execution stream must not still be RUNNING,
+  blocked/terminated; the execution stream dispatches only READY ULTs
+  (a terminated ULT must never be scheduled again), and a ULT leaving
+  its execution stream must not still be RUNNING.  The checker reads
+  the state each dispatch found the ULT in off the execution stream
+  (``ExecutionStream.dispatched_from``), so it holds no reference to
+  any ULT,
 * **pool conservation** -- for every Argobots pool,
   ``total_pushed - total_popped == len(pool)``,
 * **RPC lifecycle ordering** -- the Figure 2 stage marks must be
@@ -114,23 +118,8 @@ class _SchedChecker:
     def __init__(self, monitor: "InvariantMonitor", mi: "MargoInstance"):
         self.monitor = monitor
         self.addr = mi.addr
-        #: id(ULT) -> "live" | "terminated" (ids are stable while the
-        #: ULT object is referenced here, which pins it).
-        self._known: dict[int, tuple["ULT", str]] = {}
         #: Per-ES end time of the last reported slice.
         self._es_last_end: dict[str, float] = {}
-
-    def on_spawn(self, ult: "ULT") -> None:
-        from ..argobots.ult import UltState
-
-        self._known[id(ult)] = (ult, "live")
-        if ult.state is not UltState.READY:
-            self.monitor.record(
-                "ult_state_machine",
-                f"spawned ULT in state {ult.state.value!r}, expected ready",
-                process=self.addr,
-                callpath=ult.name,
-            )
 
     def on_slice(
         self, es: "ExecutionStream", ult: "ULT", start: float, end: float
@@ -157,11 +146,13 @@ class _SchedChecker:
             )
         self._es_last_end[es.name] = end
 
-        entry = self._known.get(id(ult))
-        if entry is not None and entry[1] == "terminated":
+        was = es.dispatched_from
+        if was is not UltState.READY:
             mon.record(
                 "ult_state_machine",
-                "terminated ULT scheduled again",
+                "terminated ULT scheduled again"
+                if was is UltState.TERMINATED
+                else f"ULT dispatched while {was.value}, expected ready",
                 process=self.addr,
                 callpath=ult.name,
             )
@@ -172,8 +163,6 @@ class _SchedChecker:
                 process=self.addr,
                 callpath=ult.name,
             )
-        if ult.state is UltState.TERMINATED:
-            self._known[id(ult)] = (ult, "terminated")
 
 
 #: Expected non-decreasing stage marks per handle side (Figure 2).
@@ -255,7 +244,6 @@ class InvariantMonitor:
         #: Violations beyond the ``max_violations`` cap.
         self.dropped = 0
         self._processes: dict[str, "MargoInstance"] = {}
-        self._sched_checkers: dict[str, _SchedChecker] = {}
         self._last_time = sim.now
         self._finalized = False
 
@@ -266,9 +254,7 @@ class InvariantMonitor:
         if mi.addr in self._processes:
             raise ValueError(f"process {mi.addr!r} already validated")
         self._processes[mi.addr] = mi
-        checker = _SchedChecker(self, mi)
-        self._sched_checkers[mi.addr] = checker
-        mi.rt.add_sched_observer(checker)
+        mi.rt.add_sched_observer(_SchedChecker(self, mi))
         mi.hg.add_progress_observer(
             lambda t, n, mi=mi: self._on_progress(mi, t, n)
         )

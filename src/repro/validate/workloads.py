@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..cluster import Cluster
 from ..faults import FaultPlan
@@ -24,6 +24,9 @@ from ..symbiosys.export import series_to_csv, to_prometheus
 from ..symbiosys.monitor import MonitorConfig
 from ..symbiosys.perfetto import chrome_trace_json
 from .invariants import InvariantViolation, ValidationConfig
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..argobots import ULT
 
 __all__ = [
     "RunArtifacts",
@@ -158,7 +161,7 @@ def _echo_handler(mi, handle):
     yield from mi.respond(handle, {"echo": len(inp["data"])})
 
 
-def _run_echo(cluster: Cluster, scale: int, outcome: dict, done: dict) -> None:
+def _run_echo(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT":
     """``scale`` clients, four RPCs each; one payload overflows the eager
     buffer to exercise the internal-RDMA path."""
     (server_addr,) = WORKLOAD_SERVERS["echo"]
@@ -185,10 +188,11 @@ def _run_echo(cluster: Cluster, scale: int, outcome: dict, done: dict) -> None:
             if pending["n"] == 0:
                 done["at"] = cluster.sim.now
 
-        client.client_ult(body(), name=f"echo-load{i}")
+        load = client.client_ult(body(), name=f"echo-load{i}")
+    return load
 
 
-def _run_sonata(cluster: Cluster, scale: int, outcome: dict, done: dict) -> None:
+def _run_sonata(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT":
     """One Sonata provider; a client stores ``scale`` batches and fetches
     the first record of each back."""
     from ..services.sonata import SonataClient, SonataProvider
@@ -220,10 +224,10 @@ def _run_sonata(cluster: Cluster, scale: int, outcome: dict, done: dict) -> None
                 outcome["failed"] += 1
         done["at"] = cluster.sim.now
 
-    client_mi.client_ult(body(), name="sonata-load")
+    return client_mi.client_ult(body(), name="sonata-load")
 
 
-def _run_sharded(cluster: Cluster, scale: int, outcome: dict, done: dict) -> None:
+def _run_sharded(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT":
     """An eight-server sharded KV fleet; ``scale`` clients spray keys
     through consistent-hash routers and read them back.  Process faults
     aimed at any ``kv*`` server exercise membership churn, view
@@ -257,9 +261,11 @@ def _run_sharded(cluster: Cluster, scale: int, outcome: dict, done: dict) -> Non
             if pending["n"] == 0:
                 done["at"] = cluster.sim.now
 
-        mi.client_ult(body(), name=f"shard-load{c}")
+        load = mi.client_ult(body(), name=f"shard-load{c}")
+    return load
 
 
+#: Each runner deploys its workload and returns its last load ULT.
 WORKLOADS = {
     "echo": _run_echo,
     "sonata": _run_sonata,
@@ -283,8 +289,9 @@ def run_workload(
     Raises :class:`WorkloadHang` if the completion predicate is not
     reached within ``time_limit`` simulated seconds (a failure condition
     the fuzzer shrinks like any other).  ``_corrupt_sched`` is a test
-    hook: after the workload completes it re-queues a terminated ULT,
-    deliberately breaking the scheduler state machine.
+    hook: after the workload completes it re-queues the runner's last
+    load ULT, terminated by then, deliberately breaking the scheduler
+    state machine.
     """
     try:
         runner = WORKLOADS[workload]
@@ -307,7 +314,7 @@ def run_workload(
         monitoring=MonitorConfig(interval=50e-6),
         validate=ValidationConfig(strict=strict),
     ) as cluster:
-        runner(cluster, scale, outcome, done)
+        load = runner(cluster, scale, outcome, done)
         finished = cluster.sim.run_until(lambda: "at" in done, time_limit)
         if not finished:
             cluster.shutdown()
@@ -316,17 +323,10 @@ def run_workload(
                 f"not finish within {time_limit}s of simulated time"
             )
         if _corrupt_sched:
-            # Re-queue a terminated ULT: the execution stream will
-            # dispatch it again, which the state-machine checker must flag.
-            dead = [
-                u
-                for checker in cluster.validator._sched_checkers.values()
-                for (u, state) in checker._known.values()
-                if state == "terminated"
-            ]
-            if dead:
-                dead[0].pool.push(dead[0])
-                cluster.sim.run(until=cluster.sim.now + 1e-3)
+            # The execution stream will dispatch the finished ULT again,
+            # which the state-machine checker must flag.
+            load.pool.push(load)
+            cluster.sim.run(until=cluster.sim.now + 1e-3)
 
     return collect_artifacts(
         cluster,

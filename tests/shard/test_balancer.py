@@ -1,7 +1,7 @@
 """Monitor-triggered hot-spot rebalancing."""
 
 from repro.cluster import Cluster
-from repro.shard import ShardedKVService, make_hotspot_detector_factory
+from repro.shard import ShardHotspotDetector, ShardedKVService
 from repro.symbiosys import Stage
 from repro.symbiosys.monitor import MonitorConfig
 
@@ -13,13 +13,14 @@ def test_hot_shard_is_detected_and_rebalanced():
         monitoring=MonitorConfig(interval=50e-6),
     ) as cluster:
         service = ShardedKVService.deploy(cluster, 8)
-        detector = make_hotspot_detector_factory(
-            service.manager,
-            service.providers,
+        detector = ShardHotspotDetector(
+            cluster.monitor.config,
+            manager=service.manager,
+            providers=service.providers,
             min_window_ops=4,
             hot_fraction=0.5,
             cooldown=10.0,
-        )(cluster.monitor.config)
+        )
         cluster.monitor.detectors.append(detector)
 
         manager = service.manager

@@ -296,3 +296,38 @@ def test_fleet_deploy_allocates_few_flat_objects_per_server():
     at_2560 = _tracked_objects_per_server(2560)
     assert at_320 <= 150, f"{at_320:.1f} tracked objects per server"
     assert at_2560 <= 1.1 * at_320, f"{at_2560:.1f} vs {at_320:.1f} per server"
+
+
+def test_finished_ults_do_not_outlive_a_validated_fleet_run():
+    """The scheduler observers keep no per-ULT state: once the clients of
+    a monitored, strictly validated fleet are done, the only finished
+    ULTs still alive are the ones the caller holds."""
+    from repro.argobots import ULT
+
+    with Cluster(
+        seed=0,
+        stage=Stage.FULL,
+        monitoring=MonitorConfig(interval=500e-6),
+        validate=ValidationConfig(strict=True),
+    ) as cluster:
+        service = ShardedKVService.deploy(cluster, 16, n_handler_es=1)
+        mi = cluster.process("cli", "cnode")
+        router = service.make_router(mi)
+
+        def body(c):
+            for i in range(8):
+                yield from router.put(f"c{c}k{i}", "v")
+                assert (yield from router.get(f"c{c}k{i}")) == "v"
+
+        held = [mi.client_ult(body(c), f"u{c}") for c in range(4)]
+        assert cluster.run_until(
+            lambda: all(u.terminated for u in held), limit=1.0
+        )
+        # Counted before teardown, which ends every process's progress
+        # ULT (each process keeps its own).
+        gc.collect()
+        finished = sum(
+            1 for o in gc.get_objects() if isinstance(o, ULT) and o.terminated
+        )
+    assert len(cluster.monitor.sched) > 100  # the observers saw the run
+    assert finished <= len(held), f"{finished} finished ULTs alive"

@@ -24,11 +24,13 @@ def echo_handler(mi, handle):
     yield from mi.respond(handle, {"echo": inp})
 
 
-def run_monitored_echo(seed=0, n_requests=20, monitoring=None):
-    """One server + one client under a monitored Cluster; returns the
-    closed cluster (telemetry intact after shutdown)."""
+def run_monitored_echo(seed=0, n_requests=20, monitoring=None, detectors=()):
+    """One server + one client under a monitored Cluster, with
+    ``detectors`` appended to the built-in ones; returns the closed
+    cluster (telemetry intact after shutdown)."""
     monitoring = monitoring or MonitorConfig(interval=25e-6)
     with Cluster(seed=seed, monitoring=monitoring) as cluster:
+        cluster.monitor.detectors.extend(detectors)
         server = cluster.process("svr", "nA", n_handler_es=1)
         client = cluster.process("cli", "nB")
         server.register("echo", echo_handler)
@@ -52,10 +54,6 @@ def run_monitored_echo(seed=0, n_requests=20, monitoring=None):
 def test_monitor_config_validates():
     with pytest.raises(ValueError):
         MonitorConfig(interval=0.0)
-    with pytest.raises(ValueError):
-        MonitorConfig(ring_capacity=0)
-    with pytest.raises(ValueError):
-        MonitorConfig(detectors=("starvation", "nonsense"))
     # A zero watermark or burst count, or a non-positive window or
     # threshold, would make its detector fire on every sample.
     for field, value in (
@@ -172,17 +170,11 @@ def test_custom_detector_factory_runs():
     class CountingDetector(AnomalyDetector):
         name = "counting"
 
-        def __init__(self, config):
-            pass
-
         def on_sample(self, t, monitor):
             hits.append(t)
             return []
 
-    cfg = MonitorConfig(
-        interval=25e-6, detector_factories=(lambda c: CountingDetector(c),)
-    )
-    cluster = run_monitored_echo(monitoring=cfg)
+    cluster = run_monitored_echo(detectors=[CountingDetector()])
     assert len(hits) == cluster.monitor.sampler.ticks + 1  # +1 final sample
 
 
@@ -265,10 +257,41 @@ def test_sched_recorder_bounded():
     es = SimpleNamespace(runtime=SimpleNamespace(name="p"), name="es0")
     from repro.argobots.ult import UltState
 
-    ult = SimpleNamespace(name="u", state=UltState.TERMINATED)
+    ult = SimpleNamespace(name="u", state=UltState.TERMINATED, blocked_at=None)
     rec.on_slice(es, ult, 0.0, 1e-6)
     rec.on_slice(es, ult, 2e-6, 3e-6)
     assert len(rec) == 1 and rec.dropped == 1
+
+
+def test_sched_recorder_block_slice_spans_block_to_next_dispatch():
+    """A ULT that blocks, wakes and terminates yields run, block, run:
+    the block slice runs from the end of the blocking slice to the pop
+    that resumes the ULT, and the ES clears the block time after it."""
+    from repro.argobots import AbtRuntime, Compute, WaitEventual
+    from repro.sim import Simulator
+
+    sim = Simulator()
+    rt = AbtRuntime(sim, "p", ctx_switch_cost=0.25)
+    pool = rt.create_pool()
+    rt.create_xstream(pool, "es0")
+    rec = SchedRecorder()
+    rt.add_sched_observer(rec)
+    ev = rt.eventual()
+
+    def body():
+        yield Compute(1.0)
+        yield WaitEventual(ev)
+        yield Compute(2.0)
+
+    ult = rt.spawn(body(), pool, name="u")
+    sim.call_at(10.0, ev.signal, None)
+    sim.run()
+    blocking, block, last = rec.slices
+    assert (blocking.kind, blocking.reason) == ("run", "block")
+    assert (blocking.start, blocking.end) == (0.0, 1.25)
+    assert (block.kind, block.start, block.end) == ("block", 1.25, 10.0)
+    assert (last.kind, last.reason, last.start) == ("run", "end", 10.0)
+    assert ult.terminated and ult.blocked_at is None
 
 
 def test_finding_as_row():

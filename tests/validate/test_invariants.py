@@ -68,6 +68,70 @@ def test_terminated_ult_rescheduled_is_caught():
     assert offender.callpath  # and to a ULT name
 
 
+def _checked_runtime():
+    """A one-ES runtime with no switch cost under a lone scheduler
+    checker."""
+    from types import SimpleNamespace
+
+    from repro.argobots import AbtRuntime
+    from repro.sim import Simulator
+    from repro.validate.invariants import _SchedChecker
+
+    sim = Simulator()
+    rt = AbtRuntime(sim, ctx_switch_cost=0.0)
+    pool = rt.create_pool()
+    rt.create_xstream(pool)
+    monitor = InvariantMonitor(sim, config=ValidationConfig(strict=False))
+    rt.add_sched_observer(_SchedChecker(monitor, SimpleNamespace(addr="p")))
+    return sim, rt, pool, monitor
+
+
+def test_same_instant_redispatch_of_a_terminated_ult_is_caught():
+    """With no switch cost, a ULT re-queued at the instant it terminates
+    runs again at that instant: its second slice has the timestamps of a
+    legal termination slice, so only the dispatch state can flag it."""
+    sim, rt, pool, monitor = _checked_runtime()
+
+    def done():
+        return
+        yield  # pragma: no cover - makes this function a generator
+
+    def requeue(ult):
+        yield from rt.join(ult)
+        pool.push(ult)
+
+    victim = rt.spawn(done(), pool, name="victim")
+    rt.spawn(requeue(victim), pool, name="requeue")
+    sim.run()
+    assert victim.finished_at == sim.now == 0.0
+    [violation] = monitor.violations
+    assert violation.invariant == "ult_state_machine"
+    assert violation.message == "terminated ULT scheduled again"
+    assert (violation.time, violation.callpath) == (0.0, "victim")
+
+
+def test_dispatch_of_a_blocked_ult_is_caught():
+    from repro.argobots import WaitEventual
+
+    sim, rt, pool, monitor = _checked_runtime()
+
+    def waiter():
+        yield WaitEventual(rt.eventual())
+
+    def requeue(ult):
+        pool.push(ult)  # still blocked on its eventual
+        return
+        yield  # pragma: no cover - makes this function a generator
+
+    victim = rt.spawn(waiter(), pool, name="victim")
+    rt.spawn(requeue(victim), pool, name="requeue")
+    sim.run()
+    [violation] = monitor.violations
+    assert violation.invariant == "ult_state_machine"
+    assert violation.message == "ULT dispatched while blocked, expected ready"
+    assert violation.callpath == "victim"
+
+
 def test_corrupted_scheduler_transition_shrinks_to_minimal_config(tmp_path):
     """The acceptance path: a scheduler corruption is caught by the
     invariant monitor and the failing config shrinks to the minimal
