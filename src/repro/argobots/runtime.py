@@ -13,7 +13,7 @@ from typing import Any, Callable, Generator, Optional
 from ..sim import Simulator
 from .pool import Pool
 from .sync import AbtBarrier, AbtMutex, Eventual
-from .ult import ULT, UltState, WaitEventual
+from .ult import BLOCKED, READY, TERMINATED, ULT, WaitEventual
 from .xstream import ExecutionStream
 
 __all__ = ["AbtRuntime"]
@@ -167,26 +167,26 @@ class AbtRuntime:
     # -- internal hooks used by ES / sync ------------------------------------
 
     def _unblock(self, ult: ULT, value: Any) -> None:
-        if ult.state is not UltState.BLOCKED:
+        if ult.state is not BLOCKED:
             raise RuntimeError(f"unblocking non-blocked ULT {ult.name!r}")
         self.num_blocked -= 1
         ult._send_value = (True, value) if ult._wait_wrap else value
         ult._wait_wrap = False
-        ult.state = UltState.READY
+        ult.state = READY
         ult.pool.push(ult)
 
     def _wait_timeout(self, ult: ULT, eventual: Eventual) -> None:
-        if ult.state is UltState.BLOCKED and eventual._remove_waiter(ult):
+        if ult.state is BLOCKED and eventual._remove_waiter(ult):
             self.num_blocked -= 1
             ult._send_value = (False, None)
             ult._wait_wrap = False
-            ult.state = UltState.READY
+            ult.state = READY
             ult.pool.push(ult)
 
     def _finish_ult(
         self, ult: ULT, result: Any, error: Optional[BaseException]
     ) -> None:
-        ult.state = UltState.TERMINATED
+        ult.state = TERMINATED
         ult.finished_at = self.sim.now
         ult.result = result
         ult.error = error

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Generator, Optional, TYPE_CHECKING
 
-from .ult import ULT, UltState, WaitEventual
+from .ult import ULT, WaitEventual
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import AbtRuntime

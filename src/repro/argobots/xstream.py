@@ -34,7 +34,7 @@ from typing import Optional, TYPE_CHECKING
 
 from ..sim import SimulationError
 from .pool import Pool
-from .ult import ULT, Compute, UltState, WaitEventual, YieldNow
+from .ult import BLOCKED, READY, RUNNING, ULT, Compute, WaitEventual, YieldNow
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import AbtRuntime
@@ -56,7 +56,7 @@ class ExecutionStream:
         self._slice_start = 0.0
         #: The state the slice in progress found its ULT in: READY
         #: unless the scheduler state machine broke.
-        self.dispatched_from = UltState.READY
+        self.dispatched_from = READY
         sim = runtime.sim
         sim.call_at(sim.now, self._next)
 
@@ -96,7 +96,7 @@ class ExecutionStream:
             ult.started_at = self.runtime.sim.now
         # The only READY -> RUNNING transition: keep what it left.
         self.dispatched_from = ult.state
-        ult.state = UltState.RUNNING
+        ult.state = RUNNING
         self.current = ult
         return self._run(ult)
 
@@ -143,7 +143,7 @@ class ExecutionStream:
                             (True, ev.value) if effect.timeout is not None else ev.value
                         )
                         continue
-                    ult.state = UltState.BLOCKED
+                    ult.state = BLOCKED
                     blocked_at = sim.now
                     ult._wait_wrap = effect.timeout is not None
                     rt.num_blocked += 1
@@ -152,7 +152,7 @@ class ExecutionStream:
                         sim.call_after(effect.timeout, rt._wait_timeout, ult, ev)
                     return True
                 elif isinstance(effect, YieldNow):
-                    ult.state = UltState.READY
+                    ult.state = READY
                     ult.pool.push(ult)
                     return True
                 else:

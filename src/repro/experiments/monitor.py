@@ -19,7 +19,6 @@ same ``S``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,7 +27,7 @@ from ..faults import FaultPlan
 from ..margo import MargoError, RetryPolicy
 from ..services.sonata import SonataClient, SonataProvider
 from ..symbiosys import Stage
-from ..symbiosys.export import series_to_csv, to_prometheus, write_text
+from ..symbiosys.export import digest, series_to_csv, to_prometheus, write_text
 from ..symbiosys.monitor import Finding, MonitorConfig
 from ..symbiosys.perfetto import chrome_trace_json
 from ..workloads import generate_json_records
@@ -56,10 +55,6 @@ def default_monitor_config() -> MonitorConfig:
         timeout_burst_count=2,
         timeout_burst_window=2e-3,
     )
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -90,10 +85,10 @@ class MonitorExperimentResult:
     def digests(self) -> dict[str, str]:
         """sha256 prefixes of every artifact -- the determinism probe."""
         return {
-            "prometheus": _digest(self.prometheus_text),
-            "series_csv": _digest(self.series_csv),
-            "perfetto": _digest(self.perfetto_json),
-            "findings": _digest(self.findings_text),
+            "prometheus": digest(self.prometheus_text),
+            "series_csv": digest(self.series_csv),
+            "perfetto": digest(self.perfetto_json),
+            "findings": digest(self.findings_text),
         }
 
     def write_artifacts(self, out_dir) -> list[str]:
@@ -132,8 +127,8 @@ class MonitorExperimentResult:
                 f"{f.process:<14} {f.message}"
             )
         lines.append("  artifact digests:")
-        for name, digest in sorted(self.digests().items()):
-            lines.append(f"    {name:<12} {digest}")
+        for name, hexdigest in sorted(self.digests().items()):
+            lines.append(f"    {name:<12} {hexdigest}")
         return "\n".join(lines)
 
 
@@ -220,7 +215,7 @@ def run_monitor_experiment(
         n_sched_slices=len(monitor.sched),
         sampler_ticks=monitor.sampler.ticks,
         findings=list(monitor.findings),
-        prometheus_text=to_prometheus(monitor.registry),
+        prometheus_text=to_prometheus(monitor),
         series_csv=series_to_csv(monitor.store),
         perfetto_json=chrome_trace_json(
             monitor=monitor,

@@ -27,7 +27,6 @@ the same ``S``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,7 +40,7 @@ from ..shard import (
     run_churn_audit,
 )
 from ..symbiosys import Stage
-from ..symbiosys.export import write_text
+from ..symbiosys.export import digest, write_text
 from ..symbiosys.monitor import MonitorConfig
 from ..symbiosys.perfetto import chrome_trace_json
 
@@ -60,10 +59,6 @@ TOPOLOGIES = {"flat": 1, "packed": 4}
 _CRASH_AT = 0.8e-3
 _POST_WAVE_AT = 2.0e-3
 _QUIESCE = 2e-3
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _scale_retry() -> RetryPolicy:
@@ -147,7 +142,7 @@ class ScaleCellResult:
     perfetto_json: str = ""
 
     def digests(self) -> dict[str, str]:
-        return {"perfetto": _digest(self.perfetto_json)}
+        return {"perfetto": digest(self.perfetto_json)}
 
     def check_invariants(self) -> None:
         """The acceptance gate: the death produced a view change and a
@@ -223,8 +218,8 @@ class ScaleExperimentResult:
                 f"lost_allowed={a.lost_allowed} "
                 f"migrated_bytes={a.migrated_bytes}"
             )
-            for name, digest in sorted(result.digests().items()):
-                lines.append(f"    {name:<12} {digest}")
+            for name, hexdigest in sorted(result.digests().items()):
+                lines.append(f"    {name:<12} {hexdigest}")
         return "\n".join(lines)
 
 

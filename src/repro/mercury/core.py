@@ -340,10 +340,14 @@ class HGCore:
         self._posted: dict[int, tuple[HGHandle, Callable]] = {}
         self._cancelled: set[int] = set()
         self._completion_queue: deque = deque()
-        #: Progress observers (duck-typed; the online monitor and the
-        #: invariant checker): each is called ``observer(now,
-        #: n_events_read)`` after every progress iteration, including
-        #: empty ones, in subscription order.
+        #: Progress iterations completed, empty ones included, and the
+        #: simulated time of the last one (of creation, before the
+        #: first): the liveness record the online monitor reads.
+        self.progress_iterations = 0
+        self.last_progress = sim.now
+        #: Progress observers (duck-typed; the invariant checker): each
+        #: is called ``observer(now, n_events_read)`` after every
+        #: progress iteration, in subscription order.
         self._progress_observers: list = []
         self.pvars = PvarRegistry()
         for d in _HG_PVARS:
@@ -569,8 +573,10 @@ class HGCore:
         return n
 
     def _note_progress(self, n: int) -> None:
+        now = self.last_progress = self.sim.now
+        self.progress_iterations += 1
         for observer in self._progress_observers:
-            observer(self.sim.now, n)
+            observer(now, n)
 
     def set_ofi_max_events(self, n: int) -> None:
         """Adjust the per-iteration OFI read cap at runtime."""

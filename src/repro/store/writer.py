@@ -18,7 +18,7 @@ import json
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..symbiosys.metrics import MetricsRegistry, SeriesStore
+    from ..symbiosys.metrics import SeriesStore
     from ..symbiosys.monitor import Finding
     from ..symbiosys.profiling import ProfileStore
     from . import PerfStore
@@ -107,21 +107,12 @@ class StoreWriter:
             (run_id, name, text, t, v) for t, v in samples
         )
 
-    def record_series_store(
-        self,
-        run_id: int,
-        store: "SeriesStore",
-        registry: Optional["MetricsRegistry"] = None,
-    ) -> None:
+    def record_series_store(self, run_id: int, store: "SeriesStore") -> None:
         """Every time-series of a monitor's store, in sorted export
-        order; metric kind/help come from the registry when known."""
+        order, with its family's kind/help (a series outside any family
+        is a help-less gauge)."""
         for ts in store.all_series():
-            kind, help = "gauge", ""
-            if registry is not None:
-                try:
-                    kind, help = registry.family_info(ts.name)
-                except KeyError:
-                    pass
+            kind, help = store.family_info(ts.name) or ("gauge", "")
             self.add_series(
                 run_id, ts.name, ts.labels, ts.samples(),
                 kind=kind, help=help,
@@ -339,8 +330,7 @@ def record_cluster_run(
                     from ..symbiosys.critical import annotate_findings
 
                     findings = annotate_findings(findings, report)
-                writer.record_series_store(run_id, monitor.store,
-                                           monitor.registry)
+                writer.record_series_store(run_id, monitor.store)
                 writer.record_findings(run_id, findings)
             if cluster.collector is not None:
                 writer.record_collector(run_id, cluster.collector)

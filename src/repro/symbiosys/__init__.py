@@ -19,7 +19,7 @@ from .callpath import MAX_DEPTH, CallpathRegistry, components, depth, hash16, pu
 from .collector import SymbiosysCollector
 from .export import series_to_csv, to_prometheus
 from .instrument import SymbiosysInstrumentation
-from .metrics import MetricsRegistry, SeriesStore, TimeSeries
+from .metrics import SeriesStore, TimeSeries
 from .monitor import AnomalyDetector, Finding, Monitor, MonitorConfig
 from .perfetto import chrome_trace_json, to_chrome_trace, write_chrome_trace
 from .policy import (
@@ -48,7 +48,6 @@ __all__ = [
     "FaultAnnotation",
     "Finding",
     "MetricSample",
-    "MetricsRegistry",
     "Monitor",
     "MonitorConfig",
     "Policy",

@@ -1,7 +1,8 @@
 """The export surface for collected performance data.
 
 * :mod:`~repro.symbiosys.export.text` -- Prometheus exposition
-  (:func:`to_prometheus`) and time-series CSV (:func:`series_to_csv`).
+  (:func:`to_prometheus`), time-series CSV (:func:`series_to_csv`) and
+  the sha256-prefix :func:`digest` of an export.
 
 The Perfetto/Chrome timeline lives in :mod:`repro.symbiosys.perfetto`
 (:func:`~repro.symbiosys.perfetto.chrome_trace_json`).  The format
@@ -9,9 +10,10 @@ functions re-export from here
 (``from repro.symbiosys.export import to_prometheus`` etc.).
 """
 
-from .text import series_to_csv, to_prometheus, write_text
+from .text import digest, series_to_csv, to_prometheus, write_text
 
 __all__ = [
+    "digest",
     "series_to_csv",
     "to_prometheus",
     "write_text",

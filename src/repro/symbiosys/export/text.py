@@ -3,30 +3,29 @@
 Two formats, both byte-deterministic for same-seed runs:
 
 * :func:`to_prometheus` -- a Prometheus text-exposition snapshot of a
-  :class:`~repro.symbiosys.metrics.MetricsRegistry` (``# HELP`` /
-  ``# TYPE`` headers, label sets, ``_bucket``/``_sum``/``_count``
-  histogram series).
+  :class:`~repro.symbiosys.monitor.Monitor` (``# HELP`` / ``# TYPE``
+  headers, label sets, ``_bucket``/``_sum``/``_count`` histogram
+  series).
 * :func:`series_to_csv` -- the full ring-buffer time-series of a
   :class:`~repro.symbiosys.metrics.SeriesStore` as CSV rows.
 
 Timestamps are *simulated* seconds; nothing here reads a wall clock.
+:func:`digest` names an export by a sha256 prefix, the determinism
+probe of the experiment and validation harnesses.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    LabelItems,
-    MetricsRegistry,
-    SeriesStore,
-)
+from ..metrics import Histogram, LabelItems, SeriesStore
 
-__all__ = ["series_to_csv", "to_prometheus", "write_text"]
+if TYPE_CHECKING:  # pragma: no cover
+    from ..monitor import Monitor
+
+__all__ = ["digest", "series_to_csv", "to_prometheus", "write_text"]
 
 
 def _fmt_value(v) -> str:
@@ -58,27 +57,24 @@ def _render_labels(labels: LabelItems, extra: Optional[list] = None) -> str:
     return "{" + inner + "}"
 
 
-def to_prometheus(registry: MetricsRegistry) -> str:
-    """Render the registry in Prometheus text exposition format."""
+def to_prometheus(monitor: "Monitor") -> str:
+    """Render the monitor's metrics (:meth:`Monitor.collect`) in
+    Prometheus text exposition format."""
     lines: list[str] = []
-    for name, kind, help, metrics in registry.collect():
+    for name, kind, help, instances in monitor.collect():
         if help:
             lines.append(f"# HELP {name} {help}")
         lines.append(f"# TYPE {name} {kind}")
-        for m in metrics:
-            if isinstance(m, (Counter, Gauge)):
-                lines.append(
-                    f"{name}{_render_labels(m.labels)} {_fmt_value(m.value)}"
-                )
-            elif isinstance(m, Histogram):
-                for bound, cum in m.cumulative():
-                    le = _render_labels(m.labels, [("le", _fmt_value(bound))])
+        for labels, value in instances:
+            if isinstance(value, Histogram):
+                for bound, cum in value.cumulative():
+                    le = _render_labels(labels, [("le", _fmt_value(bound))])
                     lines.append(f"{name}_bucket{le} {cum}")
-                ls = _render_labels(m.labels)
-                lines.append(f"{name}_sum{ls} {_fmt_value(m.total)}")
-                lines.append(f"{name}_count{ls} {m.count}")
-            else:  # pragma: no cover - registry only creates the above
-                raise TypeError(f"unknown metric type {type(m).__name__}")
+                ls = _render_labels(labels)
+                lines.append(f"{name}_sum{ls} {_fmt_value(value.total)}")
+                lines.append(f"{name}_count{ls} {value.count}")
+            else:
+                lines.append(f"{name}{_render_labels(labels)} {_fmt_value(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -94,6 +90,11 @@ def series_to_csv(store: SeriesStore) -> str:
         for t, v in ts.samples():
             lines.append(f"{ts.name},{labels},{_fmt_value(t)},{_fmt_value(v)}")
     return "\n".join(lines) + "\n"
+
+
+def digest(text: str) -> str:
+    """First 16 hex digits of the export's sha256."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def write_text(path, text: str) -> None:

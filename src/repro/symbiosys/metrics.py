@@ -2,12 +2,12 @@
 
 SYMBIOSYS's pitch is *always-on, low-overhead* measurement, yet the
 original workflow is post-mortem: profiles and traces materialize after
-the run.  This module is the in-flight half: a small, fully deterministic
-metrics vocabulary (:class:`Counter`, :class:`Gauge`,
-:class:`Histogram`) behind a :class:`MetricsRegistry`, plus bounded
-ring-buffer :class:`TimeSeries` the
+the run.  This module is the in-flight half: bounded ring-buffer
+:class:`TimeSeries` and fixed-bucket :class:`Histogram` s, held with
+their metric families by the :class:`SeriesStore` the
 :class:`~repro.symbiosys.monitor.Monitor` fills while the simulation is
-still running.
+still running.  A sampled counter or gauge has no value object of its
+own: its series is the metric, and a snapshot reads the latest sample.
 
 Design constraints (all load-bearing for the determinism tests):
 
@@ -15,21 +15,18 @@ Design constraints (all load-bearing for the determinism tests):
   *simulated* time handed in by the caller.
 * Bounded memory -- time-series are ring buffers; once full they drop
   the oldest sample and count the loss instead of growing.
-* Deterministic iteration -- registries and stores render their contents
-  in sorted ``(name, labels)`` order so exports are byte-stable.
+* Deterministic iteration -- stores render their contents in sorted
+  ``(name, labels)`` order so exports are byte-stable.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Any, Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "SeriesStore",
     "TimeSeries",
 ]
@@ -45,52 +42,6 @@ def _label_items(labels: Optional[dict[str, str]]) -> LabelItems:
     if not labels:
         return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-class Counter:
-    """Monotonically non-decreasing value (Prometheus ``counter``)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: LabelItems = ()):
-        self.name = name
-        self.labels = labels
-        self.value: float = 0
-
-    def inc(self, delta: float = 1) -> None:
-        if delta < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        self.value += delta
-
-    def set_total(self, total: float) -> None:
-        """Adopt an externally maintained cumulative total (e.g. a
-        COUNTER-class PVAR sampled by the monitor)."""
-        if total < self.value:
-            raise ValueError(
-                f"counter {self.name!r} cannot go backward "
-                f"({total} < {self.value})"
-            )
-        self.value = total
-
-
-class Gauge:
-    """Instantaneous value that may go up or down."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: LabelItems = ()):
-        self.name = name
-        self.labels = labels
-        self.value: float = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, delta: float = 1) -> None:
-        self.value += delta
-
-    def dec(self, delta: float = 1) -> None:
-        self.value -= delta
 
 
 class Histogram:
@@ -136,104 +87,6 @@ class Histogram:
             out.append((bound, running))
         out.append((float("inf"), running + self.bucket_counts[-1]))
         return out
-
-
-Metric = Any  # Counter | Gauge | Histogram
-
-
-class MetricsRegistry:
-    """Get-or-create registry of metrics keyed by ``(name, labels)``.
-
-    One metric *family* (name) has one type and one help string; label
-    sets distinguish instances (typically ``{"process": addr}``).
-    Iteration order is sorted, so rendering the registry is
-    deterministic regardless of creation order.
-    """
-
-    def __init__(self) -> None:
-        self._metrics: dict[MetricKey, Metric] = {}
-        #: name -> (type string, help string)
-        self._families: dict[str, tuple[str, str]] = {}
-
-    # -- creation ---------------------------------------------------------
-
-    def _family(self, name: str, kind: str, help: str) -> None:
-        existing = self._families.get(name)
-        if existing is None:
-            self._families[name] = (kind, help)
-        elif existing[0] != kind:
-            raise ValueError(
-                f"metric {name!r} is a {existing[0]}, not a {kind}"
-            )
-
-    def _adopt(self, key: MetricKey, cls, *args) -> Metric:
-        """Get-or-create ``key`` in a family the caller has already
-        checked with :meth:`_family` (the monitor checks each PVAR row's
-        family once, not once per process)."""
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = self._metrics[key] = cls(key[0], key[1], *args)
-        return metric
-
-    def _get_or_create(self, key: MetricKey, kind: str, help: str, cls, *args):
-        self._family(key[0], kind, help)
-        return self._adopt(key, cls, *args)
-
-    # Prebuilt-key variants: callers that intern their ``(name, labels)``
-    # keys (the monitor) skip the label sort and share one key tuple
-    # between the registry and the :class:`SeriesStore`.
-
-    def _counter_at(self, key: MetricKey, help: str = "") -> Counter:
-        return self._get_or_create(key, "counter", help, Counter)
-
-    def _gauge_at(self, key: MetricKey, help: str = "") -> Gauge:
-        return self._get_or_create(key, "gauge", help, Gauge)
-
-    def _histogram_at(
-        self,
-        key: MetricKey,
-        help: str = "",
-        bounds: Iterable[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._get_or_create(key, "histogram", help, Histogram, bounds)
-
-    def counter(
-        self, name: str, help: str = "", labels: Optional[dict] = None
-    ) -> Counter:
-        return self._counter_at((name, _label_items(labels)), help)
-
-    def gauge(
-        self, name: str, help: str = "", labels: Optional[dict] = None
-    ) -> Gauge:
-        return self._gauge_at((name, _label_items(labels)), help)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labels: Optional[dict] = None,
-        bounds: Iterable[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._histogram_at((name, _label_items(labels)), help, bounds)
-
-    # -- introspection ----------------------------------------------------
-
-    def family_info(self, name: str) -> tuple[str, str]:
-        return self._families[name]
-
-    def collect(self) -> Iterator[tuple[str, str, str, list[Metric]]]:
-        """Yield ``(name, kind, help, metrics)`` per family, sorted by
-        family name, metrics sorted by labels."""
-        by_family: dict[str, list[Metric]] = {}
-        for (name, _labels), metric in self._metrics.items():
-            by_family.setdefault(name, []).append(metric)
-        for name in sorted(by_family):
-            kind, help = self._families[name]
-            metrics = sorted(by_family[name], key=lambda m: m.labels)
-            yield name, kind, help, metrics
-
-    def __len__(self) -> int:
-        return len(self._metrics)
 
 
 class TimeSeries:
@@ -296,11 +149,37 @@ class TimeSeries:
 
 
 class SeriesStore:
-    """All time-series of one monitor, keyed like registry metrics."""
+    """Every monitored value of one monitor: its time-series and
+    histograms, and the metric families they belong to.
+
+    One family (name) has one type (``counter``, ``gauge`` or
+    ``histogram``) and one help string; label sets distinguish its
+    instances (typically ``{"process": addr}``).  A series whose name
+    has no family (a detector's own, such as the shard balancer's
+    ``shard_ops``) is exported to CSV only.
+    """
 
     def __init__(self, capacity: int = 4096):
         self.capacity = capacity
         self._series: dict[MetricKey, TimeSeries] = {}
+        #: name -> (type string, help string)
+        self._families: dict[str, tuple[str, str]] = {}
+        #: Histograms, in creation order.
+        self.histograms: list[Histogram] = []
+
+    def family(self, name: str, kind: str, help: str = "") -> None:
+        """Declare a metric family; a second kind for a name raises."""
+        existing = self._families.get(name)
+        if existing is None:
+            self._families[name] = (kind, help)
+        elif existing[0] != kind:
+            raise ValueError(
+                f"metric {name!r} is a {existing[0]}, not a {kind}"
+            )
+
+    def family_info(self, name: str) -> Optional[tuple[str, str]]:
+        """``(kind, help)`` of a declared family, else None."""
+        return self._families.get(name)
 
     def _series_at(self, key: MetricKey) -> TimeSeries:
         """Get-or-create by a prebuilt ``(name, labels)`` key."""
@@ -311,6 +190,16 @@ class SeriesStore:
 
     def series(self, name: str, labels: Optional[dict] = None) -> TimeSeries:
         return self._series_at((name, _label_items(labels)))
+
+    def add_histogram(
+        self,
+        name: str,
+        labels: LabelItems = (),
+        bounds: Iterable[float] = DEFAULT_BUCKETS,
+    ) -> Histogram:
+        hist = Histogram(name, labels, bounds)
+        self.histograms.append(hist)
+        return hist
 
     def all_series(self) -> list[TimeSeries]:
         """Every series, sorted by ``(name, labels)`` for stable export."""

@@ -12,10 +12,14 @@ snapshots, per process:
   execution-stream busy fraction,
 * process memory and fabric-wide in-flight bytes,
 
-into :class:`~repro.symbiosys.metrics.MetricsRegistry` metrics and
-bounded ring-buffer time-series.  A :class:`SchedRecorder` hooks the
-Argobots execution streams and records every ULT run slice (and the
-block interval between slices) for the Perfetto timeline, and pluggable
+into the bounded ring-buffer time-series of a
+:class:`~repro.symbiosys.metrics.SeriesStore`; each series is its
+metric, and a snapshot (:meth:`Monitor.collect`) reads its latest
+sample.  Progress-loop liveness comes from Mercury's own record
+(``HGCore.progress_iterations`` / ``HGCore.last_progress``).  A
+:class:`SchedRecorder` hooks the Argobots execution streams and records
+every ULT run slice (and the block interval between slices) for the
+Perfetto timeline, and pluggable
 :class:`AnomalyDetector` s evaluate each snapshot and emit timestamped
 :class:`Finding` s during the run.
 
@@ -31,11 +35,12 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
+from ..argobots.ult import UltState
 from ..config import Replaceable
 from ..mercury.pvar import PvarBinding, PvarClass, PvarDef, PvarRegistry
-from .metrics import Counter, Gauge, MetricsRegistry, SeriesStore
+from .metrics import SeriesStore, TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..argobots import ULT
@@ -158,7 +163,7 @@ class ProgressStarvationDetector(AnomalyDetector):
     def on_sample(self, t: float, monitor: "Monitor") -> list[Finding]:
         findings = []
         for addr, mi in monitor.iter_processes():
-            last = monitor.last_progress.get(addr, 0.0)
+            last = mi.hg.last_progress
             backlog = mi.endpoint.cq_depth
             down = mi.crashed
             starved = down or (backlog > 0 and t - last >= self.threshold)
@@ -299,6 +304,9 @@ class SchedSlice:
 #: Slice-reason materialization table, indexed by the recorder's
 #: internal reason code (0 is the empty reason of block slices).
 _SLICE_REASONS = ("", "end", "block", "yield", "preempt")
+#: The state a ULT leaves its slice in -> reason code; any other state
+#: (an exception unwound through the ES) is ``"preempt"``.
+_REASON_CODES = {UltState.TERMINATED: 1, UltState.BLOCKED: 2, UltState.READY: 3}
 
 
 class SchedRecorder:
@@ -329,8 +337,6 @@ class SchedRecorder:
         self._strings: list[str] = []
         self._str_ids: dict[str, int] = {}
         self._mat: list[SchedSlice] = []
-        #: UltState -> reason code, resolved lazily (import cycle).
-        self._reason_codes: Optional[dict] = None
 
     def _intern(self, s: str) -> int:
         i = self._str_ids.get(s)
@@ -343,15 +349,6 @@ class SchedRecorder:
         self, es: "ExecutionStream", ult: "ULT", start: float, end: float
     ) -> None:
         """Called by the ES when a ULT leaves it (xstream hook)."""
-        reason_codes = self._reason_codes
-        if reason_codes is None:
-            from ..argobots.ult import UltState
-
-            reason_codes = self._reason_codes = {
-                UltState.TERMINATED: 1,
-                UltState.BLOCKED: 2,
-                UltState.READY: 3,
-            }
         n = self._n
         capacity = self.capacity
         blocked_since = ult.blocked_at
@@ -368,7 +365,7 @@ class SchedRecorder:
                 n += 1
             else:
                 self.dropped += 1
-        reason = reason_codes.get(ult.state, 4)
+        reason = _REASON_CODES.get(ult.state, 4)
         if n < capacity:
             self._ids.extend((proc, es_id, ult_id))
             self._kind.append(0)
@@ -441,7 +438,7 @@ class PeriodicSampler:
 
 
 #: Per-process tasking gauges, in sampling order.  They follow the
-#: PVAR rows in each plan's ``metrics``/``series`` lists.
+#: PVAR rows in each plan's ``series`` list.
 _TASKING_GAUGES = (
     ("abt_handler_pool_depth", "ULTs queued in the handler pool"),
     ("abt_num_ready", "ULTs queued in pools, waiting for an ES"),
@@ -449,6 +446,27 @@ _TASKING_GAUGES = (
     ("abt_num_running", "ULTs currently executing on an ES"),
     ("abt_busy_fraction", "Mean cumulative ES busy time over elapsed time"),
     ("process_memory_bytes", "Simulated process memory gauge"),
+)
+
+#: The monitor's other metric families (the ``pvar_*`` families take
+#: their kind and help from each PVAR definition).
+_FAMILIES = (
+    (
+        "abt_handler_pool_depth_hist",
+        "histogram",
+        "Distribution of sampled handler-pool depths",
+    ),
+    (
+        "fabric_inflight_bytes",
+        "gauge",
+        "Bytes currently on the wire (sent, not yet delivered)",
+    ),
+    (
+        "fabric_total_bytes",
+        "counter",
+        "Cumulative bytes injected into the fabric",
+    ),
+    ("hg_progress_iterations", "counter", "Progress-loop iterations completed"),
 )
 
 
@@ -501,11 +519,10 @@ class _ProcessPlan:
     ``(slot, metric name, is_counter, getter)`` tuple per NO_OBJECT
     PVAR; a row's value is ``values[slot]``, passed through ``getter``
     when there is one (the slot then holds the getter's owner).
-    ``metrics`` and ``series`` are parallel to it: ``metrics[i]`` and
-    ``series[i]`` stay None until the PVAR first reports a non-None
-    value (LOWWATERMARKs start empty), the lazy creation that keeps
-    exports byte-identical.  The tasking gauges follow the PVAR rows in
-    ``metrics``/``series``.
+    ``series`` is parallel to it: ``series[i]`` stays None until the
+    PVAR first reports a non-None value (LOWWATERMARKs start empty), the
+    lazy creation that keeps exports byte-identical.  The tasking gauges
+    follow the PVAR rows in ``series``.
 
     Invalidated (and rebuilt) when the process's PVAR registry grows --
     the staleness check in :meth:`Monitor.sample`.  The registry, the
@@ -514,9 +531,18 @@ class _ProcessPlan:
     """
 
     __slots__ = (
-        "n_pvars", "pool", "labels", "rows", "values", "metrics", "series",
-        "depth_hist",
+        "n_pvars", "pool", "labels", "rows", "values", "series", "depth_hist",
     )
+
+
+def _append_total(ts: TimeSeries, t: float, total: float) -> None:
+    """Append a sample of a cumulative counter, which never decreases."""
+    last = ts.latest()
+    if last is not None and float(total) < last[1]:
+        raise ValueError(
+            f"counter {ts.name!r} cannot go backward ({total} < {last[1]})"
+        )
+    ts.append(t, total)
 
 
 class Monitor:
@@ -539,8 +565,11 @@ class Monitor:
         self.sim = sim
         self.config = config or MonitorConfig()
         self.fabric = fabric
-        self.registry = MetricsRegistry()
         self.store = SeriesStore(RING_CAPACITY)
+        for name, help in _TASKING_GAUGES:
+            self.store.family(name, "gauge", help)
+        for name, kind, help in _FAMILIES:
+            self.store.family(name, kind, help)
         self.sched = SchedRecorder(SCHED_SLICE_CAPACITY)
         #: Sampling-plan rebuilds (staleness-triggered) since start.
         self.plan_rebuilds = 0
@@ -553,8 +582,6 @@ class Monitor:
             self.pvars.define(d, self)
         self._self_plan: Optional[_ProcessPlan] = None
         self.findings: list[Finding] = []
-        #: addr -> simulated time of the last progress-loop iteration.
-        self.last_progress: dict[str, float] = {}
         self._processes: dict[str, "MargoInstance"] = {}
         #: addr -> the process's interned ``(("process", addr),)`` labels.
         self._labels: dict[str, tuple] = {}
@@ -572,34 +599,12 @@ class Monitor:
     # -- wiring -------------------------------------------------------------
 
     def attach(self, mi: "MargoInstance") -> None:
-        """Adopt one process: hook its scheduler and progress loop."""
+        """Adopt one process: hook its scheduler."""
         if mi.addr in self._processes:
             raise ValueError(f"process {mi.addr!r} already monitored")
         self._processes[mi.addr] = mi
-        labels = self._labels[mi.addr] = (("process", mi.addr),)
+        self._labels[mi.addr] = (("process", mi.addr),)
         mi.rt.add_sched_observer(self.sched)
-        self.last_progress[mi.addr] = self.sim.now
-        # The observer fires on every progress iteration, so it is a
-        # closure over pre-resolved state: one dict store plus one
-        # counter.inc per iteration.  The counter is still created on
-        # the first iteration (not at attach), as before, so exports of
-        # runs with idle processes are unchanged.
-        addr = mi.addr
-        last_progress = self.last_progress
-        registry = self.registry
-        counter = None
-
-        def _observer(t: float, n: int) -> None:
-            nonlocal counter
-            last_progress[addr] = t
-            if counter is None:
-                counter = registry._counter_at(
-                    ("hg_progress_iterations", labels),
-                    "Progress-loop iterations completed",
-                )
-            counter.inc()
-
-        mi.hg.add_progress_observer(_observer)
 
     def iter_processes(self):
         """Attached processes in attach order (deterministic)."""
@@ -628,7 +633,7 @@ class Monitor:
             plan = self._plans.get(addr)
             if plan is None or plan.n_pvars != mi.hg.pvars.num_pvars:
                 plan = self._plans[addr] = self._build_plan(
-                    self._labels[addr], mi.hg.pvars, mi
+                    self._labels[addr], mi.hg.pvars, mi, plan
                 )
                 self.plan_rebuilds += 1
             self._sample_pvars(t, plan)
@@ -637,26 +642,11 @@ class Monitor:
             fp = self._fabric_plan
             if fp is None:
                 fp = self._fabric_plan = (
-                    self.registry.gauge(
-                        "fabric_inflight_bytes",
-                        "Bytes currently on the wire (sent, not yet "
-                        "delivered)",
-                        None,
-                    ),
-                    self.store.series("fabric_inflight_bytes", None),
-                    self.registry.counter(
-                        "fabric_total_bytes",
-                        "Cumulative bytes injected into the fabric",
-                        None,
-                    ),
-                    self.store.series("fabric_total_bytes", None),
+                    self.store.series("fabric_inflight_bytes"),
+                    self.store.series("fabric_total_bytes"),
                 )
-            inflight = self.fabric.inflight_bytes
-            fp[0].set(inflight)
-            fp[1].append(t, inflight)
-            total = self.fabric.total_bytes
-            fp[2].set_total(total)
-            fp[3].append(t, total)
+            fp[0].append(t, self.fabric.inflight_bytes)
+            _append_total(fp[1], t, self.fabric.total_bytes)
         # Self-observability: the monitor's own overhead PVARs.
         plan = self._self_plan
         if plan is None:
@@ -668,11 +658,16 @@ class Monitor:
             self.findings.extend(detector.on_sample(t, self))
 
     def _build_plan(
-        self, labels: tuple, pvars: PvarRegistry, mi: Optional["MargoInstance"] = None
+        self,
+        labels: tuple,
+        pvars: PvarRegistry,
+        mi: Optional["MargoInstance"] = None,
+        stale: Optional[_ProcessPlan] = None,
     ) -> _ProcessPlan:
         """Resolve every name/PVAR lookup the sampler will make for one
         process once, so the per-tick hot loop touches only cached
-        handles.  Without ``mi`` the plan covers the PVARs only."""
+        handles.  Without ``mi`` the plan covers the PVARs only; a
+        ``stale`` plan of the same process hands over its histogram."""
         names = pvars.names
         rows = self._templates.get(names)
         if rows is None:
@@ -682,21 +677,18 @@ class Monitor:
         plan.labels = labels
         plan.rows = rows
         plan.values = pvars.slot_values
-        plan.metrics = [None] * len(rows)
         plan.series = [None] * len(rows)
         if mi is None:
             plan.pool = plan.depth_hist = None
             return plan
         plan.pool = mi.handler_pool
-        registry = self.registry
         store = self.store
-        for name, help in _TASKING_GAUGES:
-            key = (name, labels)
-            plan.metrics.append(registry._gauge_at(key, help))
-            plan.series.append(store._series_at(key))
-        plan.depth_hist = registry._histogram_at(
-            ("abt_handler_pool_depth_hist", labels),
-            "Distribution of sampled handler-pool depths",
+        for name, _ in _TASKING_GAUGES:
+            plan.series.append(store._series_at((name, labels)))
+        plan.depth_hist = (
+            stale.depth_hist
+            if stale is not None
+            else store.add_histogram("abt_handler_pool_depth_hist", labels)
         )
         return plan
 
@@ -710,7 +702,7 @@ class Monitor:
                 continue  # HANDLE-bound values have no global snapshot
             name = f"pvar_{d.name}"
             is_counter = d.pvar_class is PvarClass.COUNTER
-            self.registry._family(
+            self.store.family(
                 name, "counter" if is_counter else "gauge", d.description
             )
             rows.append((slot, name, is_counter, d.getter))
@@ -718,7 +710,6 @@ class Monitor:
 
     def _sample_pvars(self, t: float, plan: _ProcessPlan) -> None:
         values = plan.values
-        metrics = plan.metrics
         series = plan.series
         for i, (slot, name, is_counter, getter) in enumerate(plan.rows):
             value = values[slot]
@@ -726,18 +717,13 @@ class Monitor:
                 value = getter(value)
             if value is None:
                 continue  # LOWWATERMARK with no sample yet
-            metric = metrics[i]
-            if metric is None:
-                key = (name, plan.labels)
-                metric = metrics[i] = self.registry._adopt(
-                    key, Counter if is_counter else Gauge
-                )
-                series[i] = self.store._series_at(key)
+            ts = series[i]
+            if ts is None:
+                ts = series[i] = self.store._series_at((name, plan.labels))
             if is_counter:
-                metric.set_total(value)
+                _append_total(ts, t, value)
             else:
-                metric.set(value)
-            series[i].append(t, value)
+                ts.append(t, value)
 
     def _sample_tasking(
         self, t: float, mi: "MargoInstance", plan: _ProcessPlan
@@ -745,7 +731,6 @@ class Monitor:
         rt = mi.rt
         depth = len(plan.pool)
         plan.depth_hist.observe(depth)
-        metrics = plan.metrics
         series = plan.series
         i = len(plan.rows)
         # busy_fraction() is a pure read; ProcessStats.cpu_utilization()
@@ -758,11 +743,40 @@ class Monitor:
             rt.busy_fraction(),
             mi.stats.memory_bytes,
         ):
-            metrics[i].set(value)
             series[i].append(t, value)
             i += 1
 
     # -- reporting ----------------------------------------------------------
+
+    def collect(self) -> Iterator[tuple[str, str, str, list[tuple]]]:
+        """Yield ``(name, kind, help, instances)`` per metric family
+        with an instance, sorted by name; instances are ``(labels,
+        value)`` pairs sorted by labels, the value a number for a
+        counter or gauge and a :class:`~repro.symbiosys.metrics.Histogram`
+        for a histogram.
+
+        A sampled counter or gauge is its series' latest sample;
+        ``hg_progress_iterations`` is each process's Mercury progress
+        record, for processes whose loop has run.
+        """
+        store = self.store
+        by_family: dict[str, list[tuple]] = {}
+        for ts in store.all_series():
+            if store.family_info(ts.name) is not None:
+                by_family.setdefault(ts.name, []).append(
+                    (ts.labels, ts.latest()[1])
+                )
+        for hist in store.histograms:
+            by_family.setdefault(hist.name, []).append((hist.labels, hist))
+        for addr, mi in self._processes.items():
+            if mi.hg.progress_iterations:
+                by_family.setdefault("hg_progress_iterations", []).append(
+                    (self._labels[addr], mi.hg.progress_iterations)
+                )
+        for name in sorted(by_family):
+            kind, help = store.family_info(name)
+            instances = sorted(by_family[name], key=lambda inst: inst[0])
+            yield name, kind, help, instances
 
     def findings_report(self) -> str:
         """Deterministic plain-text finding timeline."""

@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from ..argobots.ult import READY, RUNNING, TERMINATED
 from ..config import Replaceable
 from ..margo.hooks import CompositeInstrumentation, Instrumentation
 
@@ -124,8 +125,6 @@ class _SchedChecker:
     def on_slice(
         self, es: "ExecutionStream", ult: "ULT", start: float, end: float
     ) -> None:
-        from ..argobots.ult import UltState
-
         mon = self.monitor
         mon.observe_time(end, self.addr, ult.name)
         if end < start:
@@ -147,16 +146,16 @@ class _SchedChecker:
         self._es_last_end[es.name] = end
 
         was = es.dispatched_from
-        if was is not UltState.READY:
+        if was is not READY:
             mon.record(
                 "ult_state_machine",
                 "terminated ULT scheduled again"
-                if was is UltState.TERMINATED
+                if was is TERMINATED
                 else f"ULT dispatched while {was.value}, expected ready",
                 process=self.addr,
                 callpath=ult.name,
             )
-        if ult.state is UltState.RUNNING:
+        if ult.state is RUNNING:
             mon.record(
                 "ult_state_machine",
                 "ULT still RUNNING after leaving its execution stream",

@@ -11,7 +11,6 @@ cross-check compares.  Everything is a pure function of
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -20,7 +19,7 @@ from ..faults import FaultPlan
 from ..margo import MargoError, RetryPolicy
 from ..symbiosys import Stage
 from ..symbiosys.analysis import profile_summary
-from ..symbiosys.export import series_to_csv, to_prometheus
+from ..symbiosys.export import digest, series_to_csv, to_prometheus
 from ..symbiosys.monitor import MonitorConfig
 from ..symbiosys.perfetto import chrome_trace_json
 from .invariants import InvariantViolation, ValidationConfig
@@ -53,10 +52,6 @@ class WorkloadHang(RuntimeError):
     """The workload did not reach its completion predicate in time."""
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 @dataclass
 class RunArtifacts:
     """One validated run plus its rendered, digestible exports."""
@@ -78,10 +73,10 @@ class RunArtifacts:
     def digests(self) -> dict[str, str]:
         """sha256 prefixes of every export -- the determinism probe."""
         return {
-            "prometheus": _digest(self.prometheus_text),
-            "series_csv": _digest(self.series_csv),
-            "perfetto": _digest(self.perfetto_json),
-            "profile": _digest(self.profile_text),
+            "prometheus": digest(self.prometheus_text),
+            "series_csv": digest(self.series_csv),
+            "perfetto": digest(self.perfetto_json),
+            "profile": digest(self.profile_text),
         }
 
     def summary(self) -> str:
@@ -94,8 +89,8 @@ class RunArtifacts:
             f"  leaked events: {self.leaked_events}",
             f"  violations: {len(self.violations)}",
         ]
-        for name, digest in sorted(self.digests().items()):
-            lines.append(f"  {name:<12} {digest}")
+        for name, hexdigest in sorted(self.digests().items()):
+            lines.append(f"  {name:<12} {hexdigest}")
         return "\n".join(lines)
 
 
@@ -123,7 +118,7 @@ def collect_artifacts(
         rpcs_failed=rpcs_failed,
         leaked_events=cluster.leaked_events,
         violations=list(cluster.validator.violations),
-        prometheus_text=to_prometheus(monitor.registry),
+        prometheus_text=to_prometheus(monitor),
         series_csv=series_to_csv(monitor.store),
         perfetto_json=chrome_trace_json(
             monitor=monitor,

@@ -67,3 +67,51 @@ def test_hot_shard_is_detected_and_rebalanced():
             "shard_ops", {"process": hot_owner, "shard": f"{hot_shard:04d}"}
         )
         assert series.samples()  # recorded during the run
+
+
+def test_balancer_series_is_csv_only_and_stored_as_a_gauge(tmp_path):
+    """``shard_ops`` belongs to no metric family: the time-series CSV
+    and the performance store carry it, the Prometheus snapshot does
+    not, and the store files it as a help-less gauge."""
+    import sqlite3
+
+    from repro.symbiosys.export import series_to_csv, to_prometheus
+
+    db = tmp_path / "perf.db"
+    with Cluster(
+        seed=0,
+        stage=Stage.FULL,
+        monitoring=MonitorConfig(interval=50e-6),
+        store=str(db),
+    ) as cluster:
+        service = ShardedKVService.deploy(cluster, 4)
+        cluster.monitor.detectors.append(
+            ShardHotspotDetector(
+                cluster.monitor.config,
+                manager=service.manager,
+                providers=service.providers,
+            )
+        )
+        mi = cluster.process("cli", "nodeC")
+        router = service.make_router(mi)
+        done = []
+
+        def body():
+            for i in range(8):
+                yield from router.put(f"k{i}", "v")
+            done.append(True)
+
+        mi.client_ult(body(), name="writer")
+        assert cluster.run_until(lambda: done, limit=1.0)
+    monitor = cluster.monitor
+    assert "\nshard_ops," in series_to_csv(monitor.store)
+    assert not any(
+        line.startswith(("shard_ops", "# TYPE shard_ops "))
+        for line in to_prometheus(monitor).splitlines()
+    )
+    conn = sqlite3.connect(db)
+    rows = conn.execute(
+        "SELECT DISTINCT kind, help FROM metrics WHERE name = 'shard_ops'"
+    ).fetchall()
+    conn.close()
+    assert rows == [("gauge", "")]

@@ -1,40 +1,47 @@
 """Unit tests for the metrics primitives and text exporters."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from repro.symbiosys.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    SeriesStore,
-    TimeSeries,
-)
+from repro.sim import Simulator
+from repro.symbiosys.metrics import Histogram, SeriesStore, TimeSeries
 from repro.symbiosys.export import series_to_csv, to_prometheus
+from repro.symbiosys.monitor import Monitor
+
+
+def _fabric_monitor():
+    """A monitor of no process over a stand-in fabric whose byte
+    counts the test sets."""
+    fabric = SimpleNamespace(inflight_bytes=0, total_bytes=0)
+    return Monitor(Simulator(), fabric=fabric), fabric
 
 
 # ------------------------------------------------------------ primitives
 
 
 def test_counter_monotonic():
-    c = Counter("c")
-    c.inc()
-    c.inc(2)
-    assert c.value == 3
-    c.set_total(10)
-    assert c.value == 10
-    with pytest.raises(ValueError):
-        c.set_total(5)
+    monitor, fabric = _fabric_monitor()
+    for t, total in ((0.0, 3), (1.0, 3), (2.0, 10)):
+        fabric.total_bytes = total
+        monitor.sample(t)
+    fabric.total_bytes = 5
+    with pytest.raises(ValueError, match="fabric_total_bytes"):
+        monitor.sample(3.0)
+    series = monitor.store.series("fabric_total_bytes")
+    assert [v for _, v in series.samples()] == [3.0, 3.0, 10.0]
+    assert "fabric_total_bytes 10" in to_prometheus(monitor).splitlines()
 
 
 def test_gauge_moves_both_ways():
-    g = Gauge("g")
-    g.set(4)
-    g.inc()
-    g.dec(2)
-    assert g.value == 3
+    monitor, fabric = _fabric_monitor()
+    for t, inflight in ((0.0, 4), (1.0, 7), (2.0, 3)):
+        fabric.inflight_bytes = inflight
+        monitor.sample(t)
+    series = monitor.store.series("fabric_inflight_bytes")
+    assert [v for _, v in series.samples()] == [4.0, 7.0, 3.0]
+    assert "fabric_inflight_bytes 3" in to_prometheus(monitor).splitlines()
 
 
 def test_histogram_buckets_and_cumulative():
@@ -50,22 +57,35 @@ def test_histogram_buckets_and_cumulative():
     assert h.total == 555.5
 
 
-def test_registry_get_or_create_and_kind_conflicts():
-    reg = MetricsRegistry()
-    a = reg.counter("x", "help", labels={"p": "1"})
-    b = reg.counter("x", "help", labels={"p": "1"})
-    assert a is b
-    assert reg.counter("x", "help", labels={"p": "2"}) is not a
+def test_store_get_or_create_and_family_kind_conflicts():
+    store = SeriesStore()
+    a = store.series("x", {"p": "1"})
+    assert store.series("x", {"p": "1"}) is a
+    assert store.series("x", {"p": "2"}) is not a
+    store.family("x", "counter", "help")
+    store.family("x", "counter", "help")  # re-declaring is fine
+    assert store.family_info("x") == ("counter", "help")
+    assert store.family_info("y") is None
     with pytest.raises(ValueError):
-        reg.gauge("x", "help")  # same family name, different kind
+        store.family("x", "gauge", "help")  # same family name, different kind
 
 
-def test_registry_collect_sorted():
-    reg = MetricsRegistry()
-    reg.gauge("zeta", "")
-    reg.counter("alpha", "")
-    names = [name for name, _, _, _ in reg.collect()]
-    assert names == ["alpha", "zeta"]
+def test_monitor_collect_sorted():
+    monitor = Monitor(Simulator())
+    store = monitor.store
+    store.family("zeta", "gauge")
+    store.family("alpha", "counter")
+    store.series("zeta").append(0.0, 1.0)
+    store.series("alpha", {"p": "b"}).append(0.0, 2.0)
+    store.series("alpha", {"p": "a"}).append(0.0, 3.0)
+    collected = [
+        (name, [labels for labels, _ in instances])
+        for name, _, _, instances in monitor.collect()
+    ]
+    assert collected == [
+        ("alpha", [(("p", "a"),), (("p", "b"),)]),
+        ("zeta", [()]),
+    ]
 
 
 # ------------------------------------------------------------ time-series
@@ -111,13 +131,18 @@ def test_series_store_keys_and_totals():
 
 
 def test_prometheus_format():
-    reg = MetricsRegistry()
-    reg.counter("reqs_total", "Total requests", labels={"process": "svr"}).inc(7)
-    reg.gauge("depth", "Queue depth").set(2.5)
-    h = reg.histogram("lat", "Latency", labels={"p": "a"}, bounds=(1, 2))
+    monitor = Monitor(Simulator())
+    store = monitor.store
+    store.family("reqs_total", "counter", "Total requests")
+    store.series("reqs_total", {"process": "svr"}).append(0.0, 7)
+    store.family("depth", "gauge", "Queue depth")
+    store.series("depth").append(0.0, 2.5)
+    store.family("lat", "histogram", "Latency")
+    h = store.add_histogram("lat", (("p", "a"),), bounds=(1, 2))
     h.observe(0.5)
     h.observe(3)
-    text = to_prometheus(reg)
+    store.series("undeclared").append(0.0, 1.0)  # CSV-only
+    text = to_prometheus(monitor)
     lines = text.splitlines()
     assert "# TYPE reqs_total counter" in lines
     assert '# HELP reqs_total Total requests' in lines
@@ -127,13 +152,15 @@ def test_prometheus_format():
     assert 'lat_bucket{p="a",le="+Inf"} 2' in lines
     assert 'lat_sum{p="a"} 3.5' in lines
     assert 'lat_count{p="a"} 2' in lines
+    assert "undeclared" not in text
     assert text.endswith("\n")
 
 
 def test_prometheus_escapes_label_values():
-    reg = MetricsRegistry()
-    reg.gauge("g", "", labels={"k": 'a"b\\c'}).set(1)
-    text = to_prometheus(reg)
+    monitor = Monitor(Simulator())
+    monitor.store.family("g", "gauge")
+    monitor.store.series("g", {"k": 'a"b\\c'}).append(0.0, 1)
+    text = to_prometheus(monitor)
     assert 'k="a\\"b\\\\c"' in text
 
 

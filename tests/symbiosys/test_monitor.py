@@ -159,7 +159,7 @@ def test_monitored_runs_are_byte_identical():
         series = [
             (s.name, s.labels, s.samples()) for s in monitor.store.all_series()
         ]
-        return series, to_prometheus(monitor.registry), series_to_csv(monitor.store)
+        return series, to_prometheus(monitor), series_to_csv(monitor.store)
 
     assert snapshot() == snapshot()
 
@@ -184,20 +184,20 @@ def test_custom_detector_factory_runs():
 # is exercised exactly, without hunting for a workload that produces it.
 
 
-def _stub_monitor(processes, last_progress=None):
-    return SimpleNamespace(
-        iter_processes=lambda: list(processes.items()),
-        last_progress=last_progress or {},
-    )
+def _stub_monitor(processes):
+    return SimpleNamespace(iter_processes=lambda: list(processes.items()))
 
 
-def _stub_process(*, cq_depth=0, crashed=False, pool_depth=0, timeouts=0):
+def _stub_process(
+    *, cq_depth=0, crashed=False, pool_depth=0, timeouts=0, last_progress=0.0
+):
     return SimpleNamespace(
         endpoint=SimpleNamespace(cq_depth=cq_depth),
         crashed=crashed,
         handler_pool=[None] * pool_depth,
         hg=SimpleNamespace(
-            pvars=SimpleNamespace(raw_value=lambda name: timeouts)
+            pvars=SimpleNamespace(raw_value=lambda name: timeouts),
+            last_progress=last_progress,
         ),
     )
 
@@ -205,12 +205,12 @@ def _stub_process(*, cq_depth=0, crashed=False, pool_depth=0, timeouts=0):
 def test_starvation_detector_edges():
     det = ProgressStarvationDetector(MonitorConfig(starvation_threshold=1e-3))
     mi = _stub_process(cq_depth=2)
-    mon = _stub_monitor({"p": mi}, last_progress={"p": 0.0})
+    mon = _stub_monitor({"p": mi})
     assert det.on_sample(0.5e-3, mon) == []  # below threshold
     [f] = det.on_sample(2e-3, mon)  # starved
     assert f.detector == "progress_starvation" and "queued completions" in f.message
     assert det.on_sample(3e-3, mon) == []  # edge-triggered: no repeat
-    mon.last_progress["p"] = 3.1e-3  # progress resumed
+    mi.hg.last_progress = 3.1e-3  # progress resumed
     [f] = det.on_sample(3.2e-3, mon)
     assert f.message == "progress resumed"
 
@@ -218,7 +218,7 @@ def test_starvation_detector_edges():
 def test_starvation_detector_fires_on_crash():
     det = ProgressStarvationDetector(MonitorConfig())
     mi = _stub_process(crashed=True)
-    mon = _stub_monitor({"p": mi}, last_progress={"p": 0.0})
+    mon = _stub_monitor({"p": mi})
     [f] = det.on_sample(1e-6, mon)
     assert "process down" in f.message
 
@@ -312,7 +312,7 @@ def _idle_cluster(n):
 
 
 def test_first_sample_allocates_few_objects_per_process():
-    """The first sample builds every process's plan, metrics and series;
+    """The first sample builds every process's plan and series;
     at fleet scale its long-lived objects are what the cyclic GC keeps
     rescanning, so they stay few per process."""
     import gc
@@ -355,18 +355,18 @@ def test_stale_plans_are_rebuilt_and_counted():
     monitor.sample(cluster.sim.now)
     assert monitor.plan_rebuilds == 4  # fresh plans stay
 
-    # The new PVAR's metric and series carry the public API's labels.
-    counter = monitor.registry.counter(
-        "pvar_shard_ops_total", labels={"process": "p000"}
-    )
-    assert counter.value == 5
+    # The new PVAR's series carries the public API's labels and is
+    # exported as a counter.
     [series] = [s for s in monitor.store.all_series()
                 if s.name == "pvar_shard_ops_total"]
     assert series is monitor.store.series(
         "pvar_shard_ops_total", {"process": "p000"}
     )
-    assert series.labels == counter.labels == (("process", "p000"),)
+    assert series.labels == (("process", "p000"),)
     assert [v for _, v in series.samples()] == [5.0, 5.0]
+    lines = to_prometheus(monitor).splitlines()
+    assert "# TYPE pvar_shard_ops_total counter" in lines
+    assert 'pvar_shard_ops_total{process="p000"} 5' in lines
 
     # Different schemas never share rows; the unchanged one keeps its own.
     rows = {a: monitor._plans[a].rows for a in ("p000", "p001", "p002")}
@@ -374,4 +374,73 @@ def test_stale_plans_are_rebuilt_and_counted():
     assert rows["p001"] is rows["p002"]
     assert "pvar_shard_ops_total" in {r[1] for r in rows["p000"]}
     assert "pvar_shard_ops_total" not in {r[1] for r in rows["p002"]}
+    cluster.shutdown()
+
+
+def test_a_decreasing_counter_pvar_raises_from_sample():
+    """A COUNTER-class PVAR is a cumulative total: a sample below the
+    previous one is a broken PVAR, not a value to record."""
+    from repro.mercury.pvar import PvarBinding, PvarClass, PvarDef
+
+    cluster = _idle_cluster(1)
+    monitor = cluster.monitor
+    pvars = cluster.processes["p000"].hg.pvars
+    pvars.define(
+        PvarDef("ops_total", PvarClass.COUNTER, PvarBinding.NO_OBJECT, "")
+    )
+    pvars.add("ops_total", 5)
+    monitor.sample(cluster.sim.now)
+    monitor.sample(cluster.sim.now)  # unchanged is fine
+    pvars.set("ops_total", 2)
+    with pytest.raises(ValueError, match="pvar_ops_total"):
+        monitor.sample(cluster.sim.now)
+    series = monitor.store.series("pvar_ops_total", {"process": "p000"})
+    assert [v for _, v in series.samples()] == [5.0, 5.0]
+    pvars.set("ops_total", 5)  # the shutdown takes a last sample
+    cluster.shutdown()
+
+
+def test_progress_iterations_match_an_independent_observer():
+    """``hg_progress_iterations`` is Mercury's own progress record; it
+    counts what any other progress observer sees, and the starvation
+    detector's last-progress time is the observer's last call."""
+    seen = {}
+
+    with Cluster(seed=0, monitoring=MonitorConfig(interval=25e-6)) as cluster:
+        server = cluster.process("svr", "nA", n_handler_es=1)
+        client = cluster.process("cli", "nB")
+        for mi in (server, client):
+            calls = seen[mi.addr] = [0, None]
+
+            def observer(t, n, calls=calls):
+                calls[0] += 1
+                calls[1] = t
+
+            mi.hg.add_progress_observer(observer)
+        server.register("echo", echo_handler)
+        client.register("echo")
+        done = []
+
+        def body(i):
+            done.append((yield from client.forward("svr", "echo", {"req": i})))
+
+        for i in range(10):
+            client.client_ult(body(i), name=f"req{i}")
+        assert cluster.run_until(lambda: len(done) == 10, limit=1.0)
+        for addr, (count, last) in seen.items():
+            hg = cluster.processes[addr].hg
+            assert count > 0
+            assert hg.progress_iterations == count
+            assert hg.last_progress == last
+        lines = to_prometheus(cluster.monitor).splitlines()
+        for addr, (count, _) in seen.items():
+            assert f'hg_progress_iterations{{process="{addr}"}} {count}' in lines
+
+
+def test_idle_processes_export_no_progress_iterations():
+    cluster = _idle_cluster(2)
+    cluster.monitor.sample(cluster.sim.now)
+    text = to_prometheus(cluster.monitor)
+    assert "pvar_" in text
+    assert "hg_progress_iterations" not in text
     cluster.shutdown()
