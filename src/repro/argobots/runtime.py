@@ -52,6 +52,9 @@ class AbtRuntime:
         #: method.  Per-ULT facts they need live on the ULT itself.
         self._sched_observers: list = []
         self.shutting_down = False
+        #: Bound once: every timed wait's queue entry holds this method,
+        #: the ULT and its wait number, and nothing the wait used.
+        self._on_wait_timeout = self._wait_timeout
 
     # -- observers ---------------------------------------------------------
 
@@ -172,16 +175,24 @@ class AbtRuntime:
         self.num_blocked -= 1
         ult._send_value = (True, value) if ult._wait_wrap else value
         ult._wait_wrap = False
+        ult.waiting_on = None
         ult.state = READY
         ult.pool.push(ult)
 
-    def _wait_timeout(self, ult: ULT, eventual: Eventual) -> None:
-        if ult.state is BLOCKED and eventual._remove_waiter(ult):
-            self.num_blocked -= 1
-            ult._send_value = (False, None)
-            ult._wait_wrap = False
-            ult.state = READY
-            ult.pool.push(ult)
+    def _wait_timeout(self, ult: ULT, wait_number: int) -> None:
+        """The timeout of the ULT's timed wait ``wait_number``; a no-op
+        once that wait has ended (the ULT was signalled, or has moved on
+        to a later wait)."""
+        ev = ult.waiting_on
+        if ev is None or ult.wait_number != wait_number:
+            return
+        ev._remove_waiter(ult)
+        ult.waiting_on = None
+        self.num_blocked -= 1
+        ult._send_value = (False, None)
+        ult._wait_wrap = False
+        ult.state = READY
+        ult.pool.push(ult)
 
     def _finish_ult(
         self, ult: ULT, result: Any, error: Optional[BaseException]

@@ -99,7 +99,10 @@ class ULT:
     key" instrumentation strategy (Table III) writes through.
     ``blocked_at``, kept by the execution stream for the scheduler
     observers, is the end of the ULT's previous slice when that slice
-    ended in a block, else None.
+    ended in a block, else None.  ``waiting_on`` is the eventual of the
+    timed wait the ULT is blocked in (None otherwise) and
+    ``wait_number`` counts its timed waits: a timeout names the wait it
+    belongs to, so the queue entry that fires it holds no eventual.
     """
 
     __slots__ = (
@@ -109,6 +112,8 @@ class ULT:
         "pool",
         "state",
         "blocked_at",
+        "waiting_on",
+        "wait_number",
         "local",
         "created_at",
         "started_at",
@@ -128,6 +133,8 @@ class ULT:
         self.pool = pool
         self.state = READY
         self.blocked_at: Optional[float] = None
+        self.waiting_on: Any = None
+        self.wait_number = 0
         self.local: dict[Any, Any] = {}
         self.created_at = created_at
         self.started_at: Optional[float] = None

@@ -149,7 +149,12 @@ class ExecutionStream:
                     rt.num_blocked += 1
                     ev._add_waiter(ult)
                     if effect.timeout is not None:
-                        sim.call_after(effect.timeout, rt._wait_timeout, ult, ev)
+                        ult.waiting_on = ev
+                        ult.wait_number += 1
+                        sim.call_after(
+                            effect.timeout, rt._on_wait_timeout,
+                            ult, ult.wait_number,
+                        )
                     return True
                 elif isinstance(effect, YieldNow):
                     ult.state = READY

@@ -12,8 +12,8 @@ snapshots, per process:
   execution-stream busy fraction,
 * process memory and fabric-wide in-flight bytes,
 
-into the bounded ring-buffer time-series of a
-:class:`~repro.symbiosys.metrics.SeriesStore`; each series is its
+into a :class:`~repro.symbiosys.metrics.SeriesStore`: one bounded
+ring of rows per process, a row per tick.  Each series is its
 metric, and a snapshot (:meth:`Monitor.collect`) reads its latest
 sample.  Progress-loop liveness comes from Mercury's own record
 (``HGCore.progress_iterations`` / ``HGCore.last_progress``).  A
@@ -63,8 +63,9 @@ __all__ = [
 ]
 
 
-#: Ring-buffer capacity of each metric time-series.
+#: Ring-buffer capacity, in rows, of each block of samples.
 RING_CAPACITY = 4096
+_NAN = float("nan")
 #: Cap on recorded scheduler slices (run + block), monitor-wide.
 SCHED_SLICE_CAPACITY = 65536
 
@@ -320,16 +321,23 @@ class SchedRecorder:
     drops instead of growing.
 
     The hook fires on *every* ULT dispatch, so recording is columnar:
-    one slice is four scalar appends into flat arrays with process/ES/
-    ULT names interned to integer ids.  :attr:`slices` materializes
-    (and caches) the :class:`SchedSlice` views for the exporters.
+    one slice is scalar appends into flat arrays with names interned to
+    integer ids.  An execution stream's process and ES names resolve
+    once, to the ES's index; a slice costs one lookup for the ES and
+    one for the ULT name.  :attr:`slices` materializes (and caches) the
+    :class:`SchedSlice` views for the exporters.
     """
 
     def __init__(self, capacity: int = SCHED_SLICE_CAPACITY):
         self.capacity = capacity
         self.dropped = 0
         self._n = 0
-        self._ids = array("q")  # interleaved (process, es, ult) string ids
+        #: id(ES) -> its index in ``_es_names``: the ES (held, so that
+        #: its id stays its own) and its (process, es) name ids.
+        self._es_index: dict[int, int] = {}
+        self._es_names: list[tuple["ExecutionStream", int, int]] = []
+        self._es = array("q")  # ES index per slice
+        self._ult = array("q")  # ULT-name id per slice
         self._kind = array("b")  # 0 = run, 1 = block
         self._reason = array("b")  # index into _SLICE_REASONS
         self._start = array("d")
@@ -345,6 +353,13 @@ class SchedRecorder:
             self._strings.append(s)
         return i
 
+    def _add_es(self, es: "ExecutionStream") -> int:
+        i = self._es_index[id(es)] = len(self._es_names)
+        self._es_names.append(
+            (es, self._intern(es.runtime.name), self._intern(es.name))
+        )
+        return i
+
     def on_slice(
         self, es: "ExecutionStream", ult: "ULT", start: float, end: float
     ) -> None:
@@ -352,12 +367,16 @@ class SchedRecorder:
         n = self._n
         capacity = self.capacity
         blocked_since = ult.blocked_at
-        proc = self._intern(es.runtime.name)
-        es_id = self._intern(es.name)
-        ult_id = self._intern(ult.name)
+        es_i = self._es_index.get(id(es))
+        if es_i is None:
+            es_i = self._add_es(es)
+        ult_id = self._str_ids.get(ult.name)
+        if ult_id is None:
+            ult_id = self._intern(ult.name)
         if blocked_since is not None:
             if n < capacity:
-                self._ids.extend((proc, es_id, ult_id))
+                self._es.append(es_i)
+                self._ult.append(ult_id)
                 self._kind.append(1)
                 self._reason.append(0)
                 self._start.append(blocked_since)
@@ -367,7 +386,8 @@ class SchedRecorder:
                 self.dropped += 1
         reason = _REASON_CODES.get(ult.state, 4)
         if n < capacity:
-            self._ids.extend((proc, es_id, ult_id))
+            self._es.append(es_i)
+            self._ult.append(ult_id)
             self._kind.append(0)
             self._reason.append(reason)
             self._start.append(start)
@@ -384,18 +404,20 @@ class SchedRecorder:
         n = self._n
         if len(mat) != n:
             strings = self._strings
-            ids = self._ids
+            es_names = self._es_names
+            es_of = self._es
+            ult_of = self._ult
             kind = self._kind
             reason = self._reason
             start = self._start
             end = self._end
             for i in range(len(mat), n):
-                base = i * 3
+                _, proc, es = es_names[es_of[i]]
                 mat.append(
                     SchedSlice(
-                        process=strings[ids[base]],
-                        es=strings[ids[base + 1]],
-                        ult=strings[ids[base + 2]],
+                        process=strings[proc],
+                        es=strings[es],
+                        ult=strings[ult_of[i]],
                         kind="block" if kind[i] else "run",
                         start=start[i],
                         end=end[i],
@@ -519,20 +541,22 @@ class _ProcessPlan:
     ``(slot, metric name, is_counter, getter)`` tuple per NO_OBJECT
     PVAR; a row's value is ``values[slot]``, passed through ``getter``
     when there is one (the slot then holds the getter's owner).
-    ``series`` is parallel to it: ``series[i]`` stays None until the
-    PVAR first reports a non-None value (LOWWATERMARKs start empty), the
-    lazy creation that keeps exports byte-identical.  The tasking gauges
-    follow the PVAR rows in ``series``.
+    ``block`` is the plan's :class:`~repro.symbiosys.metrics.RowBlock`:
+    one row per tick holding the PVAR values in template order, then
+    the tasking gauges.  A PVAR whose value is None (a LOWWATERMARK
+    with no sample yet) leaves its column unstarted, so its series
+    exists only from its first value on.  ``floors`` holds each
+    counter column's previous value (NaN before the first), the bound
+    its next sample may not go below.
 
-    Invalidated (and rebuilt) when the process's PVAR registry grows --
-    the staleness check in :meth:`Monitor.sample`.  The registry, the
-    Argobots runtime and the handler pool are assigned once per
-    :class:`~repro.margo.instance.MargoInstance`, so they need no check.
+    Invalidated (and rebuilt, with a new block) when the process's PVAR
+    registry grows -- the staleness check in :meth:`Monitor.sample`.
+    The registry, the Argobots runtime and the handler pool are assigned
+    once per :class:`~repro.margo.instance.MargoInstance`, so they need
+    no check.
     """
 
-    __slots__ = (
-        "n_pvars", "pool", "labels", "rows", "values", "series", "depth_hist",
-    )
+    __slots__ = ("n_pvars", "pool", "rows", "values", "block", "floors", "depth_hist")
 
 
 def _append_total(ts: TimeSeries, t: float, total: float) -> None:
@@ -586,7 +610,8 @@ class Monitor:
         #: addr -> the process's interned ``(("process", addr),)`` labels.
         self._labels: dict[str, tuple] = {}
         self._plans: dict[str, _ProcessPlan] = {}
-        #: PVAR name sequence -> row template (see :class:`_ProcessPlan`).
+        #: PVAR name sequence -> (row template, block columns); see
+        #: :class:`_ProcessPlan`.
         self._templates: dict[tuple[str, ...], tuple] = {}
         self._fabric_plan: Optional[tuple] = None
         self.detectors: list[AnomalyDetector] = [
@@ -636,8 +661,21 @@ class Monitor:
                     self._labels[addr], mi.hg.pvars, mi, plan
                 )
                 self.plan_rebuilds += 1
-            self._sample_pvars(t, plan)
-            self._sample_tasking(t, mi, plan)
+            row = self._pvar_row(t, plan)
+            rt = mi.rt
+            depth = len(plan.pool)
+            plan.depth_hist.observe(depth)
+            # busy_fraction() is a pure read; ProcessStats.cpu_utilization()
+            # would perturb the delta-sample state the trace layer shares.
+            row += (
+                depth,
+                rt.num_ready,
+                rt.num_blocked,
+                rt.num_running,
+                rt.busy_fraction(),
+                mi.stats.memory_bytes,
+            )
+            plan.block.append_row(row)
         if self.fabric is not None:
             fp = self._fabric_plan
             if fp is None:
@@ -653,7 +691,7 @@ class Monitor:
             plan = self._self_plan = self._build_plan(
                 (("process", "__monitor__"),), self.pvars
             )
-        self._sample_pvars(t, plan)
+        plan.block.append_row(self._pvar_row(t, plan))
         for detector in self.detectors:
             self.findings.extend(detector.on_sample(t, self))
 
@@ -667,35 +705,41 @@ class Monitor:
         """Resolve every name/PVAR lookup the sampler will make for one
         process once, so the per-tick hot loop touches only cached
         handles.  Without ``mi`` the plan covers the PVARs only; a
-        ``stale`` plan of the same process hands over its histogram."""
+        ``stale`` plan of the same process hands over its histogram and
+        its counters' floors."""
         names = pvars.names
-        rows = self._templates.get(names)
-        if rows is None:
-            rows = self._templates[names] = self._build_template(pvars)
+        template = self._templates.get(names)
+        if template is None:
+            template = self._templates[names] = self._build_template(pvars)
+        rows, columns = template
         plan = _ProcessPlan()
         plan.n_pvars = len(names)
-        plan.labels = labels
         plan.rows = rows
         plan.values = pvars.slot_values
-        plan.series = [None] * len(rows)
+        plan.floors = array("d", [_NAN]) * len(rows)
+        if stale is not None:
+            old = stale.block.names
+            for c, row in enumerate(rows):
+                if row[2] and row[1] in old:
+                    plan.floors[c] = stale.floors[old.index(row[1])]
         if mi is None:
+            columns = columns[: len(rows)]
             plan.pool = plan.depth_hist = None
-            return plan
-        plan.pool = mi.handler_pool
-        store = self.store
-        for name, _ in _TASKING_GAUGES:
-            plan.series.append(store._series_at((name, labels)))
-        plan.depth_hist = (
-            stale.depth_hist
-            if stale is not None
-            else store.add_histogram("abt_handler_pool_depth_hist", labels)
-        )
+        else:
+            plan.pool = mi.handler_pool
+            plan.depth_hist = (
+                stale.depth_hist
+                if stale is not None
+                else self.store.add_histogram("abt_handler_pool_depth_hist", labels)
+            )
+        plan.block = self.store.add_block(columns, labels)
         return plan
 
     def _build_template(self, pvars: PvarRegistry) -> tuple:
         """One row per NO_OBJECT PVAR of a registry schema, checking
         each row's metric family once for every process that shares the
-        schema."""
+        schema, and the block columns those rows and the tasking gauges
+        fill."""
         rows = []
         for slot, d in enumerate(map(pvars.info, range(pvars.num_pvars))):
             if d.binding is not PvarBinding.NO_OBJECT:
@@ -706,45 +750,28 @@ class Monitor:
                 name, "counter" if is_counter else "gauge", d.description
             )
             rows.append((slot, name, is_counter, d.getter))
-        return tuple(rows)
+        columns = tuple(r[1] for r in rows) + tuple(n for n, _ in _TASKING_GAUGES)
+        return tuple(rows), columns
 
-    def _sample_pvars(self, t: float, plan: _ProcessPlan) -> None:
+    def _pvar_row(self, t: float, plan: _ProcessPlan) -> list:
+        """``[t, value, ...]`` in template order; a counter below its
+        previous value raises before the row is recorded."""
         values = plan.values
-        series = plan.series
-        for i, (slot, name, is_counter, getter) in enumerate(plan.rows):
+        floors = plan.floors
+        row = [t]
+        for c, (slot, name, is_counter, getter) in enumerate(plan.rows):
             value = values[slot]
             if getter is not None:
                 value = getter(value)
-            if value is None:
-                continue  # LOWWATERMARK with no sample yet
-            ts = series[i]
-            if ts is None:
-                ts = series[i] = self.store._series_at((name, plan.labels))
-            if is_counter:
-                _append_total(ts, t, value)
-            else:
-                ts.append(t, value)
-
-    def _sample_tasking(
-        self, t: float, mi: "MargoInstance", plan: _ProcessPlan
-    ) -> None:
-        rt = mi.rt
-        depth = len(plan.pool)
-        plan.depth_hist.observe(depth)
-        series = plan.series
-        i = len(plan.rows)
-        # busy_fraction() is a pure read; ProcessStats.cpu_utilization()
-        # would perturb the delta-sample state the trace layer shares.
-        for value in (
-            depth,
-            rt.num_ready,
-            rt.num_blocked,
-            rt.num_running,
-            rt.busy_fraction(),
-            mi.stats.memory_bytes,
-        ):
-            series[i].append(t, value)
-            i += 1
+            if is_counter and value is not None:
+                if float(value) < floors[c]:
+                    raise ValueError(
+                        f"counter {name!r} cannot go backward "
+                        f"({value} < {floors[c]})"
+                    )
+                floors[c] = value
+            row.append(value)
+        return row
 
     # -- reporting ----------------------------------------------------------
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..sim import RngRegistry
-from ..services.hepnos import event_key
+from ..services.hepnos import run_event_pairs
 
 __all__ = ["SyntheticEventFile", "generate_event_files", "flatten_to_pairs"]
 
@@ -38,10 +38,7 @@ class SyntheticEventFile:
 
     def to_pairs(self) -> list[tuple[str, bytes]]:
         """Event key/value pairs in file order."""
-        return [
-            (event_key(self.dataset, self.run, subrun, event), payload)
-            for subrun, event, payload in self.events
-        ]
+        return run_event_pairs(self.dataset, self.run, self.events)
 
 
 def generate_event_files(

@@ -151,6 +151,72 @@ def test_eventual_wait_on_set_with_timeout_returns_ok():
     assert out == [(True, "already")]
 
 
+def _queue_holds(sim):
+    """What the event queue's entries hold directly: each callback's
+    owner (a bound method's ``__self__``) and its arguments."""
+    held = []
+    for _, _, fn, args in sim._queue:
+        held.append(getattr(fn, "__self__", fn))
+        held.extend(args)
+    return held
+
+
+def test_timed_wait_signalled_first_leaves_no_eventual_in_the_queue():
+    """The timeout entry of a wait that has ended stays in the queue
+    (it fires as a no-op at the same instant), but holds only the ULT
+    and its wait number."""
+    sim, rt, pool = make_runtime()
+    ev = rt.eventual()
+    out = []
+
+    def waiter():
+        ok, value = yield from ev.wait(timeout=5.0)
+        out.append((ok, value, sim.now))
+
+    def signaler():
+        yield Compute(1.0)
+        ev.signal("fast")
+
+    ult = rt.spawn(waiter(), pool)
+    rt.spawn(signaler(), pool)
+    sim.run(until=2.0)
+    assert out == [(True, "fast", 1.0)]
+    held = _queue_holds(sim)
+    assert ult in held  # the entry is still queued ...
+    assert not any(o is ev for o in held)  # ... and pins no eventual
+    assert ult.waiting_on is None
+    sim.run(until=10.0)  # the stale entry fires without effect
+    assert out == [(True, "fast", 1.0)] and rt.num_blocked == 0
+
+
+def test_stale_timeout_never_wakes_a_later_wait():
+    """A timeout whose wait has ended does not wake the ULT from a later
+    wait on another eventual, timed or not."""
+    for later_timeout in (None, 50.0):
+        sim, rt, pool = make_runtime()
+        first, second = rt.eventual("first"), rt.eventual("second")
+        out = []
+
+        def waiter():
+            ok, _ = yield from first.wait(timeout=5.0)
+            out.append(("first", ok, sim.now))
+            result = yield from second.wait(timeout=later_timeout)
+            out.append(("second", result, sim.now))
+
+        def signaler():
+            yield Compute(1.0)
+            first.signal()
+            yield Compute(9.0)  # past the first wait's timeout at 5.0
+            second.signal("late")
+
+        rt.spawn(waiter(), pool)
+        rt.spawn(signaler(), pool)
+        sim.run(until=100.0)
+        value = "late" if later_timeout is None else (True, "late")
+        assert out == [("first", True, 1.0), ("second", value, 10.0)]
+        assert rt.num_blocked == 0
+
+
 # ---------------------------------------------------------------- AbtMutex
 
 

@@ -264,3 +264,29 @@ def test_retry_hooks_fire_on_instrumentation():
         assert results[0][0] == "ok"
     assert recorder.timeouts == [("cli", pytest.approx(1e-3))]
     assert recorder.retries == [(1, "svr")]
+
+
+def test_answered_forward_leaves_no_handle_in_the_queue():
+    """Once a timed forward is answered, its timeout entry stays queued
+    until the deadline but pins neither the handle nor the eventual."""
+    from repro.argobots import Eventual
+    from repro.mercury.core import HGHandle
+
+    with Cluster(seed=0, stage=None) as cluster:
+        server = cluster.process("svr", "nA", n_handler_es=1)
+        server.register("echo", echo_handler)
+        client = cluster.process("cli", "nB")
+        client.register("echo")
+        results = []
+        _one_forward(cluster, client, "svr", results, timeout=1.0)
+        assert cluster.run_until(lambda: results, limit=0.5)
+        assert results[0][0] == "ok"
+        entries = [
+            args for _, _, fn, args in cluster.sim._queue
+            if fn == client.rt._on_wait_timeout
+        ]
+        # The finished caller's timeout has not fired yet.
+        assert any(ult.terminated for ult, _ in entries)
+        for _, _, fn, args in cluster.sim._queue:
+            held = [getattr(fn, "__self__", fn), *args]
+            assert not any(isinstance(o, (Eventual, HGHandle)) for o in held)

@@ -302,13 +302,58 @@ def test_fleet_deploy_allocates_few_flat_objects_per_server():
 
 
 def test_first_monitor_sample_allocates_few_flat_objects_per_server():
-    """The first sample builds each server's plan, series and histogram,
-    and nothing else: a sampled value lives only in its series.  About
-    84 per server on CPython 3.11; the bound leaves room for other
+    """The first sample builds each server's plan, row block and
+    histogram, and nothing else: a sampled value lives only in its
+    block's row, and a series has no object until something reads it.
+    About 9 per server on CPython 3.11; the bound leaves room for other
     versions' allocation patterns."""
     _, at_320 = _tracked_objects_per_server(320)
     _, at_2560 = _tracked_objects_per_server(2560)
-    assert at_320 <= 95, f"{at_320:.1f} tracked objects per server"
+    assert at_320 <= 12, f"{at_320:.1f} tracked objects per server"
+    assert at_2560 <= 1.1 * at_320, f"{at_2560:.1f} vs {at_320:.1f} per server"
+
+
+def _tracked_objects_after_a_run(n_servers):
+    """GC-tracked objects per server still alive once a monitored,
+    strictly validated fleet has served its clients and the monitor has
+    taken its last sample (the ``fleet_n640`` shape, fewer clients)."""
+    gc.collect()
+    before = len(gc.get_objects())
+    with Cluster(
+        seed=0,
+        stage=Stage.FULL,
+        monitoring=MonitorConfig(interval=500e-6),
+        validate=ValidationConfig(strict=True),
+    ) as cluster:
+        service = ShardedKVService.deploy(cluster, n_servers, n_handler_es=1)
+
+        def body(router, c):
+            for i in range(8):
+                yield from router.put(f"c{c}k{i}", "v")
+                assert (yield from router.get(f"c{c}k{i}")) == "v"
+
+        held = []
+        for node in range(4):
+            mi = cluster.process(f"cli{node}", f"cnode{node}")
+            router = service.make_router(mi)
+            held += [
+                mi.client_ult(body(router, 4 * node + u), f"u{u}") for u in range(4)
+            ]
+        assert cluster.run_until(
+            lambda: all(u.terminated for u in held), limit=1.0
+        )
+        cluster.monitor.stop()
+        gc.collect()
+        alive = len(gc.get_objects()) - before
+    return alive / n_servers
+
+
+def test_fleet_run_leaves_flat_objects_per_server():
+    """What a whole run leaves alive per server -- deploy, scheduling
+    records, queued timeouts and every monitor sample -- does not grow
+    with the fleet."""
+    at_320 = _tracked_objects_after_a_run(320)
+    at_2560 = _tracked_objects_after_a_run(2560)
     assert at_2560 <= 1.1 * at_320, f"{at_2560:.1f} vs {at_320:.1f} per server"
 
 

@@ -173,3 +173,91 @@ def test_series_csv_shape():
     assert lines[0] == "name,labels,time,value"
     assert lines[1] == "m,p=x,0.001,4"
     assert lines[2] == "m,p=x,0.002,5.5"
+
+
+# ------------------------------------------------------------ row blocks
+
+
+class _ReferenceRing:
+    """One ``(time, value)`` deque of ``capacity`` per series, with a
+    drop count: the semantics the row blocks must reproduce."""
+
+    def __init__(self, capacity):
+        from collections import deque
+
+        self.capacity = capacity
+        self.rings = {}
+        self.dropped = {}
+        self._deque = deque
+
+    def append(self, key, t, v):
+        ring = self.rings.get(key)
+        if ring is None:
+            ring = self.rings[key] = self._deque(maxlen=self.capacity)
+            self.dropped[key] = 0
+        if len(ring) == self.capacity:
+            self.dropped[key] += 1
+        ring.append((t, v))
+
+
+def _assert_matches(store, ref):
+    views = store.all_series()
+    assert [(s.name, s.labels) for s in views] == sorted(ref.rings)
+    for s in views:
+        ring = ref.rings[(s.name, s.labels)]
+        assert s.samples() == list(ring)
+        assert s.latest() == ring[-1]
+        assert len(s) == len(ring)
+        assert s.dropped == ref.dropped[(s.name, s.labels)]
+        again = store.series(s.name, dict(s.labels))
+        assert again.samples() == list(ring)
+    assert len(store) == len(ref.rings)
+    assert store.total_samples == sum(len(r) for r in ref.rings.values())
+
+
+def test_row_blocks_match_a_reference_ring():
+    """Lazy column start, wraparound at capacity 3, a plan rebuilt mid-run
+    (a series spanning two blocks) and a width-one series written with
+    ``append``, against one reference ring per series."""
+    store = SeriesStore(capacity=3)
+    ref = _ReferenceRing(3)
+    labels = (("process", "p0"),)
+
+    def put(block, t, values):
+        block.append_row([t, *values])
+        for name, v in zip(block.names, values):
+            if v is not None:
+                ref.append((name, labels), t, v)
+
+    first = store.add_block(("a", "lw"), labels)
+    for i in range(7):
+        # "lw" is a LOWWATERMARK: no sample before its first watermark.
+        put(first, float(i), [10.0 * i, None if i < 2 else -1.0 * i])
+        store.series("w", {"k": "x"}).append(float(i), 0.5 * i)
+        ref.append(("w", (("k", "x"),)), float(i), 0.5 * i)
+        _assert_matches(store, ref)
+    # The registry grew: a new block, one more column, starting late.
+    second = store.add_block(("a", "lw", "new"), labels)
+    for i in range(7, 12):
+        put(second, float(i), [10.0 * i, -1.0 * i, None if i < 9 else 100.0 + i])
+        _assert_matches(store, ref)
+    assert store.series("a", {"process": "p0"}).dropped == 9
+
+
+def test_row_block_gap_and_nan():
+    """A value that goes back to None leaves a gap; a sampled NaN is a
+    sample."""
+    store = SeriesStore(capacity=8)
+    block = store.add_block(("g",), (("process", "p0"),))
+    for t, v in ((0.0, 1.0), (1.0, None), (2.0, float("nan")), (3.0, None)):
+        block.append_row([t, v])
+    [series] = store.all_series()
+    samples = series.samples()
+    assert [t for t, _ in samples] == [0.0, 2.0]
+    assert samples[0][1] == 1.0 and math.isnan(samples[1][1])
+    assert series.latest()[0] == 2.0
+    assert len(series) == 2 and series.dropped == 0
+    for t in range(4, 40):  # gaps past the capacity are forgotten
+        block.append_row([float(t), None])
+    assert series.samples() == [] and series.latest() is None
+    assert len(series) == 0 and series.dropped == 2

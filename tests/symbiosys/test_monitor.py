@@ -312,9 +312,10 @@ def _idle_cluster(n):
 
 
 def test_first_sample_allocates_few_objects_per_process():
-    """The first sample builds every process's plan and series;
-    at fleet scale its long-lived objects are what the cyclic GC keeps
-    rescanning, so they stay few per process."""
+    """The first sample builds every process's plan and row block (about
+    10 tracked objects on CPython 3.11, however many series the block
+    holds); at fleet scale its long-lived objects are what the cyclic GC
+    keeps rescanning, so they stay few per process."""
     import gc
 
     n = 64
@@ -329,7 +330,7 @@ def test_first_sample_allocates_few_objects_per_process():
     finally:
         gc.enable()
     assert len(monitor.store) >= 15 * n  # the sample did build the series
-    assert added <= 90 * n, f"{added / n:.0f} tracked objects per process"
+    assert added <= 12 * n, f"{added / n:.0f} tracked objects per process"
     cluster.shutdown()
 
 
@@ -357,10 +358,12 @@ def test_stale_plans_are_rebuilt_and_counted():
 
     # The new PVAR's series carries the public API's labels and is
     # exported as a counter.
+    # Views are built on demand: two reads are equal, not identical.
     [series] = [s for s in monitor.store.all_series()
                 if s.name == "pvar_shard_ops_total"]
-    assert series is monitor.store.series(
-        "pvar_shard_ops_total", {"process": "p000"}
+    again = monitor.store.series("pvar_shard_ops_total", {"process": "p000"})
+    assert (again.name, again.labels, again.samples()) == (
+        series.name, series.labels, series.samples()
     )
     assert series.labels == (("process", "p000"),)
     assert [v for _, v in series.samples()] == [5.0, 5.0]

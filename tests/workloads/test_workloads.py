@@ -109,6 +109,41 @@ def test_event_files_keys_are_well_formed():
             assert 0 <= parsed.subrun < 4
 
 
+def test_event_file_keys_equal_event_key_and_its_errors():
+    """A file formats its dataset/run prefix once; its keys, and the
+    ValueError text of bad input, are those of ``event_key`` per event."""
+    from repro.services.hepnos import event_key
+    from repro.workloads import SyntheticEventFile
+
+    (f,) = generate_event_files(n_files=1, events_per_file=12,
+                                subruns_per_file=3)
+    assert [k for k, _ in f.to_pairs()] == [
+        event_key(f.dataset, f.run, subrun, event) for subrun, event, _ in f.events
+    ]
+    ok = [(0, 0, b"a"), (1, 1, b"b")]
+    for dataset, run, events in (
+        ("bad%name", 0, ok),
+        ("d", -1, ok),
+        ("d", 10**9, ok),
+        ("d", 10**9, [(-1, 0, b"")]),  # the run is named first
+        ("d", 0, ok + [(-1, 0, b"")]),
+        ("d", 0, ok + [(0, 10**9, b"")]),
+        ("d", 0, [(10**9, -1, b"")]),  # the subrun is named first
+    ):
+        bad = next(
+            (s, e) for s, e, _ in events
+            if not (0 <= run < 10**9 and 0 <= s < 10**9 and 0 <= e < 10**9)
+            or "%" in dataset
+        )
+        with pytest.raises(ValueError) as expected:
+            event_key(dataset, run, *bad)
+        with pytest.raises(ValueError) as got:
+            SyntheticEventFile(dataset=dataset, run=run, events=events).to_pairs()
+        assert str(got.value) == str(expected.value)
+    # A file with no events has no key to check.
+    assert SyntheticEventFile(dataset="d", run=-1, events=[]).to_pairs() == []
+
+
 def test_subruns_partition_events_in_order():
     (f,) = generate_event_files(n_files=1, events_per_file=16,
                                 subruns_per_file=4)
