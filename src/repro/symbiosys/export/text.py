@@ -30,13 +30,15 @@ __all__ = ["digest", "series_to_csv", "to_prometheus", "write_text"]
 
 def _fmt_value(v) -> str:
     """Canonical numeric rendering: integers without a trailing ``.0``,
-    floats via ``repr`` (shortest round-trip form), infinities in
-    Prometheus spelling."""
+    floats via ``repr`` (shortest round-trip form), infinities and NaN
+    in Prometheus spelling."""
     if isinstance(v, bool):  # guard: bool is an int subclass
         return "1" if v else "0"
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
+        if math.isnan(v):
+            return "NaN"
         if math.isinf(v):
             return "+Inf" if v > 0 else "-Inf"
         if v == int(v) and abs(v) < 1e15:

@@ -9,8 +9,13 @@ Three pillars, all deterministic:
 * :mod:`repro.validate.fuzz` -- a seed/workload/fault-plan fuzzer that
   runs every configuration twice to cross-check export-level
   determinism and shrinks failures to a minimal reproducing config.
+  Its ``churn`` workload aims kill/revive sequences at a sharded fleet
+  and audits that no acknowledged write is silently lost.
 * :mod:`repro.validate.golden` -- a checked-in corpus of canonical
   service runs with regression-locked artifact digests.
+
+Both build every run through
+:func:`repro.validate.workloads.run_workload`.
 
 ``python -m repro.validate fuzz|golden`` is the command-line entry.
 

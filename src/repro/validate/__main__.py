@@ -5,15 +5,12 @@ Commands
 
 ``fuzz``
     Sweep seeds x workloads x presets, each config run twice (export
-    determinism cross-check) under invariant checking.  ``--smoke`` is
-    the small CI matrix.  On failure the shrunk minimal config is
-    written to ``--repro`` and the exit code is 1.
-
-``churn``
-    Membership-churn campaigns over the sharded service: randomized
-    kill/revive sequences, each run twice, with the conservation audit
-    (no silent drops, bytes conserved across migrations) and a
-    determinism cross-check on the audit/event fingerprints.
+    determinism cross-check) under invariant checking.  The ``churn``
+    workload aims randomized kill/revive sequences at a sharded fleet
+    and adds the conservation audit (no silent drops, bytes conserved
+    across migrations).  ``--smoke`` is the small CI matrix (echo,
+    sonata and churn).  On failure the shrunk minimal config is written
+    to ``--repro`` and the exit code is 1.
 
 ``golden``
     Check the golden-trace corpus (or ``--regen`` it after intentional
@@ -47,7 +44,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     if args.smoke:
         seeds = range(3)
-        workloads = ("echo", "sonata")
+        workloads = ("echo", "sonata", "churn")
         presets = ("fast",)
     else:
         seeds = range(args.seeds)
@@ -71,42 +68,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"  {failure.kind}: {failure.detail}")
         if failure.shrunk is not None:
             print(f"  minimal repro: {failure.shrunk.describe()}")
-    return 0 if result.ok else 1
-
-
-def _cmd_churn(args: argparse.Namespace) -> int:
-    from .churn import ChurnConfig, check_churn_config, churn_sweep
-
-    if args.replay is not None:
-        try:
-            with open(args.replay) as f:
-                payload = json.load(f)
-            config = ChurnConfig.from_dict(payload["config"])
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            print(f"cannot load churn repro file: {exc}")
-            return 2
-        print(f"replaying {config.describe()}")
-        detail = check_churn_config(config)
-        if detail is None:
-            print("replay passed (failure no longer reproduces)")
-            return 0
-        print(f"replay FAILED: {detail}")
-        return 1
-
-    seeds = range(3) if args.smoke else range(args.seeds)
-    result = churn_sweep(
-        seeds=seeds,
-        fault_fraction=args.fault_fraction,
-        repro_path=args.repro,
-        log=print,
-    )
-    print(
-        f"churn: {result.configs_run} campaign(s) run, "
-        f"{len(result.failures)} failure(s)"
-    )
-    for config, detail in result.failures:
-        print(f"  {detail}")
-        print(f"  config: {config.describe()}")
     return 0 if result.ok else 1
 
 
@@ -169,27 +130,6 @@ def main(argv=None) -> int:
         "identical to --jobs 1; shrinking stays sequential)",
     )
     p_fuzz.set_defaults(func=_cmd_fuzz)
-
-    p_churn = sub.add_parser(
-        "churn", help="membership-churn campaigns over the sharded service"
-    )
-    p_churn.add_argument("--smoke", action="store_true", help="small CI matrix")
-    p_churn.add_argument("--seeds", type=int, default=8, help="campaign seeds")
-    p_churn.add_argument(
-        "--fault-fraction",
-        type=float,
-        default=0.75,
-        help="fraction of campaigns that get a random kill/revive plan",
-    )
-    p_churn.add_argument(
-        "--repro",
-        default="churn-repro.json",
-        help="where to write a failing campaign config",
-    )
-    p_churn.add_argument(
-        "--replay", default=None, help="replay a previously written repro file"
-    )
-    p_churn.set_defaults(func=_cmd_churn)
 
     p_golden = sub.add_parser("golden", help="golden-trace corpus check")
     p_golden.add_argument(

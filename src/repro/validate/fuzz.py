@@ -5,8 +5,10 @@ generated :class:`~repro.faults.FaultPlan` s.  Every configuration runs
 **twice**; a configuration fails when
 
 * either run records an invariant violation,
+* either run of the ``churn`` workload fails its conservation audit,
 * the two runs disagree on any export digest (Perfetto / Prometheus /
-  CSV / profile -- export-level nondeterminism), or
+  CSV / profile, plus the churn audit -- export-level
+  nondeterminism), or
 * the workload hangs.
 
 A failing configuration is **shrunk** ddmin-style -- drop fault rules
@@ -22,7 +24,7 @@ round-trip bit-exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -101,7 +103,7 @@ class FailureReport:
     """Why one configuration failed, plus its shrunk form."""
 
     config: FuzzConfig
-    kind: str  # "invariant" | "nondeterminism" | "hang"
+    kind: str  # "invariant" | "conservation" | "nondeterminism" | "hang"
     detail: str
     shrunk: Optional[FuzzConfig] = None
 
@@ -121,12 +123,44 @@ def _quantize(x: float, step: float = 1e-6) -> float:
     return round(round(x / step) * step, 9)
 
 
+def _kill_revive_plan(
+    rng: np.random.Generator, servers: tuple[str, ...]
+) -> FaultPlan:
+    """Draw a kill/revive sequence over distinct servers.
+
+    Between one and three process faults, each a permanent crash or a
+    bounce (crash + revive), at quantized times inside the churn
+    window.  At least one live server always remains."""
+    n = int(rng.integers(1, 4))
+    victims = rng.choice(
+        list(servers), size=min(n, len(servers) - 1), replace=False
+    )
+    faults = []
+    for victim in sorted(str(v) for v in victims):
+        at = _quantize(0.3e-3 + 1.0e-3 * rng.random())
+        if rng.random() < 0.5:
+            faults.append(CrashFault(addr=victim, at=at))
+        else:
+            faults.append(
+                RestartFault(
+                    addr=victim,
+                    at=at,
+                    downtime=_quantize(0.2e-3 + 0.5e-3 * rng.random()),
+                    warmup=0.0,
+                )
+            )
+    return FaultPlan(name="churn-fuzz", process_faults=faults)
+
+
 def random_fault_plan(
     rng: np.random.Generator, workload: str
 ) -> Optional[FaultPlan]:
     """Draw a random (possibly empty) campaign aimed at the workload's
-    servers.  Parameters are quantized for lossless serialization."""
+    servers.  Parameters are quantized for lossless serialization.
+    The ``churn`` workload always gets a kill/revive sequence."""
     servers = WORKLOAD_SERVERS[workload]
+    if workload == "churn":
+        return _kill_revive_plan(rng, servers)
     server = str(rng.choice(list(servers)))
     wire_rules = []
     process_faults = []
@@ -191,8 +225,8 @@ def check_config(config: FuzzConfig, time_limit: float = 5.0) -> Optional[str]:
     """Run ``config`` twice; return a failure description or None.
 
     The double run cross-checks export-level determinism: identical
-    Perfetto JSON, Prometheus text, CSV series, and profile output for
-    identical inputs.
+    Perfetto JSON, Prometheus text, CSV series, and profile output (and
+    churn audit) for identical inputs.
     """
     runs = []
     for _ in range(2):
@@ -216,6 +250,8 @@ def check_config(config: FuzzConfig, time_limit: float = 5.0) -> Optional[str]:
                 f"invariant: {len(artifacts.violations)} violation(s), "
                 f"first: {v.render()}"
             )
+        if artifacts.churn is not None and not artifacts.churn["audit"]["ok"]:
+            return f"conservation: audit failed: {artifacts.churn['audit']}"
     mismatch = {
         name: (a, b)
         for (name, a), (_, b) in zip(
@@ -305,15 +341,21 @@ def write_repro(report: FailureReport, path: str) -> None:
         f.write("\n")
 
 
+_CONFIG_FIELDS = {f.name for f in fields(FuzzConfig)}
+
+
 def load_repro(path: str) -> FuzzConfig:
     """Load the (shrunk, if available) config from a repro file."""
     with open(path) as f:
         payload = json.load(f)
     data = payload.get("shrunk") or payload.get("config")
-    if not isinstance(data, dict) or "seed" not in data:
+    if not isinstance(data, dict) or not (
+        {"seed", "workload"} <= data.keys() <= _CONFIG_FIELDS
+    ):
         raise ValueError(
             f"{path} is not a fuzz repro file (expected a 'config' entry "
-            "as written by write_repro)"
+            f"with 'seed' and 'workload' and no key outside "
+            f"{sorted(_CONFIG_FIELDS)}, as written by write_repro)"
         )
     return FuzzConfig.from_dict(data)
 

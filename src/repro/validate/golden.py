@@ -1,8 +1,9 @@
 """Golden-trace regression corpus.
 
 One canonical, fully validated run per service -- sdskv, bake, sonata,
-hepnos -- with the artifact digests and the run summary checked into
-``golden_corpus.json``.  ``check_golden`` re-runs each service and
+hepnos and a 32-server sharded fleet, each a strict
+:func:`~repro.validate.workloads.run_workload` run -- with the artifact
+digests and the run summary checked into ``golden_corpus.json``.  ``check_golden`` re-runs each service and
 compares against the stored entry; a mismatch produces a readable
 unified diff of the run summaries (which embed the digests), so a
 regression points at *what* moved (makespan, RPC counts, a specific
@@ -20,11 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ..cluster import Cluster
-from ..symbiosys import Stage
-from ..symbiosys.monitor import MonitorConfig
-from .invariants import ValidationConfig
-from .workloads import RunArtifacts, collect_artifacts, run_workload
+from .workloads import RunArtifacts, run_workload
 
 __all__ = [
     "GOLDEN_SEED",
@@ -38,8 +35,9 @@ __all__ = [
 
 GOLDEN_SEED = 1234
 
-_PID_SDSKV = 2
-_PID_BAKE = 1
+#: Each golden service is the :data:`~repro.validate.workloads.WORKLOADS`
+#: entry of the same name, run at this scale.
+_GOLDEN_SCALES = {"sdskv": 1, "bake": 1, "sonata": 3, "hepnos": 1, "sharded": 1}
 
 
 def corpus_path() -> Path:
@@ -63,180 +61,20 @@ class GoldenMismatch:
         return header + ("\n" + self.diff if self.diff else "")
 
 
-def _service_cluster() -> Cluster:
-    return Cluster(
-        seed=GOLDEN_SEED,
-        stage=Stage.FULL,
-        monitoring=MonitorConfig(interval=50e-6),
-        validate=ValidationConfig(strict=True),
-    )
-
-
-def _artifacts(cluster: Cluster, service: str, makespan: float, ok: int) -> RunArtifacts:
-    return collect_artifacts(
-        cluster,
-        service,
-        seed=GOLDEN_SEED,
-        preset="fast",
-        scale=1,
-        makespan=makespan,
-        rpcs_ok=ok,
-        rpcs_failed=0,
-    )
-
-
-def _run_sdskv() -> RunArtifacts:
-    from ..services.sdskv import SdskvClient, SdskvProvider
-
-    done: dict = {}
-    count = {"ok": 0}
-    with _service_cluster() as cluster:
-        server = cluster.process("sdskv-svr", "nodeS", n_handler_es=2)
-        SdskvProvider(server, 0, n_databases=2)
-        client_mi = cluster.process("sdskv-cli", "nodeC")
-        client = SdskvClient(client_mi)
-
-        def body():
-            for i in range(8):
-                yield from client.put("sdskv-svr", 0, i % 2, f"k{i}", f"v{i}")
-                count["ok"] += 1
-            for i in range(8):
-                value = yield from client.get("sdskv-svr", 0, i % 2, f"k{i}")
-                assert value == f"v{i}"
-                count["ok"] += 1
-            done["at"] = cluster.sim.now
-
-        client_mi.client_ult(body(), name="golden-sdskv")
-        if not cluster.sim.run_until(lambda: "at" in done, 5.0):
-            raise RuntimeError("golden sdskv run did not finish")
-    return _artifacts(cluster, "sdskv", done["at"], count["ok"])
-
-
-def _run_bake() -> RunArtifacts:
-    from ..services.bake import BakeClient, BakeProvider
-
-    done: dict = {}
-    count = {"ok": 0}
-    with _service_cluster() as cluster:
-        server = cluster.process("bake-svr", "nodeS", n_handler_es=2)
-        BakeProvider(server, 0)
-        client_mi = cluster.process("bake-cli", "nodeC")
-        client = BakeClient(client_mi)
-
-        def body():
-            rids = []
-            for i in range(4):
-                rid = yield from client.create_write_persist(
-                    "bake-svr", 0, bytes(512 * (i + 1))
-                )
-                rids.append(rid)
-                count["ok"] += 1
-            for i, rid in enumerate(rids):
-                data = yield from client.read("bake-svr", 0, rid)
-                assert len(data) == 512 * (i + 1)
-                count["ok"] += 1
-            done["at"] = cluster.sim.now
-
-        client_mi.client_ult(body(), name="golden-bake")
-        if not cluster.sim.run_until(lambda: "at" in done, 5.0):
-            raise RuntimeError("golden bake run did not finish")
-    return _artifacts(cluster, "bake", done["at"], count["ok"])
-
-
-def _run_sonata() -> RunArtifacts:
-    return run_workload("sonata", seed=GOLDEN_SEED, scale=3, strict=True)
-
-
-def _run_hepnos() -> RunArtifacts:
-    """Two HEPnOS servers (sdskv + bake providers each) deployed on a
-    Cluster, driven through the real HEPnOS client hashing path."""
-    from ..services.hepnos import HEPnOSClient, HEPnOSService
-
-    done: dict = {}
-    count = {"ok": 0}
-    with _service_cluster() as cluster:
-        service = HEPnOSService.deploy(
-            cluster, n_servers=2, servers_per_node=1, n_handler_es=2, n_databases=2
-        )
-        client_mi = cluster.process("hepnos-cli", "cnode0")
-        client = HEPnOSClient(client_mi, service)
-
-        def body():
-            for i in range(12):
-                yield from client.store_event(f"run0/event{i}", {"e": i})
-                count["ok"] += 1
-            for i in range(0, 12, 3):
-                value = yield from client.load_event(f"run0/event{i}")
-                assert value == {"e": i}
-                count["ok"] += 1
-            done["at"] = cluster.sim.now
-
-        client_mi.client_ult(body(), name="golden-hepnos")
-        if not cluster.sim.run_until(lambda: "at" in done, 5.0):
-            raise RuntimeError("golden hepnos run did not finish")
-    return _artifacts(cluster, "hepnos", done["at"], count["ok"])
-
-
-def _run_sharded() -> RunArtifacts:
-    """A 32-node sharded fleet driven through the consistent-hash
-    router: plain SDSKV keys plus HEPnOS-style dataset/run/event keys,
-    so the sharded export surface (placement, PVARs, timeline) is
-    byte-pinned at cluster scale."""
-    from ..shard import ShardedKVService
-
-    done: dict = {}
-    count = {"ok": 0}
-    with _service_cluster() as cluster:
-        service = ShardedKVService.deploy(cluster, 32)
-        client_mi = cluster.process("shard-cli", "cnode0")
-        router = service.make_router(client_mi)
-
-        def body():
-            for i in range(24):
-                yield from router.put(f"k{i:03d}", f"v{i}")
-                count["ok"] += 1
-            for i in range(12):
-                yield from router.put_event("golden.ds", 0, i, {"e": i})
-                count["ok"] += 1
-            for i in range(24):
-                value = yield from router.get(f"k{i:03d}")
-                assert value == f"v{i}"
-                count["ok"] += 1
-            for i in range(0, 12, 3):
-                value = yield from router.get_event("golden.ds", 0, i)
-                assert value == {"e": i}
-                count["ok"] += 1
-            done["at"] = cluster.sim.now
-
-        client_mi.client_ult(body(), name="golden-sharded")
-        if not cluster.sim.run_until(lambda: "at" in done, 5.0):
-            raise RuntimeError("golden sharded run did not finish")
-    return _artifacts(cluster, "sharded", done["at"], count["ok"])
-
-
-_GOLDEN_RUNS = {
-    "sdskv": _run_sdskv,
-    "bake": _run_bake,
-    "sonata": _run_sonata,
-    "hepnos": _run_hepnos,
-    "sharded": _run_sharded,
-}
-
-
 def golden_services() -> list[str]:
-    return list(_GOLDEN_RUNS)
+    return list(_GOLDEN_SCALES)
 
 
 def golden_run(service: str) -> RunArtifacts:
     """Execute one canonical service run (strict validation on)."""
     try:
-        runner = _GOLDEN_RUNS[service]
+        scale = _GOLDEN_SCALES[service]
     except KeyError:
         raise ValueError(
             f"unknown golden service {service!r} (expected one of "
             f"{golden_services()})"
         ) from None
-    return runner()
+    return run_workload(service, seed=GOLDEN_SEED, scale=scale, strict=True)
 
 
 def _entry(artifacts: RunArtifacts) -> dict:

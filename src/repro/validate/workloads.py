@@ -6,11 +6,14 @@ workloads at a given ``scale``, and returns a :class:`RunArtifacts` with
 the rendered exports (Perfetto timeline, Prometheus snapshot, CSV
 time-series, profile summary) plus the sha256 digests the determinism
 cross-check compares.  Everything is a pure function of
-``(workload, seed, preset, scale, plan)``.
+``(workload, seed, preset, scale, plan)``.  It is the only way the
+validation tooling builds a run: the fuzzer and the golden corpus both
+call it.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -32,7 +35,6 @@ __all__ = [
     "WORKLOAD_SERVERS",
     "WORKLOADS",
     "WorkloadHang",
-    "collect_artifacts",
     "run_workload",
 ]
 
@@ -41,11 +43,18 @@ __all__ = [
 WORKLOAD_SERVERS = {
     "echo": ("echo-svr",),
     "sonata": ("sonata-svr",),
-    "sharded": tuple(f"kv{i:03d}" for i in range(8)),
+    "churn": tuple(f"kv{i:03d}" for i in range(8)),
+    "sdskv": ("sdskv-svr",),
+    "bake": ("bake-svr",),
+    "hepnos": ("hepnos0", "hepnos1"),
+    "sharded": tuple(f"kv{i:03d}" for i in range(32)),
 }
 
 #: Presets by short name (resolved lazily; experiments imports services).
 _PRESETS = ("fast", "theta")
+
+#: Keys each churn client writes per wave.
+_CHURN_KEYS = 15
 
 
 class WorkloadHang(RuntimeError):
@@ -69,15 +78,21 @@ class RunArtifacts:
     series_csv: str = ""
     perfetto_json: str = ""
     profile_text: str = ""
+    #: Churn runs only: the conservation audit, membership events,
+    #: final epoch and migration summary.
+    churn: Optional[dict] = None
 
     def digests(self) -> dict[str, str]:
         """sha256 prefixes of every export -- the determinism probe."""
-        return {
+        digests = {
             "prometheus": digest(self.prometheus_text),
             "series_csv": digest(self.series_csv),
             "perfetto": digest(self.perfetto_json),
             "profile": digest(self.profile_text),
         }
+        if self.churn is not None:
+            digests["churn"] = digest(json.dumps(self.churn, sort_keys=True))
+        return digests
 
     def summary(self) -> str:
         """Deterministic plain-text run card (golden-corpus diff base)."""
@@ -92,41 +107,6 @@ class RunArtifacts:
         for name, hexdigest in sorted(self.digests().items()):
             lines.append(f"  {name:<12} {hexdigest}")
         return "\n".join(lines)
-
-
-def collect_artifacts(
-    cluster: Cluster,
-    workload: str,
-    *,
-    seed: int,
-    preset: str,
-    scale: int,
-    makespan: float,
-    rpcs_ok: int,
-    rpcs_failed: int,
-) -> RunArtifacts:
-    """Render a finished, monitored cluster's exports into a
-    :class:`RunArtifacts`."""
-    monitor = cluster.monitor
-    return RunArtifacts(
-        workload=workload,
-        seed=seed,
-        preset=preset,
-        scale=scale,
-        makespan=makespan,
-        rpcs_ok=rpcs_ok,
-        rpcs_failed=rpcs_failed,
-        leaked_events=cluster.leaked_events,
-        violations=list(cluster.validator.violations),
-        prometheus_text=to_prometheus(monitor),
-        series_csv=series_to_csv(monitor.store),
-        perfetto_json=chrome_trace_json(
-            monitor=monitor,
-            collector=cluster.collector,
-            fault_events=cluster.fault_events(),
-        ),
-        profile_text=profile_summary(cluster.collector).render(),
-    )
 
 
 def _resolve_preset(name: str):
@@ -151,6 +131,20 @@ def _default_retry() -> RetryPolicy:
     )
 
 
+def _tally(outcome: dict, op, expect=None):
+    """Run one client op and count it: failed on an RPC or lookup error
+    or a read-back other than ``expect``, ok otherwise.  Returns
+    ``(ok, result)``."""
+    try:
+        result = yield from op
+    except (MargoError, LookupError):
+        outcome["failed"] += 1
+        return False, None
+    ok = expect is None or result == expect
+    outcome["ok" if ok else "failed"] += 1
+    return ok, result
+
+
 def _echo_handler(mi, handle):
     inp = yield from mi.get_input(handle)
     yield from mi.respond(handle, {"echo": len(inp["data"])})
@@ -170,15 +164,12 @@ def _run_echo(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT":
         client = cluster.process(f"echo-cli{i}", f"nodeC{i}")
         client.register("echo")
 
-        def body(mi=None, idx=i):
+        def body(mi=client):
             for size in payload_sizes:
-                try:
-                    yield from cluster[f"echo-cli{idx}"].forward(
-                        server_addr, "echo", {"data": b"x" * size}
-                    )
-                    outcome["ok"] += 1
-                except MargoError:
-                    outcome["failed"] += 1
+                yield from _tally(
+                    outcome,
+                    mi.forward(server_addr, "echo", {"data": b"x" * size}),
+                )
             pending["n"] -= 1
             if pending["n"] == 0:
                 done["at"] = cluster.sim.now
@@ -200,70 +191,211 @@ def _run_sonata(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT
     client = SonataClient(client_mi)
 
     def body():
-        try:
-            yield from client.create_database(server_addr, provider_id, "col")
-            outcome["ok"] += 1
-        except MargoError:
-            outcome["failed"] += 1
+        yield from _tally(
+            outcome, client.create_database(server_addr, provider_id, "col")
+        )
         for batch in range(scale):
             records = [
                 {"batch": batch, "i": i, "value": f"r{batch}-{i}"}
                 for i in range(10)
             ]
-            try:
-                yield from client.store_multi(
+            yield from _tally(
+                outcome,
+                client.store_multi(
                     server_addr, provider_id, "col", records, batch_size=10
-                )
-                outcome["ok"] += 1
-            except MargoError:
-                outcome["failed"] += 1
+                ),
+            )
         done["at"] = cluster.sim.now
 
     return client_mi.client_ult(body(), name="sonata-load")
 
 
+def _run_sdskv(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT":
+    """One SDSKV provider with two databases; a client puts ``8 * scale``
+    keys across them and reads each back."""
+    from ..services.sdskv import SdskvClient, SdskvProvider
+
+    (server_addr,) = WORKLOAD_SERVERS["sdskv"]
+    server = cluster.process(server_addr, "nodeS", n_handler_es=2)
+    SdskvProvider(server, 0, n_databases=2)
+    client_mi = cluster.process("sdskv-cli", "nodeC")
+    client = SdskvClient(client_mi)
+    n_keys = 8 * scale
+
+    def body():
+        for i in range(n_keys):
+            yield from _tally(
+                outcome, client.put(server_addr, 0, i % 2, f"k{i}", f"v{i}")
+            )
+        for i in range(n_keys):
+            yield from _tally(
+                outcome,
+                client.get(server_addr, 0, i % 2, f"k{i}"),
+                expect=f"v{i}",
+            )
+        done["at"] = cluster.sim.now
+
+    return client_mi.client_ult(body(), name="golden-sdskv")
+
+
+def _run_bake(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT":
+    """One BAKE provider; a client writes ``4 * scale`` regions of
+    growing size and reads each back."""
+    from ..services.bake import BakeClient, BakeProvider
+
+    (server_addr,) = WORKLOAD_SERVERS["bake"]
+    server = cluster.process(server_addr, "nodeS", n_handler_es=2)
+    BakeProvider(server, 0)
+    client_mi = cluster.process("bake-cli", "nodeC")
+    client = BakeClient(client_mi)
+
+    def body():
+        regions = []
+        for i in range(4 * scale):
+            data = bytes(512 * (i + 1))
+            ok, rid = yield from _tally(
+                outcome, client.create_write_persist(server_addr, 0, data)
+            )
+            if ok:
+                regions.append((rid, data))
+        for rid, data in regions:
+            yield from _tally(
+                outcome, client.read(server_addr, 0, rid), expect=data
+            )
+        done["at"] = cluster.sim.now
+
+    return client_mi.client_ult(body(), name="golden-bake")
+
+
+def _run_hepnos(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT":
+    """Two HEPnOS servers (sdskv + bake providers each), driven through
+    the real HEPnOS client hashing path: ``12 * scale`` events stored,
+    every third loaded back."""
+    from ..services.hepnos import HEPnOSClient, HEPnOSService
+
+    service = HEPnOSService.deploy(
+        cluster,
+        n_servers=len(WORKLOAD_SERVERS["hepnos"]),
+        servers_per_node=1,
+        n_handler_es=2,
+        n_databases=2,
+    )
+    client_mi = cluster.process("hepnos-cli", "cnode0")
+    client = HEPnOSClient(client_mi, service)
+    n_events = 12 * scale
+
+    def body():
+        for i in range(n_events):
+            yield from _tally(
+                outcome, client.store_event(f"run0/event{i}", {"e": i})
+            )
+        for i in range(0, n_events, 3):
+            yield from _tally(
+                outcome, client.load_event(f"run0/event{i}"), expect={"e": i}
+            )
+        done["at"] = cluster.sim.now
+
+    return client_mi.client_ult(body(), name="golden-hepnos")
+
+
 def _run_sharded(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT":
-    """An eight-server sharded KV fleet; ``scale`` clients spray keys
-    through consistent-hash routers and read them back.  Process faults
-    aimed at any ``kv*`` server exercise membership churn, view
-    propagation, and failover migration under the fuzzer's invariant
-    and determinism cross-checks."""
+    """A 32-server sharded fleet driven through the consistent-hash
+    router: ``24 * scale`` plain SDSKV keys plus ``12 * scale``
+    HEPnOS-style dataset/run/event keys, all read back, so the sharded
+    export surface (placement, PVARs, timeline) is pinned at cluster
+    scale."""
     from ..shard import ShardedKVService
 
     service = ShardedKVService.deploy(
         cluster, len(WORKLOAD_SERVERS["sharded"])
     )
+    client_mi = cluster.process("shard-cli", "cnode0")
+    router = service.make_router(client_mi)
+    n_keys, n_events = 24 * scale, 12 * scale
+
+    def body():
+        for i in range(n_keys):
+            yield from _tally(outcome, router.put(f"k{i:03d}", f"v{i}"))
+        for i in range(n_events):
+            yield from _tally(
+                outcome, router.put_event("golden.ds", 0, i, {"e": i})
+            )
+        for i in range(n_keys):
+            yield from _tally(
+                outcome, router.get(f"k{i:03d}"), expect=f"v{i}"
+            )
+        for i in range(0, n_events, 3):
+            yield from _tally(
+                outcome,
+                router.get_event("golden.ds", 0, i),
+                expect={"e": i},
+            )
+        done["at"] = cluster.sim.now
+
+    return client_mi.client_ult(body(), name="golden-sharded")
+
+
+def _run_churn(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT":
+    """Membership churn over an eight-server sharded fleet.
+
+    ``scale`` clients each write a pre-churn wave of keys, sleep across
+    the fault window to 2 ms, then write a post-churn wave; the last
+    client then quiesces migrations for 2 ms.  After teardown
+    :func:`~repro.shard.run_churn_audit` checks that every issued
+    request is accounted (acked, failed, or in a shard lost to a
+    failover) and that migrations neither minted nor destroyed bytes.
+    """
+    from ..shard import ShardedKVService, run_churn_audit
+
+    service = ShardedKVService.deploy(cluster, len(WORKLOAD_SERVERS["churn"]))
+    expected: dict[str, str] = {}
+    acked: set[str] = set()
     pending = {"n": scale}
 
+    def put(router, key, value):
+        expected[key] = value
+        ok, _ = yield from _tally(outcome, router.put(key, value))
+        if ok:
+            acked.add(key)
+
+    def body(c, router):
+        for i in range(_CHURN_KEYS):
+            yield from put(router, f"c{c}k{i}", f"v{c}.{i}" * 3)
+        yield from router.mi.rt.sleep(max(1e-9, 2.0e-3 - cluster.sim.now))
+        for i in range(_CHURN_KEYS):
+            yield from put(router, f"c{c}p{i}", f"w{c}.{i}" * 3)
+        pending["n"] -= 1
+        if pending["n"] == 0:
+            yield from router.mi.rt.sleep(2e-3)  # quiesce migrations
+            done["at"] = cluster.sim.now
+
+    def audit() -> dict:
+        return {
+            "audit": run_churn_audit(service, expected, acked).as_dict(),
+            "events": [list(e) for e in service.membership.events],
+            "epoch": service.group.epoch,
+            "migrations": service.manager.summary(),
+        }
+
+    outcome["audit"] = audit
     for c in range(scale):
-        mi = cluster.process(f"shard-cli{c}", f"nodeC{c}")
-        router = service.make_router(mi)
-
-        def body(router=router, idx=c):
-            for i in range(12):
-                try:
-                    yield from router.put(f"c{idx}k{i}", f"v{idx}.{i}")
-                    outcome["ok"] += 1
-                except (MargoError, LookupError):
-                    outcome["failed"] += 1
-            for i in range(12):
-                try:
-                    yield from router.get(f"c{idx}k{i}")
-                    outcome["ok"] += 1
-                except (MargoError, LookupError):
-                    outcome["failed"] += 1
-            pending["n"] -= 1
-            if pending["n"] == 0:
-                done["at"] = cluster.sim.now
-
-        load = mi.client_ult(body(), name=f"shard-load{c}")
+        mi = cluster.process(f"churn-cli{c}", f"nodeC{c}")
+        load = mi.client_ult(body(c, service.make_router(mi)), name=f"load{c}")
     return load
 
 
-#: Each runner deploys its workload and returns its last load ULT.
+#: Each runner deploys its workload, counts every client op in
+#: ``outcome["ok"]``/``outcome["failed"]``, sets ``done["at"]`` when
+#: the load finishes, and returns its last load ULT.  A runner that
+#: audits the finished run leaves the audit callable in
+#: ``outcome["audit"]``; it is called after teardown.
 WORKLOADS = {
     "echo": _run_echo,
     "sonata": _run_sonata,
+    "churn": _run_churn,
+    "sdskv": _run_sdskv,
+    "bake": _run_bake,
+    "hepnos": _run_hepnos,
     "sharded": _run_sharded,
 }
 
@@ -323,13 +455,25 @@ def run_workload(
             load.pool.push(load)
             cluster.sim.run(until=cluster.sim.now + 1e-3)
 
-    return collect_artifacts(
-        cluster,
-        workload,
+    monitor = cluster.monitor
+    audit = outcome.get("audit")
+    return RunArtifacts(
+        workload=workload,
         seed=seed,
         preset=preset,
         scale=scale,
         makespan=done["at"],
         rpcs_ok=outcome["ok"],
         rpcs_failed=outcome["failed"],
+        leaked_events=cluster.leaked_events,
+        violations=list(cluster.validator.violations),
+        prometheus_text=to_prometheus(monitor),
+        series_csv=series_to_csv(monitor.store),
+        perfetto_json=chrome_trace_json(
+            monitor=monitor,
+            collector=cluster.collector,
+            fault_events=cluster.fault_events(),
+        ),
+        profile_text=profile_summary(cluster.collector).render(),
+        churn=None if audit is None else audit(),
     )

@@ -175,6 +175,21 @@ def test_series_csv_shape():
     assert lines[2] == "m,p=x,0.002,5.5"
 
 
+def test_series_csv_renders_a_nan_sample():
+    store = SeriesStore()
+    store.series("m").append(0.001, math.nan)
+    store.series("m").append(0.002, 3.0)
+    lines = series_to_csv(store).splitlines()
+    assert lines[1:] == ["m,,0.001,NaN", "m,,0.002,3"]
+
+
+def test_prometheus_renders_a_nan_sample():
+    monitor = Monitor(Simulator())
+    monitor.store.family("depth", "gauge")
+    monitor.store.series("depth", {"p": "x"}).append(0.0, math.nan)
+    assert 'depth{p="x"} NaN' in to_prometheus(monitor).splitlines()
+
+
 # ------------------------------------------------------------ row blocks
 
 

@@ -110,3 +110,19 @@ def test_checked_in_corpus_matches_regen_format():
     raw = corpus_path().read_text()
     assert raw.endswith("\n")
     assert raw == json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n"
+
+
+def test_a_wrong_read_back_is_a_failed_op_and_fails_the_check(monkeypatch):
+    from repro.services.sdskv import SdskvClient
+
+    real_get = SdskvClient.get
+
+    def corrupted_get(self, *args):
+        value = yield from real_get(self, *args)
+        return value + "!"
+
+    monkeypatch.setattr(SdskvClient, "get", corrupted_get)
+    artifacts = golden_run("sdskv")
+    assert (artifacts.rpcs_ok, artifacts.rpcs_failed) == (8, 8)
+    (mismatch,) = check_golden(services=["sdskv"])
+    assert "+  rpcs: 8 ok, 8 failed" in mismatch.diff
