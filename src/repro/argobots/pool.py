@@ -4,7 +4,8 @@ A pool holds READY ULTs.  One or more execution streams dequeue from a
 pool; when a pool is empty an ES parks on it by leaving a resume
 callback, which the next push schedules at the current instant.  The
 pool also keeps the high-watermark and cumulative statistics the
-SYMBIOSYS system monitor samples.
+SYMBIOSYS system monitor samples, and counts its pushes and pops into
+its runtime's ``num_ready``.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional, TYPE_CHECKING
 
-from ..sim import Simulator
-
 if TYPE_CHECKING:  # pragma: no cover
+    from .runtime import AbtRuntime
     from .ult import ULT
 
 __all__ = ["Pool"]
@@ -23,8 +23,9 @@ __all__ = ["Pool"]
 class Pool:
     """An Argobots-style FIFO pool of ready ULTs."""
 
-    def __init__(self, sim: Simulator, name: str = "pool"):
-        self.sim = sim
+    def __init__(self, runtime: "AbtRuntime", name: str = "pool"):
+        self.runtime = runtime
+        self.sim = runtime.sim
         self.name = name
         self._queue: deque["ULT"] = deque()
         #: Resume callbacks of parked execution streams, in park order.
@@ -45,6 +46,7 @@ class Pool:
         """Append a READY ULT and wake one parked execution stream."""
         self._queue.append(ult)
         self.total_pushed += 1
+        self.runtime.num_ready += 1
         if len(self._queue) > self.high_watermark:
             self.high_watermark = len(self._queue)
         if self._waiters:
@@ -54,6 +56,7 @@ class Pool:
         """Dequeue the next ready ULT, or None if the pool is empty."""
         if self._queue:
             self.total_popped += 1
+            self.runtime.num_ready -= 1
             return self._queue.popleft()
         return None
 

@@ -41,6 +41,16 @@ class AbtRuntime:
         #: Number of ULTs currently blocked on an eventual/mutex -- the
         #: quantity sampled for Figure 10.
         self.num_blocked = 0
+        #: ULTs queued in this runtime's pools, waiting for an execution
+        #: stream (kept by the pools' push and pop).
+        self.num_ready = 0
+        #: ULTs currently executing on an execution stream (kept by the
+        #: streams as a slice starts and ends).
+        self.num_running = 0
+        #: Cumulative simulated busy seconds of each execution stream, in
+        #: ``xstreams`` order (``ExecutionStream.busy_time`` reads its
+        #: slot), so utilisation is one ``sum()`` over a list.
+        self.es_busy: list[float] = []
         self.total_spawned = 0
         self.total_finished = 0
         self._current_ult: Optional[ULT] = None
@@ -67,7 +77,7 @@ class AbtRuntime:
     # -- construction ------------------------------------------------------
 
     def create_pool(self, name: str = "") -> Pool:
-        pool = Pool(self.sim, name or f"{self.name}.pool{len(self.pools)}")
+        pool = Pool(self, name or f"{self.name}.pool{len(self.pools)}")
         self.pools.append(pool)
         return pool
 
@@ -134,16 +144,6 @@ class AbtRuntime:
     # -- introspection (sampled by SYMBIOSYS sysmon) -------------------------
 
     @property
-    def num_ready(self) -> int:
-        """ULTs queued in pools, waiting for an execution stream."""
-        return sum(len(p) for p in self.pools)
-
-    @property
-    def num_running(self) -> int:
-        """ULTs currently executing on an execution stream."""
-        return sum(1 for es in self.xstreams if es.current is not None)
-
-    @property
     def num_active(self) -> int:
         """Spawned but not yet finished."""
         return self.total_spawned - self.total_finished
@@ -153,8 +153,7 @@ class AbtRuntime:
         a coarse CPU-utilization proxy for the system monitor."""
         if not self.xstreams or self.sim.now <= 0:
             return 0.0
-        total = sum(es.busy_time for es in self.xstreams)
-        return total / (len(self.xstreams) * self.sim.now)
+        return sum(self.es_busy) / (len(self.xstreams) * self.sim.now)
 
     # -- shutdown -----------------------------------------------------------
 

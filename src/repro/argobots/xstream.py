@@ -50,8 +50,9 @@ class ExecutionStream:
         self.pool = pool
         self.name = name
         self.current: Optional[ULT] = None
-        #: Cumulative simulated seconds spent computing (incl. switch cost).
-        self.busy_time = 0.0
+        #: This stream's slot in ``runtime.es_busy``.
+        self._busy_slot = len(runtime.es_busy)
+        runtime.es_busy.append(0.0)
         #: When the slice in progress began (the pop of its ULT).
         self._slice_start = 0.0
         #: The state the slice in progress found its ULT in: READY
@@ -59,6 +60,12 @@ class ExecutionStream:
         self.dispatched_from = READY
         sim = runtime.sim
         sim.call_at(sim.now, self._next)
+
+    @property
+    def busy_time(self) -> float:
+        """Cumulative simulated seconds spent computing (incl. switch
+        cost)."""
+        return self.runtime.es_busy[self._busy_slot]
 
     # -- scheduling callbacks ------------------------------------------------
 
@@ -82,12 +89,13 @@ class ExecutionStream:
                 return
 
     def _switched(self, ult: ULT) -> None:
-        self.busy_time += self.runtime.ctx_switch_cost
+        rt = self.runtime
+        rt.es_busy[self._busy_slot] += rt.ctx_switch_cost
         if self._start(ult):
             self._next()
 
     def _computed(self, ult: ULT, duration: float) -> None:
-        self.busy_time += duration
+        self.runtime.es_busy[self._busy_slot] += duration
         if self._run(ult):
             self._next()
 
@@ -98,6 +106,7 @@ class ExecutionStream:
         self.dispatched_from = ult.state
         ult.state = RUNNING
         self.current = ult
+        self.runtime.num_running += 1
         return self._run(ult)
 
     def _run(self, ult: ULT) -> bool:
@@ -167,6 +176,7 @@ class ExecutionStream:
         finally:
             if not held:
                 self.current = None
+                rt.num_running -= 1
                 for obs in rt._sched_observers:
                     obs.on_slice(self, ult, self._slice_start, sim.now)
                 ult.blocked_at = blocked_at

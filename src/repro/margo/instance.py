@@ -76,7 +76,7 @@ class ProcessStats:
         """Busy fraction of this process's ESs since the last call."""
         rt = self._mi.rt
         now = self._mi.sim.now
-        busy = sum(es.busy_time for es in rt.xstreams)
+        busy = sum(rt.es_busy)
         last_t, last_busy = self._last_cpu_sample
         self._last_cpu_sample = (now, busy)
         dt = now - last_t

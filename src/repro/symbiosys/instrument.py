@@ -22,7 +22,7 @@ from typing import Any, Optional, TYPE_CHECKING
 
 from ..margo.hooks import Instrumentation
 from .callpath import CallpathRegistry, push
-from .profiling import ProfileKey, ProfileStore
+from .profiling import ProfileStore
 from .stages import Stage
 from .tracing import (
     _KIND_CODE,
@@ -204,10 +204,8 @@ class SymbiosysInstrumentation(Instrumentation):
         )
         origin_exec = t14 - t1_local
 
-        key = ProfileKey(
-            callpath=code, origin=mi.addr, target=handle.target_addr
-        )
-        self.origin_profile.add(key, "origin_execution_time", origin_exec)
+        row = self.origin_profile.row((code, mi.addr, handle.target_addr))
+        row["origin_execution_time"].append(origin_exec)
 
         lamport = mi.lamport_receive(header.get("lamport", 0))
         ctx = self._ctx(ult, mi)
@@ -217,12 +215,8 @@ class SymbiosysInstrumentation(Instrumentation):
         pvars: Optional[tuple] = None
         if self.stage >= Stage.FULL:
             pvars = self._sample_t14_pvars(handle)
-            self.origin_profile.add(
-                key, "input_serialization_time", pvars[-2]
-            )
-            self.origin_profile.add(
-                key, "origin_completion_callback_time", pvars[-1]
-            )
+            row["input_serialization_time"].append(pvars[-2])
+            row["origin_completion_callback_time"].append(pvars[-1])
 
         rt = mi.rt
         self.trace.append_event(
@@ -388,23 +382,22 @@ class SymbiosysInstrumentation(Instrumentation):
             return
         header = handle.header
         code = header.get("callpath", 0)
-        key = ProfileKey(
-            callpath=code, origin=handle.origin_addr, target=mi.addr
-        )
+        row = self.target_profile.row((code, handle.origin_addr, mi.addr))
         t8 = handle.marks["t8"]
         t13 = handle.marks.get("t13", t8)
-        prof = self.target_profile
-        prof.add(key, "target_handler_time", ult.local.get("target_handler_time", 0.0))
-        prof.add(key, "target_execution_time", ult.local.get("target_execution_time", 0.0))
-        prof.add(
-            key,
-            "target_execution_time_exclusive",
-            ult.local.get("target_execution_time_exclusive", 0.0),
+        local = ult.local
+        row["target_handler_time"].append(local.get("target_handler_time", 0.0))
+        row["target_execution_time"].append(
+            local.get("target_execution_time", 0.0)
+        )
+        row["target_execution_time_exclusive"].append(
+            local.get("target_execution_time_exclusive", 0.0)
         )
         # ULT-local key strategy: t8 -> t13.
-        prof.add(key, "target_completion_callback_time", t13 - t8)
+        row["target_completion_callback_time"].append(t13 - t8)
         if self.stage >= Stage.FULL:
+            pvar = handle.pvar_get_or
             for name in _TARGET_HANDLE_PVARS:
-                value = handle.pvar_get_or(name, None)
+                value = pvar(name, None)
                 if value is not None:
-                    prof.add(key, name, value)
+                    row[name].append(value)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -48,8 +49,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         presets = ("fast",)
     else:
         seeds = range(args.seeds)
-        workloads = tuple(args.workloads.split(","))
-        presets = tuple(args.presets.split(","))
+        workloads = args.workloads
+        presets = args.presets
 
     result = fuzz_sweep(
         seeds=seeds,
@@ -92,7 +93,27 @@ def _cmd_golden(args: argparse.Namespace) -> int:
     return 1
 
 
+def _names(kind: str, known) -> Callable[[str], tuple[str, ...]]:
+    """An argparse ``type`` for a comma-separated list of ``kind``
+    names, each one of ``known``: a bad name is a usage error (exit 2)
+    before any run starts."""
+
+    def parse(text: str) -> tuple[str, ...]:
+        names = tuple(text.split(","))
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown {kind} {', '.join(map(repr, unknown))} "
+                f"(expected one of {', '.join(sorted(known))})"
+            )
+        return names
+
+    return parse
+
+
 def main(argv=None) -> int:
+    from .workloads import _PRESETS, WORKLOADS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.validate",
         description="Correctness tooling: fuzzing and golden-trace checks.",
@@ -103,10 +124,16 @@ def main(argv=None) -> int:
     p_fuzz.add_argument("--smoke", action="store_true", help="small CI matrix")
     p_fuzz.add_argument("--seeds", type=int, default=8, help="seeds per cell")
     p_fuzz.add_argument(
-        "--workloads", default="echo,sonata", help="comma-separated workloads"
+        "--workloads",
+        type=_names("workload", WORKLOADS),
+        default="echo,sonata",
+        help="comma-separated workloads",
     )
     p_fuzz.add_argument(
-        "--presets", default="fast", help="comma-separated presets (fast,theta)"
+        "--presets",
+        type=_names("preset", _PRESETS),
+        default="fast",
+        help="comma-separated presets (fast,theta)",
     )
     p_fuzz.add_argument(
         "--fault-fraction",

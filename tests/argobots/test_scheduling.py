@@ -121,6 +121,9 @@ def test_es_busy_time_accounting():
     rt.spawn(body(), pool)
     sim.run(until=10.0)
     assert es.busy_time == pytest.approx(2.5)
+    # The stream's busy time is its slot in the runtime's list.
+    assert rt.es_busy == [es.busy_time]
+    assert rt.num_ready == rt.num_running == 0
 
 
 def test_ult_error_propagates_by_default():

@@ -197,6 +197,27 @@ def test_smoke_matrix_cells(monkeypatch, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "flag, kind", [("--workloads", "workload"), ("--presets", "preset")]
+)
+def test_unknown_fuzz_name_is_a_usage_error(flag, kind, monkeypatch, capsys):
+    """An unknown name in ``--workloads`` or ``--presets`` is an argparse
+    usage error (exit 2) raised before the sweep starts any run."""
+    import repro.validate.fuzz as fuzz_mod
+
+    def no_sweep(**kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(fuzz_mod, "fuzz_sweep", no_sweep)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fuzz", flag, "fast,nope" if kind == "preset" else "echo,nope"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: unknown {kind} 'nope'" in captured.err
+    assert "Traceback" not in captured.err
+
+
 # ------------------------------------------------------------ churn
 
 
