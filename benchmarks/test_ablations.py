@@ -4,8 +4,8 @@ These extend the paper's evaluation along the axes DESIGN.md §5 calls
 out: the OFI_max_events knob as a sweep rather than two points, the
 progress-thread x batch-size interaction, the backend choice behind the
 Figure 10 serialization, the callpath-depth limitation, instrumentation
-stage costs on a hot path, and -- the paper's future work -- whether an
-in-situ policy engine can find the C7 configuration automatically.
+stage costs on a hot path, and -- the paper's future work -- whether the
+monitor's live-tuning loop can find the C7 configuration automatically.
 """
 
 import time
@@ -19,12 +19,7 @@ from repro.experiments import (
     format_seconds,
     run_hepnos_experiment,
 )
-from repro.symbiosys import (
-    DedicateProgressES,
-    PolicyEngine,
-    RaiseOfiMaxEvents,
-    Stage,
-)
+from repro.symbiosys import MonitorConfig, Stage
 from .conftest import run_once
 
 EVENTS = 2048
@@ -314,22 +309,9 @@ def test_ablation_stages(benchmark, report):
 
 def test_ablation_autotuner(benchmark, report):
     """The future-work extension: starting from the pathological C5, the
-    in-situ policy engine raises OFI_max_events and dedicates a progress
-    ES online, recovering most of the hand-tuned C7 improvement."""
-
-    def _make_engine(mi):
-        # Staggered escalation matching the paper's C5 -> C6 -> C7 story:
-        # raise the read cap first; dedicate a progress ES only if the
-        # queue stays deep afterwards.
-        return PolicyEngine(
-            mi,
-            [
-                RaiseOfiMaxEvents(window=4, cooldown=0.5e-3, max_cap=64),
-                DedicateProgressES(window=16, depth_threshold=8,
-                                   cooldown=2e-3),
-            ],
-            period=0.1e-3,
-        )
+    monitor's autotune loop raises OFI_max_events and dedicates a
+    progress ES online, recovering most of the hand-tuned C7
+    improvement."""
 
     def _run_all():
         plain = run_hepnos_experiment(
@@ -339,7 +321,7 @@ def test_ablation_autotuner(benchmark, report):
             TABLE_IV["C5"],
             events_per_client=EVENTS,
             pipeline_width=64,
-            client_policy_factory=_make_engine,
+            monitoring=MonitorConfig(autotune=True),
         )
         hand = run_hepnos_experiment(
             TABLE_IV["C7"], events_per_client=EVENTS, pipeline_width=64
@@ -355,21 +337,20 @@ def test_ablation_autotuner(benchmark, report):
         }
         for name, r in (
             ("C5 (static)", plain),
-            ("C5 + policy engine", tuned),
+            ("C5 + autotune", tuned),
             ("C7 (hand-tuned)", hand),
         )
     ]
     report.append("Ablation: in-situ autotuning from C5")
     report.append(ascii_table(rows))
-    actions = [a for e in tuned.policy_engines for a in e.actions]
+    actions = [f for f in tuned.monitor.findings if f.detector == "autotune"]
     for a in actions[:8]:
-        report.append(f"  t={a.time * 1e3:.2f}ms {a.policy}: {a.description}")
+        report.append(f"  t={a.time * 1e3:.2f}ms {a.process}: {a.message}")
 
-    # The engine actually reconfigured something on every client.
-    assert len(tuned.policy_engines) == 2
-    assert all(e.actions for e in tuned.policy_engines)
-    fired = {a.policy for a in actions}
-    assert "RaiseOfiMaxEvents" in fired
+    # The loop raised the read cap on both clients and touched no server.
+    raised = {a.process for a in actions if a.message.startswith("OFI_max_events")}
+    assert raised == set(tuned.client_addrs) == {"cli0", "cli1"}
+    assert not {a.process for a in actions} & set(tuned.server_addrs)
     # Autotuned C5 closes most of the gap to hand-tuned C7.
     gap_static = plain.cumulative_origin_time - hand.cumulative_origin_time
     gap_tuned = tuned.cumulative_origin_time - hand.cumulative_origin_time
@@ -377,4 +358,4 @@ def test_ablation_autotuner(benchmark, report):
     report.append(f"gap to hand-tuned C7 closed: {100 * closed:.1f}%")
     assert closed > 0.5
     benchmark.extra_info["gap_closed"] = round(closed, 4)
-    benchmark.extra_info["actions"] = [a.description for a in actions]
+    benchmark.extra_info["actions"] = [a.message for a in actions]

@@ -2,17 +2,17 @@
 """In-situ autotuning: the paper's future work, running.
 
 Starts the HEPnOS data-loader in the pathological C5 configuration
-(batch size 1, shared progress ES, OFI_max_events 16) with a
-:class:`~repro.symbiosys.PolicyEngine` attached to every client.  The
-engine watches live SYMBIOSYS metrics and applies the paper's §V-C
-remedies automatically:
+(batch size 1, shared progress ES, OFI_max_events 16) under an online
+monitor with ``MonitorConfig(autotune=True)``.  The monitor's detectors
+watch the live SYMBIOSYS metrics, and the monitor answers two of their
+findings with the paper's §V-C remedies:
 
-* ``RaiseOfiMaxEvents``  -- fires when ``num_ofi_events_read`` pegs at
-  the cap (the Figure 12 C5 signature),
-* ``DedicateProgressES`` -- fires if the OFI queue stays deep afterwards
-  (the Figure 11 C6->C7 step).
+* ``ofi_reads_pegged``   -- ``num_ofi_events_read`` sits at the cap (the
+  Figure 12 C5 signature): double OFI_max_events, up to 64,
+* ``completion_backlog`` -- the completion queues stay deep (the
+  Figure 11 C6->C7 step): give the progress loop its own ES.
 
-Run:  python examples/autotuning.py        (~15 s)
+Run:  python examples/autotuning.py        (~7 s)
 """
 
 from repro.experiments import (
@@ -21,20 +21,9 @@ from repro.experiments import (
     format_seconds,
     run_hepnos_experiment,
 )
-from repro.symbiosys import DedicateProgressES, PolicyEngine, RaiseOfiMaxEvents
+from repro.symbiosys import MonitorConfig
 
 EVENTS = 2048
-
-
-def make_engine(mi):
-    return PolicyEngine(
-        mi,
-        [
-            RaiseOfiMaxEvents(window=4, cooldown=0.5e-3, max_cap=64),
-            DedicateProgressES(window=16, depth_threshold=8, cooldown=2e-3),
-        ],
-        period=0.1e-3,
-    )
 
 
 def main() -> None:
@@ -42,12 +31,12 @@ def main() -> None:
     plain = run_hepnos_experiment(
         TABLE_IV["C5"], events_per_client=EVENTS, pipeline_width=64
     )
-    print("running C5 + policy engine (autotuned) ...")
+    print("running C5 + autotune ...")
     tuned = run_hepnos_experiment(
         TABLE_IV["C5"],
         events_per_client=EVENTS,
         pipeline_width=64,
-        client_policy_factory=make_engine,
+        monitoring=MonitorConfig(autotune=True),
     )
     print("running C7 (hand-tuned reference) ...\n")
     hand = run_hepnos_experiment(
@@ -63,16 +52,16 @@ def main() -> None:
         }
         for name, r in (
             ("C5  (static)", plain),
-            ("C5 + policy engine", tuned),
+            ("C5 + autotune", tuned),
             ("C7  (hand-tuned)", hand),
         )
     ]
     print(ascii_table(rows))
 
-    print("\npolicy-engine audit log (first client):")
-    for action in tuned.policy_engines[0].actions:
-        print(f"  t={action.time * 1e3:6.2f} ms  {action.policy}: "
-              f"{action.description}")
+    print("\nremedies applied (the monitor's autotune findings):")
+    for f in tuned.monitor.findings:
+        if f.detector == "autotune":
+            print(f"  t={f.time * 1e3:6.2f} ms  {f.process}: {f.message}")
 
     gap_static = plain.cumulative_origin_time - hand.cumulative_origin_time
     gap_tuned = tuned.cumulative_origin_time - hand.cumulative_origin_time

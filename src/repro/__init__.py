@@ -12,7 +12,8 @@ Package map (bottom-up):
 * :mod:`repro.ssg`       -- scalable service groups
 * :mod:`repro.symbiosys` -- THE PAPER'S CONTRIBUTION: callpath profiling,
   distributed tracing, PVAR fusion, analysis scripts, Zipkin export,
-  and the in-situ policy engine
+  and the online monitor, whose ``autotune`` option applies the Table IV
+  remedies to a live run
 * :mod:`repro.services`  -- BAKE, SDSKV, Sonata, Mobject, HEPnOS
 * :mod:`repro.workloads` -- ior, synthetic event files, JSON records
 * :mod:`repro.experiments` -- Table IV configs and per-figure harnesses

@@ -214,7 +214,11 @@ class Cluster:
             if trace is not None:
                 self.injector.bind_trace(addr, trace)
         if self.monitor is not None:
-            self.monitor.attach(mi)
+            try:
+                self.monitor.attach(mi)
+            except ValueError:
+                mi.finalize()  # a refused process must not outlive the run
+                raise
         if self.validator is not None:
             # Last, so its lifecycle checker wraps the instrumentation the
             # injector and collector already saw.

@@ -52,8 +52,6 @@ class HEPnOSExperimentResult:
     rpcs_issued: int
     client_addrs: list[str]
     server_addrs: list[str]
-    #: PolicyEngines attached by the autotuning extension (if any).
-    policy_engines: list = field(default_factory=list)
     _summary: Optional[ProfileSummary] = field(default=None, repr=False)
 
     @property
@@ -137,20 +135,13 @@ def run_hepnos_experiment(
     pipeline_width: Optional[int] = None,
     seed: int = 7,
     time_limit: float = 300.0,
-    client_policy_factory=None,
-    server_policy_factory=None,
     monitoring: Optional[MonitorConfig] = None,
 ) -> HEPnOSExperimentResult:
     """Deploy ``config``, run the data-loader, and collect the results.
 
-    ``client_policy_factory`` / ``server_policy_factory``, if given, are
-    called with each client/server MargoInstance and should return a
-    :class:`~repro.symbiosys.policy.PolicyEngine` (or None) -- the
-    dynamic-reconfiguration extension.  Engines are returned on the
-    result's ``policy_engines`` attribute.
-
     ``monitoring`` attaches an online :class:`Monitor` to every process
-    for the duration of the run (returned as ``result.monitor``).
+    for the duration of the run (returned as ``result.monitor``);
+    ``MonitorConfig(autotune=True)`` lets it retune the processes live.
 
     The cluster is not shut down: the monitor stops when the last
     loader finishes, and nothing after that instant runs, so the
@@ -176,13 +167,6 @@ def run_hepnos_experiment(
     if pipeline_width is None:
         windows = max(1, events_per_client // config.batch_size)
         pipeline_width = min(32, max(2, windows))
-
-    policy_engines = []
-    if server_policy_factory is not None:
-        for server_mi in service.servers:
-            engine = server_policy_factory(server_mi)
-            if engine is not None:
-                policy_engines.append(engine)
 
     loaders: list[DataLoader] = []
     client_addrs: list[str] = []
@@ -211,10 +195,6 @@ def run_hepnos_experiment(
                 response_cost=preset.loader_response_cost,
             ),
         )
-        if client_policy_factory is not None:
-            engine = client_policy_factory(mi)
-            if engine is not None:
-                policy_engines.append(engine)
         loader.load(flatten_to_pairs(files))
         loaders.append(loader)
 
@@ -238,5 +218,4 @@ def run_hepnos_experiment(
         rpcs_issued=sum(ld.client.rpcs_issued for ld in loaders),
         client_addrs=client_addrs,
         server_addrs=[s.addr for s in service.servers],
-        policy_engines=policy_engines,
     )

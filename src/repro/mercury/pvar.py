@@ -54,6 +54,12 @@ class PvarBinding(enum.Enum):
     HANDLE = "HANDLE"  # bound to one RPC handle
 
 
+#: Bound once for :meth:`PvarRegistry.raw_value`, which the monitor's
+#: detectors call per process per tick: an enum member lookup costs more
+#: than the read it guards.
+_NO_OBJECT = PvarBinding.NO_OBJECT
+
+
 @dataclass(frozen=True)
 class PvarDef:
     """Static description of one exported PVAR (what ``pvar_get_info``
@@ -202,7 +208,7 @@ class PvarRegistry:
     def raw_value(self, name: str) -> Any:
         slot = self.index_of(name)
         d = self._defs[slot]
-        if d.binding is not PvarBinding.NO_OBJECT:
+        if d.binding is not _NO_OBJECT:
             raise PvarError(f"{name!r} is HANDLE-bound")
         if d.getter is not None:
             return d.getter(self._slots[slot])

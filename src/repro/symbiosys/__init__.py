@@ -10,7 +10,9 @@ Public surface:
 * :mod:`repro.symbiosys.zipkin` -- Zipkin JSON trace export.
 * :class:`Monitor` / :class:`MonitorConfig` -- always-on online
   telemetry: periodic sampling into ring-buffer time-series, scheduler
-  slice recording, and anomaly detection.
+  slice recording, and anomaly detection; with ``autotune`` set, the
+  Table IV remedies applied to the live processes on the findings that
+  call for them (the paper's future work).
 * :mod:`repro.symbiosys.export` -- Prometheus text and CSV time-series;
   :mod:`repro.symbiosys.perfetto` -- the Perfetto/Chrome timeline.
 """
@@ -22,14 +24,6 @@ from .instrument import SymbiosysInstrumentation
 from .metrics import SeriesStore, TimeSeries
 from .monitor import AnomalyDetector, Finding, Monitor, MonitorConfig
 from .perfetto import chrome_trace_json, to_chrome_trace, write_chrome_trace
-from .policy import (
-    DedicateProgressES,
-    MetricSample,
-    Policy,
-    PolicyAction,
-    PolicyEngine,
-    RaiseOfiMaxEvents,
-)
 from .profiling import INTERVALS, IntervalStats, ProfileKey, ProfileStore
 from .stages import Stage
 from .tracing import (
@@ -43,17 +37,11 @@ from .tracing import (
 __all__ = [
     "AnomalyDetector",
     "CallpathRegistry",
-    "DedicateProgressES",
     "EventKind",
     "FaultAnnotation",
     "Finding",
-    "MetricSample",
     "Monitor",
     "MonitorConfig",
-    "Policy",
-    "PolicyAction",
-    "PolicyEngine",
-    "RaiseOfiMaxEvents",
     "INTERVALS",
     "IntervalStats",
     "MAX_DEPTH",

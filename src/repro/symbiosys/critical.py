@@ -48,6 +48,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from .analysis.trace_summary import Span, TraceSummary, stitch_traces
+from .monitor import AUTOTUNE
 from .tracing import EventKind, TraceEvent
 
 __all__ = [
@@ -93,6 +94,8 @@ _FALLBACK_WAIT = {
     "progress_starvation": "progress_starvation",
     "handler_queue_depth": "handler_pool_queue",
     "forward_timeout_burst": "retry_backoff",
+    "ofi_reads_pegged": "ofi_cq_backlog",
+    "completion_backlog": "progress_starvation",
 }
 
 _PS = 1e12  # picoseconds per second
@@ -585,7 +588,10 @@ def analyze_collector(collector, monitor=None) -> CriticalReport:
 def dominant_wait_state(finding, breakdowns: Iterable) -> str:
     """The wait category that dominated the requests surrounding a
     finding (same process, window covering the finding time); falls
-    back to the detector's natural category when nothing overlaps."""
+    back to the detector's natural category when nothing overlaps.  An
+    applied autotune remedy is an action, not a wait: it gets none."""
+    if finding.detector == AUTOTUNE:
+        return ""
     totals = dict.fromkeys(WAIT_CATEGORIES, 0)
     hit = False
     for bd in breakdowns:

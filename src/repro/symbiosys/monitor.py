@@ -23,12 +23,20 @@ Perfetto timeline, and pluggable
 :class:`AnomalyDetector` s evaluate each snapshot and emit timestamped
 :class:`Finding` s during the run.
 
+With :attr:`MonitorConfig.autotune` set, the monitor also acts on two
+findings with the paper's §V-C (Table IV) remedies, the policy-driven
+loop the paper names as future work: ``ofi_reads_pegged`` (Figure 12)
+doubles ``OFI_max_events`` and ``completion_backlog`` (Figure 11's C6
+-> C7 step) gives the progress loop its own execution stream.  Each
+applied remedy is logged as an ``"autotune"`` finding.
+
 Everything here is deterministic: sampling ticks ride the simulator's
 event queue (so they interleave identically for identical seeds), no
 wall clock is ever read, and nothing exported contains process-global
-counter artifacts (ULT ids, HG cookies).  Sampler callbacks are pure
-observers -- they read simulator state but add no simulated cost, so the
-simulated makespan of a monitored run equals the unmonitored one.
+counter artifacts (ULT ids, HG cookies).  Unless ``autotune`` is set,
+sampler callbacks are pure observers -- they read simulator state but
+add no simulated cost, so the simulated makespan of a monitored run
+equals the unmonitored one.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
-from ..argobots.ult import UltState
+from ..argobots.ult import BLOCKED, READY, TERMINATED
 from ..config import Replaceable
 from ..mercury.pvar import PvarBinding, PvarClass, PvarDef, PvarRegistry
 from .metrics import SeriesStore, TimeSeries
@@ -51,10 +59,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "AnomalyDetector",
+    "CompletionBacklogDetector",
     "Finding",
     "ForwardTimeoutBurstDetector",
     "Monitor",
     "MonitorConfig",
+    "OfiReadsPeggedDetector",
     "PeriodicSampler",
     "ProgressStarvationDetector",
     "QueueDepthWatermarkDetector",
@@ -68,13 +78,18 @@ RING_CAPACITY = 4096
 _NAN = float("nan")
 #: Cap on recorded scheduler slices (run + block), monitor-wide.
 SCHED_SLICE_CAPACITY = 65536
+#: ``completion_backlog``: the OFI plus Mercury completion-queue depth
+#: that counts as a backlog.
+BACKLOG_DEPTH = 8
+#: The most ``OFI_max_events`` the autotune remedy raises the cap to.
+OFI_MAX_EVENTS_CEILING = 64
 
 
 @dataclass(frozen=True, kw_only=True)
 class MonitorConfig(Replaceable):
     """Configuration of one :class:`Monitor`.
 
-    The monitor always arms the three built-in anomaly detectors; append
+    The monitor always arms the five built-in anomaly detectors; append
     any other :class:`AnomalyDetector` to :attr:`Monitor.detectors`.
     """
 
@@ -89,6 +104,10 @@ class MonitorConfig(Replaceable):
     timeout_burst_count: int = 3
     #: ... within this window, seconds.
     timeout_burst_window: float = 1e-3
+    #: Apply the Table IV remedy of every ``ofi_reads_pegged`` and
+    #: ``completion_backlog`` finding to the live process (needs
+    #: Mercury PVARs, i.e. :attr:`~repro.symbiosys.Stage.FULL`).
+    autotune: bool = False
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
@@ -244,8 +263,10 @@ class ForwardTimeoutBurstDetector(AnomalyDetector):
     def __init__(self, config: MonitorConfig):
         self.count = config.timeout_burst_count
         self.window = config.timeout_burst_window
+        #: Per process that has timed out: its last seen total.
         self._last_total: dict[str, int] = {}
-        #: Per process: (time, delta) increments inside the window.
+        #: Per process: (time, delta) increments inside the window, for
+        #: as long as there are any.
         self._recent: dict[str, list[tuple[float, int]]] = {}
         self._bursting: set[str] = set()
 
@@ -254,9 +275,13 @@ class ForwardTimeoutBurstDetector(AnomalyDetector):
         for addr, mi in monitor.iter_processes():
             total = mi.hg.pvars.raw_value("num_forward_timeouts")
             delta = total - self._last_total.get(addr, 0)
-            self._last_total[addr] = total
-            recent = self._recent.setdefault(addr, [])
+            recent = self._recent.get(addr)
+            if recent is None:
+                if delta <= 0:
+                    continue  # nothing in the window, nothing new
+                recent = self._recent[addr] = []
             if delta > 0:
+                self._last_total[addr] = total
                 recent.append((t, delta))
             while recent and recent[0][0] < t - self.window:
                 recent.pop(0)
@@ -278,7 +303,118 @@ class ForwardTimeoutBurstDetector(AnomalyDetector):
                 findings.append(
                     Finding(t, self.name, addr, "timeout burst subsided")
                 )
+            if not recent:
+                del self._recent[addr]
         return findings
+
+
+class _WindowDetector(AnomalyDetector):
+    """Base of the two autotune detectors: a process's ``level`` at or
+    above its ``threshold`` in ``needed`` of the last ``window`` ticks,
+    once the monitor has taken ``window`` ticks.
+
+    Reports the onset only, so each finding can be acted on.  Re-arms
+    once a whole window passes below the threshold, or on a fresh
+    window when the threshold changes.  Keeps state only for processes
+    with a tick at the threshold in the window; a crashed process never
+    has one (its last reading is stale).
+    """
+
+    window = 4
+    needed = 3
+    #: What ``level`` measures, for the finding's message.
+    what = "level"
+
+    def __init__(self, config: MonitorConfig):
+        self._ticks = 0
+        #: Per process: (threshold, window bits newest lowest, fired).
+        self._state: dict[str, tuple[int, int, bool]] = {}
+
+    def level(self, mi: "MargoInstance") -> int:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def threshold(self, mi: "MargoInstance") -> int:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def on_sample(self, t: float, monitor: "Monitor") -> list[Finding]:
+        self._ticks += 1
+        findings = []
+        state = self._state
+        mask = (1 << self.window) - 1
+        for addr, mi in monitor.iter_processes():
+            level = self.level(mi)
+            threshold = self.threshold(mi)
+            hit = level >= threshold and not mi.crashed
+            st = state.get(addr)
+            if st is None:
+                if not hit:
+                    continue
+                m, fired = 1, False
+            else:
+                if st[0] != threshold:  # a fresh window
+                    m, fired = hit, False
+                else:
+                    m, fired = (st[1] << 1 | hit) & mask, st[2]
+                if not m:
+                    del state[addr]
+                    continue
+            fire = (
+                not fired
+                and self._ticks >= self.window
+                and m.bit_count() >= self.needed
+            )
+            state[addr] = (threshold, m, fired or fire)
+            if fire:
+                findings.append(
+                    Finding(
+                        t,
+                        self.name,
+                        addr,
+                        f"{self.what} {level} >= {threshold} in "
+                        f"{m.bit_count()} of the last {self.window} ticks",
+                        value=level,
+                    )
+                )
+        return findings
+
+
+class OfiReadsPeggedDetector(_WindowDetector):
+    """The progress loop's OFI reads keep hitting ``OFI_max_events``
+    while completions are left in the OFI completion queue: Figure 12's
+    C5 signature, a queue backed up behind the read cap.  The cap is
+    the threshold, so raising it re-arms the detector.
+    """
+
+    name = "ofi_reads_pegged"
+    what = "OFI events read"
+
+    def level(self, mi: "MargoInstance") -> int:
+        # The PVAR keeps its last non-empty batch through idle periods:
+        # a capped read means a backed-up queue only while one is left.
+        if not mi.endpoint.cq_depth:
+            return 0
+        return mi.hg.pvars.raw_value("num_ofi_events_read")
+
+    def threshold(self, mi: "MargoInstance") -> int:
+        return mi.hg.ofi_max_events
+
+
+class CompletionBacklogDetector(_WindowDetector):
+    """Completions pile up faster than the progress loop drains them
+    (OFI completion-queue depth plus Mercury's ``completion_queue_size``):
+    Figure 11's C6 -> C7 signature, a progress ULT short of CPU on the
+    execution stream it shares."""
+
+    name = "completion_backlog"
+    what = "completion queue depth"
+    window = 16
+    needed = 8
+
+    def level(self, mi: "MargoInstance") -> int:
+        return mi.endpoint.cq_depth + mi.hg.pvars.raw_value("completion_queue_size")
+
+    def threshold(self, mi: "MargoInstance") -> int:
+        return BACKLOG_DEPTH
 
 
 @dataclass(frozen=True)
@@ -305,9 +441,6 @@ class SchedSlice:
 #: Slice-reason materialization table, indexed by the recorder's
 #: internal reason code (0 is the empty reason of block slices).
 _SLICE_REASONS = ("", "end", "block", "yield", "preempt")
-#: The state a ULT leaves its slice in -> reason code; any other state
-#: (an exception unwound through the ES) is ``"preempt"``.
-_REASON_CODES = {UltState.TERMINATED: 1, UltState.BLOCKED: 2, UltState.READY: 3}
 
 
 class SchedRecorder:
@@ -384,7 +517,17 @@ class SchedRecorder:
                 n += 1
             else:
                 self.dropped += 1
-        reason = _REASON_CODES.get(ult.state, 4)
+        # The state the ULT leaves its slice in; any other state (an
+        # exception unwound through the ES) is "preempt".
+        state = ult.state
+        if state is BLOCKED:
+            reason = 2
+        elif state is READY:
+            reason = 3
+        elif state is TERMINATED:
+            reason = 1
+        else:
+            reason = 4
         if n < capacity:
             self._es.append(es_i)
             self._ult.append(ult_id)
@@ -559,6 +702,33 @@ class _ProcessPlan:
     __slots__ = ("n_pvars", "pool", "rows", "values", "block", "floors", "depth_hist")
 
 
+def _raise_ofi_max_events(mi: "MargoInstance") -> str:
+    """Figure 12's remedy: double the OFI read cap, up to the ceiling."""
+    old = mi.hg.ofi_max_events
+    new = min(2 * old, OFI_MAX_EVENTS_CEILING)
+    if new <= old:
+        return ""
+    mi.set_ofi_max_events(new)
+    return f"OFI_max_events {old} -> {new}"
+
+
+def _dedicate_progress_es(mi: "MargoInstance") -> str:
+    """Figure 11's C6 -> C7 remedy: a progress execution stream."""
+    if not mi.enable_progress_thread():
+        return ""
+    return "progress loop moved to a dedicated ES"
+
+
+#: The ``detector`` of the findings that log applied remedies.
+AUTOTUNE = "autotune"
+#: Finding detector -> remedy; a remedy returns what it changed, or ""
+#: when there was nothing left to change.
+_REMEDIES = {
+    OfiReadsPeggedDetector.name: _raise_ofi_max_events,
+    CompletionBacklogDetector.name: _dedicate_progress_es,
+}
+
+
 def _append_total(ts: TimeSeries, t: float, total: float) -> None:
     """Append a sample of a cumulative counter, which never decreases."""
     last = ts.latest()
@@ -618,6 +788,8 @@ class Monitor:
             ProgressStarvationDetector(self.config),
             QueueDepthWatermarkDetector(self.config),
             ForwardTimeoutBurstDetector(self.config),
+            OfiReadsPeggedDetector(self.config),
+            CompletionBacklogDetector(self.config),
         ]
         self.sampler = PeriodicSampler(sim, self.config.interval, self.sample)
 
@@ -627,6 +799,11 @@ class Monitor:
         """Adopt one process: hook its scheduler."""
         if mi.addr in self._processes:
             raise ValueError(f"process {mi.addr!r} already monitored")
+        if self.config.autotune and not mi.hg.pvars_enabled:
+            raise ValueError(
+                f"autotune needs Mercury PVARs, which are off on {mi.addr!r} "
+                "(a stage below FULL)"
+            )
         self._processes[mi.addr] = mi
         self._labels[mi.addr] = (("process", mi.addr),)
         mi.rt.add_sched_observer(self.sched)
@@ -648,12 +825,26 @@ class Monitor:
         """
         if self.sampler._running:
             self.sampler.stop()
-            self.sample(self.sim.now)
+            self._snapshot(self.sim.now)
 
     # -- sampling -----------------------------------------------------------
 
     def sample(self, t: float) -> None:
-        """Snapshot every watched quantity at simulated time ``t``."""
+        """Snapshot every watched quantity at simulated time ``t``, then
+        (with ``autotune``) apply the remedies of the tick's findings."""
+        first = len(self.findings)
+        self._snapshot(t)
+        if self.config.autotune:
+            for f in self.findings[first:]:
+                remedy = _REMEDIES.get(f.detector)
+                mi = self._processes.get(f.process)
+                if remedy is None or mi is None or mi.crashed:
+                    continue
+                action = remedy(mi)
+                if action:
+                    self.findings.append(Finding(t, AUTOTUNE, f.process, action))
+
+    def _snapshot(self, t: float) -> None:
         for addr, mi in self._processes.items():
             plan = self._plans.get(addr)
             if plan is None or plan.n_pvars != mi.hg.pvars.num_pvars:

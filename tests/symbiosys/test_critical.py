@@ -171,6 +171,27 @@ class TestFindingAnnotation:
         assert dominant_wait_state(f, report.breakdowns) == \
             "progress_starvation"
 
+    def test_autotune_detectors_fall_back_and_remedies_get_none(self):
+        world = run_echo(n_calls=8)
+        report = analyze_collector(
+            world.cluster.collector, world.cluster.monitor
+        )
+        from repro.symbiosys.monitor import Finding
+
+        during = report.breakdowns[0].start_true
+        findings = [
+            Finding(99.0, "ofi_reads_pegged", "cli", "late"),
+            Finding(99.0, "completion_backlog", "cli", "late"),
+            # A remedy is an action, not a wait -- even amid requests.
+            Finding(during, "autotune", "cli", "OFI_max_events 16 -> 32"),
+        ]
+        annotated = annotate_findings(findings, report)
+        assert [f.wait_state for f in annotated] == [
+            "ofi_cq_backlog",
+            "progress_starvation",
+            "",
+        ]
+
 
 class TestDeterminism:
     def test_same_seed_same_breakdowns(self):

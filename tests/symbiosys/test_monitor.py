@@ -250,6 +250,16 @@ def test_timeout_burst_detector_window():
     # Burst of 3 inside 1ms fires once; the quiet window then clears.
     assert [f.message.split()[0] for f in fired] == ["3", "timeout"]
     assert fired[0].detector == "forward_timeout_burst"
+    # The emptied window is dropped; only the last total stays.
+    assert det._recent == {} and det._last_total == {"p": 3}
+
+
+def test_timeout_burst_detector_keeps_nothing_for_healthy_processes():
+    det = ForwardTimeoutBurstDetector(MonitorConfig())
+    mon = _stub_monitor({"a": _stub_process(), "b": _stub_process()})
+    for i in range(5):
+        assert det.on_sample(i * 1e-4, mon) == []
+    assert det._recent == {} and det._last_total == {}
 
 
 def test_sched_recorder_bounded():
