@@ -21,7 +21,7 @@ from .pvar import (
     PvarRegistry,
     PvarSession,
 )
-from .serialization import SerializationModel, estimate_size
+from .serialization import SerializationModel, SizedBatch, estimate_size
 
 __all__ = [
     "BulkRef",
@@ -39,5 +39,6 @@ __all__ = [
     "RequestWire",
     "ResponseWire",
     "SerializationModel",
+    "SizedBatch",
     "estimate_size",
 ]

@@ -551,14 +551,14 @@ class HGCore:
         ep = self.endpoint
         if ep.cq_depth == 0:
             if timeout <= 0:
-                self._note_progress(0)
+                self._note_empty_read()
                 return 0
             ev = self.abt.eventual("hg.progress")
             disarm = ep.arm(ev.signal)
             ok, _ = yield from ev.wait(timeout=timeout)
             if not ok:
                 disarm()
-                self._note_progress(0)
+                self._note_empty_read()
                 return 0
         entries = ep.cq_read(self.ofi_max_events)
         n = len(entries)
@@ -571,6 +571,13 @@ class HGCore:
             self._dispatch(entry)
         self._note_progress(n)
         return n
+
+    def _note_empty_read(self) -> None:
+        # An empty read is a read of 0 events: the LEVEL PVAR must not
+        # keep the last batch while the process idles.
+        if self.pvars_enabled:
+            self.pvars.set("num_ofi_events_read", 0)
+        self._note_progress(0)
 
     def _note_progress(self, n: int) -> None:
         now = self.last_progress = self.sim.now

@@ -25,18 +25,26 @@ Every other type is resolved onto the same handlers: a type with an
 bytes, and a subclass of a supported type (``IntEnum``,
 ``numpy.float64``, a ``dict`` subclass, ...) is sized as its first
 matching base in the order int, float, bytes, str, list/tuple, dict.
-Anything else raises ``TypeError``.  Sizes are recomputed on every call:
-payloads such as Sonata documents are mutable, so no size is cached.
+Anything else raises ``TypeError``.
+
+Sizes are recomputed on every call, with one exception: a
+``SizedBatch`` is sized once, when built.  It snapshots each item's
+size at that moment, as Mercury's encoder fixes the encoded bytes when
+it packs the input, so ``estimate_size`` reads its size in O(1) and a
+target can charge per-item costs without sizing the items again.  Any
+other payload is sized afresh: Sonata documents are mutable dicts, so a
+size cached by object would go stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from operator import attrgetter
+from typing import Any, Iterable
 
 from ..config import Replaceable
 
-__all__ = ["SerializationModel", "estimate_size"]
+__all__ = ["SerializationModel", "SizedBatch", "estimate_size"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -122,6 +130,23 @@ def _size_dict(d: Any) -> int:
     return total
 
 
+class SizedBatch:
+    """A sequence of items sized once, when the batch is built.
+
+    ``sizes[i]`` is ``estimate_size(items[i])`` at build time, and the
+    batch's own encoded size is that of the plain list of its items:
+    ``8 + sum(sizes)``.  An unsupported item raises ``TypeError`` here,
+    as sizing the list would.
+    """
+
+    __slots__ = ("items", "sizes", "nbytes")
+
+    def __init__(self, items: Iterable[Any]):
+        self.items = tuple(items)
+        self.sizes = tuple(map(estimate_size, self.items))
+        self.nbytes = _OVERHEAD_PER_ITEM + sum(self.sizes)
+
+
 #: Handler per exact container/text type.
 _HANDLERS = {
     str: _size_str,
@@ -129,6 +154,7 @@ _HANDLERS = {
     list: _size_sequence,
     tuple: _size_sequence,
     dict: _size_dict,
+    SizedBatch: attrgetter("nbytes"),
 }
 
 #: The supported bases, in the order a subclass is matched against them

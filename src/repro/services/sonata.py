@@ -18,7 +18,7 @@ from typing import Any, Generator, Optional
 
 from ..argobots import Compute
 from ..margo import MargoInstance
-from ..mercury import HGHandle, estimate_size
+from ..mercury import HGHandle, SizedBatch
 
 __all__ = [
     "SonataCosts",
@@ -130,12 +130,13 @@ class SonataProvider:
 
     def _h_store_multi(self, mi: MargoInstance, handle: HGHandle) -> Generator:
         # The record array arrives as metadata; get_input charges the
-        # deserialization that Figure 7 highlights.
+        # deserialization that Figure 7 highlights.  Each document's
+        # store cost uses the size the client's batch fixed when built.
         inp = yield from mi.get_input(handle)
         coll = self._collection(inp["collection"])
+        batch = inp["records"]
         ids = []
-        for doc in inp["records"]:
-            nbytes = estimate_size(doc)
+        for doc, nbytes in zip(batch.items, batch.sizes):
             yield Compute(
                 self.costs.store_fixed + self.costs.store_per_byte * nbytes
             )
@@ -225,7 +226,7 @@ class SonataClient:
                 RPC_STORE_MULTI,
                 {
                     "collection": collection,
-                    "records": records[start : start + batch_size],
+                    "records": SizedBatch(records[start : start + batch_size]),
                 },
                 provider_id,
             )

@@ -389,8 +389,9 @@ class OfiReadsPeggedDetector(_WindowDetector):
     what = "OFI events read"
 
     def level(self, mi: "MargoInstance") -> int:
-        # The PVAR keeps its last non-empty batch through idle periods:
-        # a capped read means a backed-up queue only while one is left.
+        # The PVAR keeps the last read until the next progress
+        # iteration: a capped read means a backed-up queue only while
+        # one is left.
         if not mi.endpoint.cq_depth:
             return 0
         return mi.hg.pvars.raw_value("num_ofi_events_read")

@@ -336,13 +336,23 @@ def test_num_ofi_events_read_tracks_batch(world):
     results = []
     for i in range(20):
         call_rpc(world.cli, "svr", "echo", {"i": i}, results)
-    world.sim.run(until=0.5)
     sess = world.svr.hg.pvar_session_init()
-    last = sess.read_by_name("num_ofi_events_read")
+    # (events read, PVAR value) after every server progress iteration.
+    reads = []
+    world.svr.hg.add_progress_observer(
+        lambda now, n: reads.append((n, sess.read_by_name("num_ofi_events_read")))
+    )
+    world.sim.run(until=0.5)
+    cap = world.svr.hg.config.ofi_max_events
+    assert all(value == n for n, value in reads)
+    assert any(1 <= n <= cap for n, _ in reads)
     hi = sess.read_by_name("max_ofi_events_read")
     lo = sess.read_by_name("min_ofi_events_read")
-    assert 1 <= last <= world.svr.hg.config.ofi_max_events
-    assert 1 <= lo <= hi <= world.svr.hg.config.ofi_max_events
+    assert 1 <= lo <= hi <= cap
+    # The last iterations were idle: the LEVEL PVAR reads 0, not the
+    # last batch.
+    assert reads[-1][0] == 0
+    assert sess.read_by_name("num_ofi_events_read") == 0
 
 
 def test_pvars_disabled_records_nothing():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.mercury import BulkRef, SerializationModel, estimate_size
+from repro.mercury import BulkRef, SerializationModel, SizedBatch, estimate_size
 
 
 def _reference_size(payload):
@@ -229,3 +229,58 @@ def test_estimate_size_rejects_unsupported_types_like_reference(payload):
         _reference_size(payload)
     with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
         estimate_size(payload)
+
+
+# ------------------------------------------------------------ SizedBatch
+#
+# A batch is sized once, when built, and must then cost exactly what the
+# plain list of its items costs.
+
+
+@given(st.lists(_payloads, max_size=8))
+def test_sized_batch_is_sized_like_the_plain_list(items):
+    batch = SizedBatch(items)
+    assert estimate_size(batch) == estimate_size(list(items))
+    assert estimate_size(batch) == _reference_size(items)
+    assert estimate_size({"records": batch}) == estimate_size({"records": items})
+
+
+@given(st.lists(_payloads, max_size=8))
+def test_sized_batch_sizes_each_item(items):
+    batch = SizedBatch(items)
+    assert len(batch.items) == len(batch.sizes) == len(items)
+    for item, kept, size in zip(items, batch.items, batch.sizes):
+        assert kept is item
+        assert size == estimate_size(item)
+
+
+@given(
+    st.lists(_payloads, max_size=4),
+    st.sampled_from(list(_UNSUPPORTED.values())),
+    st.lists(_payloads, max_size=4),
+)
+def test_sized_batch_rejects_unsupported_items_like_the_list(before, bad, after):
+    items = [*before, bad, *after]
+    with pytest.raises(TypeError) as expected:
+        estimate_size(items)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
+        SizedBatch(items)
+
+
+@given(
+    st.lists(
+        st.dictionaries(st.text(max_size=5), _payloads, max_size=4),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_sized_batch_keeps_its_build_time_sizes(docs):
+    batch = SizedBatch(docs)
+    size, sizes = estimate_size(batch), batch.sizes
+    for doc in docs:
+        doc["added after the build"] = "x" * 100
+    assert estimate_size(batch) == size
+    assert batch.sizes == sizes
+    # The items are the very documents, so sizing them again sees the
+    # change; the batch keeps what was encoded.
+    assert estimate_size(list(batch.items)) == size + len(docs) * (8 + 21 + 8 + 100)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.mercury import HGConfig
+from repro.experiments.sonata import run_sonata_experiment
+from repro.mercury import HGConfig, estimate_size
 from repro.services.sonata import (
     SonataClient,
     SonataCosts,
@@ -197,3 +198,27 @@ def test_store_batch_size_validation(sonata_world):
     w.client.client_ult(body())
     with pytest.raises(ValueError, match="batch_size"):
         w.sim.run(until=1.0)
+
+
+def test_store_multi_charges_each_document_its_encoded_size(sonata_world):
+    """The store cost and memory accounting use the sizes the client's
+    batch fixed when it was built: exactly each document's encoded size."""
+    w = sonata_world
+    records = generate_json_records(60)
+
+    def body():
+        yield from w.sonata.create_database("svr", 1, "m")
+        yield from w.sonata.store_multi("svr", 1, "m", records, batch_size=25)
+
+    run_ult(w, body(), until=5.0)
+    stored = w.provider.collections["m"].docs
+    assert stored == records
+    assert w.server.stats.memory_bytes == sum(estimate_size(d) for d in stored)
+
+
+def test_fig7_tiny_shape_outputs_are_pinned():
+    # Recorded before the store handler reused the batch's sizes; the
+    # simulated costs must not move by a bit.
+    r = run_sonata_experiment(n_records=2_000, batch_size=500)
+    assert r.makespan == 0.0019695989000000176
+    assert r.deserialization_fraction == 0.26642527062342947

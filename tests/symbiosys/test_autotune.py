@@ -93,12 +93,19 @@ def test_ofi_reads_pegged_keeps_no_state_for_idle_processes():
 
 
 def test_ofi_reads_pegged_ignores_a_stale_read_on_an_idle_process():
-    # One capped read drains the queue; the PVAR keeps reading 16 while
-    # the process idles, which is not a backed-up queue.
+    # One capped read drains the queue.  Until the next progress
+    # iteration the PVAR still reads 16 with the queue empty, which is
+    # not a backed-up queue.
+    det = OfiReadsPeggedDetector(MonitorConfig())
+    stale = _stub(read=16, cq_depth=0)
+    assert not [
+        f for i in range(4) for f in det.on_sample(i * 1e-4, _monitor(p=stale))
+    ]
+    # The next, empty read sets the PVAR to 0.
     cluster, mi = _flooded(autotune=False, entries=16)
     with cluster:
         cluster.sim.run(until=2e-3)
-    assert mi.hg.pvars.raw_value("num_ofi_events_read") == 16
+    assert mi.hg.pvars.raw_value("num_ofi_events_read") == 0
     assert mi.endpoint.cq_depth == 0
     assert not _by_detector(cluster.monitor, "ofi_reads_pegged")
 
