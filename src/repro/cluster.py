@@ -205,7 +205,7 @@ class Cluster:
             clock=clock,
             instrumentation=instrumentation,
             retry=retry if retry is not None else self.retry,
-            rng=self.rng.stream(f"margo.{addr}"),
+            rng=self.rng,
             ctx_switch_cost=self._ctx_switch_cost,
         )
         if self.injector is not None:

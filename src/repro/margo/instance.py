@@ -25,7 +25,7 @@ from ..argobots import AbtRuntime, Compute, Pool, ULT, YieldNow
 from ..config import Replaceable
 from ..mercury import HGConfig, HGCore, HGHandle, SerializationModel
 from ..net import Fabric
-from ..sim import LocalClock, Simulator
+from ..sim import LocalClock, RngRegistry, Simulator
 from .errors import MargoTimeoutError, RemoteRpcError
 from .hooks import Instrumentation, NullInstrumentation
 from .retry import RetryPolicy
@@ -102,7 +102,7 @@ class MargoInstance:
         clock: Optional[LocalClock] = None,
         instrumentation: Optional[Instrumentation] = None,
         retry: Optional[RetryPolicy] = None,
-        rng=None,
+        rng: Optional[RngRegistry] = None,
         ctx_switch_cost: float = 50e-9,
     ):
         self.sim = sim
@@ -115,7 +115,10 @@ class MargoInstance:
         #: Default resilience policy applied by ``forward`` when the call
         #: site does not pass its own.
         self.retry = retry
-        #: Numpy Generator used for backoff jitter (None = no jitter).
+        #: Registry of the backoff-jitter stream ``margo.{addr}`` (None =
+        #: no jitter).  The stream is created at the first jittered
+        #: backoff, so a process that never draws never builds one; its
+        #: seed depends only on the registry's root seed and the name.
         self._rng = rng
 
         self.rt = AbtRuntime(sim, name=addr, ctx_switch_cost=ctx_switch_cost)
@@ -287,7 +290,10 @@ class MargoInstance:
                 last_exc = exc
             if attempt == policy.max_attempts:
                 break
-            delay = policy.delay(attempt, self._rng)
+            rng = None
+            if policy.jitter and self._rng is not None:
+                rng = self._rng.stream(f"margo.{self.addr}")
+            delay = policy.delay(attempt, rng)
             next_target = policy.target_for(target_addr, attempt + 1)
             self.hg.pvars.add("num_forward_retries")
             if next_target != target_addr:

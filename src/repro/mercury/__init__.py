@@ -20,6 +20,7 @@ from .pvar import (
     PvarHandle,
     PvarRegistry,
     PvarSession,
+    PvarTable,
 )
 from .serialization import SerializationModel, SizedBatch, estimate_size
 
@@ -35,6 +36,7 @@ __all__ = [
     "PvarHandle",
     "PvarRegistry",
     "PvarSession",
+    "PvarTable",
     "RESILIENCE_PVARS",
     "RequestWire",
     "ResponseWire",

@@ -33,7 +33,15 @@ from ..argobots import AbtRuntime, Compute
 from ..config import Replaceable
 from ..net import CQEntry, CQKind, Endpoint, Fabric, Message
 from ..sim import Simulator
-from .pvar import PvarBinding, PvarClass, PvarDef, PvarError, PvarRegistry, PvarSession
+from .pvar import (
+    PvarBinding,
+    PvarClass,
+    PvarDef,
+    PvarError,
+    PvarRegistry,
+    PvarSession,
+    PvarTable,
+)
 from .serialization import SerializationModel, estimate_size
 
 __all__ = [
@@ -110,9 +118,10 @@ class ResponseWire:
     header: dict = field(default_factory=dict)
 
 
-#: Table II plus extras covering every class, shared by every
-#: :class:`HGCore`; getters read the instance they are given.
-_HG_PVARS = (
+#: Table II plus extras covering every class, prebuilt once: every
+#: :class:`HGCore` registry takes the table in one step, and getters
+#: read the instance they are given.
+_HG_PVARS = PvarTable((
     PvarDef(
         "num_posted_handles",
         PvarClass.LEVEL,
@@ -238,7 +247,7 @@ _HG_PVARS = (
         "Responses dropped on arrival: handle cancelled, already "
         "completed, or duplicated on the wire",
     ),
-)
+))
 
 
 class HGHandle:
@@ -350,8 +359,7 @@ class HGCore:
         #: progress iteration, in subscription order.
         self._progress_observers: list = []
         self.pvars = PvarRegistry()
-        for d in _HG_PVARS:
-            self.pvars.define(d, self)
+        self.pvars.define_table(_HG_PVARS, self)
 
     def add_progress_observer(self, observer) -> None:
         """Subscribe an additional progress observer."""

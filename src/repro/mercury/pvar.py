@@ -29,6 +29,7 @@ __all__ = [
     "PvarError",
     "PvarRegistry",
     "PvarSession",
+    "PvarTable",
     "PvarHandle",
 ]
 
@@ -82,6 +83,41 @@ class PvarDef:
     getter: Optional[Callable[[Any], Any]] = None
 
 
+def _initial_value(pvar_def: PvarDef) -> Any:
+    """A stored NO_OBJECT PVAR's value before its first update (0, 0.0
+    for a TIMER, None for a LOWWATERMARK: no sample yet); None for a
+    HANDLE-bound one."""
+    if pvar_def.binding is not PvarBinding.NO_OBJECT:
+        return None
+    if pvar_def.pvar_class is PvarClass.LOWWATERMARK:
+        return None
+    return 0.0 if pvar_def.pvar_class is PvarClass.TIMER else 0
+
+
+class PvarTable:
+    """A fixed tuple of definitions, prebuilt once so that a registry
+    takes all of them in one step (:meth:`PvarRegistry.define_table`).
+
+    One module-level table serves every instance of the defining class:
+    it holds the name -> slot index, the slot template of initial values
+    and the slots whose getter is called with the registry's owner.
+    """
+
+    __slots__ = ("defs", "index", "template", "owned")
+
+    def __init__(self, defs: tuple[PvarDef, ...]):
+        self.defs = tuple(defs)
+        self.index: dict[str, int] = {}
+        for slot, d in enumerate(self.defs):
+            if d.name in self.index:
+                raise PvarError(f"duplicate PVAR {d.name!r}")
+            self.index[d.name] = slot
+        self.template = [_initial_value(d) for d in self.defs]
+        self.owned = tuple(
+            slot for slot, d in enumerate(self.defs) if d.getter is not None
+        )
+
+
 class PvarRegistry:
     """Holds the PVAR definitions and NO_OBJECT values for one Mercury
     instance.
@@ -113,14 +149,25 @@ class PvarRegistry:
             raise PvarError(f"duplicate PVAR {pvar_def.name!r}")
         self._index[pvar_def.name] = len(self._defs)
         self._defs.append(pvar_def)
-        value: Any = None
-        if pvar_def.getter is not None:
-            value = owner
-        elif pvar_def.binding is PvarBinding.NO_OBJECT:
-            value = 0.0 if pvar_def.pvar_class is PvarClass.TIMER else 0
-            if pvar_def.pvar_class is PvarClass.LOWWATERMARK:
-                value = None  # no sample yet
-        self._slots.append(value)
+        self._slots.append(
+            owner if pvar_def.getter is not None else _initial_value(pvar_def)
+        )
+
+    def define_table(self, table: PvarTable, owner: Any = None) -> None:
+        """Add every definition of ``table`` in one step, in table
+        order: the same slots, values and schema as one :meth:`define`
+        per definition, without the per-definition work."""
+        index = self._index
+        if not index.keys().isdisjoint(table.index):
+            dup = next(name for name in table.index if name in index)
+            raise PvarError(f"duplicate PVAR {dup!r}")
+        base = len(self._defs)
+        index.update(zip(table.index, range(base, base + len(table.defs))))
+        self._defs += table.defs
+        slots = table.template.copy()
+        for slot in table.owned:
+            slots[slot] = owner
+        self._slots += slots
 
     @property
     def num_pvars(self) -> int:

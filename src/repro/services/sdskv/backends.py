@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from ...argobots import AbtRuntime, Compute
-from ...mercury import estimate_size
+from ...mercury import SizedBatch, estimate_size
 
 __all__ = [
     "BackendCosts",
@@ -31,6 +31,12 @@ __all__ = [
     "make_database",
     "BACKENDS",
 ]
+
+
+#: Encoded size of a pair's container alone: a pair's size in a
+#: :class:`~repro.mercury.SizedBatch` less this is its key's size plus
+#: its value's.
+_PAIR_OVERHEAD = estimate_size(())
 
 
 @dataclass(frozen=True)
@@ -80,18 +86,19 @@ class KVDatabase:
     # -- operations (generators: they consume simulated time) ----------------
 
     def put(self, key: str, value: object) -> Generator:
-        yield from self.put_many([(key, value)])
+        yield from self.put_many(SizedBatch([(key, value)]))
 
-    def put_many(self, pairs: list[tuple[str, object]]) -> Generator:
-        """Insert a batch.  Serialized backends hold their mutex for the
-        whole batch, as one ``sdskv_put_packed`` does."""
+    def put_many(self, batch: SizedBatch) -> Generator:
+        """Insert a batch of (key, value) pairs, charging each the size
+        the batch took when built.  Serialized backends hold their mutex
+        for the whole batch, as one ``sdskv_put_packed`` does."""
         if self._mutex is not None:
             yield from self._mutex.lock()
         try:
             if self.costs.batch_fixed > 0:
                 yield Compute(self.costs.batch_fixed)
-            for key, value in pairs:
-                nbytes = estimate_size(key) + estimate_size(value)
+            for (key, value), size in zip(batch.items, batch.sizes):
+                nbytes = size - _PAIR_OVERHEAD
                 yield Compute(
                     self.costs.put_fixed + self.costs.put_per_byte * nbytes
                 )

@@ -13,7 +13,7 @@ from typing import Generator, Optional
 
 from ...argobots import Compute
 from ...margo import MargoInstance
-from ...mercury import BulkRef, HGHandle
+from ...mercury import BulkRef, HGHandle, SizedBatch
 from .backends import BackendCosts, KVDatabase, make_database
 
 __all__ = ["SdskvProvider", "SdskvClient"]
@@ -105,12 +105,12 @@ class SdskvProvider:
         # bulk transfer step), unpack it, then insert.
         yield from mi.bulk_transfer(handle, bulk.nbytes)
         yield Compute(self.unpack_fixed + self.unpack_per_byte * bulk.nbytes)
-        pairs = bulk.data
+        batch: SizedBatch = bulk.data
         db = self._db(inp["db_id"])
         before = db.bytes_stored
-        yield from db.put_many(pairs)
+        yield from db.put_many(batch)
         mi.stats.add_memory(db.bytes_stored - before)
-        yield from mi.respond(handle, {"ret": 0, "num_keys": len(pairs)})
+        yield from mi.respond(handle, {"ret": 0, "num_keys": len(batch.items)})
 
     def _h_list_keyvals(self, mi: MargoInstance, handle: HGHandle) -> Generator:
         inp = yield from mi.get_input(handle)
@@ -159,7 +159,11 @@ class SdskvClient:
         out = yield from self.mi.forward(
             target,
             RPC_PUT_PACKED,
-            {"db_id": db_id, "num_keys": len(pairs), "bulk": BulkRef(pairs)},
+            {
+                "db_id": db_id,
+                "num_keys": len(pairs),
+                "bulk": BulkRef(SizedBatch(pairs)),
+            },
             provider_id,
         )
         return out["num_keys"]

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from ..mercury import BulkRef
+from ..mercury import BulkRef, SizedBatch
 from ..ssg import SSGView
 from .placement import ShardMap, ShardMove
 from .service import RPC_INSTALL, ShardKvProvider
@@ -206,7 +206,7 @@ class ShardManager:
                 {
                     "shard": record.shard,
                     "epoch": record.epoch,
-                    "bulk": BulkRef(pairs, nbytes),
+                    "bulk": BulkRef(SizedBatch(pairs), nbytes),
                 },
                 self.provider_id,
                 timeout=_MIGRATE_TIMEOUT,

@@ -92,24 +92,38 @@ class HashRing:
     def replace(self, members: Iterable[str]) -> None:
         """Reset the ring to exactly ``members`` (weight 1 each).
 
-        Bulk path: every (token, address) pair is generated once and
-        sorted globally -- identical placement to repeated
-        :meth:`add_node` (same sort key, same tie-break) but O(NV log
-        NV) instead of the O((NV)^2) element moves of per-token list
-        inserts, which dominated ring construction at thousand-node
-        fleets (every router builds its own ring).
+        Bulk path: every token is hashed once and the tokens are sorted
+        globally -- identical placement to repeated :meth:`add_node` but
+        O(NV log NV) instead of the O((NV)^2) element moves of per-token
+        list inserts, which dominated ring construction at thousand-node
+        fleets (every router builds its own ring).  Tokens are laid out
+        in address order and the sort is stable, so sorting positions by
+        the bare int token keeps the (token, address) order of
+        :meth:`_set_pairs` without building a tuple per token.
         """
-        self._nodes = {}
-        pairs: list[tuple[int, str]] = []
+        nodes: dict[str, int] = {}
         for addr in members:
-            if addr in self._nodes:
+            if addr in nodes:
                 raise ValueError(f"{addr!r} already on ring")
-            self._nodes[addr] = self.vnodes
-            pairs.extend(
-                (self._token(addr, v), addr) for v in range(self.vnodes)
-            )
-        pairs.sort()
-        self._set_pairs(pairs)
+            nodes[addr] = self.vnodes
+        self._nodes = nodes
+        addrs = sorted(nodes)
+        vnodes = self.vnodes
+        # h64(f"{addr}#{v}#{seed}") with the "#{v}#{seed}" tails encoded
+        # once for every member.
+        tails = [f"#{v}#{self.seed}".encode() for v in range(vnodes)]
+        sha256 = hashlib.sha256
+        from_bytes = int.from_bytes
+        tokens: list[int] = []
+        for addr in addrs:
+            head = addr.encode()
+            tokens += [
+                from_bytes(sha256(head + tail).digest()[:8], "little")
+                for tail in tails
+            ]
+        order = sorted(range(len(tokens)), key=tokens.__getitem__)
+        self._tokens = [tokens[i] for i in order]
+        self._owners = [addrs[i // vnodes] for i in order]
 
     # -- lookup ------------------------------------------------------------
 

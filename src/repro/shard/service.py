@@ -26,8 +26,8 @@ from typing import Generator, Optional
 
 from ..argobots import Compute
 from ..margo import MargoInstance
-from ..mercury import BulkRef, HGHandle
-from ..mercury.pvar import PvarBinding, PvarClass, PvarDef
+from ..mercury import BulkRef, HGHandle, SizedBatch
+from ..mercury.pvar import PvarBinding, PvarClass, PvarDef, PvarTable
 from ..services.bake import BakeProvider
 from ..services.sdskv.backends import BackendCosts, KVDatabase, make_database
 from ..ssg import MembershipService, SSGGroup, ViewPropagator
@@ -48,7 +48,7 @@ RET_WRONG_OWNER = -2
 
 #: The shard server's PVARs, shared by every :class:`ShardKvProvider`;
 #: getters read the provider they are given.
-_SHARD_PVARS = (
+_SHARD_PVARS = PvarTable((
     PvarDef(
         "shard_num_owned",
         PvarClass.LEVEL,
@@ -99,7 +99,7 @@ _SHARD_PVARS = (
         PvarBinding.NO_OBJECT,
         "Bytes pushed through shard out-migrations",
     ),
-)
+))
 
 
 class ShardKvProvider:
@@ -141,8 +141,7 @@ class ShardKvProvider:
         mi.register(RPC_GET, self._h_get, provider_id)
         mi.register(RPC_INSTALL, self._h_install, provider_id)
         mi.register(RPC_ASSIGN, self._h_assign, provider_id)
-        for d in _SHARD_PVARS:
-            mi.hg.pvars.define(d, self)
+        mi.hg.pvars.define_table(_SHARD_PVARS, self)
 
     # -- local (construction / admin-side) bookkeeping ---------------------
 
@@ -241,7 +240,7 @@ class ShardKvProvider:
         bulk: BulkRef = inp["bulk"]
         yield from mi.bulk_transfer(handle, bulk.nbytes)
         yield Compute(self.unpack_fixed + self.unpack_per_byte * bulk.nbytes)
-        pairs = bulk.data
+        batch: SizedBatch = bulk.data
         db = self.shards.get(shard)
         if db is None:
             db = make_database(
@@ -249,7 +248,7 @@ class ShardKvProvider:
             )
         yield Compute(self.install_fixed + self.install_per_byte * bulk.nbytes)
         before = db.bytes_stored
-        yield from db.put_many(pairs)
+        yield from db.put_many(batch)
         installed = db.bytes_stored - before
         # Serve only after the data is fully installed.
         self.shards[shard] = db
@@ -259,7 +258,7 @@ class ShardKvProvider:
         pvars.add("shard_migrations_in")
         pvars.add("shard_migration_bytes_in", installed)
         yield from mi.respond(
-            handle, {"ret": 0, "n_keys": len(pairs), "nbytes": installed}
+            handle, {"ret": 0, "n_keys": len(batch.items), "nbytes": installed}
         )
 
     def _h_assign(self, mi: MargoInstance, handle: HGHandle) -> Generator:

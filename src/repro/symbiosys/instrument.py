@@ -81,9 +81,10 @@ class SymbiosysInstrumentation(Instrumentation):
         self.target_profile = ProfileStore()
         self.trace: Optional[TraceBuffer] = None
         self._pvar_session: Optional["PvarSession"] = None
-        #: Bound zero-arg readers for _T14_PVARS, resolved once at
-        #: attach time (FULL stage only).
-        self._t14_readers: tuple = ()
+        #: Bound zero-arg readers for _T14_PVARS, resolved once, at the
+        #: first t14 sample (FULL stage only): a process that never
+        #: completes a forward never binds them.
+        self._t14_readers: Optional[tuple] = None
 
     # -- wiring ---------------------------------------------------------------
 
@@ -95,13 +96,8 @@ class SymbiosysInstrumentation(Instrumentation):
         mi.hg.pvars_enabled = self.stage >= Stage.FULL
         if self.stage >= Stage.FULL:
             # The faithful data-exchange path: a PVAR session opened from
-            # Margo's init routine (paper §IV-C).  Each sampled PVAR is
-            # resolved to its slot once, here, so the per-RPC t14 fusion
-            # is a flat tuple of bound reads.
+            # Margo's init routine (paper §IV-C).
             self._pvar_session = mi.hg.pvar_session_init()
-            self._t14_readers = tuple(
-                self._pvar_session.reader(name) for name in _T14_PVARS
-            )
 
     def resilience_counters(self) -> dict[str, int]:
         """Degraded-mode gauges of the attached process (always live --
@@ -140,8 +136,14 @@ class SymbiosysInstrumentation(Instrumentation):
 
     def _sample_t14_pvars(self, handle: "HGHandle") -> tuple:
         """The 9-tuple of t14 samples in trace-record order
-        (TRACE_PVAR_INT_KEYS then the two handle timer PVARs)."""
-        return tuple(r() for r in self._t14_readers) + (
+        (TRACE_PVAR_INT_KEYS then the two handle timer PVARs).  Each
+        sampled PVAR is resolved to its slot once, on the first call, so
+        every later fusion is a flat tuple of bound reads."""
+        readers = self._t14_readers
+        if readers is None:
+            session = self._pvar_session
+            readers = self._t14_readers = tuple(map(session.reader, _T14_PVARS))
+        return tuple(r() for r in readers) + (
             handle.pvar_get_or("input_serialization_time"),
             handle.pvar_get_or("origin_completion_callback_time"),
         )

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from ..argobots.ult import BLOCKED, READY, TERMINATED
 from ..config import Replaceable
-from ..mercury.pvar import PvarBinding, PvarClass, PvarDef, PvarRegistry
+from ..mercury.pvar import PvarBinding, PvarClass, PvarDef, PvarRegistry, PvarTable
 from .metrics import SeriesStore, TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -452,7 +452,8 @@ class SchedRecorder:
     synthesizes the block slice between a ULT blocking and its next
     dispatch from the block time the ES keeps on the ULT
     (``ULT.blocked_at``).  Bounded: past ``capacity`` slices it counts
-    drops instead of growing.
+    drops instead of growing, and :attr:`dropped_from` marks where the
+    record stops covering the run.
 
     The hook fires on *every* ULT dispatch, so recording is columnar:
     one slice is scalar appends into flat arrays with names interned to
@@ -465,6 +466,11 @@ class SchedRecorder:
     def __init__(self, capacity: int = SCHED_SLICE_CAPACITY):
         self.capacity = capacity
         self.dropped = 0
+        #: Simulated time from which the record is incomplete: the
+        #: earliest start of any dropped slice (None while nothing is
+        #: dropped).  A slice reported after the cap may start before
+        #: the first one dropped (a long block), so this is a minimum.
+        self.dropped_from: Optional[float] = None
         self._n = 0
         #: id(ES) -> its index in ``_es_names``: the ES (held, so that
         #: its id stays its own) and its (process, es) name ids.
@@ -517,7 +523,7 @@ class SchedRecorder:
                 self._end.append(start)
                 n += 1
             else:
-                self.dropped += 1
+                self._drop(blocked_since)
         # The state the ULT leaves its slice in; any other state (an
         # exception unwound through the ES) is "preempt".
         state = ult.state
@@ -538,8 +544,13 @@ class SchedRecorder:
             self._end.append(end)
             n += 1
         else:
-            self.dropped += 1
+            self._drop(start)
         self._n = n
+
+    def _drop(self, start: float) -> None:
+        self.dropped += 1
+        if self.dropped_from is None or start < self.dropped_from:
+            self.dropped_from = start
 
     @property
     def slices(self) -> list[SchedSlice]:
@@ -638,7 +649,7 @@ _FAMILIES = (
 
 #: The monitor's own overhead PVARs; getters read the monitor they are
 #: given.
-_MONITOR_PVARS = (
+_MONITOR_PVARS = PvarTable((
     PvarDef(
         "monitor_samples_taken",
         PvarClass.COUNTER,
@@ -674,7 +685,7 @@ _MONITOR_PVARS = (
         "Scheduler slices dropped past the capacity cap",
         getter=lambda m: m.sched.dropped,
     ),
-)
+))
 
 
 class _ProcessPlan:
@@ -773,8 +784,7 @@ class Monitor:
         # through the normal PVAR session interface *and* sampled into
         # pvar_monitor_* series every tick.
         self.pvars = PvarRegistry()
-        for d in _MONITOR_PVARS:
-            self.pvars.define(d, self)
+        self.pvars.define_table(_MONITOR_PVARS, self)
         self._self_plan: Optional[_ProcessPlan] = None
         self.findings: list[Finding] = []
         self._processes: dict[str, "MargoInstance"] = {}

@@ -290,3 +290,53 @@ def test_answered_forward_leaves_no_handle_in_the_queue():
         for _, _, fn, args in cluster.sim._queue:
             held = [getattr(fn, "__self__", fn), *args]
             assert not any(isinstance(o, (Eventual, HGHandle)) for o in held)
+
+
+def test_jittered_backoff_delays_are_pinned():
+    """Each process draws its backoff jitter from its own stream,
+    ``margo.{addr}``, seeded from the cluster seed and the name alone;
+    the stream is made at the first jittered backoff, so the server,
+    which never retries, never gets one.  The delays are pinned, so a
+    change to how or when the streams are made that moves a draw fails
+    here."""
+
+    class Recorder(Instrumentation):
+        def __init__(self):
+            self.retries = []
+
+        def on_forward_retry(self, mi, handle, ult, attempt, delay, target):
+            self.retries.append((mi.addr, attempt, delay))
+
+    recorder = Recorder()
+    done = []
+    with Cluster(seed=3, stage=None) as cluster:
+        handler, _ = _slow_then_fast_handler(stalls=5)
+        server = cluster.process(
+            "svr", "nA", n_handler_es=2, instrumentation=recorder
+        )
+        server.register("echo", handler)
+        policy = RetryPolicy(
+            max_attempts=4, timeout=1e-3, backoff=0.1e-3, jitter=0.5
+        )
+        for c in range(2):
+            client = cluster.process(
+                f"cli{c}", f"nB{c}", instrumentation=recorder
+            )
+            client.register("echo")
+
+            def body(client=client):
+                yield from client.forward("svr", "echo", {"x": 1}, retry=policy)
+                done.append((client.addr, cluster.sim.now))
+
+            client.client_ult(body())
+        assert not any(n.startswith("margo.") for n in cluster.rng._streams)
+        assert cluster.run_until(lambda: len(done) == 2, limit=1.0)
+    assert sorted(recorder.retries) == [
+        ("cli0", 1, 9.673836397602836e-05),
+        ("cli0", 2, 0.00024288743393329046),
+        ("cli1", 1, 6.292804419059341e-05),
+        ("cli1", 2, 0.00014274240873459522),
+        ("cli1", 3, 0.0005290972063934506),
+    ]
+    assert done == [("cli0", 0.0023468380479093193), ("cli1", 0.003742786159318639)]
+    assert sorted(cluster.rng._streams) == ["fabric", "margo.cli0", "margo.cli1"]

@@ -9,6 +9,7 @@ from repro.mercury import (
     PvarDef,
     PvarError,
     PvarRegistry,
+    PvarTable,
 )
 from .conftest import call_rpc, make_world, serve_echo
 
@@ -120,6 +121,66 @@ def test_stored_reader_follows_later_writes():
     assert read() == 2
     reg.add("c")
     assert read() == 3
+
+
+def _every_class_table():
+    """One definition of every class and binding, two getter-backed."""
+    return PvarTable(
+        tuple(
+            PvarDef(f"p_{c.name.lower()}", c, PvarBinding.NO_OBJECT, "x")
+            for c in PvarClass
+        )
+        + (
+            PvarDef("h", PvarClass.TIMER, PvarBinding.HANDLE, "x"),
+            PvarDef("g1", PvarClass.LEVEL, PvarBinding.NO_OBJECT, "x",
+                    getter=lambda o: o["depth"]),
+            PvarDef("g2", PvarClass.STATE, PvarBinding.NO_OBJECT, "x",
+                    getter=lambda o: -o["depth"]),
+        )
+    )
+
+
+def test_define_table_matches_one_define_per_definition():
+    """A table taken in one step, after other definitions, gives the
+    same schema, slots and values as defining its entries one by one."""
+    table = _every_class_table()
+    first = PvarDef("first", PvarClass.COUNTER, PvarBinding.NO_OBJECT, "x")
+    owner = {"depth": 4}
+    bulk, single = PvarRegistry(), PvarRegistry()
+    for reg in (bulk, single):
+        reg.define(first)
+    bulk.define_table(table, owner)
+    for d in table.defs:
+        single.define(d, owner)
+    assert bulk.names == single.names
+    assert [bulk.info(i) for i in range(bulk.num_pvars)] == [
+        single.info(i) for i in range(single.num_pvars)
+    ]
+    assert bulk.slot_values == single.slot_values
+    assert bulk.slot_values[bulk.index_of("p_lowwatermark")] is None
+    assert bulk.slot_values[bulk.index_of("p_timer")] == 0.0
+    assert bulk.raw_value("g1") == 4 and bulk.raw_value("g2") == -4
+    # The table itself is not shared state: a second registry's values
+    # are its own.
+    other = PvarRegistry()
+    other.define_table(table, {"depth": 1})
+    bulk.add("p_counter", 3)
+    assert other.raw_value("p_counter") == 0 and other.raw_value("g1") == 1
+    assert table.template[table.index["p_counter"]] == 0
+
+
+def test_define_table_rejects_a_duplicate_and_changes_nothing():
+    table = _every_class_table()
+    reg = PvarRegistry()
+    reg.define(PvarDef("g2", PvarClass.LEVEL, PvarBinding.NO_OBJECT, "x"))
+    with pytest.raises(PvarError, match="g2"):
+        reg.define_table(table)
+    assert reg.names == ("g2",) and reg.slot_values == [0]
+    with pytest.raises(PvarError, match="dup"):
+        PvarTable((
+            PvarDef("dup", PvarClass.LEVEL, PvarBinding.NO_OBJECT, "x"),
+            PvarDef("dup", PvarClass.COUNTER, PvarBinding.NO_OBJECT, "y"),
+        ))
 
 
 # ------------------------------------------------------ definitions per class

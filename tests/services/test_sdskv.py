@@ -3,6 +3,7 @@
 import pytest
 
 from repro.argobots import AbtRuntime
+from repro.mercury import SizedBatch, estimate_size
 from repro.services.sdskv import (
     BACKENDS,
     MapDatabase,
@@ -50,8 +51,8 @@ def test_backend_list_keyvals_prefix(backend):
     out = {}
 
     def body():
-        yield from db.put_many([(f"a:{i}", i) for i in range(5)])
-        yield from db.put_many([(f"b:{i}", i) for i in range(3)])
+        yield from db.put_many(SizedBatch((f"a:{i}", i) for i in range(5)))
+        yield from db.put_many(SizedBatch((f"b:{i}", i) for i in range(3)))
         out["a"] = yield from db.list_keyvals("a:")
         out["limited"] = yield from db.list_keyvals("a:", max_items=2)
         out["all"] = yield from db.list_keyvals("")
@@ -71,7 +72,9 @@ def test_map_backend_serializes_inserts():
 
     def writer(tag):
         start = sim.now
-        yield from db.put_many([(f"{tag}:{i}", b"x" * 64) for i in range(100)])
+        yield from db.put_many(
+            SizedBatch((f"{tag}:{i}", b"x" * 64) for i in range(100))
+        )
         spans.append((start, sim.now))
 
     for tag in range(4):
@@ -92,7 +95,9 @@ def test_leveldb_backend_allows_parallel_inserts():
     finishes = []
 
     def writer(tag):
-        yield from db.put_many([(f"{tag}:{i}", b"x" * 64) for i in range(100)])
+        yield from db.put_many(
+            SizedBatch((f"{tag}:{i}", b"x" * 64) for i in range(100))
+        )
         finishes.append(sim.now)
 
     for tag in range(4):
@@ -138,6 +143,28 @@ def test_bytes_stored_counts_unique_keys():
     assert db.bytes_stored > 0
 
 
+def test_put_many_charges_the_batch_sizes_without_sizing(monkeypatch):
+    """``put_many`` reads each pair's size from the batch: with every
+    sizer broken it still stores the bytes the batch was built with."""
+    import repro.mercury.serialization as serialization
+    import repro.services.sdskv.backends as backends
+
+    sim, rt, pool, db = make_db("map")
+    pairs = [("k", "vvvv"), ("ключ", {"a": [1, 2.5]}), ("b", b"\x00" * 9)]
+    batch = SizedBatch(pairs)
+    expected = sum(estimate_size(k) + estimate_size(v) for k, v in pairs)
+
+    def no_sizing(payload):
+        raise AssertionError("put_many sized a pair")
+
+    monkeypatch.setattr(backends, "estimate_size", no_sizing)
+    monkeypatch.setattr(serialization, "estimate_size", no_sizing)
+    rt.spawn(db.put_many(batch), pool)
+    sim.run(until=1.0)
+    assert db.bytes_stored == expected
+    assert [db.peek(k) for k, _ in pairs] == [v for _, v in pairs]
+
+
 # ------------------------------------------------------------ provider RPCs
 
 
@@ -174,6 +201,33 @@ def test_provider_put_packed_bulk(world):
     assert len(items) == 50
     assert provider.total_items == 50
     assert dict(items)["k7"] == b"v" * 32
+
+
+def test_put_packed_stores_the_reference_byte_count(world):
+    """Over the RPC, a packed batch with mixed value types and a
+    repeated key stores (and charges to the process memory gauge) the
+    key + value sizes of each first-written key, as sized by the
+    reference sizer."""
+    provider = SdskvProvider(world.server, provider_id=2)
+    cli = SdskvClient(world.client)
+    pairs = [
+        ("a", "x" * 40),
+        ("b", b"y" * 17),
+        ("é", {"nested": [1, 2.0, None, "z"]}),
+        ("a", "overwritten, not charged again"),
+        ("c", 12345),
+    ]
+    first = {}
+    for k, v in pairs:
+        first.setdefault(k, v)
+    expected = sum(estimate_size(k) + estimate_size(v) for k, v in first.items())
+
+    def body():
+        return (yield from cli.put_packed("svr", 2, 0, pairs))
+
+    assert run_ult(world, body()) == len(pairs)
+    assert provider.databases[0].bytes_stored == expected
+    assert world.server.stats.memory_bytes == expected
 
 
 def test_provider_exists_and_erase(world):

@@ -7,14 +7,16 @@ randomization leakage), removing one of N nodes remaps only ~K/N keys
 tolerance band.
 """
 
+import hashlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.shard import HashRing, ShardMap
+from repro.shard import HashRing, ShardMap, ring as ring_module
 from repro.shard.ring import h64
 
 NODES = [f"kv{i}" for i in range(16)]
@@ -149,6 +151,48 @@ def test_replace_resets_membership():
     ring.replace(["a", "b"])
     assert ring.nodes == ["a", "b"]
     assert ring.node_for("k") in ("a", "b")
+
+
+@pytest.mark.parametrize("seed,vnodes", [(0, 32), (7, 64), (11, 1)])
+def test_replace_places_like_repeated_add_node(seed, vnodes):
+    members = [f"kv{i:03d}" for i in range(40)]
+    built = HashRing(seed=seed, vnodes=vnodes)
+    built.replace(reversed(members))
+    added = HashRing(seed=seed, vnodes=vnodes)
+    for addr in members[1::2] + members[::2]:
+        added.add_node(addr)
+    assert built._tokens == added._tokens
+    assert built._owners == added._owners
+    assert built.nodes == added.nodes == members
+
+
+def _colliding_sha256(data):
+    """sha256 cut to 4 distinct 64-bit tokens, so vnodes of different
+    members collide."""
+    digest = hashlib.sha256(data).digest()
+    return SimpleNamespace(digest=lambda: bytes([digest[0] % 4]) + bytes(31))
+
+
+def test_equal_tokens_are_ordered_by_address(monkeypatch):
+    """Equal tokens sit in address order whatever order the members came
+    in, through ``replace`` and through ``add_node``, so placement does
+    not depend on insertion order even when tokens collide."""
+    monkeypatch.setattr(
+        ring_module, "hashlib", SimpleNamespace(sha256=_colliding_sha256)
+    )
+    members = ["kv-b", "kv-a", "kv-d", "kv-c", "kv-e"]
+    built = HashRing(seed=3, vnodes=8)
+    built.replace(members)
+    assert len(set(built._tokens)) == 4  # every token collides
+    pairs = list(zip(built._tokens, built._owners))
+    assert pairs == sorted(pairs)
+    added = HashRing(seed=3, vnodes=8)
+    for addr in reversed(members):
+        added.add_node(addr)
+    assert added._tokens == built._tokens
+    assert added._owners == built._owners
+    keys = [f"key-{i}" for i in range(50)]
+    assert [built.node_for(k) for k in keys] == [added.node_for(k) for k in keys]
 
 
 def test_h64_is_stable():

@@ -390,3 +390,43 @@ def test_finished_ults_do_not_outlive_a_validated_fleet_run():
         )
     assert len(cluster.monitor.sched) > 100  # the observers saw the run
     assert finished <= len(held), f"{finished} finished ULTs alive"
+
+
+def test_fleet_deploy_takes_pvar_tables_not_single_definitions(monkeypatch):
+    """A server's registry takes Mercury's table and the shard server's
+    table, each in one step: a deploy makes two table definitions per
+    server and no single ``define``.  A run of the fleet's clients
+    never draws backoff jitter, so no process gets an RNG stream."""
+    from repro.mercury import PvarRegistry
+
+    calls = {"define": 0, "define_table": 0}
+    for name in calls:
+
+        def counted(self, *args, _name=name, _real=getattr(PvarRegistry, name)):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(PvarRegistry, name, counted)
+    with Cluster(
+        seed=0,
+        stage=Stage.FULL,
+        monitoring=MonitorConfig(interval=500e-6),
+        validate=ValidationConfig(strict=True),
+    ) as cluster:
+        calls.update(define=0, define_table=0)
+        service = ShardedKVService.deploy(cluster, 16, n_handler_es=1)
+        assert calls == {"define": 0, "define_table": 2 * 16}
+        mi = cluster.process("cli", "cnode")
+        router = service.make_router(mi)
+
+        def body(c):
+            for i in range(4):
+                yield from router.put(f"c{c}k{i}", "v")
+                assert (yield from router.get(f"c{c}k{i}")) == "v"
+
+        held = [mi.client_ult(body(c), f"u{c}") for c in range(4)]
+        assert cluster.run_until(
+            lambda: all(u.terminated for u in held), limit=1.0
+        )
+    assert calls["define"] == 0
+    assert not any(n.startswith("margo.") for n in cluster.rng._streams)

@@ -273,6 +273,28 @@ def test_sched_recorder_bounded():
     assert len(rec) == 1 and rec.dropped == 1
 
 
+def test_sched_recorder_marks_where_its_record_stops():
+    """Past the cap the recorder keeps the earliest start of any dropped
+    slice: a block slice reported after the first drop can begin before
+    it, and the record is incomplete from there on."""
+    from repro.argobots.ult import UltState
+
+    rec = SchedRecorder(capacity=2)
+    es = SimpleNamespace(runtime=SimpleNamespace(name="p"), name="es0")
+    done = SimpleNamespace(name="u", state=UltState.TERMINATED, blocked_at=None)
+    rec.on_slice(es, done, 0.0, 1e-6)
+    rec.on_slice(es, done, 1e-6, 2e-6)
+    assert rec.dropped == 0 and rec.dropped_from is None
+    rec.on_slice(es, done, 5e-6, 6e-6)
+    assert rec.dropped == 1 and rec.dropped_from == 5e-6
+    woken = SimpleNamespace(name="w", state=UltState.TERMINATED, blocked_at=3e-6)
+    rec.on_slice(es, woken, 7e-6, 8e-6)  # its block slice and its run slice
+    assert rec.dropped == 3 and rec.dropped_from == 3e-6
+    rec.on_slice(es, done, 9e-6, 10e-6)
+    assert rec.dropped_from == 3e-6
+    assert [(s.start, s.end) for s in rec.slices] == [(0.0, 1e-6), (1e-6, 2e-6)]
+
+
 def test_sched_recorder_block_slice_spans_block_to_next_dispatch():
     """A ULT that blocks, wakes and terminates yields run, block, run:
     the block slice runs from the end of the blocking slice to the pop
