@@ -7,14 +7,19 @@ one.  An ES with an empty pool parks on it until the next push.
 
 The ES is not a coroutine: it is a small state machine driven by kernel
 callbacks, so ULTs are the simulator's only coroutines.  Each step that
-waits schedules exactly one callback:
+waits is one kernel event, and schedules at most one callback:
 
 * starting the ES, and waking it from a park, run :meth:`_next` at the
   current instant;
 * a context switch (``ctx_switch_cost > 0``) runs :meth:`_switched` one
   switch cost later -- in that window the popped ULT is still READY and
   ``current`` is None;
-* a ``Compute(d)`` with ``d > 0`` runs :meth:`_computed` ``d`` later.
+* a ``Compute(d)`` with ``d > 0`` runs :meth:`_computed` ``d`` later --
+  unless no queued event could run before it ends
+  (:meth:`~repro.sim.Simulator.try_advance`).  Then the clock moves to
+  the end, the ES credits its busy time and keeps stepping the ULT in
+  place: the same order and instants as the callback, without the heap
+  round trip.
 
 A ULT's *slice* runs from its pop until it blocks, yields or terminates;
 each scheduler observer sees every slice once, also when a ULT error
@@ -138,11 +143,14 @@ class ExecutionStream:
                 ult._send_value = None
 
                 if isinstance(effect, Compute):
-                    if effect.duration > 0:
-                        sim.call_at(
-                            sim.now + effect.duration,
-                            self._computed, ult, effect.duration,
-                        )
+                    duration = effect.duration
+                    if duration > 0:
+                        end = sim.now + duration
+                        if sim.try_advance(end):
+                            # No event can run before the compute ends.
+                            rt.es_busy[self._busy_slot] += duration
+                            continue
+                        sim.call_at(end, self._computed, ult, duration)
                         held = True
                         return False
                 elif isinstance(effect, WaitEventual):

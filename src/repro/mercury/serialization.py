@@ -38,6 +38,7 @@ size cached by object would go stale.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Iterable
@@ -135,15 +136,16 @@ class SizedBatch:
 
     ``sizes[i]`` is ``estimate_size(items[i])`` at build time, and the
     batch's own encoded size is that of the plain list of its items:
-    ``8 + sum(sizes)``.  An unsupported item raises ``TypeError`` here,
-    as sizing the list would.
+    ``8 + sum(sizes)``.  The sizes are held as machine integers
+    (``array("q")``, 8 bytes each rather than an int object apiece).  An
+    unsupported item raises ``TypeError`` here, as sizing the list would.
     """
 
     __slots__ = ("items", "sizes", "nbytes")
 
     def __init__(self, items: Iterable[Any]):
         self.items = tuple(items)
-        self.sizes = tuple(map(estimate_size, self.items))
+        self.sizes = array("q", map(estimate_size, self.items))
         self.nbytes = _OVERHEAD_PER_ITEM + sum(self.sizes)
 
 

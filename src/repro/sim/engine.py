@@ -23,12 +23,23 @@ monotonically increasing counter that breaks timestamp ties.  Work
 scheduled at the current instant -- an event fires, an execution stream
 resumes -- rides the same heap: its ``seq`` is larger than that of
 every entry already queued for that instant, so it runs after them.
+
+One step skips the heap without bending that order.  Inside an
+unbounded :meth:`Simulator.run` (no ``max_events``), a callback that
+would schedule its own continuation at ``when`` may instead call
+:meth:`Simulator.try_advance`.  It succeeds only if ``when`` is within
+the run's ``until`` and the heap is empty or its head is strictly later
+than ``when`` -- exactly the case where the pushed entry would be the
+very next one popped.  The clock then moves to ``when`` and the caller
+continues in place: every callback runs in the same order, at the same
+instant, and ``events_processed`` counts the step as one event.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from math import inf
 from typing import Any, Callable, Iterable, Optional
 
 __all__ = [
@@ -173,9 +184,16 @@ class Simulator:
         self._seq = itertools.count()
         self.now: float = 0.0
         self._running = False
+        #: The latest instant :meth:`try_advance` may reach: the bound of
+        #: the unbounded :meth:`run` in progress, ``-inf`` otherwise.
+        self._advance_limit = -inf
         #: Cumulative callbacks processed (cheap; exposed for the
-        #: benchmark suite's events/sec accounting).
+        #: benchmark suite's events/sec accounting).  Includes
+        #: ``events_inline``.
         self.events_processed = 0
+        #: Of ``events_processed``, the continuations that
+        #: :meth:`try_advance` ran in place instead of through the heap.
+        self.events_inline = 0
 
     # -- scheduling -------------------------------------------------------
 
@@ -197,28 +215,60 @@ class Simulator:
 
     # -- execution --------------------------------------------------------
 
+    def try_advance(self, when: float) -> bool:
+        """Move the clock to ``when`` if no queued event could run first.
+
+        For a callback about to schedule its own continuation at
+        ``when``: True means the clock is now at ``when``, the step is
+        counted as one processed event, and the caller continues in
+        place instead of scheduling.  That is allowed only inside an
+        unbounded :meth:`run` (no ``max_events``), with ``when`` within
+        its ``until``, and when the heap is empty or its head is strictly
+        later than ``when`` (see the module docstring).  Otherwise it
+        returns False and changes nothing.
+        """
+        queue = self._queue
+        if queue and queue[0][0] <= when or when > self._advance_limit:
+            return False
+        if when < self.now:
+            raise SimulationError(
+                f"cannot advance into the past: {when} < now {self.now}"
+            )
+        self.now = when
+        self.events_inline += 1
+        return True
+
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Process queued events.
 
-        ``until`` bounds simulated time (inclusive); ``max_events`` bounds
-        the number of processed callbacks (a runaway-loop backstop for
-        tests).  Returns the final simulated time.
+        ``until`` bounds simulated time (inclusive) and may not lie
+        before ``now``; ``max_events`` bounds the number of processed
+        callbacks (a runaway-loop backstop for tests, and
+        :meth:`run_until`'s single step).  Returns the final simulated
+        time.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until the past: {until} < now {self.now}"
+            )
         self._running = True
         queue = self._queue
         heappop = heapq.heappop
-        now = self.now
+        horizon = inf if until is None else until
+        if max_events is None:
+            self._advance_limit = horizon
+        inline_before = self.events_inline
         processed = 0
         try:
             while queue:
                 when = queue[0][0]
-                if until is not None and when > until:
-                    now = until
+                if when > horizon:
+                    self.now = horizon
                     break
                 _, _, fn, args = heappop(queue)
-                now = self.now = when
+                self.now = when
                 try:
                     fn(*args)
                 except StopSimulation:
@@ -228,13 +278,13 @@ class Simulator:
                 if max_events is not None and processed >= max_events:
                     break
             else:
-                if until is not None and until > now:
-                    now = until
+                if until is not None and until > self.now:
+                    self.now = until
         finally:
-            self.now = now
+            self._advance_limit = -inf
             self._running = False
-            self.events_processed += processed
-        return now
+            self.events_processed += processed + self.events_inline - inline_before
+        return self.now
 
     def run_until_event(
         self, event: SimEvent, limit: Optional[float] = None

@@ -248,6 +248,7 @@ def test_sized_batch_is_sized_like_the_plain_list(items):
 @given(st.lists(_payloads, max_size=8))
 def test_sized_batch_sizes_each_item(items):
     batch = SizedBatch(items)
+    assert batch.sizes.typecode == "q"
     assert len(batch.items) == len(batch.sizes) == len(items)
     for item, kept, size in zip(items, batch.items, batch.sizes):
         assert kept is item
@@ -276,11 +277,11 @@ def test_sized_batch_rejects_unsupported_items_like_the_list(before, bad, after)
 )
 def test_sized_batch_keeps_its_build_time_sizes(docs):
     batch = SizedBatch(docs)
-    size, sizes = estimate_size(batch), batch.sizes
+    size, sizes = estimate_size(batch), list(batch.sizes)
     for doc in docs:
         doc["added after the build"] = "x" * 100
     assert estimate_size(batch) == size
-    assert batch.sizes == sizes
+    assert list(batch.sizes) == sizes
     # The items are the very documents, so sizing them again sees the
     # change; the batch keeps what was encoded.
     assert estimate_size(list(batch.items)) == size + len(docs) * (8 + 21 + 8 + 100)

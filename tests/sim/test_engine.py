@@ -66,6 +66,24 @@ def test_run_until_advances_time_even_with_empty_queue():
     assert sim.now == 42.0
 
 
+def test_run_until_the_past_raises_and_keeps_the_clock():
+    sim = Simulator()
+    seen = []
+    sim.call_at(5.0, seen.append, 5)
+    sim.call_at(1.0, seen.append, 1)
+    sim.run(until=2.0)
+    assert sim.now == 2.0
+    with pytest.raises(SimulationError, match="past"):
+        sim.run(until=1.5)
+    # Nothing moved: the clock, the queue and the run flag.
+    assert sim.now == 2.0
+    assert sim.pending_events == 1
+    assert sim.run(until=2.0) == 2.0
+    sim.run()
+    assert seen == [1, 5]
+    assert sim.now == 5.0
+
+
 def test_run_max_events_bounds_processing():
     sim = Simulator()
     seen = []
