@@ -107,9 +107,7 @@ class Cluster:
                 preset.ctx_switch_cost if preset is not None else 50e-9
             )
 
-        self.fabric = Fabric(
-            self.sim, fabric_config, rng=self.rng.stream("fabric")
-        )
+        self.fabric = Fabric(self.sim, fabric_config)
         self._hg_config = hg_config
         self._serialization = serialization
         self._ctx_switch_cost = ctx_switch_cost
@@ -261,10 +259,10 @@ class Cluster:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def shutdown(self, drain: bool = True) -> None:
+    def shutdown(self) -> None:
         """Finalize every process and drain the event queue.
 
-        Idempotent.  After a drain, :attr:`leaked_events` holds the number
+        Idempotent.  Afterwards :attr:`leaked_events` holds the number
         of events still pending (0 for a clean teardown).
         """
         if self._shutdown_done:
@@ -281,8 +279,7 @@ class Cluster:
             self.injector.disarm()
         for mi in self.processes.values():
             mi.finalize()
-        if drain:
-            self.sim.run()
+        self.sim.run()
         self.leaked_events = self.sim.pending_events
         if self.validator is not None:
             # Fault campaigns legitimately strand late responses and

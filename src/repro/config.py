@@ -8,7 +8,7 @@ knob is always backward compatible.  :class:`Replaceable` contributes the
 rebuilding every field by hand::
 
     fast = FabricConfig()
-    lossy = fast.replace(drop_rate=0.05)
+    slow = fast.replace(latency=3e-6)
 """
 
 from __future__ import annotations

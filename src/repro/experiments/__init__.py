@@ -15,7 +15,6 @@ from .hepnos import (
 from .mobject import MobjectExperimentResult, run_mobject_experiment
 from .monitor import (
     MonitorExperimentResult,
-    default_monitor_config,
     run_monitor_experiment,
 )
 from .overhead import (
@@ -55,7 +54,6 @@ __all__ = [
     "THETA_KNL",
     "ascii_table",
     "default_fault_plan",
-    "default_monitor_config",
     "default_retry_policy",
     "format_seconds",
     "run_fault_campaign",

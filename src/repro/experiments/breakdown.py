@@ -166,7 +166,6 @@ def run_breakdown_experiment(
     seed: int = 7,
     events_per_client: int = 192,
     configs: Sequence[str] = _DEFAULT_CONFIGS,
-    monitor_config: Optional[MonitorConfig] = None,
     store=None,
     out_dir: Optional[str] = None,
 ) -> BreakdownExperimentResult:
@@ -178,7 +177,7 @@ def run_breakdown_experiment(
     ``python -m repro.analysis query breakdown`` serves the same
     numbers later.
     """
-    monitor_config = monitor_config or MonitorConfig(interval=50e-6)
+    monitor_config = MonitorConfig(interval=50e-6)
     reports: dict[str, CriticalReport] = {}
     results: dict[str, object] = {}
     for name in configs:

@@ -35,7 +35,6 @@ from .faults import default_fault_plan, default_retry_policy
 
 __all__ = [
     "MonitorExperimentResult",
-    "default_monitor_config",
     "run_monitor_experiment",
 ]
 
@@ -43,18 +42,16 @@ _SERVER = "sonata-svr"
 _CLIENT = "sonata-cli"
 _PROVIDER_ID = 1
 
-
-def default_monitor_config() -> MonitorConfig:
-    """Tuned for the default fault campaign: the sampler is fast enough
-    to see the 0.4 ms restart downtime, and the burst detector matches
-    the retry policy's timeout scale."""
-    return MonitorConfig(
-        interval=25e-6,
-        starvation_threshold=0.2e-3,
-        queue_watermark=8,
-        timeout_burst_count=2,
-        timeout_burst_window=2e-3,
-    )
+#: Tuned for the default fault campaign: the sampler is fast enough to
+#: see the 0.4 ms restart downtime, and the burst detector matches the
+#: retry policy's timeout scale.
+_MONITOR_CONFIG = MonitorConfig(
+    interval=25e-6,
+    starvation_threshold=0.2e-3,
+    queue_watermark=8,
+    timeout_burst_count=2,
+    timeout_burst_window=2e-3,
+)
 
 
 @dataclass
@@ -137,7 +134,6 @@ def run_monitor_experiment(
     seed: int = 0,
     n_records: int = 2_000,
     batch_size: int = 100,
-    monitor_config: Optional[MonitorConfig] = None,
     plan: Optional[FaultPlan] = None,
     retry: Optional[RetryPolicy] = None,
     out_dir: Optional[str] = None,
@@ -153,9 +149,6 @@ def run_monitor_experiment(
     archived run named ``monitor-seed<seed>``; the artifacts written to
     ``out_dir`` stay byte-identical either way.
     """
-    monitor_config = (
-        monitor_config if monitor_config is not None else default_monitor_config()
-    )
     plan = plan if plan is not None else default_fault_plan()
     retry = retry if retry is not None else default_retry_policy()
 
@@ -164,7 +157,7 @@ def run_monitor_experiment(
         stage=Stage.FULL,
         fault_plan=plan,
         retry=retry,
-        monitoring=monitor_config,
+        monitoring=_MONITOR_CONFIG,
         store=store,
         run_name=f"monitor-seed{seed}",
         run_tags={

@@ -33,15 +33,14 @@ class Preset:
     loader_prep_per_event: float = 0.0
     loader_response_cost: float = 0.0
 
-    def hg_config(self, ofi_max_events: int = 16, eager_size: int = 4096) -> HGConfig:
+    def hg_config(self, ofi_max_events: int = 16) -> HGConfig:
         if self.name == "theta-knl":
             return HGConfig(
-                eager_size=eager_size,
                 ofi_max_events=ofi_max_events,
                 post_cost=1.0e-6,
                 callback_cost=0.4e-6,
             )
-        return HGConfig(eager_size=eager_size, ofi_max_events=ofi_max_events)
+        return HGConfig(ofi_max_events=ofi_max_events)
 
 
 THETA_KNL = Preset(

@@ -36,6 +36,12 @@ __all__ = ["MargoConfig", "MargoInstance", "ProcessStats"]
 #: origin.
 _ERROR_KEY = "__margo_error__"
 
+#: How long an idle progress iteration blocks waiting for OFI events,
+#: like HG_Progress's timeout.  Event arrival wakes the loop immediately
+#: regardless (the endpoint notifies the blocked waiter), so this only
+#: bounds how often an *idle* loop re-checks state.
+PROGRESS_IDLE_TIMEOUT = 2e-3
+
 
 @dataclass(frozen=True, kw_only=True)
 class MargoConfig(Replaceable):
@@ -46,17 +52,10 @@ class MargoConfig(Replaceable):
     #: Execution streams for the RPC handler pool ("Threads (ESs)").
     #: Zero means incoming RPCs run on the primary ES.
     n_handler_es: int = 0
-    #: How long an idle progress iteration blocks waiting for OFI events,
-    #: like HG_Progress's timeout.  Event arrival wakes the loop
-    #: immediately regardless (the endpoint notifies the blocked waiter),
-    #: so this only bounds how often an *idle* loop re-checks state.
-    progress_idle_timeout: float = 2e-3
 
     def __post_init__(self) -> None:
         if self.n_handler_es < 0:
             raise ValueError("n_handler_es must be non-negative")
-        if self.progress_idle_timeout <= 0:
-            raise ValueError("progress_idle_timeout must be positive")
 
 
 class ProcessStats:
@@ -539,7 +538,7 @@ class MargoInstance:
             timeout = (
                 0.0
                 if (hg.has_pending_completions or busy_peers)
-                else self.config.progress_idle_timeout
+                else PROGRESS_IDLE_TIMEOUT
             )
             yield from hg.progress(timeout=timeout)
             yield from hg.trigger()

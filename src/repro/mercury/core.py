@@ -61,6 +61,9 @@ __all__ = [
 # OS processes (``--jobs 1`` vs ``--jobs N`` output identity depends on
 # this).
 
+#: Bytes of RPC header that travel with every request and response.
+RPC_HEADER_SIZE = 64
+
 #: The degraded-mode gauges of the resilience layer, in report order.
 RESILIENCE_PVARS = (
     "num_forward_timeouts",
@@ -82,7 +85,6 @@ class HGConfig(Replaceable):
 
     eager_size: int = 4096
     ofi_max_events: int = 16
-    rpc_header_size: int = 64
     post_cost: float = 0.4e-6  # CPU to post a send descriptor
     callback_cost: float = 0.25e-6  # CPU per triggered callback
 
@@ -457,7 +459,7 @@ class HGCore:
             Message(
                 src=self.addr,
                 dst=handle.target_addr,
-                size_bytes=self.config.rpc_header_size + eager_part,
+                size_bytes=RPC_HEADER_SIZE + eager_part,
                 payload=wire,
                 kind="rpc_request",
             )
@@ -514,7 +516,7 @@ class HGCore:
             Message(
                 src=self.addr,
                 dst=handle.origin_addr,
-                size_bytes=self.config.rpc_header_size + output_size,
+                size_bytes=RPC_HEADER_SIZE + output_size,
                 payload=wire,
                 kind="rpc_response",
             ),

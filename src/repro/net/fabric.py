@@ -1,10 +1,12 @@
 """The simulated RDMA fabric.
 
 A :class:`Fabric` connects named :class:`~repro.net.endpoint.Endpoint`
-objects.  Transfer time follows a latency + size/bandwidth model with
-optional lognormal jitter; transfers between endpoints on the same node
-use the (faster) intra-node parameters, which matters for the colocated
-ior+Mobject case study.
+objects.  Transfer time follows a latency + size/bandwidth model; transfers
+between endpoints on the same node use the (faster) intra-node
+parameters, which matters for the colocated ior+Mobject case study.
+Wire times are deterministic: message loss, duplication and latency
+spikes come only from the fault hook (a
+:class:`~repro.faults.FaultInjector` executing a ``FaultPlan``).
 
 The fabric also implements one-sided RDMA reads: Mercury's bulk interface
 and the internal-RDMA metadata overflow path (t3-t4 in Figure 2) are
@@ -15,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
 
 from ..config import Replaceable
 from ..sim import Simulator
@@ -65,39 +65,20 @@ class FabricConfig(Replaceable):
     bandwidth: float = 8e9  # bytes/second
     intra_node_latency: float = 0.4e-6
     intra_node_bandwidth: float = 24e9
-    #: Lognormal jitter applied multiplicatively to the latency term;
-    #: 0 disables jitter (fully deterministic wire times).
-    jitter_sigma: float = 0.0
-    #: Probability that a two-sided message is silently dropped (failure
-    #: injection; requires an RNG).  RDMA operations are not dropped --
-    #: hardware reliable transport.
-    drop_rate: float = 0.0
 
     def __post_init__(self) -> None:
         if self.latency < 0 or self.intra_node_latency < 0:
             raise ValueError("latency must be non-negative")
         if self.bandwidth <= 0 or self.intra_node_bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be non-negative")
-        if not 0.0 <= self.drop_rate < 1.0:
-            raise ValueError("drop_rate must be in [0, 1)")
 
 
 class Fabric:
     """Message transport between registered endpoints."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        config: Optional[FabricConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-    ):
+    def __init__(self, sim: Simulator, config: Optional[FabricConfig] = None):
         self.sim = sim
         self.config = config or FabricConfig()
-        self._rng = rng
-        if self.config.drop_rate > 0 and rng is None:
-            raise ValueError("drop_rate requires an RNG")
         self._endpoints: dict[str, Endpoint] = {}
         #: Optional fault-injection hook (duck-typed; see
         #: :class:`repro.faults.FaultInjector`).  Consulted per transfer:
@@ -146,8 +127,6 @@ class Fabric:
         same = bool(src_node) and src_node == dst_node
         lat = self.config.intra_node_latency if same else self.config.latency
         bw = self.config.intra_node_bandwidth if same else self.config.bandwidth
-        if self.config.jitter_sigma > 0 and self._rng is not None:
-            lat *= float(np.exp(self._rng.normal(0.0, self.config.jitter_sigma)))
         return lat + size_bytes / bw
 
     # -- two-sided send ---------------------------------------------------------
@@ -182,24 +161,8 @@ class Fabric:
         if self.fault_hook is not None:
             fault = self.fault_hook.on_message(msg, src_ep, dst_ep)
 
-        dropped = fault is not None and fault.drop
-        if (
-            not dropped
-            and self.config.drop_rate > 0
-            and self._rng is not None
-            and self._rng.random() < self.config.drop_rate
-        ):
-            dropped = True
-        if dropped:
-            # Silently lost on the wire: the local send still "completes"
-            # (no ack in this transport), but nothing is delivered.
-            self.total_dropped += 1
-            self.dropped_bytes += msg.size_bytes
-            if on_local_complete is not None:
-                inject = msg.size_bytes / self.config.bandwidth
-                self.sim.call_after(inject, on_local_complete)
-            return float("inf")
-
+        # The local injection costs the same whether or not the wire
+        # then loses the message.
         inject_time = msg.size_bytes / (
             self.config.intra_node_bandwidth
             if src_ep.node and src_ep.node == dst_ep.node
@@ -207,6 +170,12 @@ class Fabric:
         )
         if on_local_complete is not None:
             self.sim.call_after(inject_time, on_local_complete)
+        if fault is not None and fault.drop:
+            # Silently lost on the wire: the local send still "completes"
+            # (no ack in this transport), but nothing is delivered.
+            self.total_dropped += 1
+            self.dropped_bytes += msg.size_bytes
+            return float("inf")
 
         extra_delay = fault.extra_delay if fault is not None else 0.0
         copies = 1 + (fault.copies if fault is not None else 0)
@@ -287,8 +256,6 @@ class Fabric:
         bw = self.config.intra_node_bandwidth if same else self.config.bandwidth
         # Request travels one way, data comes back: 2x latency + payload.
         delay = 2 * lat + size_bytes / bw
-        if self.config.jitter_sigma > 0 and self._rng is not None:
-            delay *= float(np.exp(self._rng.normal(0.0, self.config.jitter_sigma)))
         done_at = self.sim.now + delay
         self.inflight_bytes += size_bytes
         if on_complete is not None:

@@ -61,8 +61,6 @@ class HEPnOSService:
         n_databases: int,
         backend: str = "map",
         sdskv_costs: Optional[BackendCosts] = None,
-        addr_prefix: str = "hepnos",
-        node_prefix: str = "snode",
     ) -> "HEPnOSService":
         """Create the server processes on ``cluster`` (a
         :class:`~repro.cluster.Cluster`).  ``n_databases`` is per
@@ -72,8 +70,8 @@ class HEPnOSService:
             raise ValueError("need at least one server and one per node")
         service = cls()
         for i in range(n_servers):
-            node = f"{node_prefix}{i // servers_per_node}"
-            addr = f"{addr_prefix}{i}"
+            node = f"snode{i // servers_per_node}"
+            addr = f"hepnos{i}"
             mi = cluster.process(addr, node, n_handler_es=n_handler_es)
             service.servers.append(mi)
             service.bake_providers.append(BakeProvider(mi, PID_BAKE))

@@ -35,6 +35,8 @@ class ShardRouter:
     #: between a source dropping a shard and the destination install.
     max_redirects = 8
     redirect_backoff = 100e-6
+    #: Per-forward timeout when the process has no retry policy.
+    rpc_timeout = 2e-3
 
     def __init__(
         self,
@@ -47,14 +49,12 @@ class ShardRouter:
         vnodes: int = 32,
         provider_id: int = 1,
         bake_provider_id: int = 2,
-        rpc_timeout: float = 2e-3,
     ):
         self.mi = mi
         self.replica = replica
         self.n_shards = n_shards
         self.provider_id = provider_id
         self.bake_provider_id = bake_provider_id
-        self.rpc_timeout = rpc_timeout
         self._ring = HashRing(seed=placement_seed, vnodes=vnodes)
         #: The seed map (the deploy-time placement) is used while its
         #: version matches the replica epoch.

@@ -1,8 +1,8 @@
 """Sharded KV service: per-shard databases with ownership fencing.
 
 Every server process hosts one :class:`ShardKvProvider` holding the
-shards the placement map assigns to it, each shard a full SDSKV backend
-database.  Ownership is fenced by *data presence*: a request for a
+shards the placement map assigns to it, each shard a full SDSKV ``map``
+backend database.  Ownership is fenced by *data presence*: a request for a
 shard the server does not hold is answered with ``ret == -2`` and a
 redirect hint — never silently acked and never silently dropped — so a
 put can only succeed on the process that actually stores the shard.
@@ -29,7 +29,7 @@ from ..margo import MargoInstance
 from ..mercury import BulkRef, HGHandle, SizedBatch
 from ..mercury.pvar import PvarBinding, PvarClass, PvarDef, PvarTable
 from ..services.bake import BakeProvider
-from ..services.sdskv.backends import BackendCosts, KVDatabase, make_database
+from ..services.sdskv.backends import KVDatabase, make_database
 from ..ssg import MembershipService, SSGGroup, ViewPropagator
 from .placement import ShardMap
 from .ring import HashRing
@@ -118,18 +118,9 @@ class ShardKvProvider:
     install_fixed = 1.5e-6
     install_per_byte = 0.15e-9
 
-    def __init__(
-        self,
-        mi: MargoInstance,
-        provider_id: int = 0,
-        *,
-        backend: str = "map",
-        costs: Optional[BackendCosts] = None,
-    ):
+    def __init__(self, mi: MargoInstance, provider_id: int = 0):
         self.mi = mi
         self.provider_id = provider_id
-        self.backend = backend
-        self.costs = costs
         self.shards: dict[int, KVDatabase] = {}
         self.forwards: dict[int, str] = {}
         #: This server's eventually consistent SSG view replica (set by
@@ -149,9 +140,7 @@ class ShardKvProvider:
         """Create an empty shard database here (initial placement)."""
         if shard in self.shards:
             raise ValueError(f"shard {shard} already on {self.mi.addr}")
-        db = make_database(
-            self.backend, self.mi.rt, db_id=shard, costs=self.costs
-        )
+        db = make_database("map", self.mi.rt, db_id=shard)
         self.shards[shard] = db
         self.forwards.pop(shard, None)
         return db
@@ -162,9 +151,7 @@ class ShardKvProvider:
         (a racing ``shard_install`` wins)."""
         yield Compute(self.install_fixed)
         if shard not in self.shards:
-            self.shards[shard] = make_database(
-                self.backend, self.mi.rt, db_id=shard, costs=self.costs
-            )
+            self.shards[shard] = make_database("map", self.mi.rt, db_id=shard)
             self.forwards.pop(shard, None)
             self.mi.hg.pvars.add("shard_migrations_in")
         return True
@@ -243,9 +230,7 @@ class ShardKvProvider:
         batch: SizedBatch = bulk.data
         db = self.shards.get(shard)
         if db is None:
-            db = make_database(
-                self.backend, self.mi.rt, db_id=shard, costs=self.costs
-            )
+            db = make_database("map", self.mi.rt, db_id=shard)
         yield Compute(self.install_fixed + self.install_per_byte * bulk.nbytes)
         before = db.bytes_stored
         yield from db.put_many(batch)
@@ -267,9 +252,7 @@ class ShardKvProvider:
         inp = yield from mi.get_input(handle)
         shard = inp["shard"]
         if shard not in self.shards:
-            db = make_database(
-                self.backend, self.mi.rt, db_id=shard, costs=self.costs
-            )
+            db = make_database("map", self.mi.rt, db_id=shard)
             yield Compute(self.install_fixed)
             self.shards[shard] = db
             self.forwards.pop(shard, None)
@@ -287,6 +270,8 @@ class ShardedKVService:
 
     PID_KV = 1
     PID_BAKE = 2
+    #: Virtual nodes per server on the placement ring.
+    VNODES = 32
 
     def __init__(
         self,
@@ -317,55 +302,38 @@ class ShardedKVService:
         cluster,
         n_servers: int,
         *,
-        n_shards: Optional[int] = None,
-        vnodes: int = 32,
-        backend: str = "map",
         servers_per_node: int = 1,
-        heartbeat: float = 100e-6,
-        view_delay: float = 5e-6,
-        view_stagger: float = 1e-6,
-        group_name: str = "shard-kv",
-        with_bake: bool = True,
         **process_kw,
     ) -> "ShardedKVService":
         """Create ``n_servers`` server processes (``servers_per_node``
-        per simulated node — the topology axis), place ``n_shards``
-        across them, and wire membership + migration."""
+        per simulated node — the topology axis), each with a KV and a
+        BAKE provider, place ``2 * n_servers`` shards across them, and
+        wire membership + migration."""
         if n_servers < 1:
             raise ValueError("n_servers must be >= 1")
-        if n_shards is None:
-            n_shards = 2 * n_servers
+        n_shards = 2 * n_servers
         servers = [f"kv{i:03d}" for i in range(n_servers)]
         providers: dict[str, ShardKvProvider] = {}
         bake_providers: dict[str, BakeProvider] = {}
         for i, addr in enumerate(servers):
             node = f"snode{i // max(1, servers_per_node):03d}"
             mi = cluster.process(addr, node, **process_kw)
-            providers[addr] = ShardKvProvider(
-                mi, cls.PID_KV, backend=backend
-            )
-            if with_bake:
-                bake_providers[addr] = BakeProvider(mi, cls.PID_BAKE)
+            providers[addr] = ShardKvProvider(mi, cls.PID_KV)
+            bake_providers[addr] = BakeProvider(mi, cls.PID_BAKE)
 
-        group = SSGGroup(group_name, servers)
-        propagator = ViewPropagator(
-            cluster.sim, base_delay=view_delay, stagger=view_stagger
-        )
+        group = SSGGroup("shard-kv", servers)
+        propagator = ViewPropagator(cluster.sim)
         for addr in servers:
             replica = group.replica()
             providers[addr].replica = replica
             propagator.register(replica)
         membership = MembershipService(
-            cluster.sim,
-            group,
-            cluster.processes,
-            propagator=propagator,
-            interval=heartbeat,
+            cluster.sim, group, cluster.processes, propagator=propagator
         )
 
         from .migration import ShardManager
 
-        ring = HashRing(seed=cluster.seed, vnodes=vnodes)
+        ring = HashRing(seed=cluster.seed, vnodes=cls.VNODES)
         ring.replace(servers)
         shard_map = ShardMap.build(ring, n_shards, version=group.epoch)
         for shard, owner in enumerate(shard_map.owners):

@@ -2,6 +2,7 @@
 
 from .clock import LocalClock
 from .engine import (
+    PeriodicSampler,
     SimEvent,
     SimulationError,
     Simulator,
@@ -12,6 +13,7 @@ from .rng import RngRegistry
 
 __all__ = [
     "LocalClock",
+    "PeriodicSampler",
     "RngRegistry",
     "SimEvent",
     "SimulationError",

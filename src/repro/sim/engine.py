@@ -43,6 +43,7 @@ from math import inf
 from typing import Any, Callable, Iterable, Optional
 
 __all__ = [
+    "PeriodicSampler",
     "Simulator",
     "SimEvent",
     "SimulationError",
@@ -343,3 +344,38 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self.now}, pending={self.pending_events})"
+
+
+class PeriodicSampler:
+    """Calls ``sample(now)`` every ``interval`` simulated seconds by
+    self-rescheduling on the simulator's event queue: the monitor's
+    sampler and the SSG heartbeat.
+
+    The tick keeps the queue non-empty while it runs, so :meth:`stop`
+    must come before a drain."""
+
+    def __init__(
+        self, sim: Simulator, interval: float, sample: Callable[[float], None]
+    ):
+        self.sim = sim
+        self.interval = interval
+        self._sample = sample
+        self.ticks = 0
+        self.running = False
+
+    def start(self) -> None:
+        if self.running:
+            return
+        self.running = True
+        self.sim.call_at(self.sim.now + self.interval, self._tick)
+
+    def stop(self) -> None:
+        # A tick already in the queue fires once more as a no-op.
+        self.running = False
+
+    def _tick(self) -> None:
+        if not self.running:
+            return
+        self.ticks += 1
+        self._sample(self.sim.now)
+        self.sim.call_at(self.sim.now + self.interval, self._tick)

@@ -17,9 +17,13 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Optional
 
+from ..sim import PeriodicSampler
 from .group import SSGGroup, SSGView
 
 __all__ = ["ViewPropagator", "MembershipService"]
+
+#: Seconds of simulated time between two heartbeat scans.
+HEARTBEAT_INTERVAL = 100e-6
 
 
 class ViewPropagator:
@@ -57,12 +61,13 @@ class ViewPropagator:
 class MembershipService:
     """Heartbeat failure detection driving an authoritative SSG group.
 
-    Scans ``processes`` (addr -> MargoInstance) every ``interval`` sim
-    seconds; a crashed member leaves the group, a previously evicted
-    address that is alive again rejoins.  Every membership change bumps
-    the group epoch and propagates the new view.  The scan loop
-    self-reschedules, so ``stop()`` must run before the cluster drains
-    its event queue (``Cluster.add_shutdown_hook`` handles this).
+    Scans ``processes`` (addr -> MargoInstance) every
+    :data:`HEARTBEAT_INTERVAL` sim seconds; a crashed member leaves the
+    group, a previously evicted address that is alive again rejoins.
+    Every membership change bumps the group epoch and propagates the new
+    view.  The scan loop self-reschedules, so ``stop()`` must run before
+    the cluster drains its event queue (``Cluster.add_shutdown_hook``
+    handles this).
     """
 
     def __init__(
@@ -71,14 +76,14 @@ class MembershipService:
         group: SSGGroup,
         processes: Mapping[str, object],
         propagator: Optional[ViewPropagator] = None,
-        interval: float = 100e-6,
     ):
         self.sim = sim
         self.group = group
         self.processes = processes
         self.propagator = propagator
-        self.interval = interval
-        self._running = False
+        self._heartbeat = PeriodicSampler(
+            sim, HEARTBEAT_INTERVAL, lambda now: self.scan()
+        )
         self._evicted: set[str] = set()
         self._view_callbacks: list[Callable[[SSGView], None]] = []
         self.events: list[tuple[float, str, str, int]] = []
@@ -88,19 +93,10 @@ class MembershipService:
         self._view_callbacks.append(callback)
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.sim.call_at(self.sim.now + self.interval, self._tick)
+        self._heartbeat.start()
 
     def stop(self) -> None:
-        self._running = False
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        self.scan()
-        self.sim.call_at(self.sim.now + self.interval, self._tick)
+        self._heartbeat.stop()
 
     def scan(self) -> bool:
         """One heartbeat round; returns True if membership changed."""

@@ -3,8 +3,8 @@
 The paper's workflow is post-mortem (profiles and traces consolidate
 after the run); this module watches the run *while it unfolds*.  A
 :class:`Monitor` attaches to the same seams the instrumentation layer
-uses and drives a sim-clock-periodic :class:`PeriodicSampler` that
-snapshots, per process:
+uses and drives a sim-clock-periodic
+:class:`~repro.sim.PeriodicSampler` that snapshots, per process:
 
 * every NO_OBJECT Mercury PVAR (Table I classes, resilience gauges
   included),
@@ -43,11 +43,12 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..argobots.ult import BLOCKED, READY, TERMINATED
 from ..config import Replaceable
 from ..mercury.pvar import PvarBinding, PvarClass, PvarDef, PvarRegistry, PvarTable
+from ..sim import PeriodicSampler
 from .metrics import SeriesStore, TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,7 +66,6 @@ __all__ = [
     "Monitor",
     "MonitorConfig",
     "OfiReadsPeggedDetector",
-    "PeriodicSampler",
     "ProgressStarvationDetector",
     "QueueDepthWatermarkDetector",
     "SchedRecorder",
@@ -585,35 +585,6 @@ class SchedRecorder:
         return self._n
 
 
-class PeriodicSampler:
-    """Drives :meth:`Monitor.sample` every ``interval`` simulated
-    seconds by self-rescheduling on the simulator's event queue."""
-
-    def __init__(self, sim: "Simulator", interval: float, sample: Callable[[float], None]):
-        self.sim = sim
-        self.interval = interval
-        self._sample = sample
-        self.ticks = 0
-        self._running = False
-
-    def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.sim.call_at(self.sim.now + self.interval, self._tick)
-
-    def stop(self) -> None:
-        # A tick already in the queue fires once more as a no-op.
-        self._running = False
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        self.ticks += 1
-        self._sample(self.sim.now)
-        self.sim.call_at(self.sim.now + self.interval, self._tick)
-
-
 #: Per-process tasking gauges, in sampling order.  They follow the
 #: PVAR rows in each plan's ``series`` list.
 _TASKING_GAUGES = (
@@ -834,7 +805,7 @@ class Monitor:
         Must happen before the teardown drain -- a self-rescheduling
         sampler would otherwise keep the event queue non-empty forever.
         """
-        if self.sampler._running:
+        if self.sampler.running:
             self.sampler.stop()
             self._snapshot(self.sim.now)
 

@@ -392,21 +392,19 @@ def fuzz_sweep(
     fault_fraction: float = 0.5,
     repro_path: Optional[str] = None,
     log: Callable[[str], None] = lambda s: None,
-    stop_on_failure: bool = True,
     jobs: int = 1,
 ) -> SweepResult:
     """The fuzz campaign: seeds x workloads x presets, with a random
     fault plan on ``fault_fraction`` of the configs.
 
-    Failures are shrunk and (if ``repro_path`` is given) written as a
-    repro file.  With ``stop_on_failure`` the sweep aborts at the first
-    failure -- the CI smoke mode.
+    The sweep stops at the first failure, which is shrunk and (if
+    ``repro_path`` is given) written as a repro file.
 
     ``jobs > 1`` checks the configurations in parallel worker processes
     (shrinking stays sequential -- ddmin is adaptive).  The reported
     result is identical to ``jobs=1``: failures are examined in matrix
-    order, and with ``stop_on_failure`` only the first one counts, even
-    if later cells (already dispatched) also failed.
+    order and only the first one counts, even if later cells (already
+    dispatched) also failed.
     """
     configs = _sweep_configs(seeds, workloads, presets, fault_fraction)
     result = SweepResult()
@@ -442,6 +440,5 @@ def fuzz_sweep(
         if repro_path is not None:
             write_repro(report, repro_path)
             log(f"  repro written to {repro_path}")
-        if stop_on_failure:
-            return result
+        return result
     return result

@@ -62,6 +62,12 @@ __all__ = [
 ]
 
 
+#: Cap on recorded violations; further ones only increment
+#: :attr:`InvariantMonitor.dropped` (a broken invariant usually fires on
+#: every subsequent event).
+MAX_VIOLATIONS = 100
+
+
 @dataclass(frozen=True, kw_only=True)
 class ValidationConfig(Replaceable):
     """Knobs of one :class:`InvariantMonitor`."""
@@ -70,16 +76,6 @@ class ValidationConfig(Replaceable):
     #: violation was recorded.  ``False`` collects silently (the fuzz
     #: runner's mode).
     strict: bool = True
-    #: Check completion-queue / posted-handle drain at finalize.
-    check_drain: bool = True
-    #: Cap on recorded violations; further ones only increment
-    #: :attr:`InvariantMonitor.dropped` (a broken invariant usually fires
-    #: on every subsequent event).
-    max_violations: int = 100
-
-    def __post_init__(self) -> None:
-        if self.max_violations < 1:
-            raise ValueError("max_violations must be positive")
 
 
 @dataclass(frozen=True)
@@ -240,7 +236,7 @@ class InvariantMonitor:
         self.fabric = fabric
         self.config = config or ValidationConfig()
         self.violations: list[InvariantViolation] = []
-        #: Violations beyond the ``max_violations`` cap.
+        #: Violations beyond the :data:`MAX_VIOLATIONS` cap.
         self.dropped = 0
         self._processes: dict[str, "MargoInstance"] = {}
         self._last_time = sim.now
@@ -273,7 +269,7 @@ class InvariantMonitor:
     def record(
         self, invariant: str, message: str, *, process: str = "", callpath: str = ""
     ) -> None:
-        if len(self.violations) >= self.config.max_violations:
+        if len(self.violations) >= MAX_VIOLATIONS:
             self.dropped += 1
             return
         self.violations.append(
@@ -358,7 +354,7 @@ class InvariantMonitor:
         self._finalized = True
         for mi in self._processes.values():
             self._check_pools(mi)
-            if not self.config.check_drain or allow_undrained or mi.crashed:
+            if allow_undrained or mi.crashed:
                 continue
             backlog = mi.endpoint.cq_depth
             if backlog:

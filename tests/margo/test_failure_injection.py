@@ -1,43 +1,32 @@
-"""Failure injection: message loss on the fabric, survived via the Margo
-timeout + retry pattern."""
+"""Failure injection: message loss from a fault plan's ``DropRule``,
+survived via the Margo timeout + retry pattern."""
 
-import pytest
-
-from repro.margo import MargoConfig, MargoInstance, MargoTimeoutError
-from repro.net import Fabric, FabricConfig
-from repro.sim import RngRegistry, Simulator
+from repro.cluster import Cluster
+from repro.faults import DropRule, FaultPlan
+from repro.margo import MargoTimeoutError
 
 
-def make_lossy_world(drop_rate, seed=11):
-    sim = Simulator()
-    rng = RngRegistry(seed).stream("fabric")
-    fabric = Fabric(sim, FabricConfig(drop_rate=drop_rate), rng=rng)
-    server = MargoInstance(
-        sim, fabric, "svr", "n0", config=MargoConfig(n_handler_es=2)
-    )
-    client = MargoInstance(sim, fabric, "cli", "n1")
+def make_lossy_world(rule, seed=11):
+    """An echo server and a client on two nodes, losing the messages
+    that ``rule`` (a ``DropRule``) matches."""
+    plan = FaultPlan(wire_rules=[rule])
+    cluster = Cluster(seed=seed, stage=None, fault_plan=plan)
+    server = cluster.process("svr", "n0", n_handler_es=2)
+    client = cluster.process("cli", "n1")
+    executions = []
 
     def echo(mi, handle):
         inp = yield from mi.get_input(handle)
+        executions.append(inp)
         yield from mi.respond(handle, inp)
 
     server.register("echo", echo)
     client.register("echo")
-    return sim, fabric, server, client
-
-
-def test_drop_rate_validation():
-    with pytest.raises(ValueError):
-        FabricConfig(drop_rate=1.0)
-    with pytest.raises(ValueError):
-        FabricConfig(drop_rate=-0.1)
-    sim = Simulator()
-    with pytest.raises(ValueError, match="requires an RNG"):
-        Fabric(sim, FabricConfig(drop_rate=0.5))
+    return cluster, client, executions
 
 
 def test_lossless_fabric_drops_nothing():
-    sim, fabric, server, client = make_lossy_world(0.0)
+    cluster, client, _ = make_lossy_world(DropRule(probability=0.0))
     done = []
 
     def body():
@@ -45,32 +34,34 @@ def test_lossless_fabric_drops_nothing():
             out = yield from client.forward("svr", "echo", {"i": i})
             done.append(out["i"])
 
-    client.client_ult(body())
-    sim.run_until(lambda: len(done) == 10, limit=1.0)
+    with cluster:
+        client.client_ult(body())
+        cluster.sim.run_until(lambda: len(done) == 10, limit=1.0)
     assert done == list(range(10))
-    assert fabric.total_dropped == 0
+    assert cluster.fabric.total_dropped == 0
+    assert cluster.fault_events() == []
 
 
 def test_lossy_fabric_without_timeout_hangs_request():
     """A dropped request with no timeout leaves the caller blocked --
     exactly why production clients use margo_forward_timed."""
-    sim, fabric, server, client = make_lossy_world(0.9, seed=3)
+    cluster, client, executions = make_lossy_world(DropRule(kind="rpc_request"))
     done = []
 
     def body():
         out = yield from client.forward("svr", "echo", {"x": 1})
         done.append(out)
 
-    client.client_ult(body())
-    sim.run(until=0.05)
-    # With 90% loss the first message almost surely vanished (seeded:
-    # deterministic) and the call never completes.
-    assert fabric.total_dropped >= 1
-    assert done == []
+    with cluster:
+        client.client_ult(body())
+        cluster.sim.run(until=0.05)
+        assert cluster.fabric.total_dropped == 1
+        assert executions == []
+        assert done == []
 
 
 def test_retry_loop_survives_heavy_loss():
-    sim, fabric, server, client = make_lossy_world(0.5, seed=7)
+    cluster, client, _ = make_lossy_world(DropRule(probability=0.5), seed=7)
     outcome = []
 
     def body():
@@ -87,18 +78,19 @@ def test_retry_loop_survives_heavy_loss():
             else:
                 outcome.append((i, "gave-up"))
 
-    client.client_ult(body())
-    sim.run_until(lambda: len(outcome) == 5, limit=5.0)
+    with cluster:
+        client.client_ult(body())
+        cluster.sim.run_until(lambda: len(outcome) == 5, limit=5.0)
     assert [i for i, _ in outcome] == list(range(5))
     assert all(a != "gave-up" for _, a in outcome)
-    # The fabric really did lose traffic along the way.
-    assert fabric.total_dropped > 0
+    # The plan really did lose traffic along the way.
+    assert cluster.fabric.total_dropped > 0
 
 
 def test_loss_is_deterministic_per_seed():
-    drops = []
+    runs = []
     for _ in range(2):
-        sim, fabric, server, client = make_lossy_world(0.5, seed=21)
+        cluster, client, _ = make_lossy_world(DropRule(probability=0.5), seed=21)
         done = []
 
         def body():
@@ -109,16 +101,22 @@ def test_loss_is_deterministic_per_seed():
                 except MargoTimeoutError:
                     done.append(False)
 
-        client.client_ult(body())
-        sim.run_until(lambda: len(done) == 10, limit=1.0)
-        drops.append((fabric.total_dropped, tuple(done)))
-    assert drops[0] == drops[1]
+        with cluster:
+            client.client_ult(body())
+            cluster.sim.run_until(lambda: len(done) == 10, limit=1.0)
+        runs.append((cluster.fault_events(), tuple(done)))
+    assert runs[0] == runs[1]
+    assert False in runs[0][1] and True in runs[0][1]
 
 
 def test_response_loss_also_covered():
     """Losses can hit the response leg; the retry pattern still
     converges and the server tolerates duplicate executions."""
-    sim, fabric, server, client = make_lossy_world(0.4, seed=5)
+    # Every response sent in the first 5 ms is lost: the attempts at
+    # 0, 2 and 4 ms time out after running the handler.
+    cluster, client, executions = make_lossy_world(
+        DropRule(kind="rpc_response", end=5e-3)
+    )
     results = []
 
     def body():
@@ -132,7 +130,14 @@ def test_response_loss_also_covered():
             except MargoTimeoutError:
                 continue
 
-    client.client_ult(body())
-    sim.run_until(lambda: results, limit=5.0)
+    with cluster:
+        client.client_ult(body())
+        cluster.sim.run_until(lambda: results, limit=5.0)
     (out, attempt) = results[0]
     assert out == {"v": 7}
+    assert attempt == 3
+    assert len(executions) == attempt + 1
+    # (time, fault, src, dst, message kind) per fired fault.
+    assert [e[1:] for e in cluster.fault_events()] == [
+        ("drop", "svr", "cli", "rpc_response")
+    ] * 3

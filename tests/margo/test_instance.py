@@ -358,8 +358,6 @@ def test_nested_rpc_child_time_accumulates():
 def test_margo_config_validation():
     with pytest.raises(ValueError):
         MargoConfig(n_handler_es=-1)
-    with pytest.raises(ValueError):
-        MargoConfig(progress_idle_timeout=0)
 
 
 def test_finalize_stops_progress_loop():

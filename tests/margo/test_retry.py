@@ -339,4 +339,4 @@ def test_jittered_backoff_delays_are_pinned():
         ("cli1", 3, 0.0005290972063934506),
     ]
     assert done == [("cli0", 0.0023468380479093193), ("cli1", 0.003742786159318639)]
-    assert sorted(cluster.rng._streams) == ["fabric", "margo.cli0", "margo.cli1"]
+    assert sorted(cluster.rng._streams) == ["margo.cli0", "margo.cli1"]

@@ -430,3 +430,23 @@ def test_fleet_deploy_takes_pvar_tables_not_single_definitions(monkeypatch):
         )
     assert calls["define"] == 0
     assert not any(n.startswith("margo.") for n in cluster.rng._streams)
+
+
+def test_fleet_without_faults_or_jitter_creates_no_rng_stream():
+    """Nothing in a fault-free fleet draws randomness: the fabric is
+    deterministic and a process makes its ``margo.*`` stream only at a
+    jittered backoff."""
+    with Cluster(seed=0) as cluster:
+        service = ShardedKVService.deploy(cluster, 8)
+        mi = cluster.process("cli", "cnode")
+        router = service.make_router(mi)
+        got = []
+
+        def body():
+            yield from router.put("k", "v")
+            got.append((yield from router.get("k")))
+
+        mi.client_ult(body())
+        assert cluster.run_until(lambda: got, limit=1.0)
+    assert got == ["v"]
+    assert cluster.rng._streams == {}
