@@ -19,8 +19,6 @@ findings are reproduced:
   machine drift between repetitions.
 """
 
-import statistics
-
 from repro.experiments import TABLE_IV, ascii_table, run_overhead_study
 from repro.symbiosys import Stage
 from repro.symbiosys.monitor import MonitorConfig
@@ -52,7 +50,8 @@ def test_fig13_overheads(benchmark, report):
     study = run_once(benchmark, _run)
     report.append(
         f"Figure 13: measurement overheads "
-        f"({REPETITIONS} repetitions per stage, average reported)"
+        f"({REPETITIONS} repetitions per stage: mean wall, median paired "
+        f"overhead)"
     )
     report.append(ascii_table(study.rows()))
 
@@ -81,12 +80,7 @@ def test_fig13_overheads(benchmark, report):
     # The monitor observes without perturbing the simulated run, and its
     # wall-clock cost over Full Support stays within the bound.
     assert study.monitoring_sim_overhead() == 0.0
-    ratio = statistics.median(
-        monitored / full
-        for monitored, full in zip(
-            study.monitored.wall_times, timings[Stage.FULL].wall_times
-        )
-    )
+    ratio = study.paired_ratio(study.monitored, timings[Stage.FULL])
     benchmark.extra_info["monitor_ratio"] = round(ratio, 4)
     print(f"Full + monitor / Full Support, median paired wall ratio: "
           f"{ratio:.3f} (bound {MAX_MONITOR_RATIO})")

@@ -229,8 +229,8 @@ class Cluster:
 
     # -- running ------------------------------------------------------------
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        return self.sim.run(until=until, max_events=max_events)
+    def run(self, until: Optional[float] = None) -> float:
+        return self.sim.run(until=until)
 
     def run_until(self, predicate: Callable[[], bool], limit: float) -> bool:
         return self.sim.run_until(predicate, limit)

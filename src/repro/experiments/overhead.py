@@ -8,7 +8,9 @@ adds no simulated cost, as the paper found its overhead indistinguishable
 from run-to-run variation); what the stages *do* change is the real
 Python work performed by the measurement layer, so we report wall-clock
 execution time per stage -- the honest analogue of the paper's metric --
-alongside the simulated makespan as a sanity check.
+alongside the simulated makespan as a sanity check.  A stage's overhead
+is the median over repetitions of its wall time over the same
+repetition's Baseline (:meth:`OverheadStudyResult.paired_ratio`).
 
 Table V measures the offline analysis scripts (profile / trace / system
 summaries) over the collected data.
@@ -79,13 +81,22 @@ class OverheadStudyResult:
     #: (``run_overhead_study(monitoring=...)``); None otherwise.
     monitored: Optional[StageTiming] = None
 
+    def paired_ratio(self, arm: StageTiming, base: StageTiming) -> float:
+        """Median over repetitions of ``arm``'s wall time over ``base``'s.
+
+        Cells run repetition-major, so each pair ran back to back and
+        the ratio cancels machine drift between repetitions."""
+        # Imported here: ``statistics`` loads ``decimal`` and
+        # ``fractions``, which no simulation run needs.
+        import statistics
+
+        return statistics.median(
+            a / b for a, b in zip(arm.wall_times, base.wall_times)
+        )
+
     def overhead_vs_baseline(self, stage: Stage) -> float:
         """Relative wall-clock overhead of ``stage`` over Baseline."""
-        return self._vs_baseline(self.timings[stage])
-
-    def _vs_baseline(self, timing: StageTiming) -> float:
-        base = self.timings[Stage.OFF].mean_wall
-        return (timing.mean_wall - base) / base if base > 0 else 0.0
+        return self.paired_ratio(self.timings[stage], self.timings[Stage.OFF]) - 1
 
     def monitoring_sim_overhead(self) -> float:
         """Relative *simulated-time* overhead of monitoring over the
@@ -100,6 +111,7 @@ class OverheadStudyResult:
 
     def rows(self) -> list[dict]:
         """One row per stage the study ran, then the monitoring arm."""
+        base = self.timings[Stage.OFF]
         arms = list(self.timings.values())
         if self.monitored is not None:
             arms.append(self.monitored)
@@ -109,7 +121,7 @@ class OverheadStudyResult:
                 "mean_wall_s": t.mean_wall,
                 "mean_sim_makespan_s": t.mean_makespan,
                 "trace_events": t.trace_events,
-                "overhead_vs_baseline": self._vs_baseline(t),
+                "overhead_vs_baseline": self.paired_ratio(t, base) - 1,
             }
             for t in arms
         ]

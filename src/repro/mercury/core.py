@@ -272,7 +272,6 @@ class HGHandle:
         "output",
         "output_size",
         "_pvars",
-        "_t12",
         "marks",
     )
 
@@ -295,7 +294,6 @@ class HGHandle:
         self.output: Any = None
         self.output_size = 0
         self._pvars: dict[str, Any] = {}
-        self._t12: Optional[float] = None
         #: Free-form timestamps recorded by Margo/SYMBIOSYS (t1, t4, ...).
         self.marks: dict[str, float] = {}
 
@@ -643,9 +641,7 @@ class HGCore:
             else:
                 raise TypeError(f"unexpected RDMA completion tag {tag!r}")
 
-    def _on_request(
-        self, wire: RequestWire, arrived_at: Optional[float] = None
-    ) -> None:
+    def _on_request(self, wire: RequestWire, arrived_at: float) -> None:
         handle = HGHandle(
             cookie=wire.cookie,
             rpc_name=wire.rpc_name,
@@ -660,9 +656,7 @@ class HGCore:
         # When the request hit the target's endpoint CQ: the window
         # [t_arrival, t3] is OFI backlog / progress starvation, not wire
         # transit, and the critical-path engine splits on it.
-        handle.marks["t_arrival"] = (
-            self.sim.now if arrived_at is None else arrived_at
-        )
+        handle.marks["t_arrival"] = arrived_at
         if wire.needs_rdma:
             # Pull the overflowed metadata before handing the request up
             # (t3 -> t4); progress keeps running meanwhile.
@@ -695,9 +689,7 @@ class HGCore:
             return True
         return False
 
-    def _on_response(
-        self, wire: ResponseWire, arrived_at: Optional[float] = None
-    ) -> None:
+    def _on_response(self, wire: ResponseWire, arrived_at: float) -> None:
         if wire.cookie in self._cancelled:
             self._cancelled.discard(wire.cookie)
             self.pvars.add("num_late_responses_dropped")
@@ -714,19 +706,16 @@ class HGCore:
         handle.output = wire.payload
         handle.output_size = wire.output_size
         handle.header.update(wire.header)
-        handle._t12 = self.sim.now  # completion moved to HG queue
         # t11: response reached the origin endpoint CQ; t12: this
         # progress iteration moved it to the HG completion queue.
-        handle.marks["t11"] = (
-            self.sim.now if arrived_at is None else arrived_at
-        )
+        handle.marks["t11"] = arrived_at
         handle.marks["t12"] = self.sim.now
 
         def _complete() -> None:
             if self.pvars_enabled:
                 handle.pvar_set(
                     "origin_completion_callback_time",
-                    self.sim.now - handle._t12,
+                    self.sim.now - handle.marks["t12"],
                 )
             cb(handle)
 

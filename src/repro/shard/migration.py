@@ -5,9 +5,10 @@ The :class:`ShardManager` owns the authoritative ring + placement map.
 On every membership view it rebuilds the map, diffs it against the old
 one, and turns each move into a migration:
 
-* **failover** — the source died with its data; the destination merely
-  adopts an empty shard (``shard_assign``).  Lost bytes are lost, and
-  accounted as such.
+* **failover** — the source died with its data; a ULT on the
+  destination's own process adopts an empty shard
+  (:meth:`~repro.shard.service.ShardKvProvider.adopt_shard_ult`).  Lost
+  bytes are lost, and accounted as such.
 * **handoff** — the source is alive (a revived node re-entering the
   ring): the source fences the shard, then a migration ULT on the
   *source process* pushes the content to the destination over an RDMA

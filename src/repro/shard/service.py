@@ -39,8 +39,6 @@ __all__ = ["ShardKvProvider", "ShardedKVService"]
 RPC_PUT = "shard_put"
 RPC_GET = "shard_get"
 RPC_INSTALL = "shard_install"
-RPC_ASSIGN = "shard_assign"
-_ALL_RPCS = (RPC_PUT, RPC_GET, RPC_INSTALL, RPC_ASSIGN)
 
 #: Wrong-owner redirect: the caller must retry at ``owner`` (or refresh
 #: its placement map when no hint is available yet).
@@ -131,7 +129,6 @@ class ShardKvProvider:
         mi.register(RPC_PUT, self._h_put, provider_id)
         mi.register(RPC_GET, self._h_get, provider_id)
         mi.register(RPC_INSTALL, self._h_install, provider_id)
-        mi.register(RPC_ASSIGN, self._h_assign, provider_id)
         mi.hg.pvars.define_table(_SHARD_PVARS, self)
 
     # -- local (construction / admin-side) bookkeeping ---------------------
@@ -245,19 +242,6 @@ class ShardKvProvider:
         yield from mi.respond(
             handle, {"ret": 0, "n_keys": len(batch.items), "nbytes": installed}
         )
-
-    def _h_assign(self, mi: MargoInstance, handle: HGHandle) -> Generator:
-        """Failover adoption: start serving an (empty) shard whose data
-        died with its previous owner.  Idempotent."""
-        inp = yield from mi.get_input(handle)
-        shard = inp["shard"]
-        if shard not in self.shards:
-            db = make_database("map", self.mi.rt, db_id=shard)
-            yield Compute(self.install_fixed)
-            self.shards[shard] = db
-            self.forwards.pop(shard, None)
-            mi.hg.pvars.add("shard_migrations_in")
-        yield from mi.respond(handle, {"ret": 0})
 
 
 class ShardedKVService:

@@ -9,6 +9,8 @@ held with their metric families by the :class:`SeriesStore` the
 :class:`~repro.symbiosys.monitor.Monitor` fills while the simulation is
 still running.  A sampled counter or gauge has no value object of its
 own: its series is the metric, and a snapshot reads the latest sample.
+Each series lives in exactly one column of one block, which holds a
+sample of it in every row from its first sample on.
 
 Design constraints (all load-bearing for the determinism tests):
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Iterable, Optional
+from typing import Optional
 
 __all__ = [
     "Histogram",
@@ -34,7 +36,7 @@ __all__ = [
     "TimeSeries",
 ]
 
-#: Default histogram bucket upper bounds (queue depths / event counts).
+#: Every histogram's bucket upper bounds (queue depths / event counts).
 DEFAULT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 LabelItems = tuple[tuple[str, str], ...]
@@ -50,36 +52,23 @@ def _label_items(labels: Optional[dict[str, str]]) -> LabelItems:
 class Histogram:
     """Fixed-bucket cumulative histogram (Prometheus ``histogram``).
 
-    ``bounds`` are upper bucket edges; an implicit ``+Inf`` bucket
-    catches the rest.  Counts, sum, and bucket layout are all plain
-    integers/floats -- no randomness, no wall clock.
+    The upper bucket edges are :data:`DEFAULT_BUCKETS`; an implicit
+    ``+Inf`` bucket catches the rest.  Counts, sum, and bucket layout
+    are all plain integers/floats -- no randomness, no wall clock.
     """
 
-    __slots__ = ("name", "labels", "bounds", "bucket_counts", "total", "count")
+    __slots__ = ("name", "labels", "bucket_counts", "total", "count")
 
-    def __init__(
-        self,
-        name: str,
-        labels: LabelItems = (),
-        bounds: Iterable[float] = DEFAULT_BUCKETS,
-    ):
+    def __init__(self, name: str, labels: LabelItems = ()):
         self.name = name
         self.labels = labels
-        # Every per-process depth histogram shares the default tuple.
-        self.bounds = (
-            bounds if bounds is DEFAULT_BUCKETS else tuple(float(b) for b in bounds)
-        )
-        if list(self.bounds) != sorted(self.bounds):
-            raise ValueError("histogram bounds must be sorted ascending")
-        if len(set(self.bounds)) != len(self.bounds):
-            raise ValueError("histogram bounds must be distinct")
-        #: Per-bucket (non-cumulative) counts; index len(bounds) is +Inf.
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
+        #: Per-bucket (non-cumulative) counts; the last one is +Inf.
+        self.bucket_counts = [0] * (len(DEFAULT_BUCKETS) + 1)
         self.total = 0.0
         self.count = 0
 
     def observe(self, value: float) -> None:
-        self.bucket_counts[bisect_left(self.bounds, value)] += 1
+        self.bucket_counts[bisect_left(DEFAULT_BUCKETS, value)] += 1
         self.total += value
         self.count += 1
 
@@ -88,7 +77,7 @@ class Histogram:
         the ``_bucket{le=...}`` series of the Prometheus exposition."""
         out = []
         running = 0
-        for bound, n in zip(self.bounds, self.bucket_counts):
+        for bound, n in zip(DEFAULT_BUCKETS, self.bucket_counts):
             running += n
             out.append((bound, running))
         out.append((float("inf"), running + self.bucket_counts[-1]))
@@ -107,16 +96,15 @@ class RowBlock:
 
     A column starts at its first non-None value (a LOWWATERMARK PVAR
     has no sample until its first watermark): ``starts[c]`` is that
-    row's index, -1 before.  A None in a started column is a gap, kept
-    by row index in :attr:`gaps` (never as a NaN, which is a value a
-    series can hold).  Past ``capacity`` rows the oldest row is evicted,
-    so each column keeps the samples of the last ``capacity`` rows and
-    counts the rest as dropped.
+    row's index, -1 before.  From then on every row holds a sample of
+    it; a None in a started column raises before the row is recorded
+    (a NaN is a value a series can hold).  Past ``capacity`` rows the
+    oldest row is evicted, so each column keeps the samples of the last
+    ``capacity`` rows and counts the rest as dropped.
     """
 
     __slots__ = (
-        "names", "labels", "capacity", "rows", "head", "n", "starts",
-        "unstarted", "gaps",
+        "names", "labels", "capacity", "rows", "head", "n", "starts", "unstarted",
     )
 
     def __init__(
@@ -133,16 +121,13 @@ class RowBlock:
         self.n = 0
         self.starts = array("q", [-1]) * len(names)
         self.unstarted = len(names)
-        #: column -> [gaps ever, array of recent gap row indices], or
-        #: None while no started column has missed a row.
-        self.gaps: Optional[dict[int, list]] = None
 
     def append_row(self, row) -> None:
         """Append one row ``(t, v_0, ..., v_{k-1})``; a None value is no
-        sample of that column."""
+        sample yet of an unstarted column."""
         n = self.n
         if self.unstarted or None in row:
-            row = self._mark_missing(row, n)
+            row = self._start_columns(row, n)
         rows = self.rows
         if n < self.capacity:
             rows.extend(row)
@@ -153,41 +138,32 @@ class RowBlock:
             self.head = 0 if end == len(rows) else end
         self.n = n + 1
 
-    def _mark_missing(self, row, n: int) -> list:
-        """Start the columns whose first value this row holds, record a
-        gap for each started column it misses; None becomes 0.0."""
+    def _start_columns(self, row, n: int) -> list:
+        """Start the columns whose first value this row holds; None
+        becomes 0.0 in a column not started yet and raises in one that
+        has."""
         row = list(row)
         starts = self.starts
+        started = []
         for c in range(len(starts)):
-            if row[c + 1] is None:
+            if row[c + 1] is not None:
+                if starts[c] < 0:
+                    started.append(c)
+            elif starts[c] >= 0:
+                raise ValueError(
+                    f"series {self.names[c]!r} {dict(self.labels)} has no "
+                    f"value at t={row[0]} after its first sample"
+                )
+            else:
                 row[c + 1] = 0.0
-                if starts[c] >= 0:
-                    self._add_gap(c, n)
-            elif starts[c] < 0:
-                starts[c] = n
-                self.unstarted -= 1
+        for c in started:
+            starts[c] = n
+        self.unstarted -= len(started)
         return row
-
-    def _add_gap(self, c: int, n: int) -> None:
-        if self.gaps is None:
-            self.gaps = {}
-        entry = self.gaps.get(c)
-        if entry is None:
-            entry = self.gaps[c] = [0, array("q")]
-        entry[0] += 1
-        recent = entry[1]
-        recent.append(n)
-        if len(recent) > 2 * self.capacity:  # forget evicted rows
-            first = n + 1 - self.capacity
-            entry[1] = array("q", (r for r in recent if r >= first))
 
     def _first_row(self) -> int:
         """Index of the oldest retained row."""
         return self.n - len(self.rows) // (len(self.names) + 1)
-
-    def _gap_rows(self, c: int):
-        entry = self.gaps.get(c) if self.gaps is not None else None
-        return entry[1] if entry is not None else ()
 
     def column(self, c: int) -> list[tuple[float, float]]:
         """Chronological ``(time, value)`` samples of column ``c``."""
@@ -200,23 +176,13 @@ class RowBlock:
             rows = rows[head:] + rows[:head]
         stride = len(self.names) + 1
         first = self._first_row()
-        lo = max(first, start)
-        off = (lo - first) * stride
-        pairs = list(zip(rows[off::stride], rows[off + c + 1 :: stride]))
-        gaps = self._gap_rows(c)
-        if gaps:
-            skip = set(gaps)
-            pairs = [p for r, p in enumerate(pairs, lo) if r not in skip]
-        return pairs
+        off = (max(first, start) - first) * stride
+        return list(zip(rows[off::stride], rows[off + c + 1 :: stride]))
 
     def column_latest(self, c: int) -> Optional[tuple[float, float]]:
         """Newest sample of column ``c``, or None."""
         if self.starts[c] < 0:
             return None
-        gaps = self._gap_rows(c)
-        if gaps and gaps[-1] == self.n - 1:
-            pairs = self.column(c)
-            return pairs[-1] if pairs else None
         rows = self.rows
         end = self.head or len(rows)  # the newest row ends at the head
         off = end - len(self.names) - 1
@@ -227,16 +193,12 @@ class RowBlock:
         start = self.starts[c]
         if start < 0:
             return 0
-        lo = max(self._first_row(), start)
-        return self.n - lo - sum(1 for r in self._gap_rows(c) if r >= lo)
+        return self.n - max(self._first_row(), start)
 
     def column_total(self, c: int) -> int:
         """Samples ever appended to column ``c``, dropped ones included."""
         start = self.starts[c]
-        if start < 0:
-            return 0
-        entry = self.gaps.get(c) if self.gaps is not None else None
-        return self.n - start - (entry[0] if entry is not None else 0)
+        return 0 if start < 0 else self.n - start
 
 
 class TimeSeries(RowBlock):
@@ -278,46 +240,39 @@ class TimeSeries(RowBlock):
 
 
 class SeriesView:
-    """Read-only view of one series held in columns of row blocks.
+    """Read-only view of one series: column ``column`` of ``block``."""
 
-    ``segments`` are the ``(block, column)`` pairs the series spans,
-    oldest first: a sampling plan rebuilt mid-run starts a new block,
-    and a series carried over reads both.  The view keeps the last
-    ``capacity`` samples across its segments and counts the rest in
-    :attr:`dropped`, as one ring of that capacity would.
-    """
+    __slots__ = ("block", "column")
 
-    __slots__ = ("name", "labels", "capacity", "_segments")
+    def __init__(self, block: RowBlock, column: int):
+        self.block = block
+        self.column = column
 
-    def __init__(
-        self, name: str, labels: LabelItems, capacity: int, segments: list
-    ):
-        self.name = name
-        self.labels = labels
-        self.capacity = capacity
-        self._segments = segments
+    @property
+    def name(self) -> str:
+        return self.block.names[self.column]
+
+    @property
+    def labels(self) -> LabelItems:
+        return self.block.labels
 
     def samples(self) -> list[tuple[float, float]]:
-        out: list[tuple[float, float]] = []
-        for block, c in self._segments:
-            out.extend(block.column(c))
-        return out[-self.capacity :] if len(out) > self.capacity else out
+        return self.block.column(self.column)
 
     def latest(self) -> Optional[tuple[float, float]]:
-        for block, c in reversed(self._segments):
-            last = block.column_latest(c)
-            if last is not None:
-                return last
-        return None
+        return self.block.column_latest(self.column)
 
     @property
     def dropped(self) -> int:
-        total = sum(block.column_total(c) for block, c in self._segments)
-        return total - len(self)
+        return self.block.column_total(self.column) - len(self)
 
     def __len__(self) -> int:
-        n = sum(block.column_len(c) for block, c in self._segments)
-        return min(n, self.capacity)
+        return self.block.column_len(self.column)
+
+
+def _view(block: RowBlock, c: int) -> "TimeSeries | SeriesView":
+    """A width-one series is its own view."""
+    return block if type(block) is TimeSeries else SeriesView(block, c)
 
 
 class SeriesStore:
@@ -326,9 +281,9 @@ class SeriesStore:
 
     Samples live in :class:`RowBlock` s, indexed by label set: one per
     sampling plan (a whole process's series) and one
-    :class:`TimeSeries` per series written on its own.
-    :meth:`series` and :meth:`all_series` build the per-series views on
-    demand.
+    :class:`TimeSeries` per series written on its own.  No two blocks
+    hold the same ``(name, labels)``.  :meth:`series` and
+    :meth:`all_series` build the per-series views on demand.
 
     One family (name) has one type (``counter``, ``gauge`` or
     ``histogram``) and one help string; label sets distinguish its
@@ -369,7 +324,14 @@ class SeriesStore:
         return block
 
     def add_block(self, names: tuple[str, ...], labels: LabelItems) -> RowBlock:
-        """A new block of ``names`` columns under ``labels``."""
+        """A new block of ``names`` columns under ``labels``; a series
+        another block already holds raises."""
+        for block in self._blocks.get(labels, ()):
+            for name in block.names:
+                if name in names:
+                    raise ValueError(
+                        f"series {name!r} {dict(labels)} already has a block"
+                    )
         return self._index(RowBlock(names, labels, self.capacity))
 
     def series(
@@ -378,55 +340,36 @@ class SeriesStore:
         """The series ``(name, labels)``: its view if a block holds it,
         else a new :class:`TimeSeries` (get-or-create)."""
         items = _label_items(labels)
-        segments = [
-            (block, block.names.index(name))
-            for block in self._blocks.get(items, ())
-            if name in block.names
-        ]
-        if not segments:
-            return self._index(TimeSeries(name, items, self.capacity))
-        return self._view(name, items, segments)
+        for block in self._blocks.get(items, ()):
+            if name in block.names:
+                return _view(block, block.names.index(name))
+        return self._index(TimeSeries(name, items, self.capacity))
 
-    def _view(self, name: str, labels: LabelItems, segments: list):
-        if len(segments) == 1 and type(segments[0][0]) is TimeSeries:
-            return segments[0][0]
-        return SeriesView(name, labels, self.capacity, segments)
-
-    def _segments(self) -> dict[MetricKey, list]:
-        """``(name, labels)`` -> segments of every series with a sample
-        (or written on its own), unsorted."""
-        found: dict[MetricKey, list] = {}
+    def _columns(self) -> dict[MetricKey, tuple[RowBlock, int]]:
+        """``(name, labels)`` -> ``(block, column)`` of every series
+        with a sample (or written on its own), unsorted."""
+        found = {}
         for labels, blocks in self._blocks.items():
             for block in blocks:
                 own = type(block) is TimeSeries
                 for c, start in enumerate(block.starts):
                     if start >= 0 or own:
-                        key = (block.names[c], labels)
-                        segs = found.get(key)
-                        if segs is None:
-                            found[key] = [(block, c)]
-                        else:
-                            segs.append((block, c))
+                        found[(block.names[c], labels)] = (block, c)
         return found
 
-    def add_histogram(
-        self,
-        name: str,
-        labels: LabelItems = (),
-        bounds: Iterable[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        hist = Histogram(name, labels, bounds)
+    def add_histogram(self, name: str, labels: LabelItems = ()) -> Histogram:
+        hist = Histogram(name, labels)
         self.histograms.append(hist)
         return hist
 
     def all_series(self) -> list["TimeSeries | SeriesView"]:
         """Every series, sorted by ``(name, labels)`` for stable export."""
-        found = self._segments()
-        return [self._view(*key, found[key]) for key in sorted(found)]
+        found = self._columns()
+        return [_view(*found[key]) for key in sorted(found)]
 
     @property
     def total_samples(self) -> int:
         return sum(len(ts) for ts in self.all_series())
 
     def __len__(self) -> int:
-        return len(self._segments())
+        return len(self._columns())

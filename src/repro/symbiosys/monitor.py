@@ -317,7 +317,7 @@ class _WindowDetector(AnomalyDetector):
     once a whole window passes below the threshold, or on a fresh
     window when the threshold changes.  Keeps state only for processes
     with a tick at the threshold in the window; a crashed process never
-    has one (its last reading is stale).
+    has one (its last reading is out of date).
     """
 
     window = 4
@@ -675,11 +675,11 @@ class _ProcessPlan:
     counter column's previous value (NaN before the first), the bound
     its next sample may not go below.
 
-    Invalidated (and rebuilt, with a new block) when the process's PVAR
-    registry grows -- the staleness check in :meth:`Monitor.sample`.
-    The registry, the Argobots runtime and the handler pool are assigned
-    once per :class:`~repro.margo.instance.MargoInstance`, so they need
-    no check.
+    Built at the monitor's first sample of the process, which fixes its
+    PVAR schema: a PVAR defined later makes the next sample raise (the
+    ``n_pvars`` check in :meth:`Monitor.sample`).  The registry, the
+    Argobots runtime and the handler pool are assigned once per
+    :class:`~repro.margo.instance.MargoInstance`, so they need no check.
     """
 
     __slots__ = ("n_pvars", "pool", "rows", "values", "block", "floors", "depth_hist")
@@ -748,7 +748,8 @@ class Monitor:
         for name, kind, help in _FAMILIES:
             self.store.family(name, kind, help)
         self.sched = SchedRecorder(SCHED_SLICE_CAPACITY)
-        #: Sampling-plan rebuilds (staleness-triggered) since start.
+        #: Per-process sampling plans built since start (one per
+        #: sampled process; exported as ``monitor_plan_rebuilds``).
         self.plan_rebuilds = 0
         # Self-observability: the monitor's own overhead as PVARs, so
         # the ~1.1x claim is measurable from inside a run.  Exposed
@@ -829,11 +830,16 @@ class Monitor:
     def _snapshot(self, t: float) -> None:
         for addr, mi in self._processes.items():
             plan = self._plans.get(addr)
-            if plan is None or plan.n_pvars != mi.hg.pvars.num_pvars:
+            if plan is None:
                 plan = self._plans[addr] = self._build_plan(
-                    self._labels[addr], mi.hg.pvars, mi, plan
+                    self._labels[addr], mi.hg.pvars, mi
                 )
                 self.plan_rebuilds += 1
+            elif plan.n_pvars != mi.hg.pvars.num_pvars:
+                raise ValueError(
+                    f"process {addr!r} defined a PVAR after its first "
+                    "monitor sample; define every PVAR before the run"
+                )
             row = self._pvar_row(t, plan)
             rt = mi.rt
             depth = len(plan.pool)
@@ -873,13 +879,10 @@ class Monitor:
         labels: tuple,
         pvars: PvarRegistry,
         mi: Optional["MargoInstance"] = None,
-        stale: Optional[_ProcessPlan] = None,
     ) -> _ProcessPlan:
         """Resolve every name/PVAR lookup the sampler will make for one
         process once, so the per-tick hot loop touches only cached
-        handles.  Without ``mi`` the plan covers the PVARs only; a
-        ``stale`` plan of the same process hands over its histogram and
-        its counters' floors."""
+        handles.  Without ``mi`` the plan covers the PVARs only."""
         names = pvars.names
         template = self._templates.get(names)
         if template is None:
@@ -890,20 +893,13 @@ class Monitor:
         plan.rows = rows
         plan.values = pvars.slot_values
         plan.floors = array("d", [_NAN]) * len(rows)
-        if stale is not None:
-            old = stale.block.names
-            for c, row in enumerate(rows):
-                if row[2] and row[1] in old:
-                    plan.floors[c] = stale.floors[old.index(row[1])]
         if mi is None:
             columns = columns[: len(rows)]
             plan.pool = plan.depth_hist = None
         else:
             plan.pool = mi.handler_pool
-            plan.depth_hist = (
-                stale.depth_hist
-                if stale is not None
-                else self.store.add_histogram("abt_handler_pool_depth_hist", labels)
+            plan.depth_hist = self.store.add_histogram(
+                "abt_handler_pool_depth_hist", labels
             )
         plan.block = self.store.add_block(columns, labels)
         return plan

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Optional
 from ..cluster import Cluster
 from ..faults import FaultPlan
 from ..margo import MargoError, RetryPolicy
+from ..sim import SimEvent
 from ..symbiosys import Stage
 from ..symbiosys.analysis import profile_summary
 from ..symbiosys.export import digest, series_to_csv, to_prometheus
@@ -150,7 +151,7 @@ def _echo_handler(mi, handle):
     yield from mi.respond(handle, {"echo": len(inp["data"])})
 
 
-def _run_echo(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT":
+def _run_echo(cluster: Cluster, scale: int, outcome: dict, done: SimEvent) -> "ULT":
     """``scale`` clients, four RPCs each; one payload overflows the eager
     buffer to exercise the internal-RDMA path."""
     (server_addr,) = WORKLOAD_SERVERS["echo"]
@@ -172,13 +173,13 @@ def _run_echo(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT":
                 )
             pending["n"] -= 1
             if pending["n"] == 0:
-                done["at"] = cluster.sim.now
+                done.succeed(cluster.sim.now)
 
         load = client.client_ult(body(), name=f"echo-load{i}")
     return load
 
 
-def _run_sonata(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT":
+def _run_sonata(cluster: Cluster, scale: int, outcome: dict, done: SimEvent) -> "ULT":
     """One Sonata provider; a client stores ``scale`` batches and fetches
     the first record of each back."""
     from ..services.sonata import SonataClient, SonataProvider
@@ -205,12 +206,12 @@ def _run_sonata(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT
                     server_addr, provider_id, "col", records, batch_size=10
                 ),
             )
-        done["at"] = cluster.sim.now
+        done.succeed(cluster.sim.now)
 
     return client_mi.client_ult(body(), name="sonata-load")
 
 
-def _run_sdskv(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT":
+def _run_sdskv(cluster: Cluster, scale: int, outcome: dict, done: SimEvent) -> "ULT":
     """One SDSKV provider with two databases; a client puts ``8 * scale``
     keys across them and reads each back."""
     from ..services.sdskv import SdskvClient, SdskvProvider
@@ -233,12 +234,12 @@ def _run_sdskv(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT"
                 client.get(server_addr, 0, i % 2, f"k{i}"),
                 expect=f"v{i}",
             )
-        done["at"] = cluster.sim.now
+        done.succeed(cluster.sim.now)
 
     return client_mi.client_ult(body(), name="golden-sdskv")
 
 
-def _run_bake(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT":
+def _run_bake(cluster: Cluster, scale: int, outcome: dict, done: SimEvent) -> "ULT":
     """One BAKE provider; a client writes ``4 * scale`` regions of
     growing size and reads each back."""
     from ..services.bake import BakeClient, BakeProvider
@@ -262,12 +263,12 @@ def _run_bake(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT":
             yield from _tally(
                 outcome, client.read(server_addr, 0, rid), expect=data
             )
-        done["at"] = cluster.sim.now
+        done.succeed(cluster.sim.now)
 
     return client_mi.client_ult(body(), name="golden-bake")
 
 
-def _run_hepnos(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT":
+def _run_hepnos(cluster: Cluster, scale: int, outcome: dict, done: SimEvent) -> "ULT":
     """Two HEPnOS servers (sdskv + bake providers each), driven through
     the real HEPnOS client hashing path: ``12 * scale`` events stored,
     every third loaded back."""
@@ -293,12 +294,12 @@ def _run_hepnos(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT
             yield from _tally(
                 outcome, client.load_event(f"run0/event{i}"), expect={"e": i}
             )
-        done["at"] = cluster.sim.now
+        done.succeed(cluster.sim.now)
 
     return client_mi.client_ult(body(), name="golden-hepnos")
 
 
-def _run_sharded(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT":
+def _run_sharded(cluster: Cluster, scale: int, outcome: dict, done: SimEvent) -> "ULT":
     """A 32-server sharded fleet driven through the consistent-hash
     router: ``24 * scale`` plain SDSKV keys plus ``12 * scale``
     HEPnOS-style dataset/run/event keys, all read back, so the sharded
@@ -330,12 +331,12 @@ def _run_sharded(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "UL
                 router.get_event("golden.ds", 0, i),
                 expect={"e": i},
             )
-        done["at"] = cluster.sim.now
+        done.succeed(cluster.sim.now)
 
     return client_mi.client_ult(body(), name="golden-sharded")
 
 
-def _run_churn(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT":
+def _run_churn(cluster: Cluster, scale: int, outcome: dict, done: SimEvent) -> "ULT":
     """Membership churn over an eight-server sharded fleet.
 
     ``scale`` clients each write a pre-churn wave of keys, sleep across
@@ -367,7 +368,7 @@ def _run_churn(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT"
         pending["n"] -= 1
         if pending["n"] == 0:
             yield from router.mi.rt.sleep(2e-3)  # quiesce migrations
-            done["at"] = cluster.sim.now
+            done.succeed(cluster.sim.now)
 
     def audit() -> dict:
         return {
@@ -385,8 +386,8 @@ def _run_churn(cluster: Cluster, scale: int, outcome: dict, done: dict) -> "ULT"
 
 
 #: Each runner deploys its workload, counts every client op in
-#: ``outcome["ok"]``/``outcome["failed"]``, sets ``done["at"]`` when
-#: the load finishes, and returns its last load ULT.  A runner that
+#: ``outcome["ok"]``/``outcome["failed"]``, fires ``done`` with the
+#: simulated time the load finishes at, and returns its last load ULT.  A runner that
 #: audits the finished run leaves the audit callable in
 #: ``outcome["audit"]``; it is called after teardown.
 WORKLOADS = {
@@ -413,12 +414,12 @@ def run_workload(
 ) -> RunArtifacts:
     """Run one named workload under monitoring + invariant checking.
 
-    Raises :class:`WorkloadHang` if the completion predicate is not
-    reached within ``time_limit`` simulated seconds (a failure condition
-    the fuzzer shrinks like any other).  ``_corrupt_sched`` is a test
-    hook: after the workload completes it re-queues the runner's last
-    load ULT, terminated by then, deliberately breaking the scheduler
-    state machine.
+    Raises :class:`WorkloadHang` if the load has not finished within
+    ``time_limit`` simulated seconds (a failure condition the fuzzer
+    shrinks like any other).  ``_corrupt_sched`` is a test hook: after
+    the workload completes it re-queues the runner's last load ULT,
+    terminated by then, deliberately breaking the scheduler state
+    machine.
     """
     try:
         runner = WORKLOADS[workload]
@@ -431,7 +432,6 @@ def run_workload(
         raise ValueError("scale must be at least 1")
 
     outcome = {"ok": 0, "failed": 0}
-    done: dict = {}
     with Cluster(
         seed=seed,
         stage=Stage.FULL,
@@ -441,9 +441,9 @@ def run_workload(
         monitoring=MonitorConfig(interval=50e-6),
         validate=ValidationConfig(strict=strict),
     ) as cluster:
+        done = SimEvent(cluster.sim, f"{workload}-done")
         load = runner(cluster, scale, outcome, done)
-        finished = cluster.sim.run_until(lambda: "at" in done, time_limit)
-        if not finished:
+        if not cluster.run_until_event(done, limit=time_limit):
             cluster.shutdown()
             raise WorkloadHang(
                 f"workload {workload!r} (seed={seed}, scale={scale}) did "
@@ -462,7 +462,7 @@ def run_workload(
         seed=seed,
         preset=preset,
         scale=scale,
-        makespan=done["at"],
+        makespan=done.value,
         rpcs_ok=outcome["ok"],
         rpcs_failed=outcome["failed"],
         leaked_events=cluster.leaked_events,

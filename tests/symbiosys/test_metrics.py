@@ -6,7 +6,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.sim import Simulator
-from repro.symbiosys.metrics import Histogram, SeriesStore, TimeSeries
+from repro.symbiosys.metrics import (
+    DEFAULT_BUCKETS,
+    Histogram,
+    SeriesStore,
+    TimeSeries,
+)
 from repro.symbiosys.export import series_to_csv, to_prometheus
 from repro.symbiosys.monitor import Monitor
 
@@ -45,13 +50,16 @@ def test_gauge_moves_both_ways():
 
 
 def test_histogram_buckets_and_cumulative():
-    h = Histogram("h", bounds=(1, 10, 100))
+    h = Histogram("h")
     for v in (0.5, 5, 50, 500):
         h.observe(v)
     cum = dict(h.cumulative())
+    assert [b for b, _ in h.cumulative()] == [*DEFAULT_BUCKETS, math.inf]
     assert cum[1] == 1
-    assert cum[10] == 2
-    assert cum[100] == 3
+    assert cum[8] == 2
+    assert cum[32] == 2
+    assert cum[64] == 3
+    assert cum[128] == 3
     assert cum[math.inf] == 4
     assert h.count == 4
     assert h.total == 555.5
@@ -138,7 +146,7 @@ def test_prometheus_format():
     store.family("depth", "gauge", "Queue depth")
     store.series("depth").append(0.0, 2.5)
     store.family("lat", "histogram", "Latency")
-    h = store.add_histogram("lat", (("p", "a"),), bounds=(1, 2))
+    h = store.add_histogram("lat", (("p", "a"),))
     h.observe(0.5)
     h.observe(3)
     store.series("undeclared").append(0.0, 1.0)  # CSV-only
@@ -149,6 +157,7 @@ def test_prometheus_format():
     assert 'reqs_total{process="svr"} 7' in lines
     assert "depth 2.5" in lines
     assert 'lat_bucket{p="a",le="1"} 1' in lines
+    assert 'lat_bucket{p="a",le="4"} 2' in lines
     assert 'lat_bucket{p="a",le="+Inf"} 2' in lines
     assert 'lat_sum{p="a"} 3.5' in lines
     assert 'lat_count{p="a"} 2' in lines
@@ -231,48 +240,53 @@ def _assert_matches(store, ref):
 
 
 def test_row_blocks_match_a_reference_ring():
-    """Lazy column start, wraparound at capacity 3, a plan rebuilt mid-run
-    (a series spanning two blocks) and a width-one series written with
-    ``append``, against one reference ring per series."""
+    """Lazy column start, wraparound at capacity 3 and a width-one
+    series written with ``append``, against one reference ring per
+    series."""
     store = SeriesStore(capacity=3)
     ref = _ReferenceRing(3)
     labels = (("process", "p0"),)
-
-    def put(block, t, values):
-        block.append_row([t, *values])
-        for name, v in zip(block.names, values):
-            if v is not None:
-                ref.append((name, labels), t, v)
-
-    first = store.add_block(("a", "lw"), labels)
+    block = store.add_block(("a", "lw"), labels)
     for i in range(7):
         # "lw" is a LOWWATERMARK: no sample before its first watermark.
-        put(first, float(i), [10.0 * i, None if i < 2 else -1.0 * i])
+        values = [10.0 * i, None if i < 2 else -1.0 * i]
+        block.append_row([float(i), *values])
+        for name, v in zip(block.names, values):
+            if v is not None:
+                ref.append((name, labels), float(i), v)
         store.series("w", {"k": "x"}).append(float(i), 0.5 * i)
         ref.append(("w", (("k", "x"),)), float(i), 0.5 * i)
         _assert_matches(store, ref)
-    # The registry grew: a new block, one more column, starting late.
-    second = store.add_block(("a", "lw", "new"), labels)
-    for i in range(7, 12):
-        put(second, float(i), [10.0 * i, -1.0 * i, None if i < 9 else 100.0 + i])
-        _assert_matches(store, ref)
-    assert store.series("a", {"process": "p0"}).dropped == 9
+    assert store.series("a", {"process": "p0"}).dropped == 4
+    assert store.series("lw", {"process": "p0"}).dropped == 2
 
 
-def test_row_block_gap_and_nan():
-    """A value that goes back to None leaves a gap; a sampled NaN is a
-    sample."""
+def test_row_block_nan_is_a_sample_and_a_lost_value_raises():
+    """A sampled NaN is a sample; a None after a column's first value
+    raises, naming the series, and the row is not recorded."""
     store = SeriesStore(capacity=8)
-    block = store.add_block(("g",), (("process", "p0"),))
-    for t, v in ((0.0, 1.0), (1.0, None), (2.0, float("nan")), (3.0, None)):
-        block.append_row([t, v])
-    [series] = store.all_series()
-    samples = series.samples()
-    assert [t for t, _ in samples] == [0.0, 2.0]
+    block = store.add_block(("g", "h"), (("process", "p0"),))
+    block.append_row([0.0, 1.0, None])
+    block.append_row([1.0, float("nan"), None])
+    with pytest.raises(ValueError, match="'g'.*p0"):
+        block.append_row([2.0, None, 5.0])
+    block.append_row([3.0, 2.0, 6.0])  # "h" starts on a recorded row
+    g = store.series("g", {"process": "p0"})
+    samples = g.samples()
+    assert [t for t, _ in samples] == [0.0, 1.0, 3.0]
     assert samples[0][1] == 1.0 and math.isnan(samples[1][1])
-    assert series.latest()[0] == 2.0
-    assert len(series) == 2 and series.dropped == 0
-    for t in range(4, 40):  # gaps past the capacity are forgotten
-        block.append_row([float(t), None])
-    assert series.samples() == [] and series.latest() is None
-    assert len(series) == 0 and series.dropped == 2
+    assert g.latest() == (3.0, 2.0)
+    assert len(g) == 3 and g.dropped == 0
+    assert store.series("h", {"process": "p0"}).samples() == [(3.0, 6.0)]
+
+
+def test_a_series_held_by_another_block_is_refused():
+    store = SeriesStore()
+    labels = (("process", "p0"),)
+    store.add_block(("a", "b"), labels)
+    store.series("own", {"process": "p0"}).append(0.0, 1.0)
+    store.add_block(("a", "b"), (("process", "p1"),))  # other labels
+    for names in (("b", "c"), ("own",)):
+        with pytest.raises(ValueError, match="already has a block"):
+            store.add_block(names, labels)
+    assert [s.name for s in store.all_series()] == ["own"]

@@ -366,29 +366,27 @@ def test_first_sample_allocates_few_objects_per_process():
     cluster.shutdown()
 
 
-def test_stale_plans_are_rebuilt_and_counted():
+def test_a_pvar_defined_after_the_first_sample_raises():
+    """The first sample fixes a process's PVAR schema: one plan per
+    process, shared row templates per schema, and a PVAR defined later
+    makes the next sample raise, naming the process."""
     from repro.mercury.pvar import PvarBinding, PvarClass, PvarDef
 
     cluster = _idle_cluster(3)
     monitor = cluster.monitor
     grown = cluster.processes["p000"]
-    monitor.sample(cluster.sim.now)
-    assert monitor.plan_rebuilds == 3
-    assert monitor._plans["p000"].rows is monitor._plans["p002"].rows
-
-    # A shard-style PVAR family appended after the first sample.
+    # A shard-style PVAR family, defined before the first sample.
     grown.hg.pvars.define(
         PvarDef("shard_ops_total", PvarClass.COUNTER, PvarBinding.NO_OBJECT,
                 "KV operations served by this shard server")
     )
     grown.hg.pvars.add("shard_ops_total", 5)
     monitor.sample(cluster.sim.now)
-    assert monitor.plan_rebuilds == 4
-    assert monitor.pvars.raw_value("monitor_plan_rebuilds") == 4
     monitor.sample(cluster.sim.now)
-    assert monitor.plan_rebuilds == 4  # fresh plans stay
+    assert monitor.plan_rebuilds == 3  # one build per process
+    assert monitor.pvars.raw_value("monitor_plan_rebuilds") == 3
 
-    # The new PVAR's series carries the public API's labels and is
+    # The PVAR's series carries the public API's labels and is
     # exported as a counter.
     # Views are built on demand: two reads are equal, not identical.
     [series] = [s for s in monitor.store.all_series()
@@ -403,12 +401,20 @@ def test_stale_plans_are_rebuilt_and_counted():
     assert "# TYPE pvar_shard_ops_total counter" in lines
     assert 'pvar_shard_ops_total{process="p000"} 5' in lines
 
-    # Different schemas never share rows; the unchanged one keeps its own.
+    # Different schemas never share rows; the same schema does.
     rows = {a: monitor._plans[a].rows for a in ("p000", "p001", "p002")}
     assert rows["p000"] is not rows["p002"]
     assert rows["p001"] is rows["p002"]
     assert "pvar_shard_ops_total" in {r[1] for r in rows["p000"]}
     assert "pvar_shard_ops_total" not in {r[1] for r in rows["p002"]}
+
+    cluster.processes["p001"].hg.pvars.define(
+        PvarDef("late_total", PvarClass.COUNTER, PvarBinding.NO_OBJECT, "")
+    )
+    with pytest.raises(ValueError, match="'p001'.*before the run"):
+        monitor.sample(cluster.sim.now)
+    assert monitor.plan_rebuilds == 3
+    monitor.sampler.stop()  # the shutdown's last sample would raise too
     cluster.shutdown()
 
 
