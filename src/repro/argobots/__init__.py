@@ -6,12 +6,11 @@ Argobots that Mochi/Margo uses.
 
 from .pool import Pool
 from .runtime import AbtRuntime
-from .sync import AbtBarrier, AbtMutex, Eventual
+from .sync import AbtMutex, Eventual
 from .ult import ULT, AbtEffect, Compute, UltState, WaitEventual, YieldNow
 from .xstream import ExecutionStream
 
 __all__ = [
-    "AbtBarrier",
     "AbtEffect",
     "AbtMutex",
     "AbtRuntime",

@@ -64,12 +64,5 @@ class Pool:
         """Schedule ``resume()`` at the next :meth:`push` (one-shot)."""
         self._waiters.append(resume)
 
-    def wake_waiters(self) -> None:
-        """Schedule every parked resume callback now (runtime shutdown)."""
-        waiters = self._waiters
-        sim = self.sim
-        while waiters:
-            sim.call_at(sim.now, waiters.popleft())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Pool({self.name!r}, len={len(self._queue)})"

@@ -8,11 +8,11 @@ and provides the ULT lifecycle API (spawn/join/self).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator, Optional
 
 from ..sim import Simulator
 from .pool import Pool
-from .sync import AbtBarrier, AbtMutex, Eventual
+from .sync import AbtMutex, Eventual
 from .ult import BLOCKED, READY, TERMINATED, ULT, WaitEventual
 from .xstream import ExecutionStream
 
@@ -28,14 +28,12 @@ class AbtRuntime:
         name: str = "abt",
         *,
         ctx_switch_cost: float = 50e-9,
-        swallow_ult_errors: bool = False,
     ):
         self.sim = sim
         self.name = name
         #: Simulated cost of dispatching a ULT onto an ES.  Non-zero by
         #: default so cooperative yield loops always advance time.
         self.ctx_switch_cost = float(ctx_switch_cost)
-        self.swallow_ult_errors = swallow_ult_errors
         self.pools: list[Pool] = []
         self.xstreams: list[ExecutionStream] = []
         #: Number of ULTs currently blocked on an eventual/mutex -- the
@@ -61,7 +59,6 @@ class AbtRuntime:
         #: order: ``on_slice(es, ult, start, end)``, the protocol's one
         #: method.  Per-ULT facts they need live on the ULT itself.
         self._sched_observers: list = []
-        self.shutting_down = False
         #: Bound once: every timed wait's queue entry holds this method,
         #: the ULT and its wait number, and nothing the wait used.
         self._on_wait_timeout = self._wait_timeout
@@ -138,15 +135,7 @@ class AbtRuntime:
     def mutex(self, name: str = "abt_mutex") -> AbtMutex:
         return AbtMutex(self, name)
 
-    def barrier(self, parties: int, name: str = "abt_barrier") -> AbtBarrier:
-        return AbtBarrier(self, parties, name)
-
     # -- introspection (sampled by SYMBIOSYS sysmon) -------------------------
-
-    @property
-    def num_active(self) -> int:
-        """Spawned but not yet finished."""
-        return self.total_spawned - self.total_finished
 
     def busy_fraction(self) -> float:
         """Mean cumulative busy time per ES divided by elapsed time --
@@ -154,17 +143,6 @@ class AbtRuntime:
         if not self.xstreams or self.sim.now <= 0:
             return 0.0
         return sum(self.es_busy) / (len(self.xstreams) * self.sim.now)
-
-    # -- shutdown -----------------------------------------------------------
-
-    def shutdown(self) -> None:
-        """Stop all execution streams once they go idle: a parked ES
-        wakes, sees ``shutting_down`` and exits."""
-        if self.shutting_down:
-            return
-        self.shutting_down = True
-        for es in self.xstreams:
-            es.pool.wake_waiters()
 
     # -- internal hooks used by ES / sync ------------------------------------
 

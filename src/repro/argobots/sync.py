@@ -1,4 +1,4 @@
-"""Synchronization primitives for ULTs (eventuals, mutexes, barriers).
+"""Synchronization primitives for ULTs (eventuals and mutexes).
 
 These mirror the Argobots objects Mochi uses: ``ABT_eventual`` for
 completion notification (Margo blocks RPC-issuing ULTs on one until the
@@ -16,7 +16,7 @@ from .ult import ULT, WaitEventual
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import AbtRuntime
 
-__all__ = ["Eventual", "AbtMutex", "AbtBarrier"]
+__all__ = ["Eventual", "AbtMutex"]
 
 
 class Eventual:
@@ -94,14 +94,6 @@ class AbtMutex:
         #: Peak number of ULTs queued on this mutex (saturation metric).
         self.contention_high_watermark = 0
 
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
-    @property
-    def waiting(self) -> int:
-        return len(self._waiters)
-
     def lock(self) -> Generator:
         """``yield from mutex.lock()`` from a ULT body."""
         me = self.runtime.self_ult()
@@ -130,30 +122,3 @@ class AbtMutex:
             self._locked = False
             self._owner = None
 
-
-class AbtBarrier:
-    """Reusable barrier for a fixed party of ULTs (``ABT_barrier``)."""
-
-    def __init__(self, runtime: "AbtRuntime", parties: int, name: str = "abt_barrier"):
-        if parties < 1:
-            raise ValueError("barrier needs at least one party")
-        self.runtime = runtime
-        self.parties = parties
-        self.name = name
-        self._arrived = 0
-        self._generation = 0
-        self._gate = Eventual(runtime, f"{name}.gen0")
-
-    def wait(self) -> Generator:
-        """``yield from barrier.wait()``; the last arrival releases all."""
-        self._arrived += 1
-        if self._arrived == self.parties:
-            gate = self._gate
-            self._generation += 1
-            self._arrived = 0
-            self._gate = Eventual(self.runtime, f"{self.name}.gen{self._generation}")
-            gate.signal(self._generation)
-            return self._generation
-            yield  # pragma: no cover - makes this function a generator
-        gen = yield WaitEventual(self._gate, None)
-        return gen

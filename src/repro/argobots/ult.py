@@ -121,7 +121,6 @@ class ULT:
         "result",
         "error",
         "_send_value",
-        "_throw_exc",
         "_wait_wrap",
         "join_waiters",
     )
@@ -142,7 +141,6 @@ class ULT:
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self._send_value: Any = None
-        self._throw_exc: Optional[BaseException] = None
         self._wait_wrap = False
         #: Eventuals signaled with the ULT's result when it terminates.
         self.join_waiters: list[Any] = []

@@ -75,15 +75,15 @@ class ExecutionStream:
     # -- scheduling callbacks ------------------------------------------------
 
     def _next(self) -> None:
-        """Run READY ULTs until one holds the ES across simulated time,
-        the pool runs dry or the runtime shuts down."""
+        """Run READY ULTs until one holds the ES across simulated time
+        or the pool runs dry."""
         rt = self.runtime
         sim = rt.sim
         pool = self.pool
-        while not rt.shutting_down:
+        while True:
             ult = pool.pop()
             if ult is None:
-                # Woken by the next push, or by AbtRuntime.shutdown().
+                # Woken by the next push.
                 pool.park(self._next)
                 return
             self._slice_start = sim.now
@@ -125,19 +125,13 @@ class ExecutionStream:
             while True:
                 rt._current_ult = ult
                 try:
-                    if ult._throw_exc is not None:
-                        exc, ult._throw_exc = ult._throw_exc, None
-                        effect = ult.gen.throw(exc)
-                    else:
-                        effect = ult.gen.send(ult._send_value)
+                    effect = ult.gen.send(ult._send_value)
                 except StopIteration as stop:
                     rt._finish_ult(ult, stop.value, None)
                     return True
                 except BaseException as exc:
                     rt._finish_ult(ult, None, exc)
-                    if not rt.swallow_ult_errors:
-                        raise
-                    return True
+                    raise
                 finally:
                     rt._current_ult = None
                 ult._send_value = None

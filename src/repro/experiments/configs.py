@@ -44,10 +44,6 @@ class HEPnOSConfig:
         return self.databases // self.total_servers
 
     @property
-    def client_nodes(self) -> int:
-        return -(-self.total_clients // self.clients_per_node)
-
-    @property
     def server_nodes(self) -> int:
         return -(-self.total_servers // self.servers_per_node)
 

@@ -65,11 +65,6 @@ class HEPnOSExperimentResult:
         return self.cluster.monitor
 
     @property
-    def throughput(self) -> float:
-        """Events stored per simulated second."""
-        return self.events_stored / self.makespan if self.makespan > 0 else 0.0
-
-    @property
     def summary(self) -> ProfileSummary:
         if self._summary is None:
             self._summary = profile_summary(self.collector)

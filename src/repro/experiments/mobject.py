@@ -20,7 +20,6 @@ from ..symbiosys.analysis import (
     profile_summary,
     trace_summary,
 )
-from ..symbiosys.zipkin import request_to_zipkin
 from ..workloads import IorClient, IorConfig, run_ior_clients
 from .presets import FAST_TEST, Preset
 
@@ -52,12 +51,6 @@ class MobjectExperimentResult:
                 if all(s.complete for s in req.roots[0].walk()):
                     return req
         return None
-
-    def write_op_zipkin(self) -> list[dict]:
-        req = self.write_op_trace()
-        if req is None:
-            raise RuntimeError("no complete mobject_write_op trace captured")
-        return request_to_zipkin(req)
 
 
 def run_mobject_experiment(

@@ -76,9 +76,6 @@ class MonitorExperimentResult:
     perfetto_json: str = ""
     findings_text: str = ""
 
-    def detectors_fired(self) -> list[str]:
-        return sorted({f.detector for f in self.findings})
-
     def digests(self) -> dict[str, str]:
         """sha256 prefixes of every artifact -- the determinism probe."""
         return {

@@ -1,8 +1,8 @@
 """Deterministic, seeded fault injection for the simulated Mochi stack.
 
 Declare a campaign with :class:`FaultPlan` (wire-level drop/duplicate/
-delay rules, link partitions, process crash/hang/restart, handler
-exceptions and stalls) and execute it with :class:`FaultInjector`.
+delay rules, process crash/restart, handler exceptions and stalls) and
+execute it with :class:`FaultInjector`.
 All randomness flows through :class:`repro.sim.RngRegistry` streams, so
 identical ``(plan, seed)`` pairs replay identical fault timelines.
 
@@ -17,8 +17,6 @@ from .plan import (
     DuplicateRule,
     FaultPlan,
     HandlerFaultRule,
-    HangFault,
-    PartitionWindow,
     RestartFault,
     WireRule,
 )
@@ -33,9 +31,7 @@ __all__ = [
     "FaultPlan",
     "HandlerAction",
     "HandlerFaultRule",
-    "HangFault",
     "InjectedHandlerError",
-    "PartitionWindow",
     "RestartFault",
     "WireRule",
 ]

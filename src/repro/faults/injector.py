@@ -4,9 +4,9 @@ The injector is the single authority on *when* faults fire.  It plugs
 into the stack at three seams:
 
 * ``injector.install(fabric)`` -- the fabric consults
-  :meth:`FaultInjector.on_message` / :meth:`FaultInjector.on_rdma` for
-  every transfer (drop / duplicate / delay / partition),
-* ``injector.attach(mi)`` -- schedules the plan's crash/hang/restart
+  :meth:`FaultInjector.on_message` for every message (drop / duplicate /
+  delay),
+* ``injector.attach(mi)`` -- schedules the plan's crash/restart
   faults for that process on the simulator and registers the injector as
   the process's handler-fault hook,
 * :meth:`FaultInjector.on_handler` -- called by Margo's handler wrapper
@@ -22,7 +22,7 @@ the fault-campaign reports rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..net.fabric import WireFault
@@ -33,7 +33,6 @@ from .plan import (
     DropRule,
     DuplicateRule,
     FaultPlan,
-    HangFault,
     RestartFault,
 )
 
@@ -60,10 +59,6 @@ class FaultEvent:
     #: Deterministic identifying details (addresses, rpc names, nodes) --
     #: never per-run artifacts like handle cookies.
     detail: tuple
-
-    def as_row(self) -> dict:
-        return {"time": f"{self.time * 1e3:.6f}ms", "fault": self.kind,
-                "detail": " ".join(str(d) for d in self.detail)}
 
 
 @dataclass
@@ -107,8 +102,8 @@ class FaultInjector:
         return self
 
     def attach(self, mi: "MargoInstance") -> None:
-        """Adopt one Margo process: schedule its planned crash/hang/
-        restart faults and intercept its handlers."""
+        """Adopt one Margo process: schedule its planned crash/restart
+        faults and intercept its handlers."""
         if mi.addr in self._processes:
             raise ValueError(f"process {mi.addr!r} already attached")
         self._processes[mi.addr] = mi
@@ -116,8 +111,6 @@ class FaultInjector:
         for fault in self.plan.faults_for(mi.addr):
             if isinstance(fault, CrashFault):
                 self.sim.call_at(fault.at, self._do_crash, mi)
-            elif isinstance(fault, HangFault):
-                self.sim.call_at(fault.at, self._do_hang, mi, fault.duration)
             elif isinstance(fault, RestartFault):
                 self.sim.call_at(fault.at, self._do_crash, mi)
                 self.sim.call_at(
@@ -134,8 +127,8 @@ class FaultInjector:
     def disarm(self) -> None:
         """Suppress all not-yet-fired process faults.
 
-        Called at teardown (``Cluster.shutdown``): scheduled crash/hang/
-        restart callbacks may still sit in the event queue, and letting a
+        Called at teardown (``Cluster.shutdown``): scheduled crash/restart
+        callbacks may still sit in the event queue, and letting a
         restart revive a finalized process would leak a progress loop
         that never exits.
         """
@@ -164,12 +157,6 @@ class FaultInjector:
         self._record("crash", mi.addr, procs=(mi.addr,))
         mi.crash()
 
-    def _do_hang(self, mi: "MargoInstance", duration: float) -> None:
-        if self._disarmed:
-            return
-        self._record("hang", mi.addr, duration, procs=(mi.addr,))
-        mi.hang(duration)
-
     def _do_restart(self, mi: "MargoInstance", warmup: float) -> None:
         if self._disarmed or not mi.crashed:
             return
@@ -183,14 +170,6 @@ class FaultInjector:
     ) -> Optional[WireFault]:
         """Per-message verdict; ``None`` means unaffected."""
         now = self.sim.now
-        for window in self.plan.partitions:
-            if window.severs(src_ep.node, dst_ep.node, now):
-                self._record(
-                    "partition_drop", msg.src, msg.dst, msg.kind,
-                    procs=(msg.src, msg.dst),
-                )
-                return WireFault(drop=True)
-
         drop = False
         copies = 0
         extra_delay = 0.0
@@ -225,20 +204,6 @@ class FaultInjector:
                 "delay", msg.src, msg.dst, msg.kind, procs=(msg.src, msg.dst)
             )
         return WireFault(copies=copies, extra_delay=extra_delay)
-
-    def on_rdma(self, ini_ep: "Endpoint", rem_ep: "Endpoint") -> bool:
-        """True if the RDMA operation is severed by an active partition
-        (it will never complete -- reliable transport cannot cross a
-        down link)."""
-        now = self.sim.now
-        for window in self.plan.partitions:
-            if window.severs(ini_ep.node, rem_ep.node, now):
-                self._record(
-                    "rdma_severed", ini_ep.addr, rem_ep.addr,
-                    procs=(ini_ep.addr, rem_ep.addr),
-                )
-                return True
-        return False
 
     # -- handler hook ---------------------------------------------------------
 

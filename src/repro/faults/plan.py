@@ -11,11 +11,9 @@ Three fault layers mirror where real deployments degrade:
 
 * **wire rules** -- per-message drop, duplication, and latency spikes on
   the fabric (:class:`DropRule`, :class:`DuplicateRule`,
-  :class:`DelayRule`), plus total link partitions between node pairs
-  (:class:`PartitionWindow`),
-* **process faults** -- a server crashing (:class:`CrashFault`), its
-  progress engine hanging (:class:`HangFault`), or crashing and coming
-  back after a downtime plus slow-restart warmup
+  :class:`DelayRule`),
+* **process faults** -- a server crashing (:class:`CrashFault`), or
+  crashing and coming back after a downtime plus slow-restart warmup
   (:class:`RestartFault`),
 * **handler rules** -- injected handler exceptions and artificial stalls
   inside RPC handlers (:class:`HandlerFaultRule`).
@@ -35,9 +33,7 @@ __all__ = [
     "DropRule",
     "DuplicateRule",
     "DelayRule",
-    "PartitionWindow",
     "CrashFault",
-    "HangFault",
     "RestartFault",
     "HandlerFaultRule",
     "FaultPlan",
@@ -122,30 +118,6 @@ class DelayRule(WireRule):
 
 
 @dataclass(frozen=True, kw_only=True)
-class PartitionWindow(Replaceable):
-    """Total two-way loss between two *nodes* during ``[start, end)``.
-
-    Everything crossing the partitioned link is lost: two-sided messages
-    and one-sided RDMA operations alike.
-    """
-
-    node_a: str
-    node_b: str
-    start: float
-    end: float
-
-    def __post_init__(self) -> None:
-        _check_window(self.start, self.end)
-        if self.node_a == self.node_b:
-            raise ValueError("a partition needs two distinct nodes")
-
-    def severs(self, src_node: str, dst_node: str, now: float) -> bool:
-        if not self.start <= now < self.end:
-            return False
-        return {src_node, dst_node} == {self.node_a, self.node_b}
-
-
-@dataclass(frozen=True, kw_only=True)
 class CrashFault(Replaceable):
     """Process ``addr`` dies at ``at`` and never comes back: its endpoint
     stops sending/receiving and its progress engine halts."""
@@ -156,22 +128,6 @@ class CrashFault(Replaceable):
     def __post_init__(self) -> None:
         if self.at < 0:
             raise ValueError("crash time must be non-negative")
-
-
-@dataclass(frozen=True, kw_only=True)
-class HangFault(Replaceable):
-    """The progress engine of ``addr`` stalls for ``duration`` seconds
-    starting at ``at``; requests pile up in its completion queue."""
-
-    addr: str
-    at: float
-    duration: float
-
-    def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError("hang time must be non-negative")
-        if self.duration <= 0:
-            raise ValueError("hang duration must be positive")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -235,35 +191,40 @@ class HandlerFaultRule(Replaceable):
         return True
 
 
+#: The rule types each plan section holds, by their JSON ``type`` name.
+_SECTIONS = {
+    section: {rule_cls.__name__: rule_cls for rule_cls in types}
+    for section, types in (
+        ("wire_rules", (DropRule, DuplicateRule, DelayRule)),
+        ("process_faults", (CrashFault, RestartFault)),
+        ("handler_rules", (HandlerFaultRule,)),
+    )
+}
+
+
 @dataclass(frozen=True, kw_only=True)
 class FaultPlan(Replaceable):
-    """One complete fault campaign: wire rules, partitions, process
-    faults, and handler rules, under a human-readable name."""
+    """One complete fault campaign: wire rules, process faults and
+    handler rules, under a human-readable name."""
 
     name: str = "campaign"
     wire_rules: tuple[WireRule, ...] = ()
-    partitions: tuple[PartitionWindow, ...] = ()
-    process_faults: tuple[CrashFault | HangFault | RestartFault, ...] = ()
+    process_faults: tuple[CrashFault | RestartFault, ...] = ()
     handler_rules: tuple[HandlerFaultRule, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         # Normalize lists passed by callers into tuples (plans stay
         # hashable/frozen).
-        for attr in ("wire_rules", "partitions", "process_faults", "handler_rules"):
+        for attr in _SECTIONS:
             value = getattr(self, attr)
             if not isinstance(value, tuple):
                 object.__setattr__(self, attr, tuple(value))
 
     @property
     def is_empty(self) -> bool:
-        return not (
-            self.wire_rules
-            or self.partitions
-            or self.process_faults
-            or self.handler_rules
-        )
+        return not (self.wire_rules or self.process_faults or self.handler_rules)
 
-    def faults_for(self, addr: str) -> list[CrashFault | HangFault | RestartFault]:
+    def faults_for(self, addr: str) -> list[CrashFault | RestartFault]:
         """The scheduled process faults targeting ``addr``."""
         return [f for f in self.process_faults if f.addr == addr]
 
@@ -271,7 +232,9 @@ class FaultPlan(Replaceable):
     #
     # Plans travel through repro files (the fuzz runner's shrunk minimal
     # configs), so they need a lossless JSON form.  ``math.inf`` window
-    # ends become the string "inf" -- JSON has no infinity.
+    # ends become the string "inf" -- JSON has no infinity.  A repro file
+    # is outside input: an unknown key, or a rule filed under a section
+    # it does not belong to, is refused rather than dropped or deferred.
 
     def to_dict(self) -> dict:
         def rule_dict(rule) -> dict:
@@ -285,21 +248,31 @@ class FaultPlan(Replaceable):
 
         return {
             "name": self.name,
-            "wire_rules": [rule_dict(r) for r in self.wire_rules],
-            "partitions": [rule_dict(p) for p in self.partitions],
-            "process_faults": [rule_dict(f) for f in self.process_faults],
-            "handler_rules": [rule_dict(h) for h in self.handler_rules],
+            **{
+                section: [rule_dict(r) for r in getattr(self, section)]
+                for section in _SECTIONS
+            },
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        def build(entry: dict):
+        unknown = sorted(set(data) - {"name", *_SECTIONS})
+        if unknown:
+            raise ValueError(
+                f"unknown fault plan key(s) {', '.join(map(repr, unknown))}; "
+                f"expected 'name' or one of {', '.join(map(repr, _SECTIONS))}"
+            )
+
+        def build(section: str, entry: dict):
             entry = dict(entry)
-            type_name = entry.pop("type")
-            try:
-                rule_cls = _RULE_TYPES[type_name]
-            except KeyError:
-                raise ValueError(f"unknown fault rule type {type_name!r}") from None
+            type_name = entry.pop("type", None)
+            rule_cls = _SECTIONS[section].get(type_name)
+            if rule_cls is None:
+                raise ValueError(
+                    f"fault rule type {type_name!r} does not belong in "
+                    f"{section!r}; expected one of "
+                    f"{', '.join(_SECTIONS[section])}"
+                )
             kwargs = {
                 k: (math.inf if v == "inf" else v) for k, v in entry.items()
             }
@@ -307,23 +280,8 @@ class FaultPlan(Replaceable):
 
         return cls(
             name=data.get("name", "campaign"),
-            wire_rules=tuple(build(r) for r in data.get("wire_rules", ())),
-            partitions=tuple(build(p) for p in data.get("partitions", ())),
-            process_faults=tuple(build(f) for f in data.get("process_faults", ())),
-            handler_rules=tuple(build(h) for h in data.get("handler_rules", ())),
+            **{
+                section: tuple(build(section, e) for e in data.get(section, ()))
+                for section in _SECTIONS
+            },
         )
-
-
-_RULE_TYPES = {
-    cls.__name__: cls
-    for cls in (
-        DropRule,
-        DuplicateRule,
-        DelayRule,
-        PartitionWindow,
-        CrashFault,
-        HangFault,
-        RestartFault,
-        HandlerFaultRule,
-    )
-}

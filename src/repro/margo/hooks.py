@@ -107,17 +107,12 @@ class CompositeInstrumentation(Instrumentation):
     hooks on the same process (e.g. SYMBIOSYS measurement plus the
     validation layer's RPC-lifecycle checker), wrap them:
     ``mi.instr = CompositeInstrumentation([mi.instr, checker])``.
-    Children are invoked in list order and may be added after
-    construction with :meth:`add`; ``attach`` is forwarded like every
-    other hook, so late-added children must be attached by the caller if
-    they need it.
+    Children are invoked in list order; ``attach`` is forwarded like
+    every other hook.
     """
 
     def __init__(self, children=()):
         self.children: list[Instrumentation] = list(children)
-
-    def add(self, child: Instrumentation) -> None:
-        self.children.append(child)
 
     def attach(self, mi: "MargoInstance") -> None:
         for child in self.children:

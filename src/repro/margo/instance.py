@@ -283,10 +283,6 @@ class MargoInstance:
                 return out
             except MargoTimeoutError as exc:
                 last_exc = exc
-            except RemoteRpcError as exc:
-                if not policy.retry_remote_errors:
-                    raise
-                last_exc = exc
             if attempt == policy.max_attempts:
                 break
             rng = None
@@ -465,17 +461,6 @@ class MargoInstance:
         self._finalizing = True
         self.endpoint.close()
 
-    def hang(self, duration: float) -> None:
-        """Make the process unresponsive for ``duration`` seconds.
-
-        Unlike a crash, the endpoint stays open: requests queue in the CQ
-        and are serviced (late) once the hang lifts -- the GDB-attach
-        scenario rather than the kill-9 one.
-        """
-        if duration < 0:
-            raise ValueError("hang duration must be non-negative")
-        self._hang_until = max(self._hang_until, self.sim.now + duration)
-
     def restart(self, warmup: float = 0.0) -> None:
         """Bring a crashed process back.
 
@@ -522,7 +507,7 @@ class MargoInstance:
                 # was blocked in the OFI wait: stand down.
                 return
             if self.sim.now < self._hang_until:
-                # Hung process: no progress, no triggers; the endpoint
+                # Restart warm-up: no progress, no triggers; the endpoint
                 # keeps queueing arrivals for when we come back.
                 yield from self.rt.sleep(self._hang_until - self.sim.now)
                 continue

@@ -26,7 +26,8 @@ class RetryPolicy(Replaceable):
     """How ``forward`` behaves when a response does not arrive in time.
 
     An attempt fails when its per-attempt ``timeout`` expires (the handle
-    is cancelled and any late response is dropped).  Failed attempts are
+    is cancelled and any late response is dropped); a remote handler
+    error is not transient and is raised at once.  Failed attempts are
     retried up to ``max_attempts`` total tries, sleeping
     ``backoff * backoff_factor**(attempt-1)`` (clamped to ``max_backoff``,
     plus uniform jitter) between tries.  If ``failover`` targets are
@@ -50,9 +51,6 @@ class RetryPolicy(Replaceable):
     #: Alternate target addresses to rotate through on retries.  Empty
     #: means always retry the original target.
     failover: tuple[str, ...] = field(default=())
-    #: Also retry when the remote handler raised (RemoteRpcError).  Off
-    #: by default: handler errors are usually not transient.
-    retry_remote_errors: bool = False
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:

@@ -398,10 +398,6 @@ class HGCore:
             self._rpcs.setdefault(rpc_name, None)
         return rpc_name
 
-    @property
-    def registered_rpcs(self) -> list[str]:
-        return list(self._rpcs)
-
     # -- origin side -------------------------------------------------------------
 
     def create(self, target_addr: str, rpc_name: str) -> HGHandle:

@@ -142,21 +142,10 @@ class PvarRegistry:
 
     # -- definition (library side) -------------------------------------------
 
-    def define(self, pvar_def: PvarDef, owner: Any = None) -> None:
-        """Add one definition.  ``owner`` is what a getter-backed
-        definition's getter is called with."""
-        if pvar_def.name in self._index:
-            raise PvarError(f"duplicate PVAR {pvar_def.name!r}")
-        self._index[pvar_def.name] = len(self._defs)
-        self._defs.append(pvar_def)
-        self._slots.append(
-            owner if pvar_def.getter is not None else _initial_value(pvar_def)
-        )
-
     def define_table(self, table: PvarTable, owner: Any = None) -> None:
-        """Add every definition of ``table`` in one step, in table
-        order: the same slots, values and schema as one :meth:`define`
-        per definition, without the per-definition work."""
+        """Add every definition of ``table`` in one step, in table order.
+        ``owner`` is what each getter-backed definition's getter is
+        called with."""
         index = self._index
         if not index.keys().isdisjoint(table.index):
             dup = next(name for name in table.index if name in index)

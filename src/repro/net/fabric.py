@@ -81,9 +81,8 @@ class Fabric:
         self.config = config or FabricConfig()
         self._endpoints: dict[str, Endpoint] = {}
         #: Optional fault-injection hook (duck-typed; see
-        #: :class:`repro.faults.FaultInjector`).  Consulted per transfer:
-        #: ``on_message(msg, src_ep, dst_ep) -> Optional[WireFault]`` and
-        #: ``on_rdma(ini_ep, rem_ep) -> bool`` (True severs the op).
+        #: :class:`repro.faults.FaultInjector`).  Consulted per message:
+        #: ``on_message(msg, src_ep, dst_ep) -> Optional[WireFault]``.
         self.fault_hook = None
         #: Totals for the system-statistics summary.
         self.total_messages = 0
@@ -222,15 +221,12 @@ class Fabric:
         remote: str,
         size_bytes: int,
         payload: object = None,
-        on_complete: Optional[Callable[[], None]] = None,
     ) -> float:
         """One-sided read of ``size_bytes`` from ``remote`` into ``initiator``.
 
         The initiator's CQ receives an RDMA_COMPLETE entry after one
-        round-trip latency plus the payload transfer time.  ``on_complete``
-        (if given) also fires at that moment, bypassing the CQ -- used by
-        the internal-RDMA metadata path, which Mercury handles inline.
-        Returns the completion time.
+        round-trip latency plus the payload transfer time.  Returns the
+        completion time.
         """
         ini_ep = self.endpoint(initiator)
         rem_ep = self._endpoints.get(remote)
@@ -239,12 +235,9 @@ class Fabric:
         self.total_messages += 1
         self.total_bytes += size_bytes
 
-        severed = ini_ep.closed or rem_ep.closed
-        if not severed and self.fault_hook is not None:
-            severed = self.fault_hook.on_rdma(ini_ep, rem_ep)
-        if severed:
-            # Reliable transport cannot cross a partition or reach a dead
-            # process: the operation simply never completes.
+        if ini_ep.closed or rem_ep.closed:
+            # Reliable transport cannot reach a dead process: the
+            # operation simply never completes.
             self.total_dropped += 1
             self.dropped_bytes += size_bytes
             return float("inf")
@@ -258,26 +251,14 @@ class Fabric:
         delay = 2 * lat + size_bytes / bw
         done_at = self.sim.now + delay
         self.inflight_bytes += size_bytes
-        if on_complete is not None:
-            self.sim.call_at(done_at, self._complete_rdma, on_complete, size_bytes)
-        else:
-            self.sim.call_at(
-                done_at,
-                self._deliver,
-                ini_ep,
-                CQEntry(kind=CQKind.RDMA_COMPLETE, payload=payload, enqueued_at=done_at),
-                size_bytes,
-            )
+        self.sim.call_at(
+            done_at,
+            self._deliver,
+            ini_ep,
+            CQEntry(kind=CQKind.RDMA_COMPLETE, payload=payload, enqueued_at=done_at),
+            size_bytes,
+        )
         return done_at
-
-    def _complete_rdma(
-        self, on_complete: Callable[[], None], nbytes: int
-    ) -> None:
-        # Inline (non-CQ) RDMA completion: the callback fires regardless of
-        # endpoint state, so the bytes always count as delivered.
-        self.inflight_bytes -= nbytes
-        self.delivered_bytes += nbytes
-        on_complete()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Fabric(endpoints={len(self._endpoints)}, msgs={self.total_messages})"

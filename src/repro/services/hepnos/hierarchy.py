@@ -8,10 +8,9 @@ relies on for range listings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
-__all__ = ["EventKey", "event_key", "parse_event_key", "run_event_pairs"]
+__all__ = ["event_key", "run_event_pairs"]
 
 V = TypeVar("V")
 
@@ -40,24 +39,8 @@ def _check(dataset: str, run: int, subrun: int, event: int) -> None:
         _check_event(subrun, event)
 
 
-@dataclass(frozen=True, order=True)
-class EventKey:
-    dataset: str
-    run: int
-    subrun: int
-    event: int
-
-    def __post_init__(self) -> None:
-        _check(self.dataset, self.run, self.subrun, self.event)
-
-    def encode(self) -> str:
-        return event_key(self.dataset, self.run, self.subrun, self.event)
-
-
 def event_key(dataset: str, run: int, subrun: int, event: int) -> str:
-    """Canonical storage key for one event.  A plain function rather
-    than ``EventKey(...).encode()``: the loader builds one key per
-    event, and the dataclass costs about three times as much."""
+    """Canonical storage key for one event."""
     _check(dataset, run, subrun, event)
     # _SEP and _WIDTH spelled out: a nested ``{run:0{_WIDTH}d}`` is slower.
     return f"{dataset}%{run:09d}%{subrun:09d}%{event:09d}"
@@ -81,10 +64,3 @@ def run_event_pairs(
         for subrun, event, value in events
     ]
 
-
-def parse_event_key(key: str) -> EventKey:
-    parts = key.split(_SEP)
-    if len(parts) != 4:
-        raise ValueError(f"malformed event key {key!r}")
-    dataset, run, subrun, event = parts
-    return EventKey(dataset, int(run), int(subrun), int(event))

@@ -91,10 +91,6 @@ class HEPnOSService:
         service.total_databases = sum(s.n_databases for s in service.info)
         return service
 
-    @property
-    def total_events_stored(self) -> int:
-        return sum(p.total_items for p in self.sdskv_providers)
-
     def locate(self, db_index: int) -> tuple[str, int]:
         """Map a global database index to (server addr, local db id)."""
         if not 0 <= db_index < self.total_databases:
@@ -144,15 +140,3 @@ class HEPnOSClient:
         addr, local_db = self.service.locate(self.db_index_for(key))
         value = yield from self.sdskv.get(addr, PID_SDSKV, local_db, key)
         return value
-
-    def list_events(self, prefix: str) -> Generator:
-        """Gather events with the given key prefix across every database."""
-        out = []
-        for db_index in range(self.service.total_databases):
-            addr, local_db = self.service.locate(db_index)
-            items = yield from self.sdskv.list_keyvals(
-                addr, PID_SDSKV, local_db, prefix=prefix
-            )
-            out.extend(items)
-        out.sort()
-        return out

@@ -28,9 +28,6 @@ __all__ = ["MobjectProviderNode", "MobjectClient"]
 
 RPC_WRITE_OP = "mobject_write_op"
 RPC_READ_OP = "mobject_read_op"
-RPC_STAT_OP = "mobject_stat_op"
-RPC_DELETE_OP = "mobject_delete_op"
-RPC_OMAP_GET_KEYS = "mobject_omap_get_keys_op"
 
 PID_SEQUENCER = 1
 PID_BAKE = 2
@@ -57,9 +54,6 @@ class MobjectProviderNode:
         self._skv_cli = SdskvClient(self.mi)
         self.mi.register(RPC_WRITE_OP, self._h_write_op, PID_SEQUENCER)
         self.mi.register(RPC_READ_OP, self._h_read_op, PID_SEQUENCER)
-        self.mi.register(RPC_STAT_OP, self._h_stat_op, PID_SEQUENCER)
-        self.mi.register(RPC_DELETE_OP, self._h_delete_op, PID_SEQUENCER)
-        self.mi.register(RPC_OMAP_GET_KEYS, self._h_omap_get_keys, PID_SEQUENCER)
 
     @property
     def addr(self) -> str:
@@ -138,51 +132,6 @@ class MobjectProviderNode:
         )
 
 
-    def _h_stat_op(self, mi: MargoInstance, handle: HGHandle) -> Generator:
-        """Object metadata lookup: size and modification time."""
-        inp = yield from mi.get_input(handle)
-        oid: str = inp["oid"]
-        me, skv = self.addr, self._skv_cli
-        yield Compute(_SEQUENCER_STEP_COST)
-        size = yield from skv.get(me, PID_SDSKV, 0, f"size:{oid}")
-        mtime = yield from skv.get(me, PID_SDSKV, 0, f"omap:{oid}:mtime")
-        if size is None:
-            yield from mi.respond(handle, {"ret": -1})
-            return
-        yield from mi.respond(handle, {"ret": 0, "size": size, "mtime": mtime})
-
-    def _h_delete_op(self, mi: MargoInstance, handle: HGHandle) -> Generator:
-        """Remove an object: extents, descriptor, size, and omap entries."""
-        inp = yield from mi.get_input(handle)
-        oid: str = inp["oid"]
-        me, skv = self.addr, self._skv_cli
-        yield Compute(_SEQUENCER_STEP_COST)
-        extents = yield from skv.list_keyvals(
-            me, PID_SDSKV, 0, prefix=f"extent:{oid}:"
-        )
-        if not extents:
-            yield from mi.respond(handle, {"ret": -1})
-            return
-        for key, _extent in extents:
-            yield from skv.erase(me, PID_SDSKV, 0, key)
-        for key in (f"obj:{oid}", f"size:{oid}", f"omap:{oid}:mtime",
-                    f"seq:{oid}"):
-            yield from skv.erase(me, PID_SDSKV, 0, key)
-        yield from mi.respond(handle, {"ret": 0, "extents": len(extents)})
-
-    def _h_omap_get_keys(self, mi: MargoInstance, handle: HGHandle) -> Generator:
-        inp = yield from mi.get_input(handle)
-        oid: str = inp["oid"]
-        me, skv = self.addr, self._skv_cli
-        yield Compute(_SEQUENCER_STEP_COST)
-        items = yield from skv.list_keyvals(
-            me, PID_SDSKV, 0, prefix=f"omap:{oid}:",
-            max_items=inp.get("max_items"),
-        )
-        keys = [k.split(":", 2)[2] for k, _ in items]
-        yield from mi.respond(handle, {"ret": 0, "keys": keys})
-
-
 class MobjectClient:
     """Client-side RADOS-subset API."""
 
@@ -190,9 +139,6 @@ class MobjectClient:
         self.mi = mi
         mi.register(RPC_WRITE_OP)
         mi.register(RPC_READ_OP)
-        mi.register(RPC_STAT_OP)
-        mi.register(RPC_DELETE_OP)
-        mi.register(RPC_OMAP_GET_KEYS)
 
     def write_op(
         self, target: str, oid: str, data: bytes, offset: int = 0
@@ -212,28 +158,3 @@ class MobjectClient:
         if out["ret"] != 0:
             return None
         return out["bulk"].data
-
-    def stat_op(self, target: str, oid: str) -> Generator:
-        """Returns (size, mtime) or None for a missing object."""
-        out = yield from self.mi.forward(
-            target, RPC_STAT_OP, {"oid": oid}, PID_SEQUENCER
-        )
-        if out["ret"] != 0:
-            return None
-        return out["size"], out["mtime"]
-
-    def delete_op(self, target: str, oid: str) -> Generator:
-        """Returns the number of extents removed, or None if missing."""
-        out = yield from self.mi.forward(
-            target, RPC_DELETE_OP, {"oid": oid}, PID_SEQUENCER
-        )
-        if out["ret"] != 0:
-            return None
-        return out["extents"]
-
-    def omap_get_keys(self, target: str, oid: str, max_items=None) -> Generator:
-        out = yield from self.mi.forward(
-            target, RPC_OMAP_GET_KEYS, {"oid": oid, "max_items": max_items},
-            PID_SEQUENCER,
-        )
-        return out["keys"]

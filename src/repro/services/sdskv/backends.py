@@ -141,10 +141,6 @@ class KVDatabase:
                     break
         return out
 
-    def erase(self, key: str) -> Generator:
-        yield Compute(self.costs.put_fixed)
-        self._data.pop(key, None)
-
 
 class MapDatabase(KVDatabase):
     name = "map"

@@ -23,8 +23,7 @@ RPC_GET = "sdskv_get_rpc"
 RPC_EXISTS = "sdskv_exists_rpc"
 RPC_PUT_PACKED = "sdskv_put_packed"
 RPC_LIST_KEYVALS = "sdskv_list_keyvals_rpc"
-RPC_ERASE = "sdskv_erase_rpc"
-_ALL_RPCS = (RPC_PUT, RPC_GET, RPC_EXISTS, RPC_PUT_PACKED, RPC_LIST_KEYVALS, RPC_ERASE)
+_ALL_RPCS = (RPC_PUT, RPC_GET, RPC_EXISTS, RPC_PUT_PACKED, RPC_LIST_KEYVALS)
 
 
 class SdskvProvider:
@@ -60,7 +59,6 @@ class SdskvProvider:
         mi.register(RPC_EXISTS, self._h_exists, provider_id)
         mi.register(RPC_PUT_PACKED, self._h_put_packed, provider_id)
         mi.register(RPC_LIST_KEYVALS, self._h_list_keyvals, provider_id)
-        mi.register(RPC_ERASE, self._h_erase, provider_id)
 
     # -- helpers --------------------------------------------------------------
 
@@ -71,10 +69,6 @@ class SdskvProvider:
                 f"{len(self.databases)} databases)"
             )
         return self.databases[db_id]
-
-    @property
-    def total_items(self) -> int:
-        return sum(len(db) for db in self.databases)
 
     # -- handlers --------------------------------------------------------------
 
@@ -120,11 +114,6 @@ class SdskvProvider:
         yield from mi.respond(
             handle, {"ret": 0, "items": BulkRef(items)}
         )
-
-    def _h_erase(self, mi: MargoInstance, handle: HGHandle) -> Generator:
-        inp = yield from mi.get_input(handle)
-        yield from self._db(inp["db_id"]).erase(inp["key"])
-        yield from mi.respond(handle, {"ret": 0})
 
 
 class SdskvClient:
@@ -183,9 +172,3 @@ class SdskvClient:
             provider_id,
         )
         return out["items"].data
-
-    def erase(self, target: str, provider_id: int, db_id: int, key) -> Generator:
-        out = yield from self.mi.forward(
-            target, RPC_ERASE, {"db_id": db_id, "key": key}, provider_id
-        )
-        return out["ret"]

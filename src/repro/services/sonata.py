@@ -14,7 +14,7 @@ document scan cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Generator, Optional
 
 from ..argobots import Compute
 from ..margo import MargoInstance
@@ -29,16 +29,12 @@ __all__ = [
 
 RPC_CREATE_DB = "sonata_create_database"
 RPC_STORE_MULTI = "sonata_store_multi_json"
-RPC_FETCH = "sonata_fetch_json"
 RPC_FILTER = "sonata_execute_jx9"
-RPC_UPDATE = "sonata_update_json"
 RPC_SIZE = "sonata_collection_size"
 _ALL_RPCS = (
     RPC_CREATE_DB,
     RPC_STORE_MULTI,
-    RPC_FETCH,
     RPC_FILTER,
-    RPC_UPDATE,
     RPC_SIZE,
 )
 
@@ -105,9 +101,7 @@ class SonataProvider:
         self.collections: dict[str, _Collection] = {}
         mi.register(RPC_CREATE_DB, self._h_create, provider_id)
         mi.register(RPC_STORE_MULTI, self._h_store_multi, provider_id)
-        mi.register(RPC_FETCH, self._h_fetch, provider_id)
         mi.register(RPC_FILTER, self._h_filter, provider_id)
-        mi.register(RPC_UPDATE, self._h_update, provider_id)
         mi.register(RPC_SIZE, self._h_size, provider_id)
 
     def _collection(self, name: str) -> _Collection:
@@ -144,16 +138,6 @@ class SonataProvider:
             mi.stats.add_memory(nbytes)
         yield from mi.respond(handle, {"ret": 0, "ids": ids})
 
-    def _h_fetch(self, mi: MargoInstance, handle: HGHandle) -> Generator:
-        inp = yield from mi.get_input(handle)
-        coll = self._collection(inp["collection"])
-        yield Compute(self.costs.fetch_fixed)
-        doc_id = inp["id"]
-        doc = coll.docs[doc_id] if 0 <= doc_id < len(coll.docs) else None
-        yield from mi.respond(
-            handle, {"ret": 0 if doc is not None else -1, "record": doc}
-        )
-
     def _h_filter(self, mi: MargoInstance, handle: HGHandle) -> Generator:
         inp = yield from mi.get_input(handle)
         coll = self._collection(inp["collection"])
@@ -162,26 +146,6 @@ class SonataProvider:
             doc for doc in coll.docs if evaluate_filter(doc, inp["query"])
         ]
         yield from mi.respond(handle, {"ret": 0, "records": matches})
-
-    def _h_update(self, mi: MargoInstance, handle: HGHandle) -> Generator:
-        """In-place update: set fields on every document matching the
-        filter (the Jx9 'update' idiom).
-
-        A matching document is replaced by an updated copy, never mutated:
-        the stored dicts are the very objects the client sent.  The copy is
-        taken after the store cost is charged, so an update that replaced
-        the same document meanwhile is kept.
-        """
-        inp = yield from mi.get_input(handle)
-        coll = self._collection(inp["collection"])
-        yield Compute(self.costs.scan_per_doc * max(1, len(coll.docs)))
-        updated = 0
-        for i, doc in enumerate(coll.docs):
-            if evaluate_filter(doc, inp["query"]):
-                yield Compute(self.costs.store_fixed)
-                coll.docs[i] = {**coll.docs[i], **inp["set"]}
-                updated += 1
-        yield from mi.respond(handle, {"ret": 0, "updated": updated})
 
     def _h_size(self, mi: MargoInstance, handle: HGHandle) -> Generator:
         inp = yield from mi.get_input(handle)
@@ -233,14 +197,6 @@ class SonataClient:
             ids.extend(out["ids"])
         return ids
 
-    def fetch(
-        self, target: str, provider_id: int, collection: str, doc_id: int
-    ) -> Generator:
-        out = yield from self.mi.forward(
-            target, RPC_FETCH, {"collection": collection, "id": doc_id}, provider_id
-        )
-        return out["record"]
-
     def filter(
         self, target: str, provider_id: int, collection: str, query: dict
     ) -> Generator:
@@ -251,24 +207,6 @@ class SonataClient:
             provider_id,
         )
         return out["records"]
-
-    def update(
-        self,
-        target: str,
-        provider_id: int,
-        collection: str,
-        query: dict,
-        set_fields: dict,
-    ) -> Generator:
-        """Set ``set_fields`` on every matching document; returns the
-        number of documents updated."""
-        out = yield from self.mi.forward(
-            target,
-            RPC_UPDATE,
-            {"collection": collection, "query": query, "set": set_fields},
-            provider_id,
-        )
-        return out["updated"]
 
     def size(self, target: str, provider_id: int, collection: str) -> Generator:
         out = yield from self.mi.forward(

@@ -53,20 +53,6 @@ class MigrationRecord:
     nbytes: int = 0
     ok: bool = False
 
-    def as_row(self) -> dict:
-        return {
-            "shard": self.shard,
-            "src": self.src,
-            "dst": self.dst,
-            "kind": self.kind,
-            "epoch": self.epoch,
-            "start": round(self.start, 9),
-            "end": round(self.end, 9) if self.end is not None else None,
-            "n_keys": self.n_keys,
-            "nbytes": self.nbytes,
-            "ok": self.ok,
-        }
-
 
 class ShardManager:
     """Owns ring + map, reacts to views, executes migrations."""
@@ -229,13 +215,6 @@ class ShardManager:
         self._migrating.discard(record.shard)
 
     # -- reporting -----------------------------------------------------------
-
-    def completed(self, kind: Optional[str] = None) -> list[MigrationRecord]:
-        return [
-            r
-            for r in self.records
-            if r.ok and (kind is None or r.kind == kind)
-        ]
 
     def summary(self) -> dict:
         by_kind: dict[str, int] = {}

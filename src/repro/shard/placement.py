@@ -58,9 +58,6 @@ class ShardMap:
     def owner_of_key(self, key: str) -> str:
         return self.owners[self.shard_of(key)]
 
-    def shards_on(self, addr: str) -> list[int]:
-        return [i for i, o in enumerate(self.owners) if o == addr]
-
     def diff(self, new: "ShardMap") -> list[ShardMove]:
         """Shard moves from ``self`` to ``new`` (sorted by shard)."""
         if new.n_shards != self.n_shards:

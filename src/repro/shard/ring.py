@@ -1,4 +1,4 @@
-"""Seeded, virtual-node-weighted consistent-hash ring.
+"""Seeded consistent-hash ring with virtual nodes.
 
 Tokens come from sha256 (first 8 bytes, little-endian) so placement is
 identical across processes and interpreter runs — Python's builtin
@@ -27,8 +27,7 @@ class HashRing:
 
     ``seed`` perturbs every token, so two rings with different seeds
     give independent placements while a fixed seed is fully
-    deterministic.  ``weights`` scales a node's virtual-node count
-    (weight 2.0 -> twice the vnodes -> roughly twice the keyspace).
+    deterministic.  Every node gets ``vnodes`` tokens.
     """
 
     def __init__(self, seed: int = 0, vnodes: int = 64):
@@ -36,7 +35,7 @@ class HashRing:
             raise ValueError("vnodes must be >= 1")
         self.seed = seed
         self.vnodes = vnodes
-        self._nodes: dict[str, int] = {}  # addr -> vnode count
+        self._nodes: set[str] = set()
         self._tokens: list[int] = []
         self._owners: list[str] = []
 
@@ -46,17 +45,14 @@ class HashRing:
     def nodes(self) -> list[str]:
         return sorted(self._nodes)
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     def __contains__(self, addr: str) -> bool:
         return addr in self._nodes
 
     def _token(self, addr: str, vnode: int) -> int:
         return h64(f"{addr}#{vnode}#{self.seed}")
 
-    def _vnode_pairs(self, addr: str, count: int) -> list[tuple[int, str]]:
-        return sorted((self._token(addr, v), addr) for v in range(count))
+    def _vnode_pairs(self, addr: str) -> list[tuple[int, str]]:
+        return sorted((self._token(addr, v), addr) for v in range(self.vnodes))
 
     def _set_pairs(self, pairs: list[tuple[int, str]]) -> None:
         # The ring invariant: sorted by (token, owner address) -- the
@@ -65,18 +61,17 @@ class HashRing:
         self._tokens = [t for t, _ in pairs]
         self._owners = [o for _, o in pairs]
 
-    def add_node(self, addr: str, weight: float = 1.0) -> None:
+    def add_node(self, addr: str) -> None:
         if addr in self._nodes:
             raise ValueError(f"{addr!r} already on ring")
-        count = max(1, round(self.vnodes * weight))
-        self._nodes[addr] = count
+        self._nodes.add(addr)
         # One sorted merge instead of per-token list.insert: O(N + V)
         # for the incremental churn path.
         self._set_pairs(
             list(
                 heapq.merge(
                     zip(self._tokens, self._owners),
-                    self._vnode_pairs(addr, count),
+                    self._vnode_pairs(addr),
                 )
             )
         )
@@ -84,13 +79,13 @@ class HashRing:
     def remove_node(self, addr: str) -> None:
         if addr not in self._nodes:
             raise ValueError(f"{addr!r} not on ring")
-        del self._nodes[addr]
+        self._nodes.remove(addr)
         keep = [(t, o) for t, o in zip(self._tokens, self._owners) if o != addr]
         self._tokens = [t for t, _ in keep]
         self._owners = [o for _, o in keep]
 
     def replace(self, members: Iterable[str]) -> None:
-        """Reset the ring to exactly ``members`` (weight 1 each).
+        """Reset the ring to exactly ``members``.
 
         Bulk path: every token is hashed once and the tokens are sorted
         globally -- identical placement to repeated :meth:`add_node` but
@@ -101,11 +96,11 @@ class HashRing:
         the bare int token keeps the (token, address) order of
         :meth:`_set_pairs` without building a tuple per token.
         """
-        nodes: dict[str, int] = {}
+        nodes: set[str] = set()
         for addr in members:
             if addr in nodes:
                 raise ValueError(f"{addr!r} already on ring")
-            nodes[addr] = self.vnodes
+            nodes.add(addr)
         self._nodes = nodes
         addrs = sorted(nodes)
         vnodes = self.vnodes

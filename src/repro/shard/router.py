@@ -79,22 +79,9 @@ class ShardRouter:
     def shard_of(self, key: str) -> int:
         return self.map().shard_of(key)
 
-    def owner_of(self, key: str) -> str:
-        return self.map().owner_of_key(key)
-
-    # BAKE regions and HEPnOS datasets ride the same placement: a region
-    # or dataset/run/event identifier is just a key in shard space.
-
-    def region_owner(self, region_key: str) -> str:
-        """Server that should host a BAKE region named ``region_key``."""
-        return self.owner_of(f"bake:{region_key}")
-
     def event_key(self, dataset: str, run: int, event: int) -> str:
         """HEPnOS-style fully qualified event key."""
         return f"{dataset}/{run}/{event}"
-
-    def dataset_owner(self, dataset: str, run: int, event: int) -> str:
-        return self.owner_of(self.event_key(dataset, run, event))
 
     # -- request routing ---------------------------------------------------
 

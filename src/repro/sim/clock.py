@@ -31,9 +31,5 @@ class LocalClock:
         """Local timestamp corresponding to true simulated ``true_time``."""
         return self.offset + (1.0 + self.drift) * true_time
 
-    def invert(self, local_time: float) -> float:
-        """True simulated time corresponding to a local timestamp."""
-        return (local_time - self.offset) / (1.0 + self.drift)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LocalClock(offset={self.offset}, drift={self.drift})"

@@ -10,7 +10,8 @@ that safe).
 heartbeat scans the member processes for crashes (and revivals after a
 ``RestartFault``), mutates the authoritative group, and propagates the
 new epoch-numbered view.  Actuation beyond membership (ring rebuilds,
-shard migration) belongs to observers — see ``repro.shard``.
+shard migration) subscribes to those views through
+:meth:`MembershipService.on_view` — see ``repro.shard``.
 """
 
 from __future__ import annotations

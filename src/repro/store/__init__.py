@@ -204,23 +204,6 @@ class PerfStore:
         """Just the values of :meth:`samples` (analysis convenience)."""
         return [v for _, v in self.samples(run, name)]
 
-    def pvar_samples(
-        self, run: Union[int, str], name: Optional[str] = None
-    ) -> list[tuple[str, str, float, float]]:
-        """Rows of the ``pvar_samples`` view: ``(name, labels, t,
-        value)`` for the PVAR-derived series only."""
-        run_id = self.resolve_run(run)
-        sql = (
-            "SELECT name, labels, t, value FROM pvar_samples"
-            " WHERE run_id = ?"
-        )
-        params: list = [run_id]
-        if name is not None:
-            sql += " AND name = ?"
-            params.append(name)
-        sql += " ORDER BY name, labels, t"
-        return [tuple(r) for r in self.conn.execute(sql, params)]
-
     # -- findings, retries, breakdowns, profiles ----------------------------
 
     def findings(self, run: Union[int, str]) -> list[dict]:

@@ -17,13 +17,13 @@ Public surface:
   :mod:`repro.symbiosys.perfetto` -- the Perfetto/Chrome timeline.
 """
 
-from .callpath import MAX_DEPTH, CallpathRegistry, components, depth, hash16, push
+from .callpath import MAX_DEPTH, CallpathRegistry, components, hash16, push
 from .collector import SymbiosysCollector
 from .export import series_to_csv, to_prometheus
 from .instrument import SymbiosysInstrumentation
 from .metrics import SeriesStore, TimeSeries
 from .monitor import AnomalyDetector, Finding, Monitor, MonitorConfig
-from .perfetto import chrome_trace_json, to_chrome_trace, write_chrome_trace
+from .perfetto import chrome_trace_json, to_chrome_trace
 from .profiling import INTERVALS, IntervalStats, ProfileKey, ProfileStore
 from .stages import Stage
 from .tracing import (
@@ -57,11 +57,9 @@ __all__ = [
     "TraceEvent",
     "chrome_trace_json",
     "components",
-    "depth",
     "hash16",
     "push",
     "series_to_csv",
     "to_chrome_trace",
     "to_prometheus",
-    "write_chrome_trace",
 ]

@@ -123,19 +123,6 @@ class TraceSummary:
     #: Every fault annotation recorded during the run (firing order).
     annotations: list[FaultAnnotation] = field(default_factory=list)
 
-    def spans_with_faults(self) -> list[Span]:
-        """Spans whose window covers at least one injected fault on an
-        involved process, slowest first."""
-        hit = [
-            s
-            for req in self.requests.values()
-            for root in req.roots
-            for s in root.walk()
-            if s.faults
-        ]
-        hit.sort(key=lambda s: -(s.duration or 0.0))
-        return hit
-
     def slowest(self, n: int = 10) -> list[RequestTrace]:
         return sorted(
             self.requests.values(),
@@ -162,9 +149,18 @@ class TraceSummary:
                 f"{len(req.spans):>6}"
             )
         if self.annotations:
+            # Spans whose window covers an injected fault on an
+            # involved process.
+            attributed = sum(
+                1
+                for req in self.requests.values()
+                for root in req.roots
+                for s in root.walk()
+                if s.faults
+            )
             lines.append(
                 f"injected faults: {len(self.annotations)}   "
-                f"spans attributed: {len(self.spans_with_faults())}"
+                f"spans attributed: {attributed}"
             )
         return "\n".join(lines)
 

@@ -25,7 +25,6 @@ __all__ = [
     "hash16",
     "push",
     "components",
-    "depth",
     "CallpathRegistry",
 ]
 
@@ -60,11 +59,6 @@ def components(code: int) -> list[int]:
     while chunks and chunks[0] == 0:
         chunks.pop(0)
     return chunks
-
-
-def depth(code: int) -> int:
-    """Number of RPC components encoded in ``code`` (0..4)."""
-    return len(components(code))
 
 
 class CallpathRegistry:

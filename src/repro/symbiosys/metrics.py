@@ -100,7 +100,7 @@ class RowBlock:
     it; a None in a started column raises before the row is recorded
     (a NaN is a value a series can hold).  Past ``capacity`` rows the
     oldest row is evicted, so each column keeps the samples of the last
-    ``capacity`` rows and counts the rest as dropped.
+    ``capacity`` rows.
     """
 
     __slots__ = (
@@ -195,21 +195,15 @@ class RowBlock:
             return 0
         return self.n - max(self._first_row(), start)
 
-    def column_total(self, c: int) -> int:
-        """Samples ever appended to column ``c``, dropped ones included."""
-        start = self.starts[c]
-        return 0 if start < 0 else self.n - start
-
 
 class TimeSeries(RowBlock):
     """A width-one block: one bounded ``(time, value)`` series with its
     own name, written by :meth:`append` (the fabric pair, a detector's
     own series such as the shard balancer's ``shard_ops``).
 
-    Appending past capacity evicts the oldest sample and increments
-    :attr:`dropped`; the window always holds the *latest* ``capacity``
-    samples, which is what live monitoring wants.  Values are coerced
-    to float.
+    Appending past capacity evicts the oldest sample; the window always
+    holds the *latest* ``capacity`` samples, which is what live
+    monitoring wants.  Values are coerced to float.
     """
 
     __slots__ = ()
@@ -230,10 +224,6 @@ class TimeSeries(RowBlock):
 
     def latest(self) -> Optional[tuple[float, float]]:
         return self.column_latest(0)
-
-    @property
-    def dropped(self) -> int:
-        return self.column_total(0) - self.column_len(0)
 
     def __len__(self) -> int:
         return self.column_len(0)
@@ -261,10 +251,6 @@ class SeriesView:
 
     def latest(self) -> Optional[tuple[float, float]]:
         return self.block.column_latest(self.column)
-
-    @property
-    def dropped(self) -> int:
-        return self.block.column_total(self.column) - len(self)
 
     def __len__(self) -> int:
         return self.block.column_len(self.column)

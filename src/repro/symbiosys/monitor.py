@@ -135,17 +135,6 @@ class Finding:
     #: :func:`repro.symbiosys.critical.annotate_findings` ("" until then).
     wait_state: str = ""
 
-    def as_row(self) -> dict:
-        row = {
-            "time": f"{self.time * 1e3:.6f}ms",
-            "detector": self.detector,
-            "process": self.process,
-            "finding": self.message,
-        }
-        if self.wait_state:
-            row["wait_state"] = self.wait_state
-        return row
-
 
 class AnomalyDetector:
     """Base class: evaluate one telemetry snapshot, return findings.

@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .collector import SymbiosysCollector
     from .monitor import Monitor
 
-__all__ = ["to_chrome_trace", "chrome_trace_json", "write_chrome_trace"]
+__all__ = ["to_chrome_trace", "chrome_trace_json"]
 
 #: The ``tid`` async/metadata events sit on within their process.
 _META_TID = 0
@@ -258,8 +258,3 @@ def to_chrome_trace(
 def chrome_trace_json(**kwargs) -> str:
     """:func:`to_chrome_trace` serialized deterministically."""
     return json.dumps(to_chrome_trace(**kwargs), sort_keys=True)
-
-
-def write_chrome_trace(path, **kwargs) -> None:
-    with open(path, "w", newline="\n") as f:
-        f.write(chrome_trace_json(**kwargs))

@@ -15,11 +15,10 @@ columns are folded into the :class:`IntervalStats` summaries in bulk
 when the store is read (``keys``, ``get``, ``intervals_for``, ``merge``,
 ``len``), or once a store could hold :data:`FOLD_CAP` unsummarised
 samples, which bounds its memory however long the run.  One fold of
-many samples gives exactly what one fold per sample
-(:meth:`IntervalStats.add`) would: the total is summed one sample at a
-time in sample order, ``min``/``max`` keep the first of equal values,
-and a sample's reservoir priority depends only on its index (see
-:func:`_slot_priority`).
+many samples gives exactly what one fold per sample would: the total
+is summed one sample at a time in sample order, ``min``/``max`` keep
+the first of equal values, and a sample's reservoir priority depends
+only on its index (see :func:`_slot_priority`).
 """
 
 from __future__ import annotations
@@ -89,9 +88,6 @@ class IntervalStats:
     maximum: float = float("-inf")
     #: (priority, value) reservoir; top-RESERVOIR_SIZE priorities kept.
     _reservoir: list[tuple[int, float]] = field(default_factory=list, repr=False)
-
-    def add(self, value: float) -> None:
-        self._fold(array("d", (value,)))
 
     def _fold(self, values: array) -> None:
         """Summarise ``values``, the samples after the first ``count``,
@@ -201,11 +197,6 @@ class ProfileStore:
         if columns is None:
             columns = self._columns[ProfileKey._make(key)] = defaultdict(_column)
         return columns
-
-    def add(self, key: ProfileKey, interval: str, value: float) -> None:
-        if interval not in INTERVALS:
-            raise ValueError(f"unknown interval {interval!r}")
-        self.row(key)[interval].append(value)
 
     def _fold(self) -> None:
         """Summarise every unsummarised sample, in sample order."""

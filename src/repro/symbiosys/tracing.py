@@ -28,7 +28,7 @@ import enum
 import itertools
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 __all__ = [
     "EventKind",
@@ -176,10 +176,6 @@ class FaultAnnotation:
     #: Deterministic identifying details (addresses, rpc names) -- the
     #: same tuple the injector's own event trace records.
     detail: tuple = ()
-
-    def describe(self) -> str:
-        detail_s = " ".join(str(d) for d in self.detail)
-        return f"fault:{self.kind} {detail_s}".rstrip()
 
 
 @dataclass(frozen=True)
@@ -404,26 +400,5 @@ class TraceBuffer:
                 mat.append(materialize(i))
         return mat
 
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
-
     def __len__(self) -> int:
         return self._n
-
-    def by_request(self) -> dict[str, list[TraceEvent]]:
-        """Events grouped by request id, each group in stable time
-        order: sort key ``(true_ts, seq)`` where ``seq`` is the append
-        sequence number, so same-timestamp events recorded by different
-        collectors keep a deterministic relative order."""
-        events = self.events
-        d = self._d
-        out: dict[str, list[TraceEvent]] = {}
-        # sorted() is stable, so ties on true_ts keep append order.
-        for i in sorted(range(self._n), key=lambda i: d[i * _DSTRIDE + _D_TRUE]):
-            ev = events[i]
-            group = out.get(ev.request_id)
-            if group is None:
-                out[ev.request_id] = [ev]
-            else:
-                group.append(ev)
-        return out

@@ -56,9 +56,11 @@ def span_to_zipkin(span: Span, trace_id: str) -> dict:
     # latency spikes.  (Fault times are true sim time; the span's
     # corrected timeline is close enough for display purposes.)
     for ann in span.faults:
-        annotations.append(
-            {"timestamp": int(ann.time * _US), "value": ann.describe()}
-        )
+        detail = " ".join(str(d) for d in ann.detail)
+        annotations.append({
+            "timestamp": int(ann.time * _US),
+            "value": f"fault:{ann.kind} {detail}".rstrip(),
+        })
     if span.faults:
         record["tags"]["faults"] = str(len(span.faults))
     if annotations:

@@ -88,7 +88,6 @@ class FuzzConfig:
         if self.plan is not None:
             n_rules = (
                 len(self.plan.wire_rules)
-                + len(self.plan.partitions)
                 + len(self.plan.process_faults)
                 + len(self.plan.handler_rules)
             )
@@ -270,7 +269,7 @@ def check_config(config: FuzzConfig, time_limit: float = 5.0) -> Optional[str]:
 def _plan_variants(plan: FaultPlan) -> list[Optional[FaultPlan]]:
     """Candidate simplifications: the plan with one rule removed each."""
     variants: list[Optional[FaultPlan]] = []
-    for attr in ("wire_rules", "partitions", "process_faults", "handler_rules"):
+    for attr in ("wire_rules", "process_faults", "handler_rules"):
         rules = getattr(plan, attr)
         for i in range(len(rules)):
             reduced = plan.replace(**{attr: rules[:i] + rules[i + 1 :]})

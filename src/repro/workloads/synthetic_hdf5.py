@@ -32,10 +32,6 @@ class SyntheticEventFile:
     #: (subrun, event, payload bytes)
     events: list[tuple[int, int, bytes]] = field(default_factory=list)
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(len(p) for _, _, p in self.events)
-
     def to_pairs(self) -> list[tuple[str, bytes]]:
         """Event key/value pairs in file order."""
         return run_event_pairs(self.dataset, self.run, self.events)

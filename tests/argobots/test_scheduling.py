@@ -3,7 +3,10 @@
 import pytest
 
 from repro.argobots import AbtRuntime, Compute, UltState, YieldNow
+from repro.cluster import Cluster
 from repro.sim import Simulator
+
+from ..margo.conftest import echo_handler
 
 
 def make_runtime(n_es=1, ctx_cost=0.0, **kw):
@@ -149,19 +152,6 @@ def test_ult_error_propagates_by_default():
     assert sim.pending_events == 0
 
 
-def test_ult_error_swallowed_when_configured():
-    sim, rt, pool = make_runtime(swallow_ult_errors=True)
-
-    def bad():
-        yield Compute(1.0)
-        raise ValueError("broken handler")
-
-    ult = rt.spawn(bad(), pool)
-    sim.run(until=10.0)
-    assert ult.terminated
-    assert isinstance(ult.error, ValueError)
-
-
 def test_join_returns_result():
     sim, rt, pool = make_runtime(n_es=2)
     out = []
@@ -201,23 +191,28 @@ def test_join_already_terminated():
 
 
 def test_join_reraises_child_error():
-    sim, rt, pool = make_runtime(n_es=2, swallow_ult_errors=True)
+    """A ULT error propagates out of ``sim.run``; a later join of the
+    terminated ULT, on the other execution stream, raises it again."""
+    sim, rt, pool = make_runtime(n_es=2)
     caught = []
 
     def child():
         yield Compute(1.0)
         raise RuntimeError("child died")
 
-    def parent():
-        c = rt.spawn(child(), pool)
+    def parent(c):
         try:
             yield from rt.join(c)
         except RuntimeError as exc:
-            caught.append(str(exc))
+            caught.append((str(exc), sim.now))
 
-    rt.spawn(parent(), pool)
+    c = rt.spawn(child(), pool)
+    with pytest.raises(RuntimeError, match="child died"):
+        sim.run(until=10.0)
+    assert c.terminated
+    rt.spawn(parent(c), pool)
     sim.run(until=10.0)
-    assert caught == ["child died"]
+    assert caught == [("child died", 1.0)]
 
 
 def test_join_all_collects_in_order():
@@ -247,10 +242,9 @@ def test_spawn_counters():
     for _ in range(4):
         rt.spawn(body(), pool)
     assert rt.total_spawned == 4
-    assert rt.num_active == 4
+    assert rt.total_finished == 0
     sim.run(until=10.0)
     assert rt.total_finished == 4
-    assert rt.num_active == 0
 
 
 def test_pool_high_watermark():
@@ -265,16 +259,16 @@ def test_pool_high_watermark():
 
 
 def test_shutdown_stops_idle_es():
+    """Once the work is done every ES parks on its pool: nothing is left
+    in the event queue, so the simulation stops without a stop signal."""
     sim, rt, pool = make_runtime(n_es=2)
 
     def body():
         yield Compute(1.0)
 
     rt.spawn(body(), pool)
-    sim.run(until=5.0)
-    rt.shutdown()
-    sim.run()
-    # All ES kernel tasks finished; no pending events remain.
+    assert sim.run() == 1.0
+    assert all(es.current is None for es in rt.xstreams)
     assert sim.pending_events == 0
 
 
@@ -322,8 +316,8 @@ def test_num_ready_and_blocked_counters():
 
 def test_parked_es_leaves_nothing_behind():
     """An idle ES parks on its pool with one resume callback: a thousand
-    park/wake cycles never pile up waiters, shutdown wakes every parked
-    ES without re-parking it, and a ULT spawned afterwards stays READY."""
+    park/wake cycles never pile up waiters, and a parked ES holds no
+    event in the queue."""
     sim, rt, pool = make_runtime(n_es=2)
 
     def body():
@@ -333,15 +327,35 @@ def test_parked_es_leaves_nothing_behind():
         rt.spawn(body(), pool)
         sim.run()
         assert len(pool._waiters) == len(rt.xstreams)
+        assert sim.pending_events == 0
     assert rt.total_finished == 1000
-    rt.shutdown()
-    sim.run()
-    assert not pool._waiters
-    assert sim.pending_events == 0
-    late = rt.spawn(body(), pool)
-    sim.run()
-    assert late.state is UltState.READY
-    assert sim.pending_events == 0
+
+
+def test_torn_down_cluster_with_parked_streams_leaves_no_event():
+    """A cluster whose execution streams are all parked tears down to an
+    empty event queue: parking needs no stop signal to drain."""
+    cluster = Cluster(seed=0, stage=None)
+    server = cluster.process("svr", "nA", n_handler_es=2)
+    client = cluster.process("cli", "nB")
+    server.register("echo", echo_handler)
+    client.register("echo")
+    done = []
+
+    def body():
+        done.append((yield from client.forward("svr", "echo", {"x": 1})))
+
+    client.client_ult(body())
+    assert cluster.run_until(lambda: done, limit=1.0)
+    # Past one idle progress timeout: every progress ULT is blocked in
+    # its OFI wait, so no stream has a ULT to run.
+    cluster.run(until=cluster.sim.now + 5e-3)
+    for mi in cluster.processes.values():
+        for es in mi.rt.xstreams:
+            assert es.current is None
+            assert es._next in es.pool._waiters
+    cluster.shutdown()
+    assert cluster.sim.pending_events == 0
+    assert cluster.leaked_events == 0
 
 
 def test_es_switch_window_and_event_accounting():

@@ -1,4 +1,4 @@
-"""Tests for ULT synchronization primitives: Eventual, AbtMutex, AbtBarrier."""
+"""Tests for ULT synchronization primitives: Eventual and AbtMutex."""
 
 import pytest
 
@@ -311,45 +311,3 @@ def test_mutex_blocked_ults_counted():
     sim.run(until=20.0)
     assert samples == [3]
 
-
-# ---------------------------------------------------------------- AbtBarrier
-
-
-def test_barrier_releases_all_at_once():
-    sim, rt, pool = make_runtime(n_es=4)
-    bar = rt.barrier(3)
-    out = []
-
-    def party(tag, delay):
-        yield Compute(delay)
-        yield from bar.wait()
-        out.append((tag, sim.now))
-
-    rt.spawn(party("a", 1.0), pool)
-    rt.spawn(party("b", 2.0), pool)
-    rt.spawn(party("c", 3.0), pool)
-    sim.run(until=20.0)
-    assert [t for _, t in out] == [3.0, 3.0, 3.0]
-
-
-def test_barrier_is_reusable():
-    sim, rt, pool = make_runtime(n_es=2)
-    bar = rt.barrier(2)
-    gens = []
-
-    def party():
-        g1 = yield from bar.wait()
-        yield Compute(1.0)
-        g2 = yield from bar.wait()
-        gens.append((g1, g2))
-
-    rt.spawn(party(), pool)
-    rt.spawn(party(), pool)
-    sim.run(until=20.0)
-    assert gens == [(1, 2), (1, 2)]
-
-
-def test_barrier_validates_parties():
-    sim, rt, pool = make_runtime()
-    with pytest.raises(ValueError):
-        rt.barrier(0)

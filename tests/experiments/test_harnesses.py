@@ -13,6 +13,7 @@ from repro.experiments import (
 from repro.experiments.overhead import OVERHEAD_STAGES
 from repro.experiments.presets import THETA_KNL
 from repro.symbiosys import Stage
+from repro.symbiosys.zipkin import request_to_zipkin
 from repro.workloads import IorConfig
 
 SMALL = TABLE_IV["C2"].scaled(
@@ -29,7 +30,6 @@ def small_result():
 def test_hepnos_experiment_stores_all_events(small_result):
     assert small_result.events_stored == 4 * 256
     assert small_result.makespan > 0
-    assert small_result.throughput > 0
 
 
 def test_hepnos_experiment_profiles_put_packed(small_result):
@@ -86,7 +86,7 @@ def test_mobject_experiment_smoke():
     trace = result.write_op_trace()
     assert trace is not None
     assert len(trace.discrete_calls()) == 12
-    spans = result.write_op_zipkin()
+    spans = request_to_zipkin(trace)
     assert len(spans) == 13  # root + 12 children
 
 

@@ -38,7 +38,7 @@ def test_monitor_experiment_produces_telemetry(smoke_result):
 def test_monitor_experiment_detects_injected_faults(smoke_result):
     # The restart fault (server down 0.8-1.2 ms) starves the progress
     # loop; the retry storm around it trips the timeout-burst detector.
-    fired = smoke_result.detectors_fired()
+    fired = {f.detector for f in smoke_result.findings}
     assert "progress_starvation" in fired
     assert "forward_timeout_burst" in fired
     assert any("process down" in f.message for f in smoke_result.findings)

@@ -11,8 +11,6 @@ from repro.faults import (
     DuplicateRule,
     FaultPlan,
     HandlerFaultRule,
-    HangFault,
-    PartitionWindow,
     RestartFault,
     WireRule,
 )
@@ -57,7 +55,7 @@ def test_rules_are_keyword_only():
     with pytest.raises(TypeError):
         DropRule("svr")  # positional construction is an API error
     with pytest.raises(TypeError):
-        PartitionWindow("a", "b", 0.0, 1.0)
+        CrashFault("s", 1.0)
 
 
 def test_rules_support_replace():
@@ -80,20 +78,6 @@ def test_delay_rule_needs_some_delay():
     assert DelayRule(extra=1e-3).spread == 0.0
 
 
-def test_partition_window_severs_symmetrically():
-    w = PartitionWindow(node_a="nA", node_b="nB", start=1.0, end=2.0)
-    assert w.severs("nA", "nB", 1.5)
-    assert w.severs("nB", "nA", 1.5)
-    assert not w.severs("nA", "nB", 0.5)
-    assert not w.severs("nA", "nB", 2.0)
-    assert not w.severs("nA", "nC", 1.5)
-
-
-def test_partition_needs_distinct_nodes():
-    with pytest.raises(ValueError):
-        PartitionWindow(node_a="n", node_b="n", start=0.0, end=1.0)
-
-
 def test_handler_rule_matching_and_validation():
     rule = HandlerFaultRule(rpc="op", error_probability=1.0)
     assert rule.matches(rpc="op", addr="svr", now=0.0)
@@ -111,8 +95,6 @@ def test_process_fault_validation():
     with pytest.raises(ValueError):
         CrashFault(addr="s", at=-1.0)
     with pytest.raises(ValueError):
-        HangFault(addr="s", at=0.0, duration=0.0)
-    with pytest.raises(ValueError):
         RestartFault(addr="s", at=0.0, downtime=0.0)
     assert RestartFault(addr="s", at=0.0, downtime=1.0).warmup == 0.0
 
@@ -121,12 +103,10 @@ def test_plan_normalizes_lists_to_tuples():
     plan = FaultPlan(
         name="p",
         wire_rules=[DropRule(probability=0.1)],
-        partitions=[PartitionWindow(node_a="a", node_b="b", start=0, end=1)],
         process_faults=[CrashFault(addr="s", at=1.0)],
         handler_rules=[HandlerFaultRule(error_probability=0.1)],
     )
     assert isinstance(plan.wire_rules, tuple)
-    assert isinstance(plan.partitions, tuple)
     assert isinstance(plan.process_faults, tuple)
     assert isinstance(plan.handler_rules, tuple)
 
@@ -136,7 +116,7 @@ def test_plan_is_empty_and_faults_for():
     plan = FaultPlan(
         process_faults=[
             CrashFault(addr="s1", at=1.0),
-            HangFault(addr="s2", at=0.5, duration=0.1),
+            CrashFault(addr="s2", at=0.5),
             RestartFault(addr="s1", at=3.0, downtime=1.0),
         ]
     )
@@ -152,3 +132,55 @@ def test_default_windows_are_open_ended():
     rule = DropRule(probability=0.5)
     assert rule.start == 0.0
     assert rule.end == math.inf
+
+
+def _full_plan():
+    return FaultPlan(
+        name="p",
+        wire_rules=[DropRule(dst="svr", probability=0.5, end=2.0)],
+        process_faults=[RestartFault(addr="s", at=1.0, downtime=0.5)],
+        handler_rules=[HandlerFaultRule(error_probability=0.1)],
+    )
+
+
+def test_plan_dict_round_trip():
+    plan = _full_plan()
+    assert FaultPlan.from_dict(plan.to_dict()) == plan
+
+
+@pytest.mark.parametrize("key", ["wire_rule", "partitions", "extra"])
+def test_from_dict_refuses_unknown_key(key):
+    data = _full_plan().to_dict()
+    data[key] = []
+    with pytest.raises(ValueError, match=f"unknown fault plan key.*'{key}'"):
+        FaultPlan.from_dict(data)
+
+
+def test_from_dict_refuses_a_misspelled_section_instead_of_an_empty_plan():
+    data = {"wire_rule": [{"type": "DropRule", "probability": 1.0}]}
+    with pytest.raises(ValueError, match="'wire_rule'"):
+        FaultPlan.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "section, entry",
+    [
+        ("process_faults", {"type": "DropRule", "probability": 1.0}),
+        ("wire_rules", {"type": "CrashFault", "addr": "s", "at": 1.0}),
+        ("handler_rules", {"type": "RestartFault", "addr": "s", "at": 1.0,
+                           "downtime": 1.0}),
+        ("process_faults", {"type": "HangFault", "addr": "s", "at": 0.0,
+                            "duration": 1.0}),
+        ("wire_rules", {"type": "PartitionWindow", "node_a": "a",
+                        "node_b": "b", "start": 0.0, "end": 1.0}),
+        ("wire_rules", {"probability": 1.0}),
+    ],
+)
+def test_from_dict_refuses_a_rule_outside_its_section(section, entry):
+    """The error names the rule type and the section, at load time --
+    not an AttributeError later, when the plan is executed."""
+    data = {section: [entry]}
+    with pytest.raises(ValueError) as info:
+        FaultPlan.from_dict(data)
+    assert repr(entry.get("type")) in str(info.value)
+    assert repr(section) in str(info.value)

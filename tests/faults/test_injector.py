@@ -8,8 +8,6 @@ from repro.faults import (
     DuplicateRule,
     FaultPlan,
     HandlerFaultRule,
-    HangFault,
-    PartitionWindow,
     RestartFault,
 )
 from repro.margo import MargoTimeoutError, RemoteRpcError, RetryPolicy
@@ -80,23 +78,6 @@ def test_delay_rule_adds_latency():
     assert world.injector.counters["delay"] >= 1
 
 
-def test_partition_window_severs_then_heals():
-    plan = FaultPlan(
-        partitions=[PartitionWindow(node_a="nA", node_b="nB", start=0.0, end=5e-3)]
-    )
-    world = make_echo_cluster(plan=plan)
-    results = _call(world, {"during": True}, timeout=1e-3)
-    world.sim.run_until(lambda: results, limit=0.1)
-    assert results[0][0] == "timeout"
-    assert world.injector.counters["partition_drop"] >= 1
-
-    # After the window the link heals.
-    world.sim.run(until=6e-3)
-    _call(world, {"after": True}, timeout=10e-3, collect=results)
-    world.sim.run_until(lambda: len(results) == 2, limit=0.1)
-    assert results[1][:2] == ("ok", {"after": True})
-
-
 def test_crash_restart_cycle():
     plan = FaultPlan(
         process_faults=[
@@ -144,17 +125,28 @@ def test_crashed_server_discards_deliveries():
 
 
 def test_hang_services_requests_late_not_never():
+    """A restarted server hangs through its warm-up: a request that
+    reaches it then waits in the completion queue and is serviced once
+    the warm-up ends."""
     plan = FaultPlan(
-        process_faults=[HangFault(addr="svr", at=0.0, duration=5e-3)]
+        process_faults=[
+            RestartFault(addr="svr", at=0.0, downtime=1e-3, warmup=5e-3)
+        ]
     )
     world = make_echo_cluster(plan=plan)
-    results = _call(world, {"q": 1})
+    results = []
+
+    def body():
+        yield from world.client.rt.sleep(2e-3)
+        out = yield from world.client.forward("svr", "echo", {"q": 1})
+        results.append((out["echo"], world.sim.now))
+
+    world.client.client_ult(body())
     world.sim.run_until(lambda: results, limit=0.1)
-    status, echoed, at = results[0]
-    assert status == "ok"
+    echoed, at = results[0]
     assert echoed == {"q": 1}
-    assert at >= 5e-3  # serviced only after the hang lifted
-    assert world.injector.counters["hang"] == 1
+    assert at >= 6e-3  # serviced only after the warm-up ended
+    assert world.injector.counters["restart"] == 1
 
 
 def test_handler_error_injection_surfaces_as_remote_error():

@@ -369,8 +369,6 @@ def test_finalize_stops_progress_loop():
     assert len(results) == 1
     world.client.finalize()
     world.server.finalize()
-    world.client.rt.shutdown()
-    world.server.rt.shutdown()
     world.sim.run(until=1.0)
     # Both progress loops exited: simulation goes quiet.
     assert world.sim.pending_events == 0

@@ -175,8 +175,9 @@ def _error_then_ok_handler(errors):
     return handler, state
 
 
-@pytest.mark.parametrize("retry_remote,expected_calls", [(False, 1), (True, 3)])
-def test_remote_errors_retried_only_when_opted_in(retry_remote, expected_calls):
+def test_remote_errors_are_not_retried():
+    """A remote handler error is not transient: it is raised at the
+    origin after one call, whatever attempts the policy has left."""
     with Cluster(seed=0, stage=None) as cluster:
         handler, state = _error_then_ok_handler(errors=2)
         server = cluster.process("svr", "nA", n_handler_es=1)
@@ -187,17 +188,13 @@ def test_remote_errors_retried_only_when_opted_in(retry_remote, expected_calls):
             max_attempts=4,
             timeout=10e-3,
             backoff=0.1e-3,
-            retry_remote_errors=retry_remote,
         )
         results = []
         _one_forward(cluster, client, "svr", results, retry=policy)
         assert cluster.run_until(lambda: results, limit=1.0)
         status, payload = results[0]
-        if retry_remote:
-            assert status == "ok"
-        else:
-            assert status == "err" and isinstance(payload, RemoteRpcError)
-        assert state["calls"] == expected_calls
+        assert status == "err" and isinstance(payload, RemoteRpcError)
+        assert state["calls"] == 1
 
 
 def test_per_call_policy_overrides_instance_default():

@@ -17,9 +17,15 @@ from .conftest import call_rpc, make_world, serve_echo
 # ------------------------------------------------------ registry unit tests
 
 
+def _define(reg, pvar_def, owner=None):
+    """Define one PVAR the way a library defines its table."""
+    reg.define_table(PvarTable((pvar_def,)), owner)
+
+
 def test_registry_define_and_info():
     reg = PvarRegistry()
-    reg.define(
+    _define(
+        reg,
         PvarDef("c", PvarClass.COUNTER, PvarBinding.NO_OBJECT, "a counter")
     )
     assert reg.num_pvars == 1
@@ -31,14 +37,14 @@ def test_registry_define_and_info():
 def test_registry_duplicate_name_rejected():
     reg = PvarRegistry()
     d = PvarDef("c", PvarClass.COUNTER, PvarBinding.NO_OBJECT, "x")
-    reg.define(d)
+    _define(reg, d)
     with pytest.raises(PvarError):
-        reg.define(d)
+        _define(reg, d)
 
 
 def test_registry_counter_monotonic():
     reg = PvarRegistry()
-    reg.define(PvarDef("c", PvarClass.COUNTER, PvarBinding.NO_OBJECT, "x"))
+    _define(reg, PvarDef("c", PvarClass.COUNTER, PvarBinding.NO_OBJECT, "x"))
     reg.add("c", 5)
     reg.add("c", 2)
     assert reg.raw_value("c") == 7
@@ -48,7 +54,7 @@ def test_registry_counter_monotonic():
 
 def test_registry_level_can_fall():
     reg = PvarRegistry()
-    reg.define(PvarDef("l", PvarClass.LEVEL, PvarBinding.NO_OBJECT, "x"))
+    _define(reg, PvarDef("l", PvarClass.LEVEL, PvarBinding.NO_OBJECT, "x"))
     reg.add("l", 3)
     reg.add("l", -2)
     assert reg.raw_value("l") == 1
@@ -56,8 +62,8 @@ def test_registry_level_can_fall():
 
 def test_registry_watermarks():
     reg = PvarRegistry()
-    reg.define(PvarDef("hi", PvarClass.HIGHWATERMARK, PvarBinding.NO_OBJECT, "x"))
-    reg.define(PvarDef("lo", PvarClass.LOWWATERMARK, PvarBinding.NO_OBJECT, "x"))
+    _define(reg, PvarDef("hi", PvarClass.HIGHWATERMARK, PvarBinding.NO_OBJECT, "x"))
+    _define(reg, PvarDef("lo", PvarClass.LOWWATERMARK, PvarBinding.NO_OBJECT, "x"))
     for v in (5, 3, 9, 1):
         reg.watermark("hi", v)
         reg.watermark("lo", v)
@@ -67,14 +73,15 @@ def test_registry_watermarks():
 
 def test_registry_watermark_on_counter_rejected():
     reg = PvarRegistry()
-    reg.define(PvarDef("c", PvarClass.COUNTER, PvarBinding.NO_OBJECT, "x"))
+    _define(reg, PvarDef("c", PvarClass.COUNTER, PvarBinding.NO_OBJECT, "x"))
     with pytest.raises(PvarError):
         reg.watermark("c", 1)
 
 
 def test_registry_getter_pvar_cannot_be_set():
     reg = PvarRegistry()
-    reg.define(
+    _define(
+        reg,
         PvarDef("g", PvarClass.STATE, PvarBinding.NO_OBJECT, "x", getter=lambda _: 42)
     )
     assert reg.raw_value("g") == 42
@@ -84,7 +91,7 @@ def test_registry_getter_pvar_cannot_be_set():
 
 def test_registry_handle_bound_cannot_be_set_globally():
     reg = PvarRegistry()
-    reg.define(PvarDef("t", PvarClass.TIMER, PvarBinding.HANDLE, "x"))
+    _define(reg, PvarDef("t", PvarClass.TIMER, PvarBinding.HANDLE, "x"))
     with pytest.raises(PvarError):
         reg.set("t", 1.0)
     with pytest.raises(PvarError):
@@ -102,7 +109,8 @@ def test_registry_unknown_name():
 def test_registry_getter_reads_its_owner():
     reg = PvarRegistry()
     owner = {"depth": 3}
-    reg.define(
+    _define(
+        reg,
         PvarDef("g", PvarClass.LEVEL, PvarBinding.NO_OBJECT, "x",
                 getter=lambda o: o["depth"]),
         owner,
@@ -115,7 +123,7 @@ def test_registry_getter_reads_its_owner():
 
 def test_stored_reader_follows_later_writes():
     reg = PvarRegistry()
-    reg.define(PvarDef("c", PvarClass.COUNTER, PvarBinding.NO_OBJECT, "x"))
+    _define(reg, PvarDef("c", PvarClass.COUNTER, PvarBinding.NO_OBJECT, "x"))
     read = reg.reader("c")
     reg.add("c", 2)
     assert read() == 2
@@ -148,10 +156,10 @@ def test_define_table_matches_one_define_per_definition():
     owner = {"depth": 4}
     bulk, single = PvarRegistry(), PvarRegistry()
     for reg in (bulk, single):
-        reg.define(first)
+        _define(reg, first)
     bulk.define_table(table, owner)
     for d in table.defs:
-        single.define(d, owner)
+        _define(single, d, owner)
     assert bulk.names == single.names
     assert [bulk.info(i) for i in range(bulk.num_pvars)] == [
         single.info(i) for i in range(single.num_pvars)
@@ -172,7 +180,7 @@ def test_define_table_matches_one_define_per_definition():
 def test_define_table_rejects_a_duplicate_and_changes_nothing():
     table = _every_class_table()
     reg = PvarRegistry()
-    reg.define(PvarDef("g2", PvarClass.LEVEL, PvarBinding.NO_OBJECT, "x"))
+    _define(reg, PvarDef("g2", PvarClass.LEVEL, PvarBinding.NO_OBJECT, "x"))
     with pytest.raises(PvarError, match="g2"):
         reg.define_table(table)
     assert reg.names == ("g2",) and reg.slot_values == [0]

@@ -106,7 +106,8 @@ def test_duplicate_handler_registration_raises(world):
 def test_client_only_registration_then_handler_ok(world):
     world.svr.hg.register("later")
     world.svr.hg.register("later", lambda h: None)  # upgrade to handler
-    assert "later" in world.svr.hg.registered_rpcs
+    with pytest.raises(ValueError):  # the handler is installed now
+        world.svr.hg.register("later", lambda h: None)
 
 
 def test_request_for_handlerless_rpc_fails_loudly(world):

@@ -155,15 +155,6 @@ def test_rdma_get_completion_via_cq():
     assert entry.payload == "bulk-tag"
 
 
-def test_rdma_get_inline_completion_bypasses_cq():
-    sim, fabric, a, b = make_fabric()
-    fired = []
-    fabric.rdma_get("b", "a", size_bytes=100, on_complete=lambda: fired.append(sim.now))
-    sim.run()
-    assert len(fired) == 1
-    assert b.cq_depth == 0
-
-
 def test_no_jitter_is_deterministic():
     sim, fabric, a, b = make_fabric(latency=1e-6)
     times = {fabric.wire_time("n0", "n1", 512) for _ in range(16)}

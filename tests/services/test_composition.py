@@ -6,7 +6,7 @@ from repro.margo import MargoConfig, MargoInstance
 from repro.net import Fabric, FabricConfig
 from repro.services.bake import BakeClient, BakeProvider
 from repro.services.sdskv import SdskvClient, SdskvProvider
-from repro.services.sonata import SonataClient, SonataCosts, SonataProvider
+from repro.services.sonata import SonataClient, SonataProvider
 from repro.sim import Simulator
 from repro.symbiosys import Stage, SymbiosysCollector
 
@@ -90,59 +90,6 @@ def test_concurrent_mixed_service_traffic():
         client_mi.client_ult(bake_flow(i), name=f"b{i}")
         client_mi.client_ult(skv_flow(i), name=f"s{i}")
     assert sim.run_until(lambda: len(done) == 12, limit=5.0)
-
-
-def test_sonata_update_in_place():
-    sim, server, client_mi, _ = make_composed_world()
-    sonata = SonataClient(client_mi)
-    records = [{"id": i, "state": "new", "score": i} for i in range(10)]
-
-    def flow():
-        yield from sonata.create_database("svr", 3, "c")
-        yield from sonata.store_multi("svr", 3, "c", records)
-        n = yield from sonata.update(
-            "svr", 3, "c",
-            {"field": "score", "op": ">=", "value": 5},
-            {"state": "hot"},
-        )
-        hot = yield from sonata.filter(
-            "svr", 3, "c", {"field": "state", "op": "==", "value": "hot"}
-        )
-        return n, hot
-
-    n, hot = run_gen(sim, client_mi, flow())
-    assert n == 5
-    assert [d["id"] for d in hot] == [5, 6, 7, 8, 9]
-    # The server updates its own copies; the client's records are untouched.
-    assert records == [{"id": i, "state": "new", "score": i} for i in range(10)]
-
-
-def test_sonata_concurrent_updates_both_apply():
-    """Two updates of the same documents, in flight at once on a 4-ES
-    handler pool: each document's store cost (1 ms) outlasts the gap
-    between the two requests, so both read a document before either
-    writes it back, and each must keep the other's field."""
-    sim, server, client_mi, _ = make_composed_world()
-    SonataProvider(server, provider_id=4, costs=SonataCosts(store_fixed=1e-3))
-    sonata = SonataClient(client_mi)
-    everything = {"field": "id", "op": ">=", "value": 0}
-    done = []
-
-    def setup():
-        yield from sonata.create_database("svr", 4, "c")
-        yield from sonata.store_multi("svr", 4, "c", [{"id": i} for i in range(3)])
-
-    run_gen(sim, client_mi, setup())
-
-    def update(field):
-        yield from sonata.update("svr", 4, "c", everything, {field: True})
-        done.append(field)
-
-    client_mi.client_ult(update("a"))
-    client_mi.client_ult(update("b"))
-    assert sim.run_until(lambda: len(done) == 2, limit=5.0)
-    docs = run_gen(sim, client_mi, sonata.filter("svr", 4, "c", everything))
-    assert docs == [{"id": i, "a": True, "b": True} for i in range(3)]
 
 
 def test_composed_process_callpaths_distinguish_providers():

@@ -107,21 +107,6 @@ def test_leveldb_backend_allows_parallel_inserts():
     assert max(finishes) - min(finishes) < 0.1 * max(finishes)
 
 
-def test_erase_removes_key():
-    sim, rt, pool, db = make_db("map")
-    out = {}
-
-    def body():
-        yield from db.put("k", 1)
-        yield from db.erase("k")
-        out["v"] = yield from db.get("k")
-
-    rt.spawn(body(), pool)
-    sim.run(until=1.0)
-    assert out["v"] is None
-    assert len(db) == 0
-
-
 def test_unknown_backend_rejected():
     sim = Simulator()
     rt = AbtRuntime(sim)
@@ -199,7 +184,7 @@ def test_provider_put_packed_bulk(world):
     n, items = run_ult(world, body())
     assert n == 50
     assert len(items) == 50
-    assert provider.total_items == 50
+    assert len(provider.databases[0]) == 50
     assert dict(items)["k7"] == b"v" * 32
 
 
@@ -230,20 +215,19 @@ def test_put_packed_stores_the_reference_byte_count(world):
     assert world.server.stats.memory_bytes == expected
 
 
-def test_provider_exists_and_erase(world):
+def test_provider_exists(world):
     SdskvProvider(world.server, provider_id=2)
     cli = SdskvClient(world.client)
 
     def body():
-        yield from cli.put("svr", 2, 0, "k", 1)
         e1 = yield from cli.exists("svr", 2, 0, "k")
-        yield from cli.erase("svr", 2, 0, "k")
+        yield from cli.put("svr", 2, 0, "k", 1)
         e2 = yield from cli.exists("svr", 2, 0, "k")
         return e1, e2
 
     e1, e2 = run_ult(world, body())
-    assert e1 is True
-    assert e2 is False
+    assert e1 is False
+    assert e2 is True
 
 
 def test_provider_bad_db_id_fails_loudly(world):

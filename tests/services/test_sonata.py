@@ -71,13 +71,15 @@ def test_create_store_fetch_roundtrip(sonata_world):
     def body():
         yield from w.sonata.create_database("svr", 1, "coll")
         ids = yield from w.sonata.store_multi("svr", 1, "coll", records)
-        first = yield from w.sonata.fetch("svr", 1, "coll", ids[0])
+        first = yield from w.sonata.filter(
+            "svr", 1, "coll", {"field": "id", "op": "==", "value": ids[0]}
+        )
         size = yield from w.sonata.size("svr", 1, "coll")
         return ids, first, size
 
     ids, first, size = run_ult(w, body())
     assert ids == list(range(10))
-    assert first == {"id": 0, "v": 0}
+    assert first == [{"id": 0, "v": 0}]
     assert size == 10
 
 
@@ -109,22 +111,11 @@ def test_duplicate_collection_returns_error(sonata_world):
     assert r2 == -1
 
 
-def test_fetch_out_of_range_returns_none(sonata_world):
-    w = sonata_world
-
-    def body():
-        yield from w.sonata.create_database("svr", 1, "c")
-        doc = yield from w.sonata.fetch("svr", 1, "c", 99)
-        return doc
-
-    assert run_ult(w, body()) is None
-
-
 def test_unknown_collection_fails_loudly(sonata_world):
     w = sonata_world
 
     def body():
-        yield from w.sonata.fetch("svr", 1, "nope", 0)
+        yield from w.sonata.size("svr", 1, "nope")
 
     w.client.client_ult(body())
     from repro.margo import RemoteRpcError

@@ -6,6 +6,11 @@ from repro.symbiosys import Stage
 from repro.symbiosys.monitor import MonitorConfig
 
 
+def _completed(manager, kind):
+    """The migrations of ``kind`` that finished and moved their shard."""
+    return [r for r in manager.records if r.ok and r.kind == kind]
+
+
 def test_hot_shard_is_detected_and_rebalanced():
     with Cluster(
         seed=9,
@@ -55,7 +60,7 @@ def test_hot_shard_is_detected_and_rebalanced():
         t, shard, src, dst = detector.rebalances[0]
         assert (shard, src) == (hot_shard, hot_owner)
         # ...the migration completed and ownership moved...
-        completed = manager.completed("rebalance")
+        completed = _completed(manager, "rebalance")
         assert completed and completed[0].shard == hot_shard
         assert manager.current_owner(hot_shard) == dst != hot_owner
         # ...with an edge-triggered finding and per-shard telemetry.

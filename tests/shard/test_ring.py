@@ -120,19 +120,6 @@ def test_vnode_balance_within_tolerance_band():
         assert 0.4 * mean <= c <= 1.9 * mean, (n, c, mean)
 
 
-def test_weighted_node_gets_proportional_share():
-    ring = HashRing(seed=3, vnodes=128)
-    for n in NODES[:8]:
-        ring.add_node(n)
-    ring.add_node("big", weight=4.0)
-    counts = {n: 0 for n in NODES[:8]}
-    counts["big"] = 0
-    for k in KEYS:
-        counts[ring.node_for(k)] += 1
-    mean_small = sum(counts[n] for n in NODES[:8]) / 8
-    assert counts["big"] > 2 * mean_small
-
-
 # -- API edges -------------------------------------------------------------
 
 
@@ -214,7 +201,8 @@ def test_shard_map_build_and_diff():
     moves = old.diff(new)
     assert all(m.src == NODES[0] for m in moves)
     assert sorted(m.shard for m in moves) == [m.shard for m in moves]
-    assert set(old.shards_on(NODES[0])) == {m.shard for m in moves}
+    on_first = {i for i, o in enumerate(old.owners) if o == NODES[0]}
+    assert on_first == {m.shard for m in moves}
 
 
 def test_shard_map_diff_requires_same_shard_count():

@@ -15,6 +15,11 @@ from repro.symbiosys.monitor import MonitorConfig
 from repro.validate import ValidationConfig
 
 
+def _completed(manager, kind):
+    """The migrations of ``kind`` that finished and moved their shard."""
+    return [r for r in manager.records if r.ok and r.kind == kind]
+
+
 def _retry() -> RetryPolicy:
     return RetryPolicy(
         max_attempts=4,
@@ -62,11 +67,9 @@ def test_put_get_roundtrip_across_shards():
 def test_placement_routes_match_the_map():
     with Cluster(seed=3, stage=Stage.FULL) as cluster:
         service, client, router = _deploy(cluster, n_servers=6)
-        # BAKE regions and HEPnOS event keys ride the same placement.
-        assert router.region_owner("region-a") in service.servers
-        owner = router.dataset_owner("hepnos.dataset", 3, 14)
+        # HEPnOS event keys ride the same placement.
         key = router.event_key("hepnos.dataset", 3, 14)
-        assert owner == router.owner_of(key)
+        assert router.map().owner_of_key(key) in service.servers
         assert router.shard_of(key) == shard_of(key, service.n_shards)
 
 
@@ -99,7 +102,7 @@ def test_rebalance_moves_data_and_conserves_bytes():
 
         assert manager.current_owner(shard) == dst
         done.clear()
-        (record,) = manager.completed("rebalance")
+        (record,) = _completed(manager, "rebalance")
         assert record.shard == shard and record.src == src and record.dst == dst
         assert record.n_keys == moved_keys
         assert record.nbytes > 0
@@ -180,7 +183,7 @@ def test_node_death_triggers_view_change_and_failover():
             for (_, kind, addr, _) in service.membership.events
         )
         # ...failover migrations re-homed the victim's shards...
-        failovers = service.manager.completed("failover")
+        failovers = _completed(service.manager, "failover")
         assert failovers
         assert {r.src for r in failovers} == {victim}
         for shard in range(service.n_shards):
@@ -234,7 +237,7 @@ def test_revived_node_rejoins_and_receives_handoffs():
         assert ("revive", victim) in events
         assert victim in service.group
         # Its re-entry pulled shards back via live handoffs.
-        handoffs = service.manager.completed("handoff")
+        handoffs = _completed(service.manager, "handoff")
         assert handoffs
         assert {r.dst for r in handoffs} == {victim}
         for record in handoffs:
@@ -395,27 +398,28 @@ def test_finished_ults_do_not_outlive_a_validated_fleet_run():
 def test_fleet_deploy_takes_pvar_tables_not_single_definitions(monkeypatch):
     """A server's registry takes Mercury's table and the shard server's
     table, each in one step: a deploy makes two table definitions per
-    server and no single ``define``.  A run of the fleet's clients
-    never draws backoff jitter, so no process gets an RNG stream."""
+    server.  A run of the fleet's clients never draws backoff jitter,
+    so no process gets an RNG stream."""
     from repro.mercury import PvarRegistry
 
-    calls = {"define": 0, "define_table": 0}
-    for name in calls:
+    calls = 0
+    real = PvarRegistry.define_table
 
-        def counted(self, *args, _name=name, _real=getattr(PvarRegistry, name)):
-            calls[_name] += 1
-            return _real(self, *args)
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return real(self, *args)
 
-        monkeypatch.setattr(PvarRegistry, name, counted)
+    monkeypatch.setattr(PvarRegistry, "define_table", counted)
     with Cluster(
         seed=0,
         stage=Stage.FULL,
         monitoring=MonitorConfig(interval=500e-6),
         validate=ValidationConfig(strict=True),
     ) as cluster:
-        calls.update(define=0, define_table=0)
+        calls = 0
         service = ShardedKVService.deploy(cluster, 16, n_handler_es=1)
-        assert calls == {"define": 0, "define_table": 2 * 16}
+        assert calls == 2 * 16
         mi = cluster.process("cli", "cnode")
         router = service.make_router(mi)
 
@@ -428,7 +432,6 @@ def test_fleet_deploy_takes_pvar_tables_not_single_definitions(monkeypatch):
         assert cluster.run_until(
             lambda: all(u.terminated for u in held), limit=1.0
         )
-    assert calls["define"] == 0
     assert not any(n.startswith("margo.") for n in cluster.rng._streams)
 
 

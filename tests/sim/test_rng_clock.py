@@ -77,16 +77,6 @@ def test_drift_must_keep_clock_monotone():
 @given(
     offset=st.floats(-1e3, 1e3, allow_nan=False),
     drift=st.floats(-0.5, 0.5, allow_nan=False),
-    t=st.floats(0, 1e6, allow_nan=False),
-)
-def test_invert_is_inverse_of_read(offset, drift, t):
-    c = LocalClock(offset=offset, drift=drift)
-    assert c.invert(c.read(t)) == pytest.approx(t, abs=1e-6)
-
-
-@given(
-    offset=st.floats(-1e3, 1e3, allow_nan=False),
-    drift=st.floats(-0.5, 0.5, allow_nan=False),
     t1=st.floats(0, 1e6, allow_nan=False),
     dt=st.floats(1e-6, 1e3, allow_nan=False),
 )

@@ -8,10 +8,6 @@ from repro.ssg import SSGError, SSGGroup, SSGView
 
 def test_create_with_members_assigns_ranks_in_order():
     g = SSGGroup("svc", ["a", "b", "c"])
-    assert g.size == 3
-    assert g.rank_of("a") == 0
-    assert g.rank_of("c") == 2
-    assert g.address_of(1) == "b"
     assert g.members == ["a", "b", "c"]
 
 
@@ -36,33 +32,13 @@ def test_leave_compacts_ranks():
     g = SSGGroup("svc", ["a", "b", "c"])
     g.leave("b")
     assert g.members == ["a", "c"]
-    assert g.rank_of("c") == 1
+    assert g.members.index("c") == 1
 
 
 def test_leave_unknown_rejected():
     g = SSGGroup("svc", ["a"])
     with pytest.raises(SSGError):
         g.leave("z")
-
-
-def test_lookup_errors():
-    g = SSGGroup("svc", ["a"])
-    with pytest.raises(SSGError):
-        g.rank_of("z")
-    with pytest.raises(SSGError):
-        g.address_of(5)
-    with pytest.raises(SSGError):
-        g.address_of(-1)
-
-
-def test_observers_notified_on_changes():
-    g = SSGGroup("svc")
-    log = []
-    g.observe(lambda change, addr, rank: log.append((change, addr, rank)))
-    g.join("a")
-    g.join("b")
-    g.leave("a")
-    assert log == [("join", "a", 0), ("join", "b", 1), ("leave", "a", 0)]
 
 
 def test_hepnos_service_exposes_group():
@@ -73,18 +49,15 @@ def test_hepnos_service_exposes_group():
         Cluster(stage=None), n_servers=3, servers_per_node=1,
         n_handler_es=1, n_databases=1,
     )
-    assert service.group.size == 3
     assert service.group.members == ["hepnos0", "hepnos1", "hepnos2"]
-    assert service.group.rank_of("hepnos2") == 2
 
 
 @given(st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=12,
                 unique=True))
 def test_property_rank_address_roundtrip(addrs):
     g = SSGGroup("p", addrs)
-    for rank, addr in enumerate(addrs):
-        assert g.rank_of(addr) == rank
-        assert g.address_of(rank) == addr
+    assert g.members == addrs
+    assert all(addr in g for addr in addrs)
 
 
 @given(
@@ -132,8 +105,6 @@ def test_replica_shares_storage_with_its_group():
 )
 def test_replica_change_leaves_group_and_siblings_alone(change):
     g = SSGGroup("g", ["a", "b", "c"])
-    seen = []
-    g.observe(lambda *args: seen.append(args))
     r, sibling = g.replica(), g.replica()
     change(r)
     assert r.epoch == g.epoch + 1
@@ -142,7 +113,6 @@ def test_replica_change_leaves_group_and_siblings_alone(change):
         assert other.members == ["a", "b", "c"]
         assert other.epoch == 3
         assert "b" in other and "d" not in other
-    assert seen == []  # the group's observers are not the replica's
 
 
 def test_replicas_applying_one_view_share_its_members():

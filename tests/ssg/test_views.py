@@ -74,18 +74,6 @@ def test_equal_epoch_view_is_stale():
     assert g.apply_view(g.view()) is False
 
 
-def test_apply_view_notifies_observers_with_deltas():
-    replica = SSGGroup("svc", ["a", "b", "c"])
-    log = []
-    replica.observe(lambda change, addr, rank: log.append((change, addr)))
-    replica.apply_view(
-        SSGView(name="svc", epoch=replica.epoch + 1, members=("a", "c", "d"))
-    )
-    assert ("leave", "b") in log
-    assert ("join", "d") in log
-    assert replica.members == ["a", "c", "d"]
-
-
 def test_propagator_delivers_views_over_simulated_delay():
     sim = Simulator()
     auth = SSGGroup("svc", ["a", "b"])
@@ -132,17 +120,14 @@ def test_propagator_staggers_replicas_deterministically():
         prop.register(r)
     auth.leave("b")
     prop.propagate(auth.view())
-    arrival = {}
-    for i, r in enumerate(replicas):
-        r.observe(
-            lambda change, addr, rank, i=i: arrival.setdefault(i, sim.now)
-        )
-    sim.run()
+    arrival = []
+    for r in replicas:
+        assert sim.run_until(lambda r=r: r.epoch == auth.epoch, limit=1.0)
+        arrival.append(sim.now)
     assert arrival[0] < arrival[1] < arrival[2]
 
 
-def test_view_member_set_survives_a_dict_roundtrip():
+def test_view_member_set_is_built_once():
     v = SSGGroup("svc", ["a", "b", "c"]).view()
     assert v.member_set == frozenset({"a", "b", "c"})
     assert v.member_set is v.member_set  # built once per view
-    assert SSGView.from_dict(v.to_dict()).member_set == v.member_set

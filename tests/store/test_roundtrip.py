@@ -87,7 +87,10 @@ class TestSeriesRoundTrip:
     def test_pvar_view(self, echo_store):
         store, world = echo_store
         rid = world.cluster.run_id
-        pvars = store.pvar_samples(rid)
+        pvars = store.conn.execute(
+            "SELECT name, labels, t, value FROM pvar_samples WHERE run_id = ?",
+            (rid,),
+        ).fetchall()
         assert pvars, "monitored run must expose pvar_* series"
         assert all(name.startswith("pvar_") for name, *_ in pvars)
 

@@ -6,7 +6,7 @@ import repro.argobots as abt
 from repro.margo import MargoConfig, MargoInstance
 from repro.net import Fabric, FabricConfig
 from repro.sim import LocalClock, Simulator
-from repro.symbiosys import Stage, SymbiosysCollector
+from repro.symbiosys import ProfileStore, Stage, SymbiosysCollector
 
 
 def make_instrumented_world(
@@ -86,3 +86,12 @@ def drive_requests(world, n_requests, payload=None):
     for i in range(n_requests):
         world.client.client_ult(body(i), name=f"req{i}")
     return results
+
+
+def interval_summary(values):
+    """The :class:`IntervalStats` a profile store keeps for ``values``,
+    recorded one sample per row hand-out the way the hooks record."""
+    store = ProfileStore()
+    for value in values:
+        store.row((0, "cli", "svr"))["origin_execution_time"].append(value)
+    return store.get((0, "cli", "svr"), "origin_execution_time")

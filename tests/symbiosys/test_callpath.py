@@ -7,7 +7,6 @@ from repro.symbiosys import (
     CallpathRegistry,
     MAX_DEPTH,
     components,
-    depth,
     hash16,
     push,
 )
@@ -22,7 +21,7 @@ def test_hash16_is_stable_and_nonzero():
 def test_push_from_root():
     code = push(0, "op")
     assert code == hash16("op")
-    assert depth(code) == 1
+    assert len(components(code)) == 1
 
 
 def test_push_chains_shift_left_16():
@@ -36,7 +35,7 @@ def test_depth_counts_components():
     code = 0
     for i, name in enumerate(["a", "b", "c", "d"]):
         code = push(code, name)
-        assert depth(code) == i + 1
+        assert len(components(code)) == i + 1
 
 
 def test_depth_overflow_drops_oldest():
@@ -46,13 +45,13 @@ def test_depth_overflow_drops_oldest():
     code = 0
     for name in names:
         code = push(code, name)
-    assert depth(code) == MAX_DEPTH
+    assert len(components(code)) == MAX_DEPTH
     assert components(code) == [hash16(n) for n in names[1:]]
 
 
 def test_components_of_root():
     assert components(0) == []
-    assert depth(0) == 0
+    assert len(components(0)) == 0
 
 
 def test_out_of_range_codes_rejected():

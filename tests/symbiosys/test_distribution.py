@@ -5,20 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.symbiosys.profiling import RESERVOIR_SIZE, IntervalStats
 
+from .conftest import interval_summary
+
 
 def test_small_sample_percentiles_exact():
-    s = IntervalStats()
-    for v in range(1, 11):  # 1..10
-        s.add(float(v))
+    s = interval_summary(float(v) for v in range(1, 11))  # 1..10
     assert s.percentile(0) == 1.0
     assert s.percentile(100) == 10.0
     assert 4.0 <= s.percentile(50) <= 7.0
 
 
 def test_reservoir_bounded():
-    s = IntervalStats()
-    for v in range(10_000):
-        s.add(float(v))
+    s = interval_summary(float(v) for v in range(10_000))
     assert len(s.samples()) == RESERVOIR_SIZE
     assert s.count == 10_000
 
@@ -33,26 +31,19 @@ def test_percentile_empty_and_bounds():
 
 
 def test_extremes_always_exact():
-    s = IntervalStats()
-    for v in range(100_000):
-        s.add(float(v))
+    s = interval_summary(float(v) for v in range(100_000))
     assert s.percentile(0) == 0.0
     assert s.percentile(100) == 99_999.0
 
 
 def test_reservoir_is_deterministic():
-    a = IntervalStats()
-    b = IntervalStats()
-    for v in range(1000):
-        a.add(float(v))
-        b.add(float(v))
+    a = interval_summary(float(v) for v in range(1000))
+    b = interval_summary(float(v) for v in range(1000))
     assert sorted(a.samples()) == sorted(b.samples())
 
 
 def test_percentile_estimate_reasonable_on_uniform():
-    s = IntervalStats()
-    for v in range(100_000):
-        s.add(float(v))
+    s = interval_summary(float(v) for v in range(100_000))
     # Uniform 0..1e5: the reservoir median should land near 5e4 (a wide
     # tolerance -- 64 samples).
     assert 2e4 < s.percentile(50) < 8e4
@@ -60,12 +51,8 @@ def test_percentile_estimate_reasonable_on_uniform():
 
 
 def test_merge_combines_reservoirs():
-    a = IntervalStats()
-    b = IntervalStats()
-    for v in range(10):
-        a.add(float(v))
-    for v in range(1000, 1010):
-        b.add(float(v))
+    a = interval_summary(float(v) for v in range(10))
+    b = interval_summary(float(v) for v in range(1000, 1010))
     a.merge(b)
     samples = a.samples()
     assert len(samples) == 20
@@ -76,9 +63,7 @@ def test_merge_combines_reservoirs():
 @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=200))
 @settings(max_examples=50)
 def test_property_reservoir_subset_of_inputs(values):
-    s = IntervalStats()
-    for v in values:
-        s.add(v)
+    s = interval_summary(values)
     assert len(s.samples()) == min(len(values), RESERVOIR_SIZE)
     for v in s.samples():
         assert v in values
@@ -87,9 +72,7 @@ def test_property_reservoir_subset_of_inputs(values):
 @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=200))
 @settings(max_examples=50)
 def test_property_percentiles_monotone(values):
-    s = IntervalStats()
-    for v in values:
-        s.add(v)
+    s = interval_summary(values)
     qs = [0, 10, 25, 50, 75, 90, 100]
     ps = [s.percentile(q) for q in qs]
     assert ps == sorted(ps)

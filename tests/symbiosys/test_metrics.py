@@ -103,7 +103,7 @@ def test_ring_buffer_evicts_oldest():
     ts = TimeSeries("s", capacity=3)
     for i in range(5):
         ts.append(float(i), i * 10.0)
-    assert ts.dropped == 2
+    assert len(ts) == 3
     assert ts.samples() == [(2.0, 20.0), (3.0, 30.0), (4.0, 40.0)]
     assert ts.latest() == (4.0, 40.0)
 
@@ -121,7 +121,6 @@ def test_ring_buffer_matches_a_bounded_deque_reference():
             assert ts.samples() == list(ref)
             assert ts.latest() == ref[-1]
             assert len(ts) == len(ref)
-            assert ts.dropped == i + 1 - len(ref)
 
 
 def test_series_store_keys_and_totals():
@@ -211,16 +210,12 @@ class _ReferenceRing:
 
         self.capacity = capacity
         self.rings = {}
-        self.dropped = {}
         self._deque = deque
 
     def append(self, key, t, v):
         ring = self.rings.get(key)
         if ring is None:
             ring = self.rings[key] = self._deque(maxlen=self.capacity)
-            self.dropped[key] = 0
-        if len(ring) == self.capacity:
-            self.dropped[key] += 1
         ring.append((t, v))
 
 
@@ -232,7 +227,6 @@ def _assert_matches(store, ref):
         assert s.samples() == list(ring)
         assert s.latest() == ring[-1]
         assert len(s) == len(ring)
-        assert s.dropped == ref.dropped[(s.name, s.labels)]
         again = store.series(s.name, dict(s.labels))
         assert again.samples() == list(ring)
     assert len(store) == len(ref.rings)
@@ -257,8 +251,6 @@ def test_row_blocks_match_a_reference_ring():
         store.series("w", {"k": "x"}).append(float(i), 0.5 * i)
         ref.append(("w", (("k", "x"),)), float(i), 0.5 * i)
         _assert_matches(store, ref)
-    assert store.series("a", {"process": "p0"}).dropped == 4
-    assert store.series("lw", {"process": "p0"}).dropped == 2
 
 
 def test_row_block_nan_is_a_sample_and_a_lost_value_raises():
@@ -276,7 +268,7 @@ def test_row_block_nan_is_a_sample_and_a_lost_value_raises():
     assert [t for t, _ in samples] == [0.0, 1.0, 3.0]
     assert samples[0][1] == 1.0 and math.isnan(samples[1][1])
     assert g.latest() == (3.0, 2.0)
-    assert len(g) == 3 and g.dropped == 0
+    assert len(g) == 3
     assert store.series("h", {"process": "p0"}).samples() == [(3.0, 6.0)]
 
 

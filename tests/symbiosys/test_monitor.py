@@ -9,7 +9,6 @@ from repro.cluster import Cluster
 from repro.symbiosys.export import series_to_csv, to_prometheus
 from repro.symbiosys.monitor import (
     AnomalyDetector,
-    Finding,
     ForwardTimeoutBurstDetector,
     Monitor,
     MonitorConfig,
@@ -326,12 +325,6 @@ def test_sched_recorder_block_slice_spans_block_to_next_dispatch():
     assert ult.terminated and ult.blocked_at is None
 
 
-def test_finding_as_row():
-    f = Finding(1.5e-3, "d", "p", "msg", value=2.0)
-    row = f.as_row()
-    assert row["time"] == "1.500000ms" and row["finding"] == "msg"
-
-
 # ------------------------------------------------------------ sampling plans
 
 
@@ -370,16 +363,16 @@ def test_a_pvar_defined_after_the_first_sample_raises():
     """The first sample fixes a process's PVAR schema: one plan per
     process, shared row templates per schema, and a PVAR defined later
     makes the next sample raise, naming the process."""
-    from repro.mercury.pvar import PvarBinding, PvarClass, PvarDef
+    from repro.mercury.pvar import PvarBinding, PvarClass, PvarDef, PvarTable
 
     cluster = _idle_cluster(3)
     monitor = cluster.monitor
     grown = cluster.processes["p000"]
     # A shard-style PVAR family, defined before the first sample.
-    grown.hg.pvars.define(
+    grown.hg.pvars.define_table(PvarTable((
         PvarDef("shard_ops_total", PvarClass.COUNTER, PvarBinding.NO_OBJECT,
-                "KV operations served by this shard server")
-    )
+                "KV operations served by this shard server"),
+    )))
     grown.hg.pvars.add("shard_ops_total", 5)
     monitor.sample(cluster.sim.now)
     monitor.sample(cluster.sim.now)
@@ -408,9 +401,9 @@ def test_a_pvar_defined_after_the_first_sample_raises():
     assert "pvar_shard_ops_total" in {r[1] for r in rows["p000"]}
     assert "pvar_shard_ops_total" not in {r[1] for r in rows["p002"]}
 
-    cluster.processes["p001"].hg.pvars.define(
-        PvarDef("late_total", PvarClass.COUNTER, PvarBinding.NO_OBJECT, "")
-    )
+    cluster.processes["p001"].hg.pvars.define_table(PvarTable((
+        PvarDef("late_total", PvarClass.COUNTER, PvarBinding.NO_OBJECT, ""),
+    )))
     with pytest.raises(ValueError, match="'p001'.*before the run"):
         monitor.sample(cluster.sim.now)
     assert monitor.plan_rebuilds == 3
@@ -421,14 +414,14 @@ def test_a_pvar_defined_after_the_first_sample_raises():
 def test_a_decreasing_counter_pvar_raises_from_sample():
     """A COUNTER-class PVAR is a cumulative total: a sample below the
     previous one is a broken PVAR, not a value to record."""
-    from repro.mercury.pvar import PvarBinding, PvarClass, PvarDef
+    from repro.mercury.pvar import PvarBinding, PvarClass, PvarDef, PvarTable
 
     cluster = _idle_cluster(1)
     monitor = cluster.monitor
     pvars = cluster.processes["p000"].hg.pvars
-    pvars.define(
-        PvarDef("ops_total", PvarClass.COUNTER, PvarBinding.NO_OBJECT, "")
-    )
+    pvars.define_table(PvarTable((
+        PvarDef("ops_total", PvarClass.COUNTER, PvarBinding.NO_OBJECT, ""),
+    )))
     pvars.add("ops_total", 5)
     monitor.sample(cluster.sim.now)
     monitor.sample(cluster.sim.now)  # unchanged is fine

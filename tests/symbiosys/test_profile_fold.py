@@ -136,7 +136,7 @@ def test_fold_equals_per_add_on_one_column(n, seed):
     key = KEYS[0]
     for _ in range(n):
         v = _value(rng)
-        store.add(key, "origin_execution_time", v)
+        store.row(key)["origin_execution_time"].append(v)
         ref.add(key, "origin_execution_time", v)
     assert_same(store, ref)
 
@@ -150,7 +150,7 @@ def test_fold_equals_per_add_with_interleaved_reads(seed):
         key = rng.choice(KEYS)
         interval = rng.choice(intervals)
         v = _value(rng)
-        store.add(key, interval, v)
+        store.row(key)[interval].append(v)
         ref.add(key, interval, v)
         roll = rng.random()
         if roll < 0.002:
@@ -168,7 +168,7 @@ def test_sequential_total_is_not_compensated():
     store = ProfileStore()
     key = KEYS[0]
     for v in (1e16, 1.0, -1e16):
-        store.add(key, "origin_execution_time", v)
+        store.row(key)["origin_execution_time"].append(v)
     assert store.get(key, "origin_execution_time").total == 0.0
 
 
@@ -176,9 +176,9 @@ def test_equal_values_keep_the_first_seen_zero():
     store = ProfileStore()
     key = KEYS[0]
     for v in (0.0, -0.0, 0.0):
-        store.add(key, "target_handler_time", v)
+        store.row(key)["target_handler_time"].append(v)
     for v in (-0.0, 0.0):
-        store.add(key, "bulk_transfer_time", v)
+        store.row(key)["bulk_transfer_time"].append(v)
     first = store.get(key, "target_handler_time")
     assert math.copysign(1.0, first.minimum) == 1.0
     assert math.copysign(1.0, first.maximum) == 1.0
@@ -197,7 +197,7 @@ def test_merge_equals_per_add_merge(seed):
             key = rng.choice(KEYS)
             interval = rng.choice(INTERVALS[:3])
             v = _value(rng)
-            store.add(key, interval, v)
+            store.row(key)[interval].append(v)
             ref.add(key, interval, v)
     merged, merged_ref = ProfileStore(), RefStore()
     for store, ref in zip(stores, refs):
@@ -208,7 +208,7 @@ def test_merge_equals_per_add_merge(seed):
     for _ in range(300):
         key = rng.choice(KEYS)
         v = _value(rng)
-        merged.add(key, "origin_execution_time", v)
+        merged.row(key)["origin_execution_time"].append(v)
         merged_ref.data.setdefault(key, {}).setdefault(
             "origin_execution_time", RefStats()
         ).add(v)

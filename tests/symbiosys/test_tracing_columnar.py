@@ -1,7 +1,6 @@
 """Columnar TraceBuffer: the scalar hot path must materialize events
 indistinguishable from the old per-event dataclass construction --
-same values, same dict key orders, same int/float types -- and
-``by_request`` must order deterministically on ``(true_ts, seq)``."""
+same values, same dict key orders, same int/float types."""
 
 from repro.symbiosys.tracing import (
     _KIND_CODE,
@@ -142,35 +141,3 @@ def test_events_are_materialized_once():
     buf.append_event(**_scalar_kwargs(request_id="cli0-8", true_ts=2e-3))
     assert buf.events[0] is first  # cache survives later appends
     assert buf.events[0] is buf.events[0]
-
-
-def test_by_request_orders_by_true_ts_then_sequence():
-    """Events landing at the *same* true timestamp (common when several
-    collectors snapshot one instant) must keep append order, and an
-    event appended late with an earlier timestamp must sort first."""
-    buf = TraceBuffer("p0")
-    # Three same-timestamp events for request A, interleaved with B.
-    buf.append_event(**_scalar_kwargs(request_id="A", order=0, true_ts=5e-3))
-    buf.append_event(**_scalar_kwargs(request_id="B", order=0, true_ts=5e-3))
-    buf.append_event(**_scalar_kwargs(request_id="A", order=1, true_ts=5e-3))
-    buf.append_event(**_scalar_kwargs(request_id="A", order=2, true_ts=5e-3))
-    # Appended last but happened first: must lead its group.
-    buf.append_event(
-        **_scalar_kwargs(request_id="A", order=9, true_ts=1e-3, local_ts=9.0)
-    )
-    groups = buf.by_request()
-    assert list(groups) == ["A", "B"]  # first-seen order of sorted stream
-    assert [ev.order for ev in groups["A"]] == [9, 0, 1, 2]
-    assert [ev.order for ev in groups["B"]] == [0]
-
-
-def test_by_request_sorts_on_true_ts_not_local_ts():
-    buf = TraceBuffer("p0")
-    # Drifted local clock says the opposite order of simulator truth.
-    buf.append_event(
-        **_scalar_kwargs(request_id="A", order=0, true_ts=2e-3, local_ts=1.0)
-    )
-    buf.append_event(
-        **_scalar_kwargs(request_id="A", order=1, true_ts=1e-3, local_ts=2.0)
-    )
-    assert [ev.order for ev in buf.by_request()["A"]] == [1, 0]

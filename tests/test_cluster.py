@@ -264,3 +264,47 @@ def test_every_module_is_reached_by_an_entry_point():
     }
     unreached = sorted(leaves - reached)
     assert unreached == [], f"modules no entry point imports: {unreached}"
+
+
+#: Names defined under ``repro`` that only the tests call on purpose: the
+#: PVAR session tool interface (paper §IV-B), driven by the tests the way
+#: an external tool would drive it.
+_TOOL_INTERFACE = frozenset({"handle_alloc_by_name", "read_by_name", "handle_free"})
+
+
+def test_every_definition_is_named_outside_its_own_definition():
+    """Every function, method and class defined under ``src/repro`` is
+    named somewhere in ``src``, ``benchmarks``, ``examples`` or a
+    ``perfbench`` file, beyond its own definitions.  Dunders and the
+    PVAR tool interface are exempt.
+
+    This is a cheap name check, not a proof of use: a name counts as
+    used wherever the word appears (a docstring, a same-named method
+    of another class), so it catches definitions that nothing outside
+    the tests mentions at all, not every unused one."""
+    import re
+    from collections import Counter
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = sorted((root / "src").rglob("*.py"))
+    for top in ("benchmarks", "examples"):
+        files += sorted((root / top).rglob("*.py"))
+    files += sorted((root / "perfbench").glob("*.py"))
+    defined, named = Counter(), Counter()
+    for path in files:
+        text = path.read_text()
+        named.update(re.findall(r"\w+", text))
+        if path.is_relative_to(root / "src" / "repro"):
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ):
+                    defined[node.name] += 1
+    unnamed = sorted(
+        name
+        for name, n in defined.items()
+        if named[name] <= n
+        and not (name.startswith("__") and name.endswith("__"))
+        and name not in _TOOL_INTERFACE
+    )
+    assert unnamed == [], f"defined but never named elsewhere: {unnamed}"

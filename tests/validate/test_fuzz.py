@@ -224,7 +224,7 @@ def test_unknown_fuzz_name_is_a_usage_error(flag, kind, monkeypatch, capsys):
 def test_churn_plan_targets_the_fleet_and_round_trips():
     plan = random_fault_plan(np.random.default_rng(42), "churn")
     assert plan.process_faults
-    assert not (plan.wire_rules or plan.partitions or plan.handler_rules)
+    assert not (plan.wire_rules or plan.handler_rules)
     addrs = [f.addr for f in plan.process_faults]
     assert len(set(addrs)) == len(addrs)  # distinct victims
     assert set(addrs) <= set(WORKLOAD_SERVERS["churn"])

@@ -97,16 +97,14 @@ def test_ior_rank_data_is_deterministic_per_seed():
 
 
 def test_event_files_keys_are_well_formed():
-    from repro.services.hepnos import parse_event_key
-
     files = generate_event_files(n_files=2, events_per_file=20,
                                  subruns_per_file=4)
     for f in files:
         for key, payload in f.to_pairs():
-            parsed = parse_event_key(key)
-            assert parsed.dataset == f.dataset
-            assert parsed.run == f.run
-            assert 0 <= parsed.subrun < 4
+            dataset, run, subrun, event = key.split("%")
+            assert dataset == f.dataset
+            assert int(run) == f.run
+            assert 0 <= int(subrun) < 4
 
 
 def test_event_file_keys_equal_event_key_and_its_errors():
@@ -211,7 +209,7 @@ def test_default_event_payloads_are_pinned():
 
 
 def test_event_keys_equal_event_key_encoding():
-    from repro.services.hepnos import EventKey
+    from repro.services.hepnos import event_key
 
     files = generate_event_files(n_files=2, events_per_file=40, subruns_per_file=3)
     for f in files:
@@ -219,7 +217,7 @@ def test_event_keys_equal_event_key_encoding():
         assert len(pairs) == len(f.events)
         for (key, payload), (subrun, event, data) in zip(pairs, f.events):
             assert payload is data
-            assert key == EventKey(f.dataset, f.run, subrun, event).encode()
+            assert key == event_key(f.dataset, f.run, subrun, event)
             assert key == "%".join(
                 (f.dataset, f"{f.run:09d}", f"{subrun:09d}", f"{event:09d}")
             )
