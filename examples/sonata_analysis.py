@@ -42,7 +42,9 @@ def interactive_demo() -> None:
 
     client_mi.client_ult(body())
     assert cluster.run_until(lambda: "size" in out, limit=10.0)
-    expected = [r for r in records if r["tag"] == "alpha" and r["score"] > 0.5]
+    expected = [
+        r for r in records.items if r["tag"] == "alpha" and r["score"] > 0.5
+    ]
     assert out["alphas"] == expected
     print(f"stored {out['size']} documents; remote Jx9 filter matched "
           f"{len(out['alphas'])} (verified against local evaluation)")

@@ -46,8 +46,9 @@ class AbtRuntime:
         #: streams as a slice starts and ends).
         self.num_running = 0
         #: Cumulative simulated busy seconds of each execution stream, in
-        #: ``xstreams`` order (``ExecutionStream.busy_time`` reads its
-        #: slot), so utilisation is one ``sum()`` over a list.
+        #: ``xstreams`` order (each stream adds its compute and switch
+        #: time to its own slot), so utilisation is one ``sum()`` over a
+        #: list.
         self.es_busy: list[float] = []
         self.total_spawned = 0
         self.total_finished = 0

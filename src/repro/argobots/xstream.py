@@ -66,12 +66,6 @@ class ExecutionStream:
         sim = runtime.sim
         sim.call_at(sim.now, self._next)
 
-    @property
-    def busy_time(self) -> float:
-        """Cumulative simulated seconds spent computing (incl. switch
-        cost)."""
-        return self.runtime.es_busy[self._busy_slot]
-
     # -- scheduling callbacks ------------------------------------------------
 
     def _next(self) -> None:

@@ -352,10 +352,6 @@ class PvarSession:
             h.freed = True
         self._finalized = True
 
-    @property
-    def finalized(self) -> bool:
-        return self._finalized
-
     def _check_live(self) -> None:
         if self._finalized:
             raise PvarError("PVAR session already finalized")

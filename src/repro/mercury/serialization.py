@@ -28,12 +28,15 @@ matching base in the order int, float, bytes, str, list/tuple, dict.
 Anything else raises ``TypeError``.
 
 Sizes are recomputed on every call, with one exception: a
-``SizedBatch`` is sized once, when built.  It snapshots each item's
-size at that moment, as Mercury's encoder fixes the encoded bytes when
-it packs the input, so ``estimate_size`` reads its size in O(1) and a
-target can charge per-item costs without sizing the items again.  Any
-other payload is sized afresh: Sonata documents are mutable dicts, so a
-size cached by object would go stale.
+``SizedBatch`` carries the size of each of its items.  A batch built
+from a plain sequence sizes every item once, when built, as Mercury's
+encoder fixes the encoded bytes when it packs the input; a generated
+record array (``generate_json_records``) is built sized, from sizes the
+generator already knows.  Slicing a batch sizes nothing: the slice
+takes its items' sizes from the parent.  So ``estimate_size`` reads a
+batch's size in O(1) and a target charges per-item costs without
+sizing the items again.  Any other payload is sized afresh: Sonata
+documents are mutable dicts, so a size cached by object would go stale.
 """
 
 from __future__ import annotations
@@ -147,6 +150,25 @@ class SizedBatch:
         self.items = tuple(items)
         self.sizes = array("q", map(estimate_size, self.items))
         self.nbytes = _OVERHEAD_PER_ITEM + sum(self.sizes)
+
+    @classmethod
+    def _presized(cls, items: tuple, sizes: array) -> "SizedBatch":
+        """A batch of ``items`` whose sizes the caller already knows:
+        ``sizes[i]`` must equal ``estimate_size(items[i])``."""
+        batch = cls.__new__(cls)
+        batch.items = items
+        batch.sizes = sizes
+        batch.nbytes = _OVERHEAD_PER_ITEM + sum(sizes)
+        return batch
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, span: slice) -> "SizedBatch":
+        """The items in ``span``, with their sizes taken from this batch."""
+        if not isinstance(span, slice):
+            raise TypeError("a SizedBatch is indexed by slices only")
+        return SizedBatch._presized(self.items[span], self.sizes[span])
 
 
 #: Handler per exact container/text type.

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Optional
 from ..cluster import Cluster
 from ..faults import FaultPlan
 from ..margo import MargoError, RetryPolicy
+from ..mercury import SizedBatch
 from ..sim import SimEvent
 from ..symbiosys import Stage
 from ..symbiosys.analysis import profile_summary
@@ -196,10 +197,10 @@ def _run_sonata(cluster: Cluster, scale: int, outcome: dict, done: SimEvent) -> 
             outcome, client.create_database(server_addr, provider_id, "col")
         )
         for batch in range(scale):
-            records = [
+            records = SizedBatch(
                 {"batch": batch, "i": i, "value": f"r{batch}-{i}"}
                 for i in range(10)
-            ]
+            )
             yield from _tally(
                 outcome,
                 client.store_multi(

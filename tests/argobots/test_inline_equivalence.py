@@ -71,7 +71,8 @@ def _simulate(spec):
 
     class Recorder:
         def on_slice(self, es, ult, start, end):
-            slices.append((es.name, ult.name, start, end, es.busy_time))
+            busy = es.runtime.es_busy[es._busy_slot]
+            slices.append((es.name, ult.name, start, end, busy))
 
     rt.add_sched_observer(Recorder())
 

@@ -116,16 +116,14 @@ def test_context_switch_cost_advances_time():
 
 def test_es_busy_time_accounting():
     sim, rt, pool = make_runtime(n_es=1)
-    es = rt.xstreams[0]
 
     def body():
         yield Compute(2.5)
 
     rt.spawn(body(), pool)
     sim.run(until=10.0)
-    assert es.busy_time == pytest.approx(2.5)
     # The stream's busy time is its slot in the runtime's list.
-    assert rt.es_busy == [es.busy_time]
+    assert rt.es_busy == [pytest.approx(2.5)]
     assert rt.num_ready == rt.num_running == 0
 
 
@@ -361,7 +359,7 @@ def test_torn_down_cluster_with_parked_streams_leaves_no_event():
 def test_es_switch_window_and_event_accounting():
     """One ES with a context-switch cost runs a fixed script: Compute,
     block until an outside signal, YieldNow.  Pins the switch window, the
-    slice bounds, busy_time and the exact kernel callback count."""
+    slice bounds, the busy time and the exact kernel callback count."""
     cost = 0.25
     sim, rt, pool = make_runtime(n_es=1, ctx_cost=cost)
     ev = rt.eventual()
@@ -398,7 +396,7 @@ def test_es_switch_window_and_event_accounting():
     # Each slice starts when its ULT is popped, before the switch.
     assert slices == [(0.0, 1.0 + cost), (2.0, 2.0 + cost), (2.0 + cost, 2.0 + 2 * cost)]
     switches = len(slices)
-    assert rt.xstreams[0].busy_time == switches * cost + 1.0
+    assert rt.es_busy == [switches * cost + 1.0]
     es_start, computes, wakes = 1, 1, 1
     scheduled_here = len(probes) + 1  # the probes and the signal
     assert sim.events_processed == (

@@ -23,7 +23,8 @@ class CounterCheck:
         assert rt.num_running == sum(
             1 for x in rt.xstreams if x.current is not None
         )
-        assert rt.es_busy == [x.busy_time for x in rt.xstreams]
+        # Each stream's busy time is the slot at its position.
+        assert [x._busy_slot for x in rt.xstreams] == list(range(len(rt.es_busy)))
         self.slices += 1
 
 
@@ -44,7 +45,7 @@ def test_counters_match_recomputed_sums_in_a_monitored_c5_run(monkeypatch):
         # The per-stream generator sum, over the same state.
         rt = self._mi.rt
         now = self._mi.sim.now
-        busy = sum(es.busy_time for es in rt.xstreams)
+        busy = sum(rt.es_busy[es._busy_slot] for es in rt.xstreams)
         last_t, last_busy = self._last_cpu_sample
         dt = now - last_t
         n_es = max(1, len(rt.xstreams))

@@ -292,7 +292,8 @@ def test_session_protocol_full_cycle(world):
     assert sess.read(ph) == 1
     sess.handle_free(ph)
     sess.finalize()
-    assert sess.finalized
+    with pytest.raises(PvarError, match="already finalized"):
+        sess.get_num_pvars()
 
 
 def test_session_read_handle_bound_requires_hg_handle(world):

@@ -255,6 +255,26 @@ def test_sized_batch_sizes_each_item(items):
         assert size == estimate_size(item)
 
 
+_bounds = st.none() | st.integers(-12, 12)
+
+
+@given(st.lists(_payloads, max_size=10), _bounds, _bounds)
+def test_a_batch_slice_is_the_batch_of_the_sliced_items(items, i, j):
+    # A slice takes its sizes from the parent: it must be exactly the
+    # batch that sizing the same items afresh builds.
+    sliced = SizedBatch(items)[i:j]
+    fresh = SizedBatch(items[i:j])
+    assert len(sliced) == len(fresh) == len(items[i:j])
+    assert all(a is b for a, b in zip(sliced.items, fresh.items, strict=True))
+    assert sliced.sizes == fresh.sizes
+    assert sliced.nbytes == fresh.nbytes == estimate_size(items[i:j])
+
+
+def test_a_batch_is_indexed_by_slices_only():
+    with pytest.raises(TypeError, match="slices only"):
+        SizedBatch([1, 2])[0]
+
+
 @given(
     st.lists(_payloads, max_size=4),
     st.sampled_from(list(_UNSUPPORTED.values())),

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.margo import MargoConfig, MargoInstance
+from repro.mercury import SizedBatch
 from repro.net import Fabric, FabricConfig
 from repro.services.bake import BakeClient, BakeProvider
 from repro.services.sdskv import SdskvClient, SdskvProvider
@@ -53,7 +54,7 @@ def test_three_services_one_process():
         yield from skv.put("svr", 2, 0, "region", rid)
         yield from sonata.create_database("svr", 3, "meta")
         yield from sonata.store_multi(
-            "svr", 3, "meta", [{"rid": rid, "kind": "blob"}]
+            "svr", 3, "meta", SizedBatch([{"rid": rid, "kind": "blob"}])
         )
         # Cross-service read path: sonata -> sdskv -> bake.
         docs = yield from sonata.filter(

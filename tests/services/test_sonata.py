@@ -3,7 +3,9 @@
 import pytest
 
 from repro.experiments.sonata import run_sonata_experiment
-from repro.mercury import HGConfig, estimate_size
+from repro.mercury import HGConfig, SizedBatch, estimate_size
+from repro.mercury import serialization
+from repro.sim import Simulator
 from repro.services.sonata import (
     SonataClient,
     SonataCosts,
@@ -66,7 +68,7 @@ def sonata_world():
 
 def test_create_store_fetch_roundtrip(sonata_world):
     w = sonata_world
-    records = [{"id": i, "v": i * i} for i in range(10)]
+    records = SizedBatch({"id": i, "v": i * i} for i in range(10))
 
     def body():
         yield from w.sonata.create_database("svr", 1, "coll")
@@ -85,7 +87,7 @@ def test_create_store_fetch_roundtrip(sonata_world):
 
 def test_store_multi_batching_preserves_ids(sonata_world):
     w = sonata_world
-    records = [{"id": i} for i in range(25)]
+    records = SizedBatch({"id": i} for i in range(25))
 
     def body():
         yield from w.sonata.create_database("svr", 1, "c")
@@ -137,7 +139,7 @@ def test_remote_filter_executes_query(sonata_world):
         return matches
 
     matches = run_ult(w, body(), until=5.0)
-    expected = [r for r in records if r["tag"] == "alpha"]
+    expected = [r for r in records.items if r["tag"] == "alpha"]
     assert matches == expected
     assert 0 < len(matches) < len(records)
 
@@ -184,7 +186,9 @@ def test_store_batch_size_validation(sonata_world):
 
     def body():
         yield from w.sonata.create_database("svr", 1, "c")
-        yield from w.sonata.store_multi("svr", 1, "c", [{"a": 1}], batch_size=0)
+        yield from w.sonata.store_multi(
+            "svr", 1, "c", SizedBatch([{"a": 1}]), batch_size=0
+        )
 
     w.client.client_ult(body())
     with pytest.raises(ValueError, match="batch_size"):
@@ -203,7 +207,7 @@ def test_store_multi_charges_each_document_its_encoded_size(sonata_world):
 
     run_ult(w, body(), until=5.0)
     stored = w.provider.collections["m"].docs
-    assert stored == records
+    assert stored == list(records.items)
     assert w.server.stats.memory_bytes == sum(estimate_size(d) for d in stored)
 
 
@@ -213,3 +217,33 @@ def test_fig7_tiny_shape_outputs_are_pinned():
     r = run_sonata_experiment(n_records=2_000, batch_size=500)
     assert r.makespan == 0.0019695989000000176
     assert r.deserialization_fraction == 0.26642527062342947
+
+
+def test_the_fig7_run_sizes_no_record(monkeypatch):
+    """The generated record array is sized before the run starts, so
+    the number of dicts sized inside ``Simulator.run`` (the RPC inputs
+    and outputs) does not grow with the number of records."""
+    inside, calls = [0], [0]
+    size_dict = serialization._HANDLERS[dict]
+
+    def counting_size_dict(d):
+        calls[0] += inside[0] > 0
+        return size_dict(d)
+
+    run = Simulator.run
+
+    def counted_run(self, *args, **kwargs):
+        inside[0] += 1
+        try:
+            return run(self, *args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setitem(serialization._HANDLERS, dict, counting_size_dict)
+    monkeypatch.setattr(Simulator, "run", counted_run)
+    counts = []
+    for n in (1_000, 2_000):
+        calls[0] = 0
+        run_sonata_experiment(n_records=n, batch_size=n // 4)
+        counts.append(calls[0])
+    assert counts[0] == counts[1], counts

@@ -272,17 +272,37 @@ def test_every_module_is_reached_by_an_entry_point():
 _TOOL_INTERFACE = frozenset({"handle_alloc_by_name", "read_by_name", "handle_free"})
 
 
+def _names_used(tree: ast.AST) -> list[str]:
+    """The identifiers a module's code uses: names, attributes, import
+    aliases, keyword arguments, and identifier-like string constants
+    (``getattr``-style dispatch).  Names inside f-string expressions
+    count; comments and docstrings do not."""
+    used = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.append(node.attr)
+        elif isinstance(node, ast.alias):
+            used += node.name.split(".")
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            used.append(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                used.append(node.value)
+    return used
+
+
 def test_every_definition_is_named_outside_its_own_definition():
     """Every function, method and class defined under ``src/repro`` is
-    named somewhere in ``src``, ``benchmarks``, ``examples`` or a
-    ``perfbench`` file, beyond its own definitions.  Dunders and the
-    PVAR tool interface are exempt.
+    used by the code of ``src``, ``benchmarks``, ``examples`` or a
+    ``perfbench`` file.  Dunders and the PVAR tool interface are exempt.
 
-    This is a cheap name check, not a proof of use: a name counts as
-    used wherever the word appears (a docstring, a same-named method
-    of another class), so it catches definitions that nothing outside
-    the tests mentions at all, not every unused one."""
-    import re
+    This is a cheap name check, not a proof of use: a use of the name
+    anywhere counts (a same-named method of another class, say), so it
+    catches definitions that no code outside the tests uses at all, not
+    every unused one.  A name that appears only in a comment or a
+    docstring is not a use."""
     from collections import Counter
 
     root = pathlib.Path(__file__).resolve().parents[1]
@@ -290,21 +310,24 @@ def test_every_definition_is_named_outside_its_own_definition():
     for top in ("benchmarks", "examples"):
         files += sorted((root / top).rglob("*.py"))
     files += sorted((root / "perfbench").glob("*.py"))
-    defined, named = Counter(), Counter()
+    defined, used = set(), Counter()
     for path in files:
-        text = path.read_text()
-        named.update(re.findall(r"\w+", text))
-        if path.is_relative_to(root / "src" / "repro"):
-            for node in ast.walk(ast.parse(text)):
-                if isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ):
-                    defined[node.name] += 1
-    unnamed = sorted(
+        tree = ast.parse(path.read_text())
+        used.update(_names_used(tree))
+        for node in ast.walk(tree):
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                # A use inside the definition itself (a recursive call)
+                # does not count.
+                used[node.name] -= _names_used(node).count(node.name)
+                if path.is_relative_to(root / "src" / "repro"):
+                    defined.add(node.name)
+    unused = sorted(
         name
-        for name, n in defined.items()
-        if named[name] <= n
+        for name in defined
+        if used[name] <= 0
         and not (name.startswith("__") and name.endswith("__"))
         and name not in _TOOL_INTERFACE
     )
-    assert unnamed == [], f"defined but never named elsewhere: {unnamed}"
+    assert unused == [], f"defined but never used outside the tests: {unused}"

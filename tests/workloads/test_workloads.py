@@ -4,7 +4,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.mercury import estimate_size
 from repro.sim import RngRegistry
 from repro.workloads import (
     IorClient,
@@ -239,9 +241,9 @@ def test_event_sizes_lognormal_spread():
 def test_json_records_shape_and_determinism():
     a = generate_json_records(50, fields_per_record=3, seed=5)
     b = generate_json_records(50, fields_per_record=3, seed=5)
-    assert a == b
+    assert a.items == b.items and a.sizes == b.sizes
     assert len(a) == 50
-    for i, rec in enumerate(a):
+    for i, rec in enumerate(a.items):
         assert rec["id"] == i
         assert {"tag", "score", "field0", "field1", "field2"} <= set(rec)
 
@@ -251,7 +253,9 @@ def test_json_records_validation():
         generate_json_records(-1)
     with pytest.raises(ValueError):
         generate_json_records(5, fields_per_record=-1)
-    assert generate_json_records(0) == []
+    empty = generate_json_records(0)
+    assert empty.items == () and list(empty.sizes) == []
+    assert estimate_size(empty) == estimate_size([])
 
 
 def _per_field_reference(n_records, fields_per_record, seed):
@@ -287,8 +291,10 @@ def test_json_records_equal_per_field_scalar_draws(monkeypatch, fields_per_recor
     monkeypatch.setattr(json_records, "RngRegistry", RecordingRegistry)
     for seed in (0, 7, 42):
         streams.clear()
-        got = generate_json_records(
-            301, fields_per_record=fields_per_record, seed=seed
+        got = list(
+            generate_json_records(
+                301, fields_per_record=fields_per_record, seed=seed
+            ).items
         )
         expected, expected_state = _per_field_reference(
             301, fields_per_record, seed
@@ -304,7 +310,25 @@ def test_default_json_records_are_pinned():
     # The Fig 7 instance: 50,000 records.  The perfbench outputs see the
     # serialized sizes only, so this digest is what catches a change in
     # the values themselves.
-    digest = hashlib.sha256(repr(generate_json_records(50_000)).encode())
+    batch = generate_json_records(50_000)
+    digest = hashlib.sha256(repr(list(batch.items)).encode())
     assert digest.hexdigest() == (
         "c7cc72d3d54f20ff9d8cad6718168bf0ab2397626188adff93af6981daa579c9"
     )
+
+
+@given(
+    st.integers(0, 400),
+    st.integers(0, 9),
+    st.sampled_from([0, 5, 42, 1234]),
+)
+def test_json_records_are_born_with_their_encoded_sizes(
+    n_records, fields_per_record, seed
+):
+    # Sized per tag at generation, the batch must carry exactly the
+    # sizes that sizing each record afresh gives.
+    batch = generate_json_records(
+        n_records, fields_per_record=fields_per_record, seed=seed
+    )
+    assert list(batch.sizes) == [estimate_size(r) for r in batch.items]
+    assert estimate_size(batch) == estimate_size(list(batch.items))
