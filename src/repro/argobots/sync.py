@@ -40,10 +40,6 @@ class Eventual:
     def is_set(self) -> bool:
         return self._set
 
-    @property
-    def value(self) -> Any:
-        return self._value
-
     def signal(self, value: Any = None) -> None:
         """Signal the eventual, waking all blocked waiters."""
         if self._set:

@@ -145,7 +145,7 @@ class ExecutionStream:
                     ev = effect.eventual
                     if ev.is_set:
                         ult._send_value = (
-                            (True, ev.value) if effect.timeout is not None else ev.value
+                            (True, ev._value) if effect.timeout is not None else ev._value
                         )
                         continue
                     ult.state = BLOCKED

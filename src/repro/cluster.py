@@ -224,9 +224,6 @@ class Cluster:
         self.processes[addr] = mi
         return mi
 
-    def __getitem__(self, addr: str) -> MargoInstance:
-        return self.processes[addr]
-
     # -- running ------------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> float:

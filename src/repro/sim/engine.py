@@ -79,10 +79,6 @@ class SimEvent:
         self._callbacks: list[Callable[["SimEvent"], None]] = []
 
     @property
-    def fired(self) -> bool:
-        return self._fired
-
-    @property
     def value(self) -> Any:
         if not self._fired:
             raise SimulationError(f"event {self.name!r} has not fired yet")

@@ -130,35 +130,16 @@ class IntervalStats:
             combined = combined[-RESERVOIR_SIZE:]
         self._reservoir = combined
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def samples(self) -> list[float]:
         """The retained distribution samples (unordered subset)."""
         return [v for _, v in self._reservoir]
-
-    def percentile(self, q: float) -> float:
-        """Estimated q-th percentile (0..100) from the reservoir."""
-        if not 0 <= q <= 100:
-            raise ValueError("percentile must be in [0, 100]")
-        if not self._reservoir:
-            return 0.0
-        values = sorted(v for _, v in self._reservoir)
-        # Exact bounds are known regardless of sampling.
-        if q == 0:
-            return self.minimum
-        if q == 100:
-            return self.maximum
-        idx = min(len(values) - 1, int(q / 100.0 * len(values)))
-        return values[idx]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.count:
             return "IntervalStats(empty)"
         return (
             f"IntervalStats(n={self.count}, total={self.total:.6g}, "
-            f"mean={self.mean:.6g})"
+            f"mean={self.total / self.count:.6g})"
         )
 
 
@@ -224,10 +205,6 @@ class ProfileStore:
     def intervals_for(self, key: ProfileKey) -> dict[str, IntervalStats]:
         self._fold()
         return dict(self._stats.get(key, {}))
-
-    def __len__(self) -> int:
-        self._fold()
-        return len(self._stats)
 
     def merge(self, other: "ProfileStore") -> None:
         """Fold another store into this one (global consolidation)."""

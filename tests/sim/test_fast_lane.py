@@ -98,7 +98,7 @@ def test_run_until_event_respects_limit_and_disarms():
     # The waker is disarmed: a later full drain must not be aborted by
     # the stale registration when the event finally fires.
     sim.run()
-    assert ev.fired
+    assert ev._fired
     assert sim.now == 8.0
     assert sim.pending_events == 0
 
@@ -139,10 +139,10 @@ def test_all_of_with_prefired_and_empty():
     latch = all_of(sim, [fired, pending])
     sim.call_at(2.0, pending.succeed)
     assert sim.run_until_event(latch, limit=10.0)
-    assert latch.fired
+    assert latch._fired
 
     empty = all_of(sim, [])
-    assert empty.fired
+    assert empty._fired
 
 
 def test_events_processed_counts_callbacks():

@@ -94,7 +94,7 @@ def _same_float(a, b):
 
 def assert_same(store, ref):
     assert list(store.keys()) == list(ref.data)
-    assert len(store) == len(ref.data)
+    assert len(store.keys()) == len(ref.data)
     for key, ref_intervals in ref.data.items():
         intervals = store.intervals_for(key)
         assert list(intervals) == list(ref_intervals)

@@ -1,11 +1,14 @@
 """Tests for the workload generators (ior, synthetic files, JSON records)."""
 
 import hashlib
+from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.workloads.json_records as json_records
 from repro.mercury import estimate_size
 from repro.sim import RngRegistry
 from repro.workloads import (
@@ -315,6 +318,251 @@ def test_default_json_records_are_pinned():
     assert digest.hexdigest() == (
         "c7cc72d3d54f20ff9d8cad6718168bf0ab2397626188adff93af6981daa579c9"
     )
+
+
+def _generate_recorded(n_records, fields_per_record, seed, stream=None):
+    """``generate_json_records``'s records and the stream it drew them
+    from; ``stream(gen)``, if given, replaces the registry's stream."""
+    import repro.workloads.json_records as json_records
+
+    streams = []
+
+    class RecordingRegistry(RngRegistry):
+        def stream(self, name):
+            gen = super().stream(name)
+            if stream is not None:
+                gen = stream(gen)
+            streams.append(gen)
+            return gen
+
+    with patch.object(json_records, "RngRegistry", RecordingRegistry):
+        records = list(
+            generate_json_records(
+                n_records, fields_per_record=fields_per_record, seed=seed
+            ).items
+        )
+    (rng,) = streams
+    return records, rng
+
+
+@given(st.integers(0, 400), st.integers(0, 9), st.integers(0, 2**32 - 1))
+def test_json_records_equal_the_three_call_draws_for_any_seed(
+    n_records, fields_per_record, seed
+):
+    # Odd and even counts end with and without a buffered half-word.
+    got, rng = _generate_recorded(n_records, fields_per_record, seed)
+    expected, expected_state = _per_field_reference(
+        n_records, fields_per_record, seed
+    )
+    assert got == expected
+    assert [list(r) for r in got] == [list(r) for r in expected]  # key order
+    assert repr(got) == repr(expected)  # float bits
+    assert rng.bit_generator.state == expected_state
+
+
+def _word(high, low):
+    return high << 32 | low
+
+
+class _StubBitGen:
+    """Raw words from a list, behind a PCG64-shaped state."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+
+    def random_raw(self, size=None):
+        if size is None:
+            return self.words.pop(0)
+        out, self.words = self.words[:size], self.words[size:]
+        return np.array(out, dtype=np.uint64)
+
+
+def _lemire_tags_and_scores(words, n_records):
+    """numpy's scalar ``integers(0, 5)`` then ``random()`` on PCG64,
+    step by step: ``next_uint32`` keeps the high half of each word it
+    draws in ``uinteger`` and sets ``has_uint32`` until it is read, and
+    ``buffered_bounded_lemire_uint32`` redraws while the low 32 bits of
+    ``x * 5`` are below ``(2**32 - 5) % 5``.  Returns the ``(tag,
+    score)`` pairs and the final ``(has_uint32, uinteger)``."""
+    words = iter(words)
+    has_uint32, uinteger = 0, 0
+
+    def next_uint32():
+        nonlocal has_uint32, uinteger
+        if has_uint32:
+            has_uint32 = 0
+            return uinteger
+        w = next(words)
+        has_uint32, uinteger = 1, w >> 32
+        return w & 0xFFFFFFFF
+
+    threshold = (2**32 - 5) % 5
+    assert threshold == 1
+    out = []
+    for _ in range(n_records):
+        m = next_uint32() * 5
+        while m & 0xFFFFFFFF < threshold:
+            m = next_uint32() * 5
+        out.append((json_records._TAGS[m >> 32], (next(words) >> 11) * 2.0**-53))
+    return out, (has_uint32, uinteger)
+
+
+# Tag inputs with a readable tag: (x * 5) >> 32.
+_ALPHA, _BETA, _GAMMA, _DELTA, _EPSILON = 1, 2**30, 2**31, 0xA0000000, 0xFFFFFFFF
+
+
+@pytest.mark.parametrize(
+    "words, n_records, tags, buffer",
+    [
+        # The low half is 0 on the first record (the tag comes from the
+        # high half), and the high half is 0 on the last: its record
+        # takes the low half of a fresh word and buffers the high half.
+        (
+            [_word(_GAMMA, 0), 2**63, _word(0, _BETA), 2**62,
+             _word(_EPSILON, _DELTA), 2**61],
+            3,
+            ["gamma", "beta", "delta"],
+            (1, _EPSILON),
+        ),
+        # Both halves 0 on the last (only) record: the word drawn as the
+        # score is the tag's, and the score is the word after it.
+        (
+            [_word(0, 0), _word(_BETA, _ALPHA), 2**63],
+            1,
+            ["alpha"],
+            (1, _BETA),
+        ),
+        # A rejected low half on the last record reads the buffer: it
+        # keeps the half, marked read.
+        (
+            [_word(_DELTA, _ALPHA), 2**63, 2**62, _word(_EPSILON, 0), 2**61],
+            3,
+            ["alpha", "delta", "epsilon"],
+            (0, _EPSILON),
+        ),
+    ],
+)
+def test_the_tag_redraw_follows_numpy_lemire_rule(words, n_records, tags, buffer):
+    expected, expected_buffer = _lemire_tags_and_scores(words, n_records)
+    assert [tag for tag, _ in expected] == tags and expected_buffer == buffer
+    bitgen = _StubBitGen(words)
+    records = list(
+        json_records._records(
+            n_records, 0, bitgen, lambda size: np.zeros(size)
+        )
+    )
+    assert [(r["tag"], r["score"]) for r in records] == expected
+    assert bitgen.words == []
+    assert (bitgen.state["has_uint32"], bitgen.state["uinteger"]) == buffer
+
+
+def _stream_starting_with(word):
+    """A PCG64 stream whose first raw word is ``word``: its state is
+    stepped back from one whose XSL-RR output is that word."""
+    mult, mask = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+    high, inc = 0x9E3779B97F4A7C15, 0xDA3E39CB94B95BDB
+    rot = high >> 58
+    rotl = ((word << rot) | (word >> (64 - rot))) & (2**64 - 1)
+    after = high << 64 | (rotl ^ high)
+    before = (after - inc) * pow(mult, -1, 1 << 128) & mask
+    gen = np.random.default_rng(0)
+    gen.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": before, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
+@pytest.mark.parametrize("n_records", [1, 2, 3])
+@pytest.mark.parametrize(
+    "first_word", [_word(_GAMMA, 0), _word(0, _BETA), _word(0, 0)]
+)
+def test_a_rejected_tag_draw_matches_numpy(first_word, n_records):
+    # A seed reaches the redraw once in 2**32 draws, so the stream is
+    # set up to: its first tag word has a zero low half, high half, or
+    # both.  numpy's own ``integers`` is the oracle.
+    assert _stream_starting_with(first_word).bit_generator.random_raw() == first_word
+    got, rng = _generate_recorded(
+        n_records, 2, 0, stream=lambda gen: _stream_starting_with(first_word)
+    )
+    reference = _stream_starting_with(first_word)
+    expected = [
+        {
+            "id": i,
+            "tag": json_records._TAGS[int(reference.integers(0, 5))],
+            "score": float(reference.random()),
+            **{f"field{f}": float(reference.normal()) for f in range(2)},
+        }
+        for i in range(n_records)
+    ]
+    assert repr(got) == repr(expected)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_json_records_refuse_a_stream_that_is_not_a_fresh_pcg64():
+    def used(gen):
+        gen.integers(0, 5)  # leaves a half-word buffered
+        return gen
+
+    def mt19937(gen):
+        return np.random.Generator(np.random.MT19937(0))
+
+    for stream in (used, mt19937):
+        with pytest.raises(ValueError, match="fresh PCG64"):
+            _generate_recorded(4, 1, 0, stream=stream)
+
+
+class _CountingBitGen:
+    """A bit generator stand-in counting its method calls."""
+
+    def __init__(self, bitgen, calls):
+        self._bitgen, self._calls = bitgen, calls
+
+    @property
+    def state(self):
+        return self._bitgen.state
+
+    @state.setter
+    def state(self, value):
+        self._bitgen.state = value
+
+    def __getattr__(self, name):
+        return _counted(getattr(self._bitgen, name), name, self._calls)
+
+
+class _CountingStream:
+    """A Generator stand-in counting its and its bit generator's method
+    calls."""
+
+    def __init__(self, gen, calls):
+        self._gen, self._calls = gen, calls
+        self.bit_generator = _CountingBitGen(gen.bit_generator, calls)
+
+    def __getattr__(self, name):
+        return _counted(getattr(self._gen, name), name, self._calls)
+
+
+def _counted(method, name, calls):
+    def call(*args, **kwargs):
+        calls[name] += 1
+        return method(*args, **kwargs)
+
+    return call
+
+
+def test_json_records_make_two_numpy_calls_per_record():
+    """One ``random_raw`` (tag and score) and one ``normal`` (fields)
+    per record: the three-call form makes 3,000 calls for 1,000
+    records (``integers``, ``random`` and ``normal``), this one 2,000."""
+    calls = Counter()
+    got, _ = _generate_recorded(
+        1_000, 6, 42, stream=lambda gen: _CountingStream(gen, calls)
+    )
+    assert got == _per_field_reference(1_000, 6, 42)[0]
+    assert calls == {"random_raw": 1_000, "normal": 1_000}
 
 
 @given(
